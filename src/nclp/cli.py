@@ -694,8 +694,11 @@ def _merge_config(args: argparse.Namespace, argv) -> argparse.Namespace:
     """Fill values from a flat JSON config for flags not given explicitly."""
     if not getattr(args, "config", None):
         return args
-    with open(args.config, "r", encoding="utf-8") as fh:
-        conf = json.load(fh)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            conf = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
+        raise SystemExit(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(conf, dict):
         raise SystemExit("config file must hold a flat JSON object")
     explicit = {tok.split("=")[0].lstrip("-").replace("-", "_") for tok in argv if tok.startswith("--")}
@@ -712,7 +715,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        args = _merge_config(args, argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
@@ -723,7 +725,7 @@ def main(argv=None) -> int:
         "command": " ".join([args.command] + [t for t in argv if t != args.command]),
     }
     try:
-        columns, rows, hint = args.fn_impl(args)
+        columns, rows, hint = args.fn_impl(_merge_config(args, argv))
     except SystemExit as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

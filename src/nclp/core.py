@@ -87,15 +87,21 @@ def schatten_norm(x, p: float) -> float:
     large finite exponent.
     """
     p = check_exponent(p)
-    s = singular_values(x)
-    if s.size == 0:
-        return 0.0
+    return float(schatten_from_sv(singular_values(x), p))
+
+
+def schatten_from_sv(s, p: float):
+    """Schatten p-norms from singular values sorted decreasingly along the
+    last axis, batched over the leading axes (the one shared kernel)."""
+    s = np.asarray(s)
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1])
     if p == math.inf:
-        return float(s[0])
+        return s[..., 0]
     if p == 2.0:
         # cheaper and exactly the Frobenius norm
-        return float(np.sqrt(np.sum(s * s)))
-    return float(np.sum(s**p) ** (1.0 / p))
+        return np.sqrt(np.sum(s * s, axis=-1))
+    return np.sum(s**p, axis=-1) ** (1.0 / p)
 
 
 def operator_norm(x) -> float:

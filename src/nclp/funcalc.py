@@ -1,10 +1,15 @@
 """Sectorial functional calculus for structured operators on matrix space.
 
 A *superoperator* here is a linear map on the d x d complex matrices.
-Structured kinds (left/right multiplication, Schur multiplier, inner
-``ax - xb`` derivations, unitary-sandwiched Schur forms) carry fast
-resolvent and functional-calculus paths; a dense d^2 x d^2 matrix is the
-general fallback.  On top of the operator kinds this module provides
+Every operator kind exposes its spectral structure through three hooks
+on :class:`LpOperator`: a ``symbol`` (an entrywise eigenvalue array for
+Schur multipliers, unitary-sandwiched Schur forms and ``ax - xb``
+derivations, the d x d factor for left/right multiplication, the
+d^2 x d^2 matrix otherwise), ``with_symbol`` to rebuild the kind from a
+new symbol, and ``frame()`` to act diagonally on stacks of matrices.
+Scaling, adjoints, resolvents and both calculi act on the symbol only, so
+no algorithm names a kind.  On top of the operator kinds this module
+provides
 
 * resolvents with spectral-collision detection,
 * the contour-quadrature calculus f(A) = (1/2 pi i) int f(z) R(z,A) dz
@@ -31,8 +36,11 @@ import numpy as np
 from .core import (
     NumericsError,
     SpectralCollisionError,
+    _check_hermitian,
     adjoint,
     as_matrix,
+    conjugate_exponent,
+    schatten_from_sv,
 )
 
 EIG_COND_MAX = 1e8
@@ -202,34 +210,86 @@ def _apply_scalar(fn, lam, zero_value=0.0, zero_tol=None) -> np.ndarray:
 class LpOperator:
     """Base class: a linear map on d x d complex matrices.
 
-    Subclasses must provide ``apply`` and ``dim``; everything else has a
-    dense fallback through the materialized superoperator, which the
-    structured kinds override with fast paths.
+    Subclasses provide ``apply`` and ``dim``.  The spectral structure is
+    one small interface that every algorithm goes through:
+
+    * ``symbol``: the array the kind is a function of.  For ``entrywise``
+      kinds it holds the eigenvalues themselves, one per frame vector;
+      otherwise it is a square matrix whose eigendecomposition gives the
+      spectrum (the d^2 x d^2 superoperator unless a kind overrides it).
+    * ``with_symbol(s)``: the same kind in the same frame with symbol s.
+    * ``frame()``: ``(lam, into, out, into_adj, out_adj)`` with
+      A x = out(lam * into(x)), vectorized over leading stack axes.
+
+    Scaling, adjoints, resolvents and the spectral calculus follow
+    from these by acting on the symbol, entrywise or as a matrix.
     """
 
     dim: int
+    entrywise = False
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    @property
+    def symbol(self) -> np.ndarray:
+        return self.to_dense()
+
+    def with_symbol(self, s) -> "LpOperator":
+        return DenseOp(s)
+
+    def frame(self):
+        """Eigenframe of the d^2 x d^2 symbol, acting on row-major vecs."""
+        lam, v, vinv = _mat_eig(self.symbol)
+        d = self.dim
+
+        def vecs(x):
+            return x.reshape(x.shape[:-2] + (d * d,))
+
+        def mats(y):
+            return y.reshape(y.shape[:-1] + (d, d))
+
+        return (
+            lam,
+            lambda x: vecs(x) @ vinv.T,
+            lambda y: mats(y @ v.T),
+            lambda z: mats(z @ vinv.conj()),
+            lambda y: vecs(y) @ v.conj(),
+        )
+
     def spectrum(self) -> np.ndarray:
-        return np.linalg.eigvals(self.to_dense())
+        s = self.symbol
+        return s.ravel() if self.entrywise else np.linalg.eigvals(s)
+
+    def scaled(self, z: complex) -> "LpOperator":
+        """The operator z A."""
+        return self.with_symbol(z * self.symbol)
 
     def dagger(self) -> "LpOperator":
         """Adjoint for the Frobenius inner product <x, y> = tr(y* x)."""
-        return DenseOp(adjoint(self.to_dense()))
+        s = self.symbol
+        return self.with_symbol(np.conj(s) if self.entrywise else adjoint(s))
 
     def _resolvent_impl(self, z: complex) -> "LpOperator":
-        n = self.dim * self.dim
-        return DenseOp(np.linalg.solve(z * np.eye(n) - self.to_dense(), np.eye(n)))
+        s = self.symbol
+        if self.entrywise:
+            return self.with_symbol(1.0 / (z - s))
+        eye = np.eye(s.shape[0])
+        return self.with_symbol(np.linalg.solve(z * eye - s, eye))
 
     def eigen_fn(self, fn, zero_value=0.0, zero_tol=None) -> "LpOperator":
         """Spectral application of a scalar function (the eigen oracle)."""
-        lam, v, vinv = _mat_eig(self.to_dense())
-        return DenseOp((v * _apply_scalar(fn, lam, zero_value, zero_tol)) @ vinv)
+        s = self.symbol
+        if self.entrywise:
+            return self.with_symbol(_apply_scalar(fn, s, zero_value, zero_tol))
+        lam, v, vinv = _mat_eig(s)
+        return self.with_symbol((v * _apply_scalar(fn, lam, zero_value, zero_tol)) @ vinv)
 
     def __call__(self, x):
         return self.apply(x)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim})"
 
     def to_dense(self) -> np.ndarray:
         """Materialize the d^2 x d^2 superoperator (row-major vec)."""
@@ -267,92 +327,90 @@ class LpOperator:
         )
 
 
+def _square_symbol(s, what: str) -> np.ndarray:
+    s = as_matrix(s)
+    if s.shape[0] != s.shape[1]:
+        raise ValueError(f"{what} needs a square symbol")
+    return s
+
+
 class LeftMult(LpOperator):
-    """x -> a x."""
+    """x -> a x.  Functions act through the symbol: f(L_a) = L_{f(a)}."""
 
     def __init__(self, a):
-        self.a = as_matrix(a)
-        if self.a.shape[0] != self.a.shape[1]:
-            raise ValueError("left multiplication needs a square symbol")
+        self.a = _square_symbol(a, "left multiplication")
         self.dim = self.a.shape[0]
 
     def apply(self, x):
         return self.a @ x
 
-    def spectrum(self):
-        return np.linalg.eigvals(self.a)
+    symbol = property(lambda self: self.a)
 
-    def dagger(self):
-        return LeftMult(adjoint(self.a))
+    def with_symbol(self, s):
+        return LeftMult(s)
 
-    def _resolvent_impl(self, z):
-        d = self.dim
-        return LeftMult(np.linalg.solve(z * np.eye(d) - self.a, np.eye(d)))
-
-    def eigen_fn(self, fn, zero_value=0.0, zero_tol=None):
+    def frame(self):
         lam, v, vinv = _mat_eig(self.a)
-        return LeftMult((v * _apply_scalar(fn, lam, zero_value, zero_tol)) @ vinv)
-
-    def __repr__(self):
-        return f"LeftMult(dim={self.dim})"
+        vh, vinvh = adjoint(v), adjoint(vinv)
+        return (
+            lam[:, None],
+            lambda x: vinv @ x,
+            lambda y: v @ y,
+            lambda z: vinvh @ z,
+            lambda y: vh @ y,
+        )
 
 
 class RightMult(LpOperator):
     """x -> x b.  Functions act through the symbol: f(R_b) = R_{f(b)}."""
 
     def __init__(self, b):
-        self.b = as_matrix(b)
-        if self.b.shape[0] != self.b.shape[1]:
-            raise ValueError("right multiplication needs a square symbol")
+        self.b = _square_symbol(b, "right multiplication")
         self.dim = self.b.shape[0]
 
     def apply(self, x):
         return x @ self.b
 
-    def spectrum(self):
-        return np.linalg.eigvals(self.b)
+    symbol = property(lambda self: self.b)
 
-    def dagger(self):
-        return RightMult(adjoint(self.b))
+    def with_symbol(self, s):
+        return RightMult(s)
 
-    def _resolvent_impl(self, z):
-        d = self.dim
-        return RightMult(np.linalg.solve(z * np.eye(d) - self.b, np.eye(d)))
-
-    def eigen_fn(self, fn, zero_value=0.0, zero_tol=None):
+    def frame(self):
         lam, v, vinv = _mat_eig(self.b)
-        return RightMult((v * _apply_scalar(fn, lam, zero_value, zero_tol)) @ vinv)
+        vh, vinvh = adjoint(v), adjoint(vinv)
+        return (
+            lam[None, :],
+            lambda x: x @ v,
+            lambda y: y @ vinv,
+            lambda z: z @ vh,
+            lambda y: y @ vinvh,
+        )
 
-    def __repr__(self):
-        return f"RightMult(dim={self.dim})"
+
+def _identity(x):
+    return x
 
 
 class SchurMult(LpOperator):
-    """x -> m * x (entrywise)."""
+    """x -> m * x (entrywise); the matrix units are its eigenframe."""
+
+    entrywise = True
 
     def __init__(self, m):
-        self.m = as_matrix(m)
-        if self.m.shape[0] != self.m.shape[1]:
-            raise ValueError("Schur multiplier needs a square symbol")
+        self.m = _square_symbol(m, "Schur multiplier")
         self.dim = self.m.shape[0]
 
     def apply(self, x):
         return self.m * x
 
-    def spectrum(self):
-        return self.m.ravel()
+    symbol = property(lambda self: self.m)
 
-    def dagger(self):
-        return SchurMult(np.conj(self.m))
+    def with_symbol(self, s):
+        return SchurMult(s)
 
-    def _resolvent_impl(self, z):
-        return SchurMult(1.0 / (z - self.m))
-
-    def eigen_fn(self, fn, zero_value=0.0, zero_tol=None):
-        return SchurMult(_apply_scalar(fn, self.m, zero_value, zero_tol))
-
-    def __repr__(self):
-        return f"SchurMult(dim={self.dim})"
+    def frame(self):
+        return self.m, _identity, _identity, _identity, _identity
 
 
 class SandwichSchur(LpOperator):
@@ -361,6 +419,8 @@ class SandwichSchur(LpOperator):
     The rank-one frame u_i v_j* diagonalizes the map with eigenvalues
     w_ij, so resolvents and functional calculus act entrywise on w.
     """
+
+    entrywise = True
 
     def __init__(self, u, v, w):
         self.u = as_matrix(u)
@@ -373,22 +433,21 @@ class SandwichSchur(LpOperator):
     def apply(self, x):
         return self.u @ (self.w * (adjoint(self.u) @ x @ self.v)) @ adjoint(self.v)
 
-    def spectrum(self):
-        return self.w.ravel()
+    symbol = property(lambda self: self.w)
 
-    def dagger(self):
-        return SandwichSchur(self.u, self.v, np.conj(self.w))
+    def with_symbol(self, s):
+        return SandwichSchur(self.u, self.v, s)
 
-    def _resolvent_impl(self, z):
-        return SandwichSchur(self.u, self.v, 1.0 / (z - self.w))
-
-    def eigen_fn(self, fn, zero_value=0.0, zero_tol=None):
-        return SandwichSchur(
-            self.u, self.v, _apply_scalar(fn, self.w, zero_value, zero_tol)
+    def frame(self):
+        u, v = self.u, self.v
+        uh, vh = adjoint(u), adjoint(v)
+        return (
+            self.w,
+            lambda x: uh @ x @ v,
+            lambda y: u @ (y @ vh),
+            lambda z: u @ z @ vh,
+            lambda y: uh @ (y @ v),
         )
-
-    def __repr__(self):
-        return f"SandwichSchur(dim={self.dim})"
 
 
 class AdPair(SandwichSchur):
@@ -401,11 +460,8 @@ class AdPair(SandwichSchur):
     def __init__(self, a, b):
         a = as_matrix(a)
         b = as_matrix(b)
-        for name, m in (("a", a), ("b", b)):
-            if np.max(np.abs(m - adjoint(m))) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
-                raise ValueError(f"AdPair requires hermitian {name}")
-        alpha, u = np.linalg.eigh(0.5 * (a + adjoint(a)))
-        beta, v = np.linalg.eigh(0.5 * (b + adjoint(b)))
+        alpha, u = np.linalg.eigh(_check_hermitian(a, "AdPair a"))
+        beta, v = np.linalg.eigh(_check_hermitian(b, "AdPair b"))
         super().__init__(u, v, (alpha[:, None] - beta[None, :]).astype(complex))
         self.a = a
         self.b = b
@@ -413,18 +469,13 @@ class AdPair(SandwichSchur):
     def apply(self, x):
         return self.a @ x - x @ self.b
 
-    def __repr__(self):
-        return f"AdPair(dim={self.dim})"
-
 
 class DenseOp(LpOperator):
     """Arbitrary superoperator given by its d^2 x d^2 matrix (row-major vec)."""
 
     def __init__(self, s):
-        self.s = as_matrix(s)
+        self.s = _square_symbol(s, "superoperator matrix")
         n = self.s.shape[0]
-        if self.s.shape[1] != n:
-            raise ValueError("superoperator matrix must be square")
         d = math.isqrt(n)
         if d * d != n:
             raise ValueError(f"superoperator size {n} is not a perfect square")
@@ -434,26 +485,13 @@ class DenseOp(LpOperator):
     def apply(self, x):
         return unvec(self.s @ vec(x), self.dim)
 
-    def spectrum(self):
-        return np.linalg.eigvals(self.s)
-
-    def dagger(self):
-        return DenseOp(adjoint(self.s))
-
-    def _resolvent_impl(self, z):
-        n = self.s.shape[0]
-        return DenseOp(np.linalg.solve(z * np.eye(n) - self.s, np.eye(n)))
-
-    def eigen_fn(self, fn, zero_value=0.0, zero_tol=None):
-        lam, v, vinv = _mat_eig(self.s)
-        return DenseOp((v * _apply_scalar(fn, lam, zero_value, zero_tol)) @ vinv)
-
-    def __repr__(self):
-        return f"DenseOp(dim={self.dim})"
-
 
 class AmplifiedOp(LpOperator):
-    """I_m (x) T acting blockwise on (m d) x (m d) matrices."""
+    """I_m (x) T acting blockwise on (m d) x (m d) matrices.
+
+    The symbol, the calculus and the frame are those of the base map,
+    applied to every d x d block.
+    """
 
     def __init__(self, base: LpOperator, m: int):
         if m < 1:
@@ -461,6 +499,7 @@ class AmplifiedOp(LpOperator):
         self.base = base
         self.m = m
         self.dim = base.dim * m
+        self.entrywise = base.entrywise
 
     def apply(self, x):
         d, m = self.base.dim, self.m
@@ -471,17 +510,31 @@ class AmplifiedOp(LpOperator):
                 out[i, :, j, :] = self.base.apply(blocks[i, :, j, :])
         return out.reshape(m * d, m * d)
 
+    symbol = property(lambda self: self.base.symbol)
+
+    def with_symbol(self, s):
+        return AmplifiedOp(self.base.with_symbol(s), self.m)
+
+    def frame(self):
+        lam, into, out, into_adj, out_adj = self.base.frame()
+        d, m = self.base.dim, self.m
+
+        def split(x):  # (..., m d, m d) -> (..., m, m, d, d)
+            return np.swapaxes(x.reshape(x.shape[:-2] + (m, d, m, d)), -3, -2)
+
+        def merge(b):
+            return np.swapaxes(b, -3, -2).reshape(b.shape[:-4] + (m * d, m * d))
+
+        return (
+            lam[None, None],
+            lambda x: into(split(x)),
+            lambda y: merge(out(y)),
+            lambda z: merge(into_adj(z)),
+            lambda y: out_adj(split(y)),
+        )
+
     def spectrum(self):
         return np.tile(self.base.spectrum(), self.m * self.m)
-
-    def dagger(self):
-        return AmplifiedOp(self.base.dagger(), self.m)
-
-    def _resolvent_impl(self, z):
-        return AmplifiedOp(self.base._resolvent_impl(z), self.m)
-
-    def eigen_fn(self, fn, zero_value=0.0, zero_tol=None):
-        return AmplifiedOp(self.base.eigen_fn(fn, zero_value, zero_tol), self.m)
 
     def __repr__(self):
         return f"Amplified({self.base!r}, m={self.m})"
@@ -647,11 +700,12 @@ def contour_calculus(
 ) -> LpOperator:
     """f(A) by trapezoid quadrature of the sector-boundary Cauchy integral.
 
-    Structured kinds stay structured: multiplications integrate d x d
-    resolvents of their symbol, Schur-type kinds reduce to the scalar
-    kernel on their symbol, and only the dense fallback integrates full
-    superoperator resolvents.  Emits :class:`ContourTruncationWarning`
-    when the endpoint integrand suggests the window is too narrow.
+    The quadrature acts on the symbol and the kind is kept: entrywise
+    symbols go through the scalar kernel, matrix symbols integrate their
+    own resolvents (d x d for multiplications, d^2 x d^2 otherwise), so
+    the result never passes through an eigendecomposition.  Emits
+    :class:`ContourTruncationWarning` when the endpoint integrand
+    suggests the window is too narrow.
     """
     if f.klass != "hinf0":
         raise ValueError(f"{f.name} has no decay at 0/infinity; use extended_calculus")
@@ -667,29 +721,15 @@ def contour_calculus(
             stacklevel=2,
         )
 
-    if isinstance(op, SchurMult):
-        return SchurMult(contour_kernel(f, spec)(op.m))
-    if isinstance(op, SandwichSchur):
-        return SandwichSchur(op.u, op.v, contour_kernel(f, spec)(op.w))
-    if isinstance(op, (LeftMult, RightMult)):
-        a = op.a if isinstance(op, LeftMult) else op.b
-        d = a.shape[0]
-        z, c = _contour_coefficients(f, spec)
-        eye = np.eye(d)
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for zj, cj in zip(z, c):
-            acc += cj * np.linalg.solve(zj * eye - a, eye)
-        return LeftMult(acc) if isinstance(op, LeftMult) else RightMult(acc)
-    if isinstance(op, AmplifiedOp):
-        return AmplifiedOp(contour_calculus(op.base, f, spec, warn_tol), op.m)
-    s = op.to_dense()
-    n = s.shape[0]
+    s = op.symbol
+    if op.entrywise:
+        return op.with_symbol(contour_kernel(f, spec)(s))
     z, c = _contour_coefficients(f, spec)
-    eye = np.eye(n)
-    acc = np.zeros((n, n), dtype=np.complex128)
+    eye = np.eye(s.shape[0])
+    acc = np.zeros(s.shape, dtype=np.complex128)
     for zj, cj in zip(z, c):
         acc += cj * np.linalg.solve(zj * eye - s, eye)
-    return DenseOp(acc)
+    return op.with_symbol(acc)
 
 
 def eigen_calculus(op: LpOperator, fn, zero_value=0.0) -> LpOperator:
@@ -716,28 +756,14 @@ def extended_calculus(
     fg_op = contour_calculus(op, fg, spec)
     g_op = contour_calculus(op, g, spec)
 
-    if isinstance(op, SchurMult):
-        return SchurMult(_ratio_on_range(op.m, fg_op.m, g_op.m))
-    if isinstance(op, SandwichSchur):
-        return SandwichSchur(op.u, op.v, _ratio_on_range(op.w, fg_op.w, g_op.w))
-    if isinstance(op, (LeftMult, RightMult)):
-        base = op.a if isinstance(op, LeftMult) else op.b
-        lam, v, vinv = _mat_eig(base)
-        ker = np.abs(lam) <= ZERO_RTOL * max(float(np.max(np.abs(lam))), 1e-300)
-        p0 = (v * ker.astype(complex)) @ vinv
-        num = fg_op.a if isinstance(fg_op, LeftMult) else fg_op.b
-        den = g_op.a if isinstance(g_op, LeftMult) else g_op.b
-        mat = (np.eye(op.dim) - p0) @ np.linalg.solve(den + p0, num)
-        return LeftMult(mat) if isinstance(op, LeftMult) else RightMult(mat)
-    if isinstance(op, AmplifiedOp):
-        return AmplifiedOp(extended_calculus(op.base, f, spec), op.m)
-    s = op.to_dense()
+    s = op.symbol
+    if op.entrywise:
+        return op.with_symbol(_ratio_on_range(s, fg_op.symbol, g_op.symbol))
     lam, v, vinv = _mat_eig(s)
     ker = np.abs(lam) <= ZERO_RTOL * max(float(np.max(np.abs(lam))), 1e-300)
     p0 = (v * ker.astype(complex)) @ vinv
-    n = s.shape[0]
-    mat = (np.eye(n) - p0) @ np.linalg.solve(g_op.to_dense() + p0, fg_op.to_dense())
-    return DenseOp(mat)
+    mat = (np.eye(s.shape[0]) - p0) @ np.linalg.solve(g_op.symbol + p0, fg_op.symbol)
+    return op.with_symbol(mat)
 
 
 def _ratio_on_range(base_sym, num, den):
@@ -772,23 +798,6 @@ def superop_norm_s2(op: LpOperator) -> float:
     return float(np.linalg.norm(op.to_dense(), 2))
 
 
-def _conj_exp(p: float) -> float:
-    if p == 1.0:
-        return math.inf
-    if p == math.inf:
-        return 1.0
-    return p / (p - 1.0)
-
-
-def _schatten(x, p):
-    s = np.linalg.svd(x, compute_uv=False)
-    if s.size == 0:
-        return 0.0
-    if p == math.inf:
-        return float(s[0])
-    return float(np.sum(s**p) ** (1.0 / p))
-
-
 def _polar_factor(y: np.ndarray, p: float) -> np.ndarray:
     """Norming element of ||y||_p: the S^{p'}-unit xi with Re tr(xi* y) = ||y||_p."""
     u, s, vh = np.linalg.svd(y, full_matrices=False)
@@ -800,7 +809,7 @@ def _polar_factor(y: np.ndarray, p: float) -> np.ndarray:
     elif p == 1.0:
         d = (s > 1e-14 * s[0]).astype(float)
     else:
-        pp = _conj_exp(p)
+        pp = conjugate_exponent(p)
         t = (s / s[0]) ** (p - 1.0)
         d = t / np.sum(t**pp) ** (1.0 / pp)
     return (u * d) @ vh
@@ -820,17 +829,21 @@ def schatten_opnorm_lower(
     d = op.dim
     rng = np.random.default_rng(seed)
     dag = op.dagger()
-    pp = _conj_exp(p)
+    pp = conjugate_exponent(p)
+
+    def norm(x):
+        return float(schatten_from_sv(np.linalg.svd(x, compute_uv=False), p))
+
     best = 0.0
     for _ in range(starts):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        nx = _schatten(x, p)
+        nx = norm(x)
         if nx == 0.0:
             continue
         x = x / nx
         for _ in range(iters):
             y = op.apply(x)
-            ny = _schatten(y, p)
+            ny = norm(y)
             if ny <= 1e-300:
                 break
             best = max(best, ny)
@@ -842,9 +855,9 @@ def schatten_opnorm_lower(
                 break
             x = x_new
         y = op.apply(x)
-        nx = _schatten(x, p)
+        nx = norm(x)
         if nx > 0:
-            best = max(best, _schatten(y, p) / nx)
+            best = max(best, norm(y) / nx)
     return best
 
 
@@ -867,7 +880,7 @@ def sector_type(
         for r in radii:
             for sgn in (1.0, -1.0):
                 z = r * cmath.exp(1j * sgn * theta)
-                scaled = _scale_op(resolvent(op, z), z)
+                scaled = resolvent(op, z).scaled(z)
                 if p == 2.0:
                     k = max(k, superop_norm_s2(scaled))
                 else:
@@ -877,20 +890,6 @@ def sector_type(
                     )
         constants.append((float(theta), float(k)))
     return SectorProfile(omega_hat=omega, constants=constants, p=p, exact=p == 2.0)
-
-
-def _scale_op(op: LpOperator, z: complex) -> LpOperator:
-    if isinstance(op, LeftMult):
-        return LeftMult(z * op.a)
-    if isinstance(op, RightMult):
-        return RightMult(z * op.b)
-    if isinstance(op, SandwichSchur):
-        return SandwichSchur(op.u, op.v, z * op.w)
-    if isinstance(op, SchurMult):
-        return SchurMult(z * op.m)
-    if isinstance(op, AmplifiedOp):
-        return AmplifiedOp(_scale_op(op.base, z), op.m)
-    return DenseOp(z * op.to_dense())
 
 
 # ---------------------------------------------------------------------------
@@ -909,22 +908,17 @@ def group_average_identity(a, b=None, n_nodes: int = 64) -> float:
     of the defect (for the derivation version, the norm on the
     Hilbert-Schmidt space, which is the largest symbol deviation).
     """
-    a = as_matrix(a)
-    if np.max(np.abs(a - adjoint(a))) > 1e-10 * max(1.0, float(np.max(np.abs(a)))):
-        raise ValueError("generator must be hermitian")
+    a = _check_hermitian(as_matrix(a), "generator")
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     s_vals = math.sqrt(2.0) * nodes
     coeff = weights / math.sqrt(math.pi)
-    alpha, u = np.linalg.eigh(0.5 * (a + adjoint(a)))
+    alpha, u = np.linalg.eigh(a)
     if b is None:
         lhs = (u * np.exp(-(alpha**2) / 2.0)) @ adjoint(u)
         diag = coeff @ np.exp(1j * s_vals[:, None] * alpha[None, :])
         rhs = (u * diag) @ adjoint(u)
         return float(np.linalg.norm(lhs - rhs, 2))
-    b = as_matrix(b)
-    if np.max(np.abs(b - adjoint(b))) > 1e-10 * max(1.0, float(np.max(np.abs(b)))):
-        raise ValueError("generator must be hermitian")
-    beta = np.linalg.eigvalsh(0.5 * (b + adjoint(b)))
+    beta = np.linalg.eigvalsh(_check_hermitian(as_matrix(b), "generator"))
     w0 = alpha[:, None] - beta[None, :]
     lhs = np.exp(-(w0**2) / 2.0)
     rhs = np.einsum("k,kij->ij", coeff, np.exp(1j * s_vals[:, None, None] * w0[None, :, :]))

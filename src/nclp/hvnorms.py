@@ -22,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import adjoint, as_matrix, check_exponent, psd_sqrt, schatten_norm
+from .core import (
+    adjoint,
+    as_matrix,
+    check_exponent,
+    psd_sqrt,
+    schatten_from_sv,
+    schatten_norm,
+)
 from .optim import ConvexCfg, SolveResult, minimize_split_schatten
 
 RAD_EXACT_MAX = 20  # 2^20 ~ 1e6 sign patterns; refuse exact mode beyond this
@@ -129,13 +136,6 @@ def _sign_block(offset: int, count: int, n: int) -> np.ndarray:
     return signs
 
 
-def _batch_schatten(mats: np.ndarray, p: float) -> np.ndarray:
-    s = np.linalg.svd(mats, compute_uv=False)
-    if p == math.inf:
-        return s[..., 0]
-    return np.sum(s**p, axis=-1) ** (1.0 / p)
-
-
 def rad_average(
     xs,
     p: float,
@@ -167,7 +167,7 @@ def rad_average(
             cnt = min(chunk, half - off)
             signs = _sign_block(off, cnt, n)
             sums = (signs @ flat).reshape(cnt, *fam.shape[1:])
-            total += float(np.sum(_batch_schatten(sums, p)))
+            total += float(np.sum(schatten_from_sv(np.linalg.svd(sums, compute_uv=False), p)))
         return total / half
     if mode == "montecarlo":
         mean, _ = rad_average_mc(fam, p, samples=samples, seed=seed)
@@ -190,7 +190,7 @@ def rad_average_mc(xs, p: float, samples: int, seed: int | None):
         cnt = min(chunk, samples - pos)
         signs = rng.integers(0, 2, size=(cnt, n)) * 2.0 - 1.0
         sums = (signs @ flat).reshape(cnt, *fam.shape[1:])
-        vals[pos : pos + cnt] = _batch_schatten(sums, p)
+        vals[pos : pos + cnt] = schatten_from_sv(np.linalg.svd(sums, compute_uv=False), p)
         pos += cnt
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

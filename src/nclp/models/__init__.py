@@ -25,14 +25,7 @@ from .fock import (  # noqa: F401
     q_gram,
     second_quantization,
 )
-from .freegroup import (  # noqa: F401
-    GroupPoly,
-    dyadic_unconditionality,
-    group_lp_norm_even,
-    length_multiplier,
-    poisson_apply,
-    word_multiply,
-)
+from .freegroup import GroupPoly, dyadic_unconditionality  # noqa: F401
 from .martingale import (  # noqa: F401
     CesaroReport,
     CondExpOp,

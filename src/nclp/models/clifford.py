@@ -89,14 +89,14 @@ class CliffordDiagonalOp(fc.LpOperator):
         self.rep = rep
         self.dim = rep.dim
         self.subsets = list(all_subsets(rep.n))
-        self.frame = np.stack([v_f(rep, s) for s in self.subsets])
+        self.vfs = np.stack([v_f(rep, s) for s in self.subsets])
         self.coeffs = np.array([complex(coeff_fn(s)) for s in self.subsets])
 
     def apply(self, x):
         x = np.asarray(x, dtype=complex)
         # tau(V_F* x) against the trace-orthonormal frame
-        comps = np.einsum("fab,ab->f", self.frame.conj(), x) / self.dim
-        return np.einsum("f,fab->ab", self.coeffs * comps, self.frame)
+        comps = np.einsum("fab,ab->f", self.vfs.conj(), x) / self.dim
+        return np.einsum("f,fab->ab", self.coeffs * comps, self.vfs)
 
     def spectrum(self):
         # eigenvalues on the frame plus 0 on its orthocomplement
@@ -108,7 +108,7 @@ class CliffordDiagonalOp(fc.LpOperator):
         out.rep = self.rep
         out.dim = self.dim
         out.subsets = self.subsets
-        out.frame = self.frame
+        out.vfs = self.vfs
         out.coeffs = np.conj(self.coeffs)
         return out
 

@@ -219,23 +219,6 @@ class GroupPoly:
         return cls(coeffs, cap=cap)
 
 
-def word_multiply(x: GroupPoly, y: GroupPoly) -> GroupPoly:
-    """Convolution with free reduction (same as the * operator)."""
-    return x * y
-
-
-def group_lp_norm_even(x: GroupPoly, p: int) -> float:
-    return x.norm_even(p)
-
-
-def poisson_apply(x: GroupPoly, t: float) -> GroupPoly:
-    return x.poisson(t)
-
-
-def length_multiplier(x: GroupPoly, f, apply_at_identity: bool = False) -> GroupPoly:
-    return x.length_multiplier(f, apply_at_identity)
-
-
 def dyadic_unconditionality(xs, p: int = 4) -> float:
     """Worst sign-flip ratio max_eps ||sum eps_k x_k||_p / ||sum x_k||_p for
     polynomials supported on the dyadic length shells |g| = 2^k.

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import schatten_from_sv
+
 
 @dataclass
 class ConvexCfg:
@@ -47,7 +49,7 @@ def _smooth_value_grad(y: np.ndarray, p: float, mu: float):
     real inner product Re tr(x* y) on complex matrices.
     """
     u, s, vh = np.linalg.svd(y, full_matrices=False)
-    exact = float(np.sum(s**p) ** (1.0 / p)) if s.size else 0.0
+    exact = float(schatten_from_sv(s, p))
     phi = (s * s + mu * mu) ** (0.5 * p)
     total = float(np.sum(phi))
     if total <= 0.0:
@@ -99,9 +101,7 @@ def minimize_split_schatten(
     def exact_objective(v):
         n1 = np.linalg.svd(fwd1(v), compute_uv=False)
         n2 = np.linalg.svd(fwd2(v0 - v), compute_uv=False)
-        a = float(np.sum(n1**p) ** (1.0 / p)) if n1.size else 0.0
-        b = float(np.sum(n2**p) ** (1.0 / p)) if n2.size else 0.0
-        return a + b
+        return float(schatten_from_sv(n1, p)) + float(schatten_from_sv(n2, p))
 
     # Lipschitz scale of the smoothed gradient is (||L1||^2 + ||L2||^2)/mu.
     lip_base = _op_norm_sq(fwd1, adj1, v0.shape, rng) + _op_norm_sq(

@@ -26,15 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_exponent
-from .funcalc import (
-    LpOperator,
-    _conj_exp,
-    _polar_factor,
-    _scale_op,
-    resolvent,
+from .core import check_exponent, conjugate_exponent, schatten_from_sv
+from .funcalc import LpOperator, _polar_factor, resolvent
+from .hvnorms import (
+    _hstack_maps,
+    _vstack_maps,
+    as_family,
+    col_norm,
+    rad_average,
+    row_norm,
 )
-from .hvnorms import as_family, col_norm, rad_average, row_norm
 
 RAD_SELECTION_MAX = 12  # exact sign enumeration in the rad objective
 
@@ -99,19 +100,6 @@ def re_evaluate(est: BoundEstimate, ops) -> float:
 # -- column / row inner ascent: nonlinear power iteration ------------------
 
 
-def _stack(xs, mode):
-    if mode == "col":
-        return xs.reshape(-1, xs.shape[2])
-    return np.transpose(xs, (1, 0, 2)).reshape(xs.shape[1], -1)
-
-
-def _unstack(m, shape, mode):
-    n, d1, d2 = shape
-    if mode == "col":
-        return m.reshape(n, d1, d2)
-    return np.transpose(m.reshape(d1, n, d2), (1, 0, 2))
-
-
 def _ascend_colrow(ops, sel, xs, p, mode, iters):
     """Maximize the stacked-Schatten ratio over x at fixed selection.
 
@@ -120,39 +108,30 @@ def _ascend_colrow(ops, sel, xs, p, mode, iters):
     witness is kept, so the outcome is always a certified lower bound.
     """
     daggers = [ops[k].dagger() for k in sel]
-    shape = xs.shape
+    stack, unstack = (_vstack_maps if mode == "col" else _hstack_maps)(*xs.shape)
     best_val, best_x = -math.inf, xs
-    pp = _conj_exp(p)
+    pp = conjugate_exponent(p)
+
+    def norm(m):
+        return float(schatten_from_sv(np.linalg.svd(m, compute_uv=False), p))
+
     x = xs
     for _ in range(iters):
-        den = np.linalg.svd(_stack(x, mode), compute_uv=False)
-        den_norm = _sch_from_sv(den, p)
+        den_norm = norm(stack(x))
         if den_norm <= 1e-300:
             break
         ys = _apply_selection(ops, sel, x)
-        num_norm = _sch_from_sv(np.linalg.svd(_stack(ys, mode), compute_uv=False), p)
-        val = num_norm / den_norm
+        val = norm(stack(ys)) / den_norm
         if val > best_val:
             best_val, best_x = val, x
-        xi = _polar_factor(_stack(ys, mode), p)
-        ws = np.stack(
-            [dag.apply(blk) for dag, blk in zip(daggers, _unstack(xi, shape, mode))]
-        )
-        w = _stack(ws, mode)
-        x_new = _unstack(_polar_factor(w, pp), shape, mode)
+        xi = _polar_factor(stack(ys), p)
+        ws = np.stack([dag.apply(blk) for dag, blk in zip(daggers, unstack(xi))])
+        x_new = unstack(_polar_factor(stack(ws), pp))
         if np.linalg.norm(x_new - x) <= 1e-13 * np.linalg.norm(x):
             x = x_new
             break
         x = x_new
     return best_val, best_x
-
-
-def _sch_from_sv(s, p):
-    if s.size == 0:
-        return 0.0
-    if p == math.inf:
-        return float(s[0])
-    return float(np.sum(s**p) ** (1.0 / p))
 
 
 # -- rademacher inner ascent: accept-if-improve subgradient steps -----------
@@ -308,7 +287,7 @@ def ray_resolvent_family(op: LpOperator, theta: float, n_points: int = 24):
     for r in radii:
         for sgn in (1.0, -1.0):
             z = r * cmath.exp(1j * sgn * theta)
-            fam.append(_scale_op(resolvent(op, z), z))
+            fam.append(resolvent(op, z).scaled(z))
     return fam
 
 

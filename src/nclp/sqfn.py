@@ -81,73 +81,24 @@ def grid_cf(f: fc.HolFn, grid: LogGrid, scale: float = 1.0) -> float:
 
 
 class _NodeFamily:
-    """Precomputed action of {F(t_j A)}_j and of its Frobenius adjoints."""
+    """Precomputed action of {F(t_j A)}_j and of its Frobenius adjoints,
+    diagonal in the operator's frame: F(t_j A) x = out(F(t_j lam) * into(x))."""
 
     def __init__(self, op: fc.LpOperator, f: fc.HolFn, grid: LogGrid):
         self.grid = grid
         self.dim = op.dim
-        t = grid.t
-        if isinstance(op, fc.SchurMult):
-            self.kind = "schur"
-            self.vals = _node_scalar(f, t, op.m)
-        elif isinstance(op, fc.SandwichSchur):
-            self.kind = "sandwich"
-            self.u, self.v = op.u, op.v
-            self.vals = _node_scalar(f, t, op.w)
-        elif isinstance(op, (fc.LeftMult, fc.RightMult)):
-            self.kind = "left" if isinstance(op, fc.LeftMult) else "right"
-            base = op.a if isinstance(op, fc.LeftMult) else op.b
-            lam, v, vinv = fc._mat_eig(base)
-            self.v, self.vinv = v, vinv
-            self.vals = _node_scalar(f, t, lam)
-        else:
-            self.kind = "dense"
-            lam, v, vinv = fc._mat_eig(op.to_dense())
-            self.v, self.vinv = v, vinv
-            self.vals = _node_scalar(f, t, lam)
+        lam, self._into, self._out, self._into_adj, self._out_adj = op.frame()
+        self.vals = _node_scalar(f, grid.t, lam)
 
     def fwd(self, x: np.ndarray) -> np.ndarray:
         """(n, d, d) array of F(t_j A) x."""
         x = np.asarray(x, dtype=np.complex128)
-        if self.kind == "schur":
-            return self.vals * x[None, :, :]
-        if self.kind == "sandwich":
-            core = self.u.conj().T @ x @ self.v
-            return np.matmul(
-                self.u, np.matmul(self.vals * core[None, :, :], self.v.conj().T)
-            )
-        if self.kind == "left":
-            y = self.vinv @ x
-            return np.matmul(self.v, self.vals[:, :, None] * y[None, :, :])
-        if self.kind == "right":
-            y = x @ self.v
-            return np.matmul(self.vals[:, None, :] * y[None, :, :], self.vinv)
-        d = self.dim
-        y = self.vinv @ x.reshape(-1)
-        out = self.v @ (self.vals * y[None, :]).T
-        return out.T.reshape(-1, d, d)
+        return self._out(self.vals * self._into(x)[None])
 
     def adj(self, ys: np.ndarray) -> np.ndarray:
         """Adjoint of fwd: sum_j F(t_j A)^dagger y_j."""
         ys = np.asarray(ys, dtype=np.complex128)
-        if self.kind == "schur":
-            return np.sum(np.conj(self.vals) * ys, axis=0)
-        if self.kind == "sandwich":
-            core = np.matmul(self.u.conj().T, np.matmul(ys, self.v))
-            tot = np.sum(np.conj(self.vals) * core, axis=0)
-            return self.u @ tot @ self.v.conj().T
-        if self.kind == "left":
-            z = np.matmul(self.v.conj().T, ys)
-            z = np.conj(self.vals)[:, :, None] * z
-            return self.vinv.conj().T @ np.sum(z, axis=0)
-        if self.kind == "right":
-            z = np.matmul(ys, self.vinv.conj().T)
-            z = np.conj(self.vals)[:, None, :] * z
-            return np.sum(z, axis=0) @ self.v.conj().T
-        d = self.dim
-        z = self.v.conj().T @ ys.reshape(ys.shape[0], -1).T
-        z = np.conj(self.vals).T * z
-        return (self.vinv.conj().T @ np.sum(z, axis=1)).reshape(d, d)
+        return self._into_adj(np.sum(np.conj(self.vals) * self._out_adj(ys), axis=0))
 
 
 def _node_scalar(f: fc.HolFn, t: np.ndarray, sym: np.ndarray) -> np.ndarray:
@@ -238,24 +189,18 @@ def bracket_norm(
         grid = LogGrid.for_operator(op)
     x = as_matrix(x)
     fam = _NodeFamily(op, f, grid)
-    sw = np.sqrt(grid.w)
-    n, d = grid.n, op.dim
-
-    def fwd_col(x1):
-        return (sw[:, None, None] * fam.fwd(x1)).reshape(n * d, d)
-
-    def adj_col(m):
-        return fam.adj(sw[:, None, None] * m.reshape(n, d, d))
-
-    def fwd_row(x2):
-        u = sw[:, None, None] * fam.fwd(x2)
-        return np.transpose(u, (1, 0, 2)).reshape(d, n * d)
-
-    def adj_row(m):
-        u = np.transpose(m.reshape(d, n, d), (1, 0, 2))
-        return fam.adj(sw[:, None, None] * u)
-
-    res = minimize_split_schatten(fwd_col, adj_col, fwd_row, adj_row, x, p, cfg)
+    sw = np.sqrt(grid.w)[:, None, None]
+    col, col_adj = _vstack_maps(grid.n, op.dim, op.dim)
+    row, row_adj = _hstack_maps(grid.n, op.dim, op.dim)
+    res = minimize_split_schatten(
+        lambda x1: col(sw * fam.fwd(x1)),
+        lambda m: fam.adj(sw * col_adj(m)),
+        lambda x2: row(sw * fam.fwd(x2)),
+        lambda m: fam.adj(sw * row_adj(m)),
+        x,
+        p,
+        cfg,
+    )
     return BracketResult(value=res.value, witness=res.minimizer, status=res.status)
 
 

@@ -153,6 +153,25 @@ class TestErrorPaths:
         assert len(rows) == 2  # header + one trial: the flag beat the config
         assert ",4.0," in rows[1]
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (None, "cannot read config"),
+            ("{not json", "cannot read config"),
+            ("[1, 2]", "config file must hold a flat JSON object"),
+        ],
+        ids=["missing", "malformed", "not-an-object"],
+    )
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, content, message):
+        conf = tmp_path / "conf.json"
+        if content is not None:
+            conf.write_text(content)
+        code = cli.main(["schatten-selftest", "--config", str(conf)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: ") and message in err
+        assert "Traceback" not in err
+
 
 class TestSolverExitCodes:
     def _patch_budget_exhausted(self, monkeypatch):

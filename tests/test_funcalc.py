@@ -7,6 +7,7 @@ import scipy.linalg
 
 from nclp import funcalc as fc
 from nclp.core import SpectralCollisionError
+from nclp.models import clifford, martingale
 
 from conftest import random_matrix
 
@@ -71,6 +72,59 @@ class TestOperatorKinds:
         blocks = x.reshape(2, 2, 2, 2)
         expect = np.einsum("ab,ibjc->iajc", a, blocks).reshape(4, 4)
         assert np.allclose(op.apply(x), expect)
+
+
+def _kind_cases():
+    rng = np.random.default_rng(7)
+    herm = random_matrix(rng, 3)
+    herm = herm @ herm.conj().T + 0.3 * np.eye(3)
+    u0, _ = np.linalg.qr(random_matrix(rng, 3))
+    v0, _ = np.linalg.qr(random_matrix(rng, 3))
+    return [
+        ("left", lambda: fc.LeftMult(herm)),
+        ("right", lambda: fc.RightMult(np.diag([0.5, 1.0, 2.0]))),
+        ("schur", lambda: fc.SchurMult(rng.uniform(0.2, 2.0, size=(3, 3)))),
+        ("sandwich", lambda: fc.SandwichSchur(u0, v0, rng.uniform(0.3, 2.0, size=(3, 3)))),
+        ("adpair", lambda: fc.AdPair(herm, np.diag([-0.5, -0.2, 0.1]))),
+        ("dense", lambda: fc.DenseOp(random_matrix(rng, 9) + 6.0 * np.eye(9))),
+        ("amplified", lambda: fc.AmplifiedOp(fc.LeftMult(herm), 2)),
+        ("condexp", lambda: martingale.CondExpOp(martingale.MartingaleTower(2), 1)),
+        ("clifford", lambda: clifford.clifford_semigroup(clifford.spin_generators(2), 0.3)),
+    ]
+
+
+class TestKindContract:
+    """Every kind's spectral interface agrees with the same operation on
+    its materialized d^2 x d^2 superoperator."""
+
+    @staticmethod
+    def close(op, ref):
+        got = op.to_dense()
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("make", [pytest.param(m, id=n) for n, m in _kind_cases()])
+    def test_interface_matches_dense(self, make):
+        op = make()
+        dense = op.to_dense()
+        z = -1.0 + 0.5j
+        eye = np.eye(dense.shape[0])
+        self.close(op.scaled(z), z * dense)
+        self.close(op.dagger(), dense.conj().T)
+        self.close(fc.resolvent(op, z), np.linalg.inv(z * eye - dense))
+        self.close(op.eigen_fn(np.exp), fc.DenseOp(dense).eigen_fn(np.exp).to_dense())
+        self.close(op.with_symbol(op.symbol), dense)
+
+    @pytest.mark.parametrize("make", [pytest.param(m, id=n) for n, m in _kind_cases()])
+    def test_frame_diagonalizes(self, make, rng):
+        # A x = out(lam * into(x)) and A^dagger y = into_adj(conj(lam) * out_adj(y))
+        op = make()
+        lam, into, out, into_adj, out_adj = op.frame()
+        x = random_matrix(rng, op.dim)
+        for got, want in (
+            (out(lam * into(x)), op.apply(x)),
+            (into_adj(np.conj(lam) * out_adj(x)), op.dagger().apply(x)),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 class TestResolvent:

@@ -6,6 +6,7 @@ import pytest
 from nclp import funcalc as fc
 from nclp import sqfn
 from nclp.core import schatten_norm
+from nclp.models import martingale
 from nclp.optim import ConvexCfg
 
 from conftest import random_matrix
@@ -280,12 +281,16 @@ class TestNodeFamilyAdjoint:
             fc.LeftMult(herm),
             fc.RightMult(np.diag([0.5, 1.0, 2.0])),
             fc.DenseOp(fc.LeftMult(np.diag([0.4, 1.1, 3.0])).to_dense()),
+            fc.AdPair(herm, np.diag([-0.5, -0.2, 0.1])),
+            fc.AmplifiedOp(fc.LeftMult(herm), 2),
+            martingale.CondExpOp(martingale.MartingaleTower(2), 1),
         ]
         grid = sqfn.LogGrid.make(1e-6, 1e4, 48)
         for op in ops:
             fam = sqfn._NodeFamily(op, f, grid)
-            x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            ys = rng.standard_normal((48, 3, 3)) + 1j * rng.standard_normal((48, 3, 3))
+            d = op.dim
+            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            ys = rng.standard_normal((48, d, d)) + 1j * rng.standard_normal((48, d, d))
             lhs = np.sum(np.conj(ys) * fam.fwd(x)).real
             rhs = np.sum(np.conj(fam.adj(ys)) * x).real
             assert lhs == pytest.approx(rhs, rel=1e-10), type(op).__name__
