@@ -6,8 +6,7 @@ or JSON (machine use).  Identical configuration and seed produce
 byte-identical data rows; wall time lives only in the header.  A flat
 JSON config file can prefill any flag (explicit flags win).  Exit codes:
 0 ok, 2 usage error, 3 numeric failure, 4 solver-budget warning (soft
-unless --strict, which hardens it to 3).  The NCLP_THREADS environment
-variable caps the fan-out over independent rows.
+unless --strict, which hardens it to 3).
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,20 +40,6 @@ def _fmt(v) -> str:
     if isinstance(v, np.integer):
         return repr(int(v))
     return str(v)
-
-
-def _parallel_map(fn, items):
-    """Map preserving order; fans out when NCLP_THREADS > 1."""
-    items = list(items)
-    cap = os.environ.get("NCLP_THREADS", "")
-    try:
-        workers = max(int(cap), 1) if cap else 1
-    except ValueError:
-        workers = 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def write_artifact(path, fmt, meta, columns, rows):
@@ -143,7 +126,8 @@ def cmd_schatten_selftest(args):
     rec = psd_sqrt(s)
     err = float(np.linalg.norm(rec @ rec - s, 2))
     rows.append({"check": "psd_sqrt_reconstruct", "value": err, "target": 1e-10, "ok": err <= 1e-10 * max(1.0, np.linalg.norm(s, 2))})
-    return ["check", "value", "target", "ok"], rows, EXIT_OK
+    ok = all(r["ok"] for r in rows)
+    return ["check", "value", "target", "ok"], rows, EXIT_OK if ok else EXIT_NUMERIC
 
 
 def cmd_khintchine(args):
@@ -167,7 +151,7 @@ def cmd_khintchine(args):
             "solver_status": rep.solver_status or "",
         }
 
-    rows = _parallel_map(one, range(args.samples))
+    rows = [one(trial) for trial in range(args.samples)]
     if not all(r["lower_ok"] for r in rows):
         hint = EXIT_NUMERIC
     elif any(r["solver_status"] == "budget-exhausted" for r in rows):
@@ -228,7 +212,7 @@ def cmd_calculus_check(args):
             "ok": float(np.max(np.abs(diff))) / scale <= args.tol,
         }
 
-    rows = _parallel_map(one, fids)
+    rows = [one(fid) for fid in fids]
     ok = all(r["ok"] for r in rows)
     return ["fn", "op", "max_rel_err", "ok"], rows, EXIT_OK if ok else EXIT_NUMERIC
 
@@ -388,25 +372,23 @@ def cmd_schur(args):
 def cmd_freegroup(args):
     rows = []
     if args.which == "norms":
-        x = freegroup.GroupPoly.lam("a") + freegroup.GroupPoly.lam("A")
-        val = x.norm_even(4)
-        rows.append(
-            {
-                "check": "norm4_a_plus_ainv",
-                "value": val,
-                "target": 6.0**0.25,
-                "ok": abs(val - 6.0**0.25) <= 1e-12,
-            }
+        p = args.even_p
+        # ||lam(a) + lam(a^-1)||_p^p counts the closed walks of length p on Z
+        golden = (
+            ("a_plus_ainv", freegroup.GroupPoly.lam("a") + freegroup.GroupPoly.lam("A"),
+             math.comb(p, p // 2) ** (1 / p)),
+            ("group_element", freegroup.GroupPoly.lam("a b"), 1.0),
         )
-        g = freegroup.GroupPoly.lam("a b")
-        rows.append(
-            {
-                "check": "norm4_group_element",
-                "value": g.norm_even(4),
-                "target": 1.0,
-                "ok": abs(g.norm_even(4) - 1.0) <= 1e-12,
-            }
-        )
+        for name, x, target in golden:
+            val = x.norm_even(p)
+            rows.append(
+                {
+                    "check": f"norm{p}_{name}",
+                    "value": val,
+                    "target": target,
+                    "ok": abs(val - target) <= 1e-12,
+                }
+            )
         cols = ["check", "value", "target", "ok"]
     elif args.which == "poisson":
         _require_seed(args)
@@ -656,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("freegroup", help="free-group norms / length-decay / dyadic shells")
     sp.add_argument("which", choices=("norms", "poisson", "dyadic"))
-    sp.add_argument("--even-p", type=int, default=4)
+    sp.add_argument("--even-p", type=int, default=4, choices=freegroup.EVEN_PS)
     sp.add_argument("--shells", type=int, default=3)
     sp.set_defaults(fn_impl=cmd_freegroup)
     _add_common(sp)

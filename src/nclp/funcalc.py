@@ -47,6 +47,40 @@ EIG_COND_MAX = 1e8
 ZERO_RTOL = 1e-9  # |lambda| below this times the spectral scale counts as kernel
 
 
+# ---------------------------------------------------------------------------
+# The quadrature layer shared by both calculi and the square functions
+# ---------------------------------------------------------------------------
+
+
+def kernel_mask(lam) -> np.ndarray:
+    """The kernel rule: True where |lambda| <= ZERO_RTOL * max |lambda|.
+
+    Spectral points under the mask get the f(0) convention everywhere."""
+    mag = np.abs(np.asarray(lam))
+    scale = float(np.max(mag)) if mag.size else 0.0
+    return mag <= ZERO_RTOL * max(scale, 1e-300)
+
+
+def spectral_window(lam) -> tuple:
+    """(lo, hi): the extreme magnitudes of the nonzero spectrum, (1, 1) if
+    every point is kernel."""
+    mag = np.abs(np.asarray(lam))
+    nz = mag[~kernel_mask(mag)]
+    if nz.size == 0:
+        return 1.0, 1.0
+    return float(np.min(nz)), float(np.max(nz))
+
+
+def log_trapezoid(lo: float, hi: float, n: int):
+    """n log-uniform nodes on [lo, hi] and their trapezoid weights in log r,
+    so that sum_j w_j g(r_j) ~= int g(r) dr/r."""
+    u = np.linspace(math.log(lo), math.log(hi), n)
+    w = np.full(n, u[1] - u[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return np.exp(u), w
+
+
 class ContourTruncationWarning(UserWarning):
     """The contour window looks too narrow for the requested tolerance."""
 
@@ -194,13 +228,11 @@ def _mat_eig(a: np.ndarray):
     return lam, v, np.linalg.inv(v)
 
 
-def _apply_scalar(fn, lam, zero_value=0.0, zero_tol=None) -> np.ndarray:
+def _apply_scalar(fn, lam, zero_value=0.0) -> np.ndarray:
     """Evaluate fn on a spectrum array with the f(0) = zero_value convention."""
     lam = np.asarray(lam, dtype=np.complex128)
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    tol = (zero_tol if zero_tol is not None else ZERO_RTOL) * max(scale, 1e-300)
     out = np.empty(lam.shape, dtype=np.complex128)
-    zero = np.abs(lam) <= tol
+    zero = kernel_mask(lam)
     out[zero] = zero_value
     if np.any(~zero):
         out[~zero] = np.asarray(fn(lam[~zero]))
@@ -277,13 +309,13 @@ class LpOperator:
         eye = np.eye(s.shape[0])
         return self.with_symbol(np.linalg.solve(z * eye - s, eye))
 
-    def eigen_fn(self, fn, zero_value=0.0, zero_tol=None) -> "LpOperator":
+    def eigen_fn(self, fn, zero_value=0.0) -> "LpOperator":
         """Spectral application of a scalar function (the eigen oracle)."""
         s = self.symbol
         if self.entrywise:
-            return self.with_symbol(_apply_scalar(fn, s, zero_value, zero_tol))
+            return self.with_symbol(_apply_scalar(fn, s, zero_value))
         lam, v, vinv = _mat_eig(s)
-        return self.with_symbol((v * _apply_scalar(fn, lam, zero_value, zero_tol)) @ vinv)
+        return self.with_symbol((v * _apply_scalar(fn, lam, zero_value)) @ vinv)
 
     def __call__(self, x):
         return self.apply(x)
@@ -308,23 +340,18 @@ class LpOperator:
         return s
 
     def spectral_scale(self) -> float:
-        lam = np.abs(self.spectrum())
-        top = float(np.max(lam)) if lam.size else 0.0
-        return top if top > 0 else 1.0
+        """The top of the spectral window (1 for kernel-only)."""
+        return spectral_window(self.spectrum())[1]
 
     def sector_angle(self) -> float:
         """max |Arg(lambda)| over the nonzero spectrum (0 for kernel-only)."""
         lam = self.spectrum()
-        nz = lam[np.abs(lam) > ZERO_RTOL * self.spectral_scale()]
-        if nz.size == 0:
-            return 0.0
-        return float(np.max(np.abs(np.angle(nz))))
+        nz = lam[~kernel_mask(lam)]
+        return float(np.max(np.abs(np.angle(nz)))) if nz.size else 0.0
 
-    def kernel_projection(self, zero_tol=None) -> "LpOperator":
+    def kernel_projection(self) -> "LpOperator":
         """Spectral projection onto N(A) along R(A)."""
-        return self.eigen_fn(
-            lambda z: np.zeros_like(z), zero_value=1.0, zero_tol=zero_tol
-        )
+        return self.eigen_fn(np.zeros_like, zero_value=1.0)
 
 
 def _square_symbol(s, what: str) -> np.ndarray:
@@ -543,7 +570,7 @@ class AmplifiedOp(LpOperator):
 def resolvent(op: LpOperator, z: complex, tol: float = 1e-9) -> LpOperator:
     """R(z, A) = (z - A)^{-1}, refusing z within tol of the spectrum."""
     lam = op.spectrum()
-    scale = max(op.spectral_scale(), abs(z), 1.0)
+    scale = max(spectral_window(lam)[1], abs(z), 1.0)
     dist = float(np.min(np.abs(lam - z))) if lam.size else math.inf
     if dist <= tol * scale:
         raise SpectralCollisionError(
@@ -593,11 +620,7 @@ class ContourSpec:
             raise ValueError("need at least 8 nodes per ray")
 
     def nodes(self):
-        u = np.linspace(math.log(self.r_min), math.log(self.r_max), self.n_points)
-        w = np.full(self.n_points, u[1] - u[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return np.exp(u), w
+        return log_trapezoid(self.r_min, self.r_max, self.n_points)
 
 
 # Radial window relative to the extreme spectral magnitudes.  The inner
@@ -617,10 +640,7 @@ def default_contour(op: LpOperator, f: HolFn, n_points: int = 400) -> ContourSpe
             f"operator type angle {omega:.3f} is not below the function sector {f.theta:.3f}"
         )
     gamma = 0.5 * (omega + f.theta)
-    lam = np.abs(op.spectrum())
-    hi = float(np.max(lam)) if lam.size and np.max(lam) > 0 else 1.0
-    nz = lam[lam > ZERO_RTOL * hi]
-    lo = float(np.min(nz)) if nz.size else hi
+    lo, hi = spectral_window(op.spectrum())
     return ContourSpec(gamma=gamma, r_min=R_MIN_REL * lo, r_max=R_MAX_REL * hi, n_points=n_points)
 
 
@@ -666,21 +686,19 @@ def _check_contour(op: LpOperator, f: HolFn, spec: ContourSpec):
             f"need type angle {omega:.3f} < gamma {spec.gamma:.3f} < theta {f.theta:.3f}"
         )
     lam = op.spectrum()
-    scale = op.spectral_scale()
-    nz = lam[np.abs(lam) > ZERO_RTOL * scale]
-    if nz.size:
-        margin = spec.gamma - float(np.max(np.abs(np.angle(nz))))
-        if margin <= 1e-12:
-            raise SpectralCollisionError(
-                f"spectrum touches the contour (angle margin {margin:.3e})"
-            )
-        radii = np.abs(nz)
-        if np.max(radii) > spec.r_max / math.e or np.min(radii) < spec.r_min * math.e:
-            raise ValueError(
-                "contour radial window does not safely enclose the spectrum: "
-                f"|lambda| in [{np.min(radii):.3e}, {np.max(radii):.3e}] vs "
-                f"[{spec.r_min:.3e}, {spec.r_max:.3e}]"
-            )
+    if np.all(kernel_mask(lam)):
+        return
+    margin = spec.gamma - omega
+    if margin <= 1e-12:
+        raise SpectralCollisionError(
+            f"spectrum touches the contour (angle margin {margin:.3e})"
+        )
+    lo, hi = spectral_window(lam)
+    if hi > spec.r_max / math.e or lo < spec.r_min * math.e:
+        raise ValueError(
+            "contour radial window does not safely enclose the spectrum: "
+            f"|lambda| in [{lo:.3e}, {hi:.3e}] vs [{spec.r_min:.3e}, {spec.r_max:.3e}]"
+        )
 
 
 def _truncation_estimate(f: HolFn, spec: ContourSpec) -> float:
@@ -753,25 +771,14 @@ def extended_calculus(
     fg = product_fn(f, g)
     if spec is None:
         spec = default_contour(op, fg)
-    fg_op = contour_calculus(op, fg, spec)
-    g_op = contour_calculus(op, g, spec)
-
-    s = op.symbol
+    fg_s = contour_calculus(op, fg, spec).symbol
+    g_s = contour_calculus(op, g, spec).symbol
+    # g(A) + P0 is invertible; (I - P0) drops the kernel component again
+    p0 = op.kernel_projection().symbol
     if op.entrywise:
-        return op.with_symbol(_ratio_on_range(s, fg_op.symbol, g_op.symbol))
-    lam, v, vinv = _mat_eig(s)
-    ker = np.abs(lam) <= ZERO_RTOL * max(float(np.max(np.abs(lam))), 1e-300)
-    p0 = (v * ker.astype(complex)) @ vinv
-    mat = (np.eye(s.shape[0]) - p0) @ np.linalg.solve(g_op.symbol + p0, fg_op.symbol)
-    return op.with_symbol(mat)
-
-
-def _ratio_on_range(base_sym, num, den):
-    scale = max(float(np.max(np.abs(base_sym))), 1e-300)
-    ker = np.abs(base_sym) <= ZERO_RTOL * scale
-    out = np.zeros_like(num)
-    out[~ker] = num[~ker] / den[~ker]
-    return out
+        return op.with_symbol((1.0 - p0) * (fg_s / (g_s + p0)))
+    eye = np.eye(p0.shape[0])
+    return op.with_symbol((eye - p0) @ np.linalg.solve(g_s + p0, fg_s))
 
 
 def imaginary_power(op: LpOperator, s: float, spec: ContourSpec | None = None):
@@ -931,16 +938,6 @@ def subordination_weight(s):
     return np.exp(-1.0 / (4.0 * s)) / (2.0 * math.sqrt(math.pi) * s**1.5)
 
 
-def _default_subordination_nodes(n: int = 2400):
-    # the density has a fat s^{-3/2} right tail: the window must reach 1e26
-    # for the quadrature mass to match 1 at the 1e-13 level
-    u = np.linspace(math.log(1e-6), math.log(1e26), n)
-    w = np.full(n, u[1] - u[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return np.exp(u), w
-
-
 def subordination_identity(c, t: float, grid=None, mass_tol: float = 1e-8):
     """Residual of e^{-t C^{1/2}} = int h(s) T_{s t^2} ds, T the heat
     semigroup of a PSD generator C (hermitian matrix or operator kind).
@@ -951,7 +948,9 @@ def subordination_identity(c, t: float, grid=None, mass_tol: float = 1e-8):
     if t < 0:
         raise ValueError("t must be nonnegative")
     if grid is None:
-        s_nodes, w = _default_subordination_nodes()
+        # the density has a fat s^{-3/2} right tail: the window must reach
+        # 1e26 for the quadrature mass to match 1 at the 1e-13 level
+        s_nodes, w = log_trapezoid(1e-6, 1e26, 2400)
     else:
         s_nodes = np.asarray(grid.t, dtype=float)
         w = np.asarray(grid.w, dtype=float)

@@ -18,13 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import NumericsError
+
 Word = tuple  # of nonzero ints, reduced
 
 EVEN_PS = (2, 4, 6, 8)
 DEFAULT_SUPPORT_CAP = 200_000
 
 
-class SupportOverflowError(RuntimeError):
+class SupportOverflowError(NumericsError):
     """A product's support grew beyond the configured cap."""
 
 

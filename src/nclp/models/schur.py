@@ -63,9 +63,7 @@ def schur_semigroup(sym: SchurSymbol, t: float) -> fc.SchurMult:
 def schur_hinf_apply(sym: SchurSymbol, f: fc.HolFn, x) -> np.ndarray:
     """Entrywise application of a bounded sector function to the symbol:
     x_ij -> f(a_ij) x_ij with f(0) = 0 where points coincide."""
-    a = sym.distances()
-    vals = fc._apply_scalar(lambda z: np.asarray(f.fn(z)), a.astype(complex))
-    return vals * np.asarray(x, dtype=complex)
+    return fc.eigen_calculus(fc.SchurMult(sym.distances()), f).apply(x)
 
 
 def amplified_s2_norm(op: fc.LpOperator, level: int) -> float:

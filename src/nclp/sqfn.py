@@ -48,18 +48,12 @@ class LogGrid:
     def make(cls, t_min: float, t_max: float, n: int = 512) -> "LogGrid":
         if not (0 < t_min < t_max) or n < 2:
             raise ValueError("need 0 < t_min < t_max and n >= 2")
-        u = np.linspace(math.log(t_min), math.log(t_max), n)
-        w = np.full(n, u[1] - u[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return cls(t=np.exp(u), w=w, t_min=float(t_min), t_max=float(t_max), n=n)
+        t, w = fc.log_trapezoid(t_min, t_max, n)
+        return cls(t=t, w=w, t_min=float(t_min), t_max=float(t_max), n=n)
 
     @classmethod
     def for_operator(cls, op: fc.LpOperator, n: int = 512) -> "LogGrid":
-        lam = np.abs(op.spectrum())
-        hi = float(np.max(lam)) if lam.size and np.max(lam) > 0 else 1.0
-        nz = lam[lam > fc.ZERO_RTOL * hi]
-        lo = float(np.min(nz)) if nz.size else hi
+        lo, hi = fc.spectral_window(op.spectrum())
         return cls.make(T_LO_REL / hi, T_HI_REL / lo, n)
 
     def refine(self, n_factor: int = 2, widen: float = 1.0) -> "LogGrid":
@@ -76,19 +70,26 @@ def grid_cf(f: fc.HolFn, grid: LogGrid, scale: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation of t |-> F(tA)x on the grid
+# The node family t |-> F(tA) on the grid, and the square functions of a
+# weighted node stack u_j = sqrt(w_j) F(t_j A) x
 # ---------------------------------------------------------------------------
 
 
 class _NodeFamily:
     """Precomputed action of {F(t_j A)}_j and of its Frobenius adjoints,
-    diagonal in the operator's frame: F(t_j A) x = out(F(t_j lam) * into(x))."""
+    diagonal in the operator's frame: F(t_j A) x = out(F(t_j lam) * into(x)).
+    Without a grid the operator's default grid is used.  Every square
+    function of one (A, F, grid) derives from one family."""
 
-    def __init__(self, op: fc.LpOperator, f: fc.HolFn, grid: LogGrid):
-        self.grid = grid
+    def __init__(self, op: fc.LpOperator, f: fc.HolFn, grid: LogGrid | None = None):
+        self.grid = LogGrid.for_operator(op) if grid is None else grid
         self.dim = op.dim
         lam, self._into, self._out, self._into_adj, self._out_adj = op.frame()
-        self.vals = _node_scalar(f, grid.t, lam)
+        lam = np.asarray(lam, dtype=np.complex128)
+        ker = fc.kernel_mask(lam)  # F(0) = 0 on the kernel
+        arg = self.grid.t.reshape((-1,) + (1,) * lam.ndim) * lam
+        self.vals = np.where(ker, 0.0, np.asarray(f(np.where(ker, 1.0, arg))))
+        self.sw = np.sqrt(self.grid.w)[:, None, None]
 
     def fwd(self, x: np.ndarray) -> np.ndarray:
         """(n, d, d) array of F(t_j A) x."""
@@ -100,16 +101,26 @@ class _NodeFamily:
         ys = np.asarray(ys, dtype=np.complex128)
         return self._into_adj(np.sum(np.conj(self.vals) * self._out_adj(ys), axis=0))
 
+    def weighted(self, x) -> np.ndarray:
+        """The weighted node stack u_j = sqrt(w_j) F(t_j A) x."""
+        return self.sw * self.fwd(as_matrix(x))
 
-def _node_scalar(f: fc.HolFn, t: np.ndarray, sym: np.ndarray) -> np.ndarray:
-    """F(t_j * sym) with the F(0) = 0 kernel convention; shape (n,) + sym.shape."""
-    sym = np.asarray(sym, dtype=np.complex128)
-    scale = float(np.max(np.abs(sym))) if sym.size else 0.0
-    mask = np.abs(sym) <= fc.ZERO_RTOL * max(scale, 1e-300)
-    arg = t.reshape((-1,) + (1,) * sym.ndim) * sym[None, ...]
-    safe = np.where(mask[None, ...], 1.0, arg)
-    out = np.asarray(f(safe))
-    return np.where(mask[None, ...], 0.0, out)
+
+def _col(u: np.ndarray, p: float) -> float:
+    return schatten_norm(psd_sqrt(np.einsum("jab,jac->bc", u.conj(), u)), p)
+
+
+def _row(u: np.ndarray, p: float) -> float:
+    return schatten_norm(psd_sqrt(np.einsum("jab,jcb->ac", u, u.conj())), p)
+
+
+def _rad(u: np.ndarray, p: float, cfg: ConvexCfg | None) -> float:
+    if p >= 2.0:
+        return max(_col(u, p), _row(u, p))
+    n, d1, d2 = u.shape
+    f1, a1 = _vstack_maps(n, d1, d2)
+    f2, a2 = _hstack_maps(n, d1, d2)
+    return minimize_split_schatten(f1, a1, f2, a2, u, p, cfg).value
 
 
 def node_apply(op, x, f: fc.HolFn, grid: LogGrid) -> np.ndarray:
@@ -117,28 +128,16 @@ def node_apply(op, x, f: fc.HolFn, grid: LogGrid) -> np.ndarray:
     return _NodeFamily(op, f, grid).fwd(as_matrix(x))
 
 
-def _scaled_nodes(op, x, f, grid) -> np.ndarray:
-    return np.sqrt(grid.w)[:, None, None] * node_apply(op, x, f, grid)
-
-
 def sq_col(op, x, f: fc.HolFn, grid: LogGrid | None = None, p: float = 2.0) -> float:
     """Column square function || (int (F(tA)x)*(F(tA)x) dt/t)^{1/2} ||_p."""
-    check_exponent(p)
-    if grid is None:
-        grid = LogGrid.for_operator(op)
-    u = _scaled_nodes(op, x, f, grid)
-    s = np.einsum("jab,jac->bc", u.conj(), u)
-    return schatten_norm(psd_sqrt(s), p)
+    p = check_exponent(p)
+    return _col(_NodeFamily(op, f, grid).weighted(x), p)
 
 
 def sq_row(op, x, f: fc.HolFn, grid: LogGrid | None = None, p: float = 2.0) -> float:
     """Row square function, with (F(tA)x)(F(tA)x)* under the integral."""
-    check_exponent(p)
-    if grid is None:
-        grid = LogGrid.for_operator(op)
-    u = _scaled_nodes(op, x, f, grid)
-    s = np.einsum("jab,jcb->ac", u, u.conj())
-    return schatten_norm(psd_sqrt(s), p)
+    p = check_exponent(p)
+    return _row(_NodeFamily(op, f, grid).weighted(x), p)
 
 
 def sq_rad(
@@ -152,15 +151,7 @@ def sq_rad(
     """Symmetric square function: max(col, row) for p >= 2; for p < 2 the
     infimum of col(u1) + row(u - u1) over splittings of the node family."""
     p = check_exponent(p)
-    if grid is None:
-        grid = LogGrid.for_operator(op)
-    if p >= 2.0:
-        return max(sq_col(op, x, f, grid, p), sq_row(op, x, f, grid, p))
-    u0 = _scaled_nodes(op, x, f, grid)
-    n, d1, d2 = u0.shape
-    f1, a1 = _vstack_maps(n, d1, d2)
-    f2, a2 = _hstack_maps(n, d1, d2)
-    return minimize_split_schatten(f1, a1, f2, a2, u0, p, cfg).value
+    return _rad(_NodeFamily(op, f, grid).weighted(x), p, cfg)
 
 
 @dataclass
@@ -168,6 +159,22 @@ class BracketResult:
     value: float
     witness: np.ndarray  # the optimal x1 in x = x1 + x2
     status: str
+
+
+def _bracket(fam: _NodeFamily, x, p: float, cfg: ConvexCfg | None) -> BracketResult:
+    sw = fam.sw
+    col, col_adj = _vstack_maps(fam.grid.n, fam.dim, fam.dim)
+    row, row_adj = _hstack_maps(fam.grid.n, fam.dim, fam.dim)
+    res = minimize_split_schatten(
+        lambda x1: col(sw * fam.fwd(x1)),
+        lambda m: fam.adj(sw * col_adj(m)),
+        lambda x2: row(sw * fam.fwd(x2)),
+        lambda m: fam.adj(sw * row_adj(m)),
+        as_matrix(x),
+        p,
+        cfg,
+    )
+    return BracketResult(value=res.value, witness=res.minimizer, status=res.status)
 
 
 def bracket_norm(
@@ -185,23 +192,7 @@ def bracket_norm(
     function of x.
     """
     p = check_exponent(p)
-    if grid is None:
-        grid = LogGrid.for_operator(op)
-    x = as_matrix(x)
-    fam = _NodeFamily(op, f, grid)
-    sw = np.sqrt(grid.w)[:, None, None]
-    col, col_adj = _vstack_maps(grid.n, op.dim, op.dim)
-    row, row_adj = _hstack_maps(grid.n, op.dim, op.dim)
-    res = minimize_split_schatten(
-        lambda x1: col(sw * fam.fwd(x1)),
-        lambda m: fam.adj(sw * col_adj(m)),
-        lambda x2: row(sw * fam.fwd(x2)),
-        lambda m: fam.adj(sw * row_adj(m)),
-        x,
-        p,
-        cfg,
-    )
-    return BracketResult(value=res.value, witness=res.minimizer, status=res.status)
+    return _bracket(_NodeFamily(op, f, grid), x, p, cfg)
 
 
 @dataclass
@@ -223,24 +214,24 @@ def square_report(
     cfg: ConvexCfg | None = None,
     with_bracket: bool | None = None,
 ) -> SquareReport:
-    """All square functions of one matrix, plus a truncation diagnostic
-    (endpoint node mass relative to the peak node mass)."""
+    """All square functions of one matrix from one node family, plus a
+    truncation diagnostic (endpoint node mass relative to the peak)."""
     p = check_exponent(p)
-    if grid is None:
-        grid = LogGrid.for_operator(op)
-    u = _scaled_nodes(op, x, f, grid)
-    mags = np.linalg.norm(u.reshape(grid.n, -1), axis=1)
+    fam = _NodeFamily(op, f, grid)
+    u = fam.weighted(x)
+    mags = np.linalg.norm(u.reshape(fam.grid.n, -1), axis=1)
     peak = float(np.max(mags)) if mags.size else 0.0
     # endpoint mass enters the accumulated square S quadratically
     truncated = bool(peak > 0 and max(mags[0], mags[-1]) ** 2 > 1e-9 * peak**2)
-    col = sq_col(op, x, f, grid, p)
-    row = sq_row(op, x, f, grid, p)
-    rad = max(col, row) if p >= 2.0 else sq_rad(op, x, f, grid, p, cfg)
     if with_bracket is None:
         with_bracket = p < 2.0
-    bracket = bracket_norm(op, x, f, grid, p, cfg).value if with_bracket else None
     return SquareReport(
-        col=col, row=row, rad=rad, bracket=bracket, grid=grid, truncated=truncated
+        col=_col(u, p),
+        row=_row(u, p),
+        rad=_rad(u, p, cfg),
+        bracket=_bracket(fam, x, p, cfg).value if with_bracket else None,
+        grid=fam.grid,
+        truncated=truncated,
     )
 
 
@@ -277,8 +268,8 @@ def equivalence_experiment(
     if variant not in ("col", "row", "rad"):
         raise ValueError(f"unknown variant {variant!r}")
     p = check_exponent(p)
-    if grid is None:
-        grid = LogGrid.for_operator(op)
+    fam = _NodeFamily(op, f, grid)
+    square = {"col": _col, "row": _row, "rad": lambda u, q: _rad(u, q, cfg)}[variant]
     proj = op.kernel_projection()
     rng = np.random.default_rng(seed)
     d = op.dim
@@ -286,12 +277,7 @@ def equivalence_experiment(
     for _ in range(sample_count):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         nx = schatten_norm(x, p)
-        if variant == "col":
-            sq = sq_col(op, x, f, grid, p)
-        elif variant == "row":
-            sq = sq_row(op, x, f, grid, p)
-        else:
-            sq = sq_rad(op, x, f, grid, p, cfg)
+        sq = square(fam.weighted(x), p)
         pnorm = schatten_norm(proj.apply(x), p)
         k1 = min(k1, (sq + pnorm) / nx)
         k2 = max(k2, sq / nx)
@@ -328,12 +314,9 @@ def row_col_gap(n: int, p: float, grid: LogGrid | None = None) -> GapReport:
         raise ValueError("the gap points in this direction only for p > 2")
     f = fc.library("sqrtzexp")
     op = fc.LeftMult(np.diag(2.0 ** np.arange(1, n + 1)))
-    if grid is None:
-        grid = LogGrid.for_operator(op)
     e = np.ones((n, 1))
-    x = (e @ e.T) / math.sqrt(n)
-    fc_val = sq_col(op, x, f, grid, p)
-    fr_val = sq_row(op, x, f, grid, p)
+    u = _NodeFamily(op, f, grid).weighted((e @ e.T) / math.sqrt(n))
+    fc_val, fr_val = _col(u, p), _row(u, p)
     d = dyadic_gap_coefficients(n)
     idx = np.arange(n)
     delta = d[np.abs(idx[:, None] - idx[None, :])]

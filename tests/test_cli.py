@@ -203,12 +203,37 @@ class TestSolverExitCodes:
         assert code == cli.EXIT_NUMERIC
 
 
-class TestThreadFanout:
-    def test_nclp_threads_preserves_rows(self, tmp_path, monkeypatch):
-        argv = ["khintchine", "--p", "4", "--dim", "2", "--family", "3",
-                "--seed", "21", "--samples", "6"]
-        monkeypatch.delenv("NCLP_THREADS", raising=False)
-        _, serial = run(argv, tmp_path, name="serial")
-        monkeypatch.setenv("NCLP_THREADS", "4")
-        _, fanned = run(argv, tmp_path, name="fanned")
-        assert data_rows(serial) == data_rows(fanned)
+class TestFailingChecks:
+    def test_support_overflow_is_numeric_failure(self, capsys):
+        code = cli.main(["freegroup", "dyadic", "--even-p", "6", "--seed", "1",
+                         "--samples", "1"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERIC
+        assert err.startswith("numeric failure: ") and "Traceback" not in err
+
+    def test_selftest_false_row_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "psd_sqrt", lambda s: 0.0 * s)
+        code, text = run(["schatten-selftest", "--dim", "3"], tmp_path)
+        assert code == cli.EXIT_NUMERIC
+        assert any(r.startswith("psd_sqrt_reconstruct,") and r.endswith(",False")
+                   for r in data_rows(text))
+
+
+class TestFreegroupNorms:
+    @pytest.mark.parametrize("p", [None, 6, 8])  # None: the default --even-p 4
+    def test_even_p_golden(self, tmp_path, p):
+        argv = ["freegroup", "norms"] + ([] if p is None else ["--even-p", str(p)])
+        p = p or 4
+        code, text = run(argv, tmp_path)
+        assert code == 0
+        rows = [r.split(",") for r in data_rows(text)[1:]]
+        assert [r[0] for r in rows] == [f"norm{p}_a_plus_ainv", f"norm{p}_group_element"]
+        assert float(rows[0][2]) == math.comb(p, p // 2) ** (1 / p)
+        assert float(rows[0][1]) == pytest.approx(float(rows[0][2]), abs=1e-12)
+        assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-12)
+        assert all(r[3] == "True" for r in rows)
+        if p == 4:  # the default rows keep their bytes
+            assert rows[0][2] == repr(6.0**0.25)
+
+    def test_unsupported_even_p_is_usage_error(self):
+        assert cli.main(["freegroup", "norms", "--even-p", "5"]) == cli.EXIT_USAGE

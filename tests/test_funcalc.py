@@ -127,6 +127,25 @@ class TestKindContract:
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+class TestQuadratureLayer:
+    def test_kernel_rule_is_relative(self):
+        lam = np.array([0.0, 1e-10, 2e-9, 1.0, -1.0j])
+        assert fc.kernel_mask(lam).tolist() == [True, True, False, False, False]
+        assert fc.kernel_mask(1e6 * lam).tolist() == [True, True, False, False, False]
+
+    def test_spectral_window(self):
+        assert fc.spectral_window(np.array([0.0, 1e-12, 0.5, -4.0])) == (0.5, 4.0)
+        assert fc.spectral_window(np.zeros(3)) == (1.0, 1.0)
+        op = fc.SchurMult(np.array([[0.0, 2.0], [3.0, 0.5]]))
+        assert op.spectral_scale() == fc.spectral_window(op.spectrum())[1] == 3.0
+
+    def test_log_trapezoid(self):
+        r, w = fc.log_trapezoid(1e-3, 1e5, 65)
+        assert r[0] == pytest.approx(1e-3, rel=1e-14) and r[-1] == pytest.approx(1e5, rel=1e-14)
+        assert np.sum(w) == pytest.approx(math.log(1e8), rel=1e-14)
+        assert w[0] == w[-1] == pytest.approx(0.5 * w[1], rel=1e-14)
+
+
 class TestResolvent:
     def test_leftmult_diag(self):
         op = fc.LeftMult(np.diag([1.0, 2.0]))

@@ -176,6 +176,48 @@ class TestSqRadAndBracket:
         assert bracket / rad >= 1 - 1e-6
 
 
+def count_frames(op):
+    """Wrap op.frame so that op.frames counts the eigenframe builds."""
+    build = op.frame
+    op.frames = 0
+
+    def counted():
+        op.frames += 1
+        return build()
+
+    op.frame = counted
+    return op
+
+
+class TestOneNodeFamily:
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_report_builds_one_family(self, rng, p):
+        op = fc.LeftMult(np.array([[1.0, 0.4, 0.0], [0.4, 2.0, 0.3], [0.0, 0.3, 0.5]]))
+        x = random_matrix(rng, 3)
+        f = fc.library("zexp")
+        grid = sqfn.LogGrid.for_operator(op, n=96)
+        cfg = ConvexCfg(restarts=2, iters=40, seed=4)
+        rep = sqfn.square_report(count_frames(op), x, f, grid, p, cfg, with_bracket=True)
+        assert op.frames == 1
+        assert rep.col == sqfn.sq_col(op, x, f, grid, p)
+        assert rep.row == sqfn.sq_row(op, x, f, grid, p)
+        assert rep.rad == sqfn.sq_rad(op, x, f, grid, p, cfg)
+        assert rep.bracket == sqfn.bracket_norm(op, x, f, grid, p, cfg).value
+
+    def test_equivalence_builds_one_family(self, posdiag_op):
+        f = fc.library("sqrtzexp")
+        rep = sqfn.equivalence_experiment(
+            count_frames(posdiag_op), f, 4.0, sample_count=5, seed=2, variant="rad"
+        )
+        assert posdiag_op.frames == 1
+        rng = np.random.default_rng(2)
+        ratios = []
+        for _ in range(5):
+            x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            ratios.append(sqfn.sq_rad(posdiag_op, x, f, p=4.0) / schatten_norm(x, 4.0))
+        assert rep.k2_hat == max(ratios)
+
+
 class TestEquivalence:
     def test_scalar_case_constants(self, posdiag_op):
         f = fc.library("sqrtzexp")
