@@ -225,13 +225,11 @@ def cmd_identities(args):
         res_ad = fc.group_average_identity(a, a, n_nodes=args.nodes)
         rows.append({"identity": "group-average:matrix", "residual": res_mat, "ok": res_mat <= 1e-8})
         rows.append({"identity": "group-average:derivation", "residual": res_ad, "ok": res_ad <= 1e-8})
-    elif args.which == "subordination":
+    else:  # subordination
         c = np.diag([float(v) for v in args.diag.split(",")])
         resid, mass = fc.subordination_identity(c, args.t)
         rows.append({"identity": f"subordination:t={args.t}", "residual": resid, "ok": resid <= 1e-5})
         rows.append({"identity": "subordination:mass", "residual": abs(mass - 1.0), "ok": abs(mass - 1.0) <= 1e-8})
-    else:
-        raise SystemExit(f"unknown identity {args.which!r}")
     ok = all(r["ok"] for r in rows)
     return ["identity", "residual", "ok"], rows, EXIT_OK if ok else EXIT_NUMERIC
 
@@ -407,7 +405,7 @@ def cmd_freegroup(args):
             worst = max(worst, ratio)
             rows.append({"trial": trial, "t": t, "ratio": ratio, "ok": ratio <= 1 + 1e-10})
         cols = ["trial", "t", "ratio", "ok"]
-    elif args.which == "dyadic":
+    else:  # dyadic
         _require_seed(args)
         pools = {
             0: [(1,), (-1,), (2,), (-2,)],
@@ -428,8 +426,6 @@ def cmd_freegroup(args):
             const = freegroup.dyadic_unconditionality(shells, args.even_p)
             rows.append({"trial": trial, "constant": const, "ok": math.isfinite(const)})
         cols = ["trial", "constant", "ok"]
-    else:
-        raise SystemExit(f"unknown freegroup experiment {args.which!r}")
     ok = all(r["ok"] for r in rows)
     return cols, rows, EXIT_OK if ok else EXIT_NUMERIC
 
@@ -461,7 +457,7 @@ def cmd_qfock(args):
             },
         ]
         cols = ["moment", "value", "target", "ok"]
-    elif args.which == "ou":
+    else:  # ou
         basis = fock.FockBasis(args.d, args.levels, args.q)
         ou = fock.ou_semigroup(basis, args.t)
         for level in range(args.levels + 1):
@@ -470,8 +466,6 @@ def cmd_qfock(args):
             err = float(np.max(np.abs(blk - math.exp(-args.t * level) * np.eye(e - s))))
             rows.append({"level": level, "eigen_error": err, "ok": err <= 1e-12})
         cols = ["level", "eigen_error", "ok"]
-    else:
-        raise SystemExit(f"unknown qfock experiment {args.which!r}")
     ok = all(r["ok"] for r in rows)
     return cols, rows, EXIT_OK if ok else EXIT_NUMERIC
 
@@ -491,7 +485,7 @@ def cmd_clifford(args):
         choi_min = float(np.linalg.eigvalsh(fc.choi_matrix(top))[0])
         rows.append({"check": "eigenvalue_defect", "value": worst, "ok": worst <= 1e-12})
         rows.append({"check": "choi_min_eigenvalue", "value": choi_min, "ok": choi_min >= -1e-10})
-    elif args.which == "multiplier":
+    else:  # multiplier
         f = fc.library(args.fn)
         mult = clifford.clifford_multiplier(
             rep, lambda m: complex(f(np.array([float(m)]))[0])
@@ -506,8 +500,6 @@ def cmd_clifford(args):
                 "ok": bool(np.all(np.isfinite(out))),
             }
         )
-    else:
-        raise SystemExit(f"unknown clifford experiment {args.which!r}")
     ok = all(r["ok"] for r in rows)
     return ["check", "value", "ok"], rows, EXIT_OK if ok else EXIT_NUMERIC
 
@@ -526,7 +518,7 @@ def cmd_martingale(args):
                 "ok": math.isfinite(est.value) and est.value >= 1.0 - 1e-6,
             }
         )
-    elif args.which == "cesaro":
+    else:  # cesaro
         _require_seed(args)
         rng = np.random.default_rng(args.seed)
         op = martingale.CondExpOp(tower, 1)
@@ -541,8 +533,6 @@ def cmd_martingale(args):
                 "ok": abs(rep.value - target) <= 1e-8 * max(target, 1.0),
             }
         )
-    else:
-        raise SystemExit(f"unknown martingale experiment {args.which!r}")
     ok = all(r["ok"] for r in rows)
     return ["check", "value", "ok"], rows, EXIT_OK if ok else EXIT_NUMERIC
 
@@ -672,10 +662,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _merge_config(args: argparse.Namespace, argv) -> argparse.Namespace:
-    """Fill values from a flat JSON config for flags not given explicitly."""
-    if not getattr(args, "config", None):
-        return args
+def _with_config(argv, args) -> list:
+    """argv with the config file's entries as flag tokens right after the
+    subcommand: argparse checks them like typed flags, and the explicit
+    flags, coming later, win.  Keys are flag names ("even_p" or "even-p")."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             conf = json.load(fh)
@@ -683,13 +673,17 @@ def _merge_config(args: argparse.Namespace, argv) -> argparse.Namespace:
         raise SystemExit(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(conf, dict):
         raise SystemExit("config file must hold a flat JSON object")
-    explicit = {tok.split("=")[0].lstrip("-").replace("-", "_") for tok in argv if tok.startswith("--")}
+    tokens = []
     for key, value in conf.items():
-        attr = key.replace("-", "_")
-        if attr in explicit or not hasattr(args, attr):
-            continue
-        setattr(args, attr, value)
-    return args
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            tokens += [flag] if value else []
+        elif isinstance(value, list):
+            tokens += [flag] + [str(v) for v in value]
+        else:
+            tokens.append(f"{flag}={value}")
+    at = argv.index(args.command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def main(argv=None) -> int:
@@ -697,7 +691,12 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.config:
+            args = ap.parse_args(_with_config(argv, args))
     except SystemExit as exc:
+        if isinstance(exc.code, str):  # an unreadable config file
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
     start = time.time()
@@ -707,7 +706,7 @@ def main(argv=None) -> int:
         "command": " ".join([args.command] + [t for t in argv if t != args.command]),
     }
     try:
-        columns, rows, hint = args.fn_impl(_merge_config(args, argv))
+        columns, rows, hint = args.fn_impl(args)
     except SystemExit as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

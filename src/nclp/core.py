@@ -3,7 +3,7 @@
 Matrices are plain ``numpy`` arrays of ``complex128``, interpreted as
 elements of a finite noncommutative L^p space over the full matrix
 algebra with its *unnormalized* trace.  The functions here provide the
-Schatten norms, the modulus ``|x| = (x*x)^{1/2}``, the trace duality
+Schatten norms and their norming elements, the modulus ``|x| = (x*x)^{1/2}``, the trace duality
 pairing ``<x, y> = tr(xy)``, and the shared PSD square-root kernel, plus
 an exact-round-trip text format for matrices and matrix families.
 
@@ -102,6 +102,27 @@ def schatten_from_sv(s, p: float):
         # cheaper and exactly the Frobenius norm
         return np.sqrt(np.sum(s * s, axis=-1))
     return np.sum(s**p, axis=-1) ** (1.0 / p)
+
+
+def polar_factor(y, p: float) -> np.ndarray:
+    """Norming element of ||y||_p: the S^{p'}-unit xi with Re tr(xi* y) =
+    ||y||_p, and zero where y = 0.  Batched over leading axes."""
+    u, s, vh = np.linalg.svd(y, full_matrices=False)
+    if s.shape[-1] == 0:
+        return np.zeros_like(y)
+    top = s[..., :1]
+    if p == math.inf:
+        d = np.zeros_like(s)
+        d[..., 0] = top[..., 0] > 0
+    elif p == 1.0:
+        d = (s > 1e-14 * top).astype(float)
+    else:
+        pp = conjugate_exponent(p)
+        # t is 1 in the top slot, so the sum is >= 1 except on zero slices,
+        # where t = 0 and the maximum keeps d = 0
+        t = (s / (top + (top == 0))) ** (p - 1.0)
+        d = t / np.maximum((t**pp).sum(-1, keepdims=True), 1.0) ** (1.0 / pp)
+    return (u * d[..., None, :]) @ vh
 
 
 def operator_norm(x) -> float:

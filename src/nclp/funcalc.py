@@ -40,11 +40,16 @@ from .core import (
     adjoint,
     as_matrix,
     conjugate_exponent,
+    polar_factor,
     schatten_from_sv,
 )
 
 EIG_COND_MAX = 1e8
 ZERO_RTOL = 1e-9  # |lambda| below this times the spectral scale counts as kernel
+COLLISION_RTOL = 1e-9  # resolvent points this close to the spectrum are refused
+TRUNCATION_TOL = 1e-6  # endpoint estimate above which the contour window warns
+SECTOR_RAY_POINTS = 26  # scaled resolvents per test angle in sector_type
+MASS_DEFECT_MAX = 1e-8  # allowed |mass - 1| of the subordination quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -567,16 +572,29 @@ class AmplifiedOp(LpOperator):
         return f"Amplified({self.base!r}, m={self.m})"
 
 
-def resolvent(op: LpOperator, z: complex, tol: float = 1e-9) -> LpOperator:
-    """R(z, A) = (z - A)^{-1}, refusing z within tol of the spectrum."""
+def resolvent(op: LpOperator, z: complex) -> LpOperator:
+    """R(z, A) = (z - A)^{-1}, refusing z within COLLISION_RTOL of the spectrum."""
     lam = op.spectrum()
     scale = max(spectral_window(lam)[1], abs(z), 1.0)
     dist = float(np.min(np.abs(lam - z))) if lam.size else math.inf
-    if dist <= tol * scale:
+    if dist <= COLLISION_RTOL * scale:
         raise SpectralCollisionError(
             f"z = {z:.6g} is within {dist:.3e} of the spectrum (scale {scale:.3g})"
         )
     return op._resolvent_impl(z)
+
+
+def ray_resolvent_family(op: LpOperator, theta: float, n_points: int = 24):
+    """The family { z R(z, A) } for z log-spaced on both rays of angle theta."""
+    scale = op.spectral_scale()
+    per_ray = n_points // 2
+    radii = np.logspace(-3, 3, per_ray) * scale
+    fam = []
+    for r in radii:
+        for sgn in (1.0, -1.0):
+            z = r * cmath.exp(1j * sgn * theta)
+            fam.append(resolvent(op, z).scaled(z))
+    return fam
 
 
 def choi_matrix(op: LpOperator) -> np.ndarray:
@@ -714,7 +732,6 @@ def contour_calculus(
     op: LpOperator,
     f: HolFn,
     spec: ContourSpec | None = None,
-    warn_tol: float = 1e-6,
 ) -> LpOperator:
     """f(A) by trapezoid quadrature of the sector-boundary Cauchy integral.
 
@@ -731,7 +748,7 @@ def contour_calculus(
         spec = default_contour(op, f)
     _check_contour(op, f, spec)
     est = _truncation_estimate(f, spec)
-    if est > warn_tol:
+    if est > TRUNCATION_TOL:
         warnings.warn(
             f"contour window [{spec.r_min:.2e}, {spec.r_max:.2e}] may truncate "
             f"{f.name} (endpoint estimate {est:.2e})",
@@ -750,12 +767,12 @@ def contour_calculus(
     return op.with_symbol(acc)
 
 
-def eigen_calculus(op: LpOperator, fn, zero_value=0.0) -> LpOperator:
+def eigen_calculus(op: LpOperator, fn) -> LpOperator:
     """Oracle path: apply a scalar function spectrally (V f(Lambda) V^{-1}
     on the superoperator, or entrywise on structured symbols), with the
-    f(0) = zero_value convention on the kernel."""
+    f(0) = 0 convention on the kernel."""
     fn_arr = fn.fn if isinstance(fn, HolFn) else fn
-    return op.eigen_fn(lambda lam: np.asarray(fn_arr(lam)), zero_value=zero_value)
+    return op.eigen_fn(lambda lam: np.asarray(fn_arr(lam)))
 
 
 def extended_calculus(
@@ -805,23 +822,6 @@ def superop_norm_s2(op: LpOperator) -> float:
     return float(np.linalg.norm(op.to_dense(), 2))
 
 
-def _polar_factor(y: np.ndarray, p: float) -> np.ndarray:
-    """Norming element of ||y||_p: the S^{p'}-unit xi with Re tr(xi* y) = ||y||_p."""
-    u, s, vh = np.linalg.svd(y, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
-        return np.zeros_like(y)
-    if p == math.inf:
-        d = np.zeros_like(s)
-        d[0] = 1.0
-    elif p == 1.0:
-        d = (s > 1e-14 * s[0]).astype(float)
-    else:
-        pp = conjugate_exponent(p)
-        t = (s / s[0]) ** (p - 1.0)
-        d = t / np.sum(t**pp) ** (1.0 / pp)
-    return (u * d) @ vh
-
-
 def schatten_opnorm_lower(
     op: LpOperator, p: float, starts: int = 50, iters: int = 40, seed: int = 0
 ) -> float:
@@ -854,9 +854,9 @@ def schatten_opnorm_lower(
             if ny <= 1e-300:
                 break
             best = max(best, ny)
-            xi = _polar_factor(y, p)
+            xi = polar_factor(y, p)
             w = dag.apply(xi)
-            x_new = _polar_factor(w, pp)
+            x_new = polar_factor(w, pp)
             if np.linalg.norm(x_new - x) <= 1e-12 * np.linalg.norm(x):
                 x = x_new
                 break
@@ -868,33 +868,26 @@ def schatten_opnorm_lower(
     return best
 
 
-def sector_type(
-    op: LpOperator, p: float = 2.0, thetas=None, n_radii: int = 13, seed: int = 0
-) -> SectorProfile:
+def sector_type(op: LpOperator, p: float = 2.0, seed: int = 0) -> SectorProfile:
     """Sector type: omega_hat from the spectrum and resolvent constants
-    K_theta = sup ||z R(z, A)|| sampled at log-spaced z on the rays of
-    angle theta.  Exact superoperator norms at p = 2, power-iteration
-    lower bounds otherwise (``exact`` records which)."""
+    K_theta = sup ||z R(z, A)|| over the ray family of each test angle
+    theta = omega_hat + (0.05, 0.15, 0.4, 0.8, 1.4) below pi.  Exact
+    superoperator norms at p = 2, power-iteration lower bounds otherwise
+    (``exact`` records which)."""
     omega = op.sector_angle()
-    if thetas is None:
-        gaps = (0.05, 0.15, 0.4, 0.8, 1.4)
-        thetas = [omega + g for g in gaps if omega + g < math.pi - 1e-6]
-    scale = op.spectral_scale()
-    radii = np.logspace(-3, 3, n_radii) * scale
+    gaps = (0.05, 0.15, 0.4, 0.8, 1.4)
+    thetas = [omega + g for g in gaps if omega + g < math.pi - 1e-6]
     constants = []
     for theta in thetas:
         k = 0.0
-        for r in radii:
-            for sgn in (1.0, -1.0):
-                z = r * cmath.exp(1j * sgn * theta)
-                scaled = resolvent(op, z).scaled(z)
-                if p == 2.0:
-                    k = max(k, superop_norm_s2(scaled))
-                else:
-                    k = max(
-                        k,
-                        schatten_opnorm_lower(scaled, p, starts=8, iters=25, seed=seed),
-                    )
+        for scaled in ray_resolvent_family(op, theta, SECTOR_RAY_POINTS):
+            if p == 2.0:
+                k = max(k, superop_norm_s2(scaled))
+            else:
+                k = max(
+                    k,
+                    schatten_opnorm_lower(scaled, p, starts=8, iters=25, seed=seed),
+                )
         constants.append((float(theta), float(k)))
     return SectorProfile(omega_hat=omega, constants=constants, p=p, exact=p == 2.0)
 
@@ -938,27 +931,25 @@ def subordination_weight(s):
     return np.exp(-1.0 / (4.0 * s)) / (2.0 * math.sqrt(math.pi) * s**1.5)
 
 
-def subordination_identity(c, t: float, grid=None, mass_tol: float = 1e-8):
+def subordination_identity(c, t: float):
     """Residual of e^{-t C^{1/2}} = int h(s) T_{s t^2} ds, T the heat
     semigroup of a PSD generator C (hermitian matrix or operator kind).
 
     Returns ``(residual, h_mass)``; raises when the quadrature mass of h
-    misses 1 by more than ``mass_tol`` (the grid is then too narrow).
+    misses 1 by more than ``MASS_DEFECT_MAX`` (the grid is then too narrow).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if grid is None:
-        # the density has a fat s^{-3/2} right tail: the window must reach
-        # 1e26 for the quadrature mass to match 1 at the 1e-13 level
-        s_nodes, w = log_trapezoid(1e-6, 1e26, 2400)
-    else:
-        s_nodes = np.asarray(grid.t, dtype=float)
-        w = np.asarray(grid.w, dtype=float)
+    # the density has a fat s^{-3/2} right tail: the window must reach
+    # 1e26 for the quadrature mass to match 1 at the 1e-13 level
+    s_nodes, w = log_trapezoid(1e-6, 1e26, 2400)
     # the weights are for ds/s, so the integrand h(s) picks up a Jacobian s
     coeff = w * s_nodes * subordination_weight(s_nodes)
     mass = float(np.sum(coeff))
-    if abs(mass - 1.0) > mass_tol:
-        raise ValueError(f"subordination grid mass {mass!r} misses 1 by more than {mass_tol}")
+    if abs(mass - 1.0) > MASS_DEFECT_MAX:
+        raise ValueError(
+            f"subordination grid mass {mass!r} misses 1 by more than {MASS_DEFECT_MAX}"
+        )
 
     if isinstance(c, LpOperator):
         lam = c.spectrum()

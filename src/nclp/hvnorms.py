@@ -13,6 +13,8 @@ of the index Hilbert space.  The five norms implemented here are
 together with the first-moment Rademacher average E || sum_k eps_k x_k ||_p
 over independent uniform signs, a Gram-weighted column norm, contractive
 tensor extension along the index space, and a Khintchine-ratio report.
+The sign layer, ``_sign_block`` (the patterns) and ``_signed_sums`` (all
+signed sums as one matmul), also serves ``rbound`` and the free group.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .core import (
 from .optim import ConvexCfg, SolveResult, minimize_split_schatten
 
 RAD_EXACT_MAX = 20  # 2^20 ~ 1e6 sign patterns; refuse exact mode beyond this
+_SIGN_CHUNK = 1 << 13  # sign patterns per batched SVD
 
 
 def as_family(xs) -> np.ndarray:
@@ -136,6 +139,19 @@ def _sign_block(offset: int, count: int, n: int) -> np.ndarray:
     return signs
 
 
+def _signed_sums(signs, fam) -> np.ndarray:
+    """The sums sum_k eps_sk x_k for every row s of signs, as one matmul."""
+    n = fam.shape[0]
+    return (signs @ fam.reshape(n, -1)).reshape(len(signs), *fam.shape[1:])
+
+
+def _signed_norms(sign_blocks, fam, p):
+    """Yield || sum_k eps_sk x_k ||_p for the rows of each block of signs."""
+    for signs in sign_blocks:
+        sums = _signed_sums(signs, fam)
+        yield schatten_from_sv(np.linalg.svd(sums, compute_uv=False), p)
+
+
 def rad_average(
     xs,
     p: float,
@@ -159,16 +175,12 @@ def rad_average(
                 f"exact enumeration refuses n = {n} > {RAD_EXACT_MAX} "
                 f"(2^{n} norm evaluations); use mode='montecarlo' with a seed"
             )
-        total = 0.0
         half = 1 << (n - 1)
-        chunk = 1 << 13
-        flat = fam.reshape(n, -1)
-        for off in range(0, half, chunk):
-            cnt = min(chunk, half - off)
-            signs = _sign_block(off, cnt, n)
-            sums = (signs @ flat).reshape(cnt, *fam.shape[1:])
-            total += float(np.sum(schatten_from_sv(np.linalg.svd(sums, compute_uv=False), p)))
-        return total / half
+        blocks = (
+            _sign_block(off, min(_SIGN_CHUNK, half - off), n)
+            for off in range(0, half, _SIGN_CHUNK)
+        )
+        return sum(float(np.sum(v)) for v in _signed_norms(blocks, fam, p)) / half
     if mode == "montecarlo":
         mean, _ = rad_average_mc(fam, p, samples=samples, seed=seed)
         return mean
@@ -182,16 +194,11 @@ def rad_average_mc(xs, p: float, samples: int, seed: int | None):
     fam = as_family(xs)
     n = fam.shape[0]
     rng = np.random.default_rng(seed)
-    flat = fam.reshape(n, -1)
-    vals = np.empty(samples)
-    chunk = 1 << 13
-    pos = 0
-    while pos < samples:
-        cnt = min(chunk, samples - pos)
-        signs = rng.integers(0, 2, size=(cnt, n)) * 2.0 - 1.0
-        sums = (signs @ flat).reshape(cnt, *fam.shape[1:])
-        vals[pos : pos + cnt] = schatten_from_sv(np.linalg.svd(sums, compute_uv=False), p)
-        pos += cnt
+    blocks = (
+        rng.integers(0, 2, size=(min(_SIGN_CHUNK, samples - pos), n)) * 2.0 - 1.0
+        for pos in range(0, samples, _SIGN_CHUNK)
+    )
+    vals = np.concatenate(list(_signed_norms(blocks, fam, p)))
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr
@@ -255,9 +262,9 @@ class KhintchineReport:
     """Measured Khintchine ratios for one family.
 
     For p >= 2 the comparison side is the intersection norm and
-    ``lower_ok`` asserts (1/sqrt 2) * intersection <= rad_average.  For
-    p < 2 the side is the sum norm, ``lower_ok`` asserts
-    rad_average <= sum + tol (the unit-constant inequality), and
+    ``lower_ok`` asserts (1/sqrt 2) * intersection <= rad_average (slack
+    1e-9).  For p < 2 the side is the sum norm, ``lower_ok`` asserts
+    rad_average <= sum (the unit-constant inequality, slack 1e-6), and
     ``solver_status`` carries the decomposition solver's verdict.
     """
 
@@ -270,26 +277,19 @@ class KhintchineReport:
     solver_status: str | None = None
 
 
-def khintchine_report(
-    xs,
-    p: float,
-    cfg: ConvexCfg | None = None,
-    tol: float = 1e-9,
-    mode: str = "exact",
-    samples: int = 100_000,
-    seed: int | None = None,
-) -> KhintchineReport:
+def khintchine_report(xs, p: float, cfg: ConvexCfg | None = None) -> KhintchineReport:
+    """Khintchine ratios of one family with the exact sign average."""
     fam = as_family(xs)
     p = check_exponent(p)
-    ra = rad_average(fam, p, mode=mode, samples=samples, seed=seed)
+    ra = rad_average(fam, p)
     if p >= 2.0:
         inter = intersection_norm(fam, p)
-        ok = ra >= inter / math.sqrt(2.0) - tol * max(inter, 1.0)
+        ok = ra >= inter / math.sqrt(2.0) - 1e-9 * max(inter, 1.0)
         ratio = ra / inter if inter > 0 else 1.0
         return KhintchineReport(p, ra, inter, ok, ratio, "intersection")
     res = sum_norm_solve(fam, p, cfg)
     sm = res.value
-    ok = ra <= sm + max(tol, 1e-6) * max(sm, 1.0)
+    ok = ra <= sm + 1e-6 * max(sm, 1.0)
     ratio = ra / sm if sm > 0 else 1.0
     return KhintchineReport(p, ra, sm, ok, ratio, "sum", solver_status=res.status)
 

@@ -123,16 +123,10 @@ def clifford_semigroup(rep: SpinRep, t: float) -> CliffordDiagonalOp:
     return CliffordDiagonalOp(rep, lambda s: math.exp(-t * len(s)))
 
 
-def clifford_multiplier(rep: SpinRep, f, apply_at_identity: bool = False):
+def clifford_multiplier(rep: SpinRep, f):
     """The length multiplier V_F -> f(|F|) V_F on nonempty F; the identity
-    component is kept unless ``apply_at_identity``."""
-
-    def coeff(s):
-        if not s and not apply_at_identity:
-            return 1.0
-        return f(len(s))
-
-    return CliffordDiagonalOp(rep, coeff)
+    component is kept."""
+    return CliffordDiagonalOp(rep, lambda s: f(len(s)) if s else 1.0)
 
 
 def number_operator(rep: SpinRep) -> CliffordDiagonalOp:

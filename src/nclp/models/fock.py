@@ -78,7 +78,7 @@ class FockBasis:
         self.level_start = []
         for level in range(n_max + 1):
             self.level_start.append(len(self.words))
-            self.words.extend(itertools.product(range(d), repeat=level))
+            self.words.extend(np.ndindex(*(d,) * level))  # d^level words, lexicographic
         self.level_start.append(len(self.words))
         self.index = {w: i for i, w in enumerate(self.words)}
         self.dim = len(self.words)

@@ -12,13 +12,13 @@ l2 norm of the coefficients.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import NumericsError
+from ..hvnorms import _sign_block
 
 Word = tuple  # of nonzero ints, reduced
 
@@ -181,16 +181,11 @@ class GroupPoly:
             cap=self.cap,
         )
 
-    def length_multiplier(self, f, apply_at_identity: bool = False) -> "GroupPoly":
+    def length_multiplier(self, f) -> "GroupPoly":
         """Multiply the coefficient at g by f(|g|) for g != e; the identity
-        coefficient is kept unless ``apply_at_identity`` (the multiplier
-        theorems quantify over the non-unit words only)."""
-        out = {}
-        for w, c in self.coeffs.items():
-            if w == () and not apply_at_identity:
-                out[w] = c
-            else:
-                out[w] = c * f(len(w))
+        coefficient is kept (the multiplier theorems quantify over the
+        non-unit words only)."""
+        out = {w: c * f(len(w)) if w else c for w, c in self.coeffs.items()}
         return GroupPoly(out, cap=self.cap)
 
     def __repr__(self):
@@ -249,8 +244,7 @@ def dyadic_unconditionality(xs, p: int = 4) -> float:
         raise ValueError("the unsigned sum vanishes")
     best = 0.0
     n = len(xs)
-    for bits in itertools.product((1.0, -1.0), repeat=n - 1):
-        eps = (1.0,) + bits
+    for eps in _sign_block(0, 1 << (n - 1), n).tolist():
         acc = GroupPoly.zero()
         for e, x in zip(eps, xs):
             acc = acc + e * x

@@ -103,11 +103,10 @@ def stein_colbound(
     p: float,
     budget: rbound.SearchCfg | None = None,
     seed: int = 0,
-    amplification: int = 2,
 ) -> rbound.BoundEstimate:
     """Lower bound on the column constant of the expectation family,
-    amplified by tensoring with an identity matrix factor."""
-    fam = [fc.AmplifiedOp(op, amplification) for op in tower_family(tower)]
+    amplified by tensoring with a 2 x 2 identity matrix factor."""
+    fam = [fc.AmplifiedOp(op, 2) for op in tower_family(tower)]
     return rbound.col_bound_estimate(fam, p, budget, seed)
 
 

@@ -22,6 +22,8 @@ import numpy as np
 
 from .core import schatten_from_sv
 
+STAGES, MU_START = 4, 1e-1  # smoothing schedule mu = MU_START * scale * 10^-stage
+
 
 @dataclass
 class ConvexCfg:
@@ -30,8 +32,6 @@ class ConvexCfg:
     restarts: int = 16
     iters: int = 500
     seed: int = 0
-    stages: int = 4
-    mu0: float = 1e-1
     tol: float = 1e-6
 
 
@@ -83,13 +83,11 @@ def minimize_split_schatten(
     v0: np.ndarray,
     p: float,
     cfg: ConvexCfg | None = None,
-    extra_starts=(),
 ) -> SolveResult:
     """Minimize ``||L1(v)||_p + ||L2(v0 - v)||_p`` over v.
 
     ``fwd1``/``adj1`` and ``fwd2``/``adj2`` are the forward maps and their
-    adjoints with respect to the real trace inner product.  ``extra_starts``
-    may supply additional initial points (same shape as ``v0``).
+    adjoints with respect to the real trace inner product.
     """
     if cfg is None:
         cfg = ConvexCfg()
@@ -111,7 +109,6 @@ def minimize_split_schatten(
     scale = max(exact_objective(v0), exact_objective(np.zeros_like(v0)), 1e-12)
 
     starts = [v0.copy(), np.zeros_like(v0), 0.5 * v0]
-    starts.extend(np.asarray(s, dtype=np.complex128) for s in extra_starts)
     amp = float(np.linalg.norm(v0)) / max(np.sqrt(v0.size), 1.0)
     while len(starts) < max(cfg.restarts, 3):
         starts.append(
@@ -122,11 +119,11 @@ def minimize_split_schatten(
     best_v = v0.copy()
     improved_late = False
 
-    iters_per_stage = max(cfg.iters // cfg.stages, 10)
+    iters_per_stage = max(cfg.iters // STAGES, 10)
     for start in starts:
         x = start.copy()
-        for stage in range(cfg.stages):
-            mu = cfg.mu0 * scale * 10.0 ** (-stage)
+        for stage in range(STAGES):
+            mu = MU_START * scale * 10.0 ** (-stage)
             step = mu / lip_base
             x_prev = x.copy()
             y = x.copy()
@@ -135,7 +132,7 @@ def minimize_split_schatten(
                 _, g2, e2 = _smooth_value_grad(fwd2(v0 - y), p, mu)
                 exact = e1 + e2
                 if exact < best_val - cfg.tol * scale:
-                    improved_late = stage == cfg.stages - 1 and k > iters_per_stage // 2
+                    improved_late = stage == STAGES - 1 and k > iters_per_stage // 2
                 if exact < best_val:
                     best_val = exact
                     best_v = y.copy()

@@ -20,16 +20,17 @@ resolvents z R(z, A) along the rays of a test angle into such a family.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_exponent, conjugate_exponent, schatten_from_sv
-from .funcalc import LpOperator, _polar_factor, resolvent
+from .core import check_exponent, conjugate_exponent, polar_factor, schatten_from_sv
+from .funcalc import LpOperator, ray_resolvent_family
 from .hvnorms import (
     _hstack_maps,
+    _sign_block,
+    _signed_sums,
     _vstack_maps,
     as_family,
     col_norm,
@@ -124,9 +125,9 @@ def _ascend_colrow(ops, sel, xs, p, mode, iters):
         val = norm(stack(ys)) / den_norm
         if val > best_val:
             best_val, best_x = val, x
-        xi = _polar_factor(stack(ys), p)
+        xi = polar_factor(stack(ys), p)
         ws = np.stack([dag.apply(blk) for dag, blk in zip(daggers, unstack(xi))])
-        x_new = unstack(_polar_factor(stack(ws), pp))
+        x_new = unstack(polar_factor(stack(ws), pp))
         if np.linalg.norm(x_new - x) <= 1e-13 * np.linalg.norm(x):
             x = x_new
             break
@@ -138,20 +139,19 @@ def _ascend_colrow(ops, sel, xs, p, mode, iters):
 
 
 def _rad_subgradient(ops, daggers, sel, xs, p):
-    """Subgradient of x -> rad_average(T x) pulled back through T^dagger."""
+    """Subgradient of x -> rad_average(T x) pulled back through T^dagger.
+
+    With xi_s the norming element of sum_k eps_sk T_k x_k for each of the
+    2^(n-1) patterns s, linearity gives
+    grad_k = T_k^dagger(sum_s eps_sk xi_s) / 2^(n-1): every T_k and every
+    T_k^dagger is applied once.
+    """
     n = xs.shape[0]
-    grads = np.zeros_like(xs)
     half = 1 << (n - 1)
-    for idx in range(half):
-        signs = np.empty(n)
-        signs[0] = 1.0
-        for k in range(1, n):
-            signs[k] = 1.0 if (idx >> (k - 1)) & 1 else -1.0
-        total = np.einsum("k,kab->ab", signs, _apply_selection(ops, sel, xs))
-        xi = _polar_factor(total, p)
-        for k in range(n):
-            grads[k] += signs[k] * daggers[sel[k]].apply(xi)
-    return grads / half
+    signs = _sign_block(0, half, n)
+    xis = polar_factor(_signed_sums(signs, _apply_selection(ops, sel, xs)), p)
+    pulled = _signed_sums(signs.T, xis) / half
+    return np.stack([daggers[k].apply(blk) for k, blk in zip(sel, pulled)])
 
 
 def _ascend_rad(ops, sel, xs, p, steps):
@@ -276,19 +276,6 @@ class ProfileRow:
     col: BoundEstimate
     row: BoundEstimate
     rad: BoundEstimate
-
-
-def ray_resolvent_family(op: LpOperator, theta: float, n_points: int = 24):
-    """The family { z R(z, A) } for z log-spaced on both rays of angle theta."""
-    scale = op.spectral_scale()
-    per_ray = n_points // 2
-    radii = np.logspace(-3, 3, per_ray) * scale
-    fam = []
-    for r in radii:
-        for sgn in (1.0, -1.0):
-            z = r * cmath.exp(1j * sgn * theta)
-            fam.append(resolvent(op, z).scaled(z))
-    return fam
 
 
 def sector_rbound_profile(

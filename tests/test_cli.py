@@ -154,6 +154,23 @@ class TestErrorPaths:
         assert ",4.0," in rows[1]
 
     @pytest.mark.parametrize(
+        "argv,conf",
+        [
+            (["freegroup", "norms"], {"even_p": 5}),  # the flag --even-p 5 exits 2 too
+            (["schatten-selftest"], {"bogus": 1}),
+        ],
+        ids=["bad-choice", "unknown-key"],
+    )
+    def test_config_values_go_through_argparse(self, tmp_path, capsys, argv, conf):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        code = cli.main(argv + ["--config", str(path), "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert "Traceback" not in err and "numeric failure" not in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
         "content,message",
         [
             (None, "cannot read config"),

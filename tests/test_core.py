@@ -152,3 +152,21 @@ class TestRectangular:
     def test_adjoint_involution_exact(self, rng):
         x = random_matrix(rng, 4, 2)
         assert np.array_equal(core.adjoint(core.adjoint(x)), x)
+
+
+class TestPolarFactor:
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (3, 5, 2)], ids=["square", "tall"])
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 4, math.inf])
+    def test_batched_norming_element(self, rng, shape, p):
+        y = np.stack([random_matrix(rng, *shape[1:]) for _ in range(shape[0])])
+        y[1] = 0.0
+        xi = core.polar_factor(y, p)
+        assert xi.shape == y.shape
+        assert not np.any(xi[1])  # the zero slice maps to zero
+        for k in (0, 2):
+            single = core.polar_factor(y[k], p)
+            assert np.allclose(xi[k], single, rtol=0, atol=1e-14)
+            pp = core.conjugate_exponent(p)
+            assert core.schatten_norm(xi[k], pp) == pytest.approx(1.0, rel=1e-12)
+            pairing = np.vdot(xi[k], y[k]).real  # Re tr(xi* y)
+            assert pairing == pytest.approx(core.schatten_norm(y[k], p), rel=1e-12)

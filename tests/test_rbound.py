@@ -5,6 +5,7 @@ import pytest
 
 from nclp import funcalc as fc
 from nclp import rbound
+from nclp.core import polar_factor
 from nclp.hvnorms import intersection_norm, rad_average
 
 from conftest import random_matrix
@@ -178,3 +179,61 @@ class TestDeterminism:
         assert a.value == b.value
         assert a.selection == b.selection
         assert np.array_equal(a.witness, b.witness)
+
+
+def _reference_subgradient(ops, daggers, sel, xs, p):
+    """The per-pattern loop: one polar factor and n adjoints per pattern."""
+    n = xs.shape[0]
+    grads = np.zeros_like(xs)
+    half = 1 << (n - 1)
+    for idx in range(half):
+        signs = np.empty(n)
+        signs[0] = 1.0
+        for k in range(1, n):
+            signs[k] = 1.0 if (idx >> (k - 1)) & 1 else -1.0
+        total = np.einsum("k,kab->ab", signs, rbound._apply_selection(ops, sel, xs))
+        xi = polar_factor(total, p)
+        for k in range(n):
+            grads[k] += signs[k] * daggers[sel[k]].apply(xi)
+    return grads / half
+
+
+class _Counted(fc.LpOperator):
+    """Wraps an operator and logs every application under its name."""
+
+    def __init__(self, base, name, log):
+        self.base, self.name, self.log = base, name, log
+        self.dim = base.dim
+
+    def apply(self, x):
+        self.log.append(self.name)
+        return self.base.apply(x)
+
+    def dagger(self):
+        return _Counted(self.base.dagger(), self.name + "^dag", self.log)
+
+
+class TestRadSubgradient:
+    @pytest.mark.parametrize("kind", ["dense", "left"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, math.inf])
+    def test_matches_per_pattern_loop(self, rng, kind, p):
+        d = 3
+        if kind == "dense":  # non-commuting superoperators
+            ops = [fc.DenseOp(random_matrix(rng, d * d)) for _ in range(3)]
+        else:
+            ops = [fc.LeftMult(random_matrix(rng, d)) for _ in range(3)]
+        daggers = [op.dagger() for op in ops]
+        for n in range(1, 7):
+            sel = tuple(rng.integers(0, len(ops), size=n).tolist())
+            xs = np.stack([random_matrix(rng, d) for _ in range(n)])
+            got = rbound._rad_subgradient(ops, daggers, sel, xs, p)
+            ref = _reference_subgradient(ops, daggers, sel, xs, p)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_applies_each_operator_and_adjoint_once(self, rng):
+        n, log = 6, []
+        ops = [_Counted(fc.LeftMult(random_matrix(rng, 3)), f"T{k}", log) for k in range(n)]
+        daggers = [op.dagger() for op in ops]
+        xs = np.stack([random_matrix(rng, 3) for _ in range(n)])
+        rbound._rad_subgradient(ops, daggers, tuple(range(n)), xs, 4.0)
+        assert sorted(log) == sorted([f"T{k}" for k in range(n)] + [f"T{k}^dag" for k in range(n)])
