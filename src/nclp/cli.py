@@ -319,7 +319,8 @@ def cmd_sqfn_equiv(args):
         "K2": rep.k2_hat,
         "seed": args.seed,
     }
-    return SQFN_COLS, [row], EXIT_OK
+    exhausted = "budget-exhausted" in rep.solver_statuses + sr.solver_statuses
+    return SQFN_COLS, [row], EXIT_SOLVER if exhausted else EXIT_OK
 
 
 def cmd_rowcol_gap(args):

@@ -104,12 +104,12 @@ def schatten_from_sv(s, p: float):
     return np.sum(s**p, axis=-1) ** (1.0 / p)
 
 
-def polar_factor(y, p: float) -> np.ndarray:
-    """Norming element of ||y||_p: the S^{p'}-unit xi with Re tr(xi* y) =
-    ||y||_p, and zero where y = 0.  Batched over leading axes."""
+def _sv_and_polar(y, p: float):
+    """Singular values of y and the norming element of ||y||_p, from one
+    SVD, batched over leading axes."""
     u, s, vh = np.linalg.svd(y, full_matrices=False)
     if s.shape[-1] == 0:
-        return np.zeros_like(y)
+        return s, np.zeros_like(y)
     top = s[..., :1]
     if p == math.inf:
         d = np.zeros_like(s)
@@ -122,7 +122,21 @@ def polar_factor(y, p: float) -> np.ndarray:
         # where t = 0 and the maximum keeps d = 0
         t = (s / (top + (top == 0))) ** (p - 1.0)
         d = t / np.maximum((t**pp).sum(-1, keepdims=True), 1.0) ** (1.0 / pp)
-    return (u * d[..., None, :]) @ vh
+    return s, (u * d[..., None, :]) @ vh
+
+
+def polar_factor(y, p: float) -> np.ndarray:
+    """Norming element of ||y||_p: the S^{p'}-unit xi with Re tr(xi* y) =
+    ||y||_p, and zero where y = 0.  Batched over leading axes."""
+    return _sv_and_polar(y, p)[1]
+
+
+def norm_and_polar(y, p: float):
+    """||y||_p and its norming element from one SVD, batched over leading
+    axes.  The norm comes from the singular values, never from the
+    pairing Re tr(xi* y), which at p = 1 drops the slots below 1e-14 * top."""
+    s, xi = _sv_and_polar(y, p)
+    return schatten_from_sv(s, p), xi
 
 
 def operator_norm(x) -> float:

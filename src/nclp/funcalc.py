@@ -40,6 +40,7 @@ from .core import (
     adjoint,
     as_matrix,
     conjugate_exponent,
+    norm_and_polar,
     polar_factor,
     schatten_from_sv,
 )
@@ -849,12 +850,10 @@ def schatten_opnorm_lower(
             continue
         x = x / nx
         for _ in range(iters):
-            y = op.apply(x)
-            ny = norm(y)
+            ny, xi = norm_and_polar(op.apply(x), p)
             if ny <= 1e-300:
                 break
-            best = max(best, ny)
-            xi = polar_factor(y, p)
+            best = max(best, float(ny))
             w = dag.apply(xi)
             x_new = polar_factor(w, pp)
             if np.linalg.norm(x_new - x) <= 1e-12 * np.linalg.norm(x):

@@ -39,11 +39,13 @@ _SIGN_CHUNK = 1 << 13  # sign patterns per batched SVD
 
 
 def as_family(xs) -> np.ndarray:
-    """Stack a family into an (n, d1, d2) array, validating uniform shape."""
+    """Stack a family into an (n, d1, d2) array, validating uniform shape.
+    A 3-d complex array is returned as it is, without a copy."""
     if isinstance(xs, np.ndarray) and xs.ndim == 3:
-        mats = list(xs)
-    else:
-        mats = [as_matrix(x) for x in xs]
+        if xs.shape[0] == 0:
+            raise ValueError("family must be nonempty")
+        return np.asarray(xs, dtype=np.complex128)
+    mats = [as_matrix(x) for x in xs]
     if not mats:
         raise ValueError("family must be nonempty")
     shape = mats[0].shape
@@ -56,20 +58,18 @@ def _col_gram(xs: np.ndarray) -> np.ndarray:
     return np.einsum("kji,kjl->il", xs.conj(), xs)
 
 
-def _row_gram(xs: np.ndarray) -> np.ndarray:
-    return np.einsum("kij,klj->il", xs, xs.conj())
-
-
 def col_norm(xs, p: float) -> float:
-    """|| (sum_k x_k* x_k)^{1/2} ||_p."""
+    """|| (sum_k x_k* x_k)^{1/2} ||_p, taken from the singular values of the
+    column stack (the root of the Gram matrix loses digits when the family
+    is rank-deficient)."""
     fam = as_family(xs)
-    return schatten_norm(psd_sqrt(_col_gram(fam)), p)
+    return schatten_norm(_vstack_maps(*fam.shape)[0](fam), p)
 
 
 def row_norm(xs, p: float) -> float:
-    """|| (sum_k x_k x_k*)^{1/2} ||_p."""
+    """|| (sum_k x_k x_k*)^{1/2} ||_p, from the row stack's singular values."""
     fam = as_family(xs)
-    return schatten_norm(psd_sqrt(_row_gram(fam)), p)
+    return schatten_norm(_hstack_maps(*fam.shape)[0](fam), p)
 
 
 def gram_col_norm(xs, gram, p: float) -> float:

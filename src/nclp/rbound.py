@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_exponent, conjugate_exponent, polar_factor, schatten_from_sv
+from .core import (
+    check_exponent,
+    conjugate_exponent,
+    norm_and_polar,
+    polar_factor,
+    schatten_from_sv,
+)
 from .funcalc import LpOperator, ray_resolvent_family
 from .hvnorms import (
     _hstack_maps,
@@ -121,11 +127,10 @@ def _ascend_colrow(ops, sel, xs, p, mode, iters):
         den_norm = norm(stack(x))
         if den_norm <= 1e-300:
             break
-        ys = _apply_selection(ops, sel, x)
-        val = norm(stack(ys)) / den_norm
+        num_norm, xi = norm_and_polar(stack(_apply_selection(ops, sel, x)), p)
+        val = float(num_norm) / den_norm
         if val > best_val:
             best_val, best_x = val, x
-        xi = polar_factor(stack(ys), p)
         ws = np.stack([dag.apply(blk) for dag, blk in zip(daggers, unstack(xi))])
         x_new = unstack(polar_factor(stack(ws), pp))
         if np.linalg.norm(x_new - x) <= 1e-13 * np.linalg.norm(x):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcalc as fc
-from .core import NumericsError, as_matrix, check_exponent, psd_sqrt, schatten_norm
-from .hvnorms import _hstack_maps, _vstack_maps
+from .core import NumericsError, as_matrix, check_exponent, schatten_norm
+from .hvnorms import _hstack_maps, _vstack_maps, col_norm, row_norm
 from .optim import ConvexCfg, minimize_split_schatten
 
 # Radial coverage of the default grid relative to the extreme spectral
@@ -106,21 +106,16 @@ class _NodeFamily:
         return self.sw * self.fwd(as_matrix(x))
 
 
-def _col(u: np.ndarray, p: float) -> float:
-    return schatten_norm(psd_sqrt(np.einsum("jab,jac->bc", u.conj(), u)), p)
-
-
-def _row(u: np.ndarray, p: float) -> float:
-    return schatten_norm(psd_sqrt(np.einsum("jab,jcb->ac", u, u.conj())), p)
-
-
-def _rad(u: np.ndarray, p: float, cfg: ConvexCfg | None) -> float:
+def _rad(u: np.ndarray, p: float, cfg: ConvexCfg | None) -> tuple[float, tuple[str, ...]]:
+    """The symmetric square function of a node stack and the statuses of
+    its solves (none for p >= 2)."""
     if p >= 2.0:
-        return max(_col(u, p), _row(u, p))
+        return max(col_norm(u, p), row_norm(u, p)), ()
     n, d1, d2 = u.shape
     f1, a1 = _vstack_maps(n, d1, d2)
     f2, a2 = _hstack_maps(n, d1, d2)
-    return minimize_split_schatten(f1, a1, f2, a2, u, p, cfg).value
+    res = minimize_split_schatten(f1, a1, f2, a2, u, p, cfg)
+    return res.value, (res.status,)
 
 
 def node_apply(op, x, f: fc.HolFn, grid: LogGrid) -> np.ndarray:
@@ -131,13 +126,13 @@ def node_apply(op, x, f: fc.HolFn, grid: LogGrid) -> np.ndarray:
 def sq_col(op, x, f: fc.HolFn, grid: LogGrid | None = None, p: float = 2.0) -> float:
     """Column square function || (int (F(tA)x)*(F(tA)x) dt/t)^{1/2} ||_p."""
     p = check_exponent(p)
-    return _col(_NodeFamily(op, f, grid).weighted(x), p)
+    return col_norm(_NodeFamily(op, f, grid).weighted(x), p)
 
 
 def sq_row(op, x, f: fc.HolFn, grid: LogGrid | None = None, p: float = 2.0) -> float:
     """Row square function, with (F(tA)x)(F(tA)x)* under the integral."""
     p = check_exponent(p)
-    return _row(_NodeFamily(op, f, grid).weighted(x), p)
+    return row_norm(_NodeFamily(op, f, grid).weighted(x), p)
 
 
 def sq_rad(
@@ -151,7 +146,7 @@ def sq_rad(
     """Symmetric square function: max(col, row) for p >= 2; for p < 2 the
     infimum of col(u1) + row(u - u1) over splittings of the node family."""
     p = check_exponent(p)
-    return _rad(_NodeFamily(op, f, grid).weighted(x), p, cfg)
+    return _rad(_NodeFamily(op, f, grid).weighted(x), p, cfg)[0]
 
 
 @dataclass
@@ -203,6 +198,7 @@ class SquareReport:
     bracket: float | None
     grid: LogGrid
     truncated: bool
+    solver_statuses: tuple[str, ...]  # one per split-norm solve (rad, bracket)
 
 
 def square_report(
@@ -225,13 +221,19 @@ def square_report(
     truncated = bool(peak > 0 and max(mags[0], mags[-1]) ** 2 > 1e-9 * peak**2)
     if with_bracket is None:
         with_bracket = p < 2.0
+    rad, statuses = _rad(u, p, cfg)
+    bracket = None
+    if with_bracket:
+        res = _bracket(fam, x, p, cfg)
+        bracket, statuses = res.value, statuses + (res.status,)
     return SquareReport(
-        col=_col(u, p),
-        row=_row(u, p),
-        rad=_rad(u, p, cfg),
-        bracket=_bracket(fam, x, p, cfg).value if with_bracket else None,
+        col=col_norm(u, p),
+        row=row_norm(u, p),
+        rad=rad,
+        bracket=bracket,
         grid=fam.grid,
         truncated=truncated,
+        solver_statuses=statuses,
     )
 
 
@@ -253,6 +255,7 @@ class EquivReport:
     p: float
     variant: str
     samples: int
+    solver_statuses: tuple[str, ...]  # one per split-norm solve
 
 
 def equivalence_experiment(
@@ -269,19 +272,26 @@ def equivalence_experiment(
         raise ValueError(f"unknown variant {variant!r}")
     p = check_exponent(p)
     fam = _NodeFamily(op, f, grid)
-    square = {"col": _col, "row": _row, "rad": lambda u, q: _rad(u, q, cfg)}[variant]
+    square = {
+        "col": lambda u: (col_norm(u, p), ()),
+        "row": lambda u: (row_norm(u, p), ()),
+        "rad": lambda u: _rad(u, p, cfg),
+    }[variant]
     proj = op.kernel_projection()
     rng = np.random.default_rng(seed)
     d = op.dim
     k1, k2 = math.inf, 0.0
+    statuses = ()
     for _ in range(sample_count):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         nx = schatten_norm(x, p)
-        sq = square(fam.weighted(x), p)
+        sq, solved = square(fam.weighted(x))
+        statuses += solved
         pnorm = schatten_norm(proj.apply(x), p)
         k1 = min(k1, (sq + pnorm) / nx)
         k2 = max(k2, sq / nx)
-    return EquivReport(k1_hat=k1, k2_hat=k2, p=p, variant=variant, samples=sample_count)
+    return EquivReport(k1_hat=k1, k2_hat=k2, p=p, variant=variant, samples=sample_count,
+                       solver_statuses=statuses)
 
 
 def dyadic_gap_coefficients(n: int) -> np.ndarray:
@@ -316,7 +326,7 @@ def row_col_gap(n: int, p: float, grid: LogGrid | None = None) -> GapReport:
     op = fc.LeftMult(np.diag(2.0 ** np.arange(1, n + 1)))
     e = np.ones((n, 1))
     u = _NodeFamily(op, f, grid).weighted((e @ e.T) / math.sqrt(n))
-    fc_val, fr_val = _col(u, p), _row(u, p)
+    fc_val, fr_val = col_norm(u, p), row_norm(u, p)
     d = dyadic_gap_coefficients(n)
     idx = np.arange(n)
     delta = d[np.abs(idx[:, None] - idx[None, :])]

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nclp import cli
@@ -218,6 +219,25 @@ class TestSolverExitCodes:
              "--samples", "1", "--strict", "--out", str(tmp_path / "s.csv")]
         )
         assert code == cli.EXIT_NUMERIC
+
+
+    @pytest.mark.parametrize(
+        "status,strict,expected",
+        [("converged", False, cli.EXIT_OK), ("budget-exhausted", False, cli.EXIT_SOLVER),
+         ("budget-exhausted", True, cli.EXIT_NUMERIC)],
+    )
+    def test_sqfn_equiv_reports_solver_status(self, tmp_path, monkeypatch, status,
+                                              strict, expected):
+        from nclp.optim import SolveResult
+
+        def fake_solve(fwd1, adj1, fwd2, adj2, v0, p, cfg=None):
+            return SolveResult(value=1.0, minimizer=np.zeros_like(v0), status=status)
+
+        monkeypatch.setattr(cli.sqfn, "minimize_split_schatten", fake_solve)
+        argv = ["sqfn-equiv", "--A", "leftdiag:0.5,1,2", "--fn", "sqrtzexp", "--p", "1.5",
+                "--seed", "3", "--samples", "2", "--variant", "rad",
+                "--out", str(tmp_path / "sq.csv")]
+        assert cli.main(argv + ["--strict"] * strict) == expected
 
 
 class TestFailingChecks:

@@ -161,6 +161,9 @@ class TestPolarFactor:
         y = np.stack([random_matrix(rng, *shape[1:]) for _ in range(shape[0])])
         y[1] = 0.0
         xi = core.polar_factor(y, p)
+        norms, xi_too = core.norm_and_polar(y, p)
+        assert np.array_equal(xi_too, xi)
+        assert norms[1] == 0.0
         assert xi.shape == y.shape
         assert not np.any(xi[1])  # the zero slice maps to zero
         for k in (0, 2):
@@ -170,3 +173,4 @@ class TestPolarFactor:
             assert core.schatten_norm(xi[k], pp) == pytest.approx(1.0, rel=1e-12)
             pairing = np.vdot(xi[k], y[k]).real  # Re tr(xi* y)
             assert pairing == pytest.approx(core.schatten_norm(y[k], p), rel=1e-12)
+            assert norms[k] == pytest.approx(core.schatten_norm(y[k], p), rel=1e-14)

@@ -74,6 +74,19 @@ class TestColRow:
             assert lhs <= hvnorms.col_norm(xs, 1) + 1e-9
 
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+    def test_rank_one_family_is_frobenius(self, p):
+        # x_k = c_k a b*: both moduli are rank one, so both norms are the
+        # Frobenius norm of the family; a Gram root misses it by ~1e-8 at p = 1
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        fam = [c * np.outer(a, b.conj()) for c in rng.standard_normal(6)]
+        fro = float(np.linalg.norm(np.stack(fam)))
+        assert hvnorms.col_norm(fam, p) == pytest.approx(fro, rel=1e-14)
+        assert hvnorms.row_norm(fam, p) == pytest.approx(fro, rel=1e-14)
+
+
 class TestGramColNorm:
     def test_identity_gram(self, rng):
         xs = random_family(rng, 3, 3)
