@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__, funcalc as fc, hvnorms, rbound, sqfn
-from .core import NumericsError, dumps_family, schatten_norm, psd_sqrt
+from .core import NumericsError, check_exponent, dumps_family, schatten_norm, psd_sqrt
 from .models import clifford, fock, freegroup, martingale, schur
 from .optim import ConvexCfg
 
@@ -543,8 +543,21 @@ def cmd_martingale(args):
 # ---------------------------------------------------------------------------
 
 
+def _checked(convert, check):
+    """An argparse type: convert the text, then validate it with ``check``;
+    a ValueError from either is a usage error."""
+
+    def parse(text):
+        try:
+            return check(convert(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
+
+
 def _add_common(sp):
-    sp.add_argument("--p", type=float, default=2.0, help="Schatten exponent")
+    sp.add_argument("--p", type=_checked(float, check_exponent), default=2.0, help="Schatten exponent")
     sp.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory for stochastic runs)")
     sp.add_argument("--samples", type=int, default=10, help="number of trials/rows")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -603,7 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=float, nargs="+", default=[0.8])
     sp.add_argument("--restarts", type=int, default=16)
     sp.add_argument("--iters", type=int, default=25)
-    sp.add_argument("--points", type=int, default=12)
+    sp.add_argument("--points", type=_checked(int, fc.check_ray_points), default=12,
+                    help="ray family size (even)")
     sp.set_defaults(fn_impl=cmd_rbound)
     _add_common(sp)
 

@@ -39,10 +39,7 @@ from .core import (
     _check_hermitian,
     adjoint,
     as_matrix,
-    conjugate_exponent,
-    norm_and_polar,
-    polar_factor,
-    schatten_from_sv,
+    power_ascent,
 )
 
 EIG_COND_MAX = 1e8
@@ -585,10 +582,18 @@ def resolvent(op: LpOperator, z: complex) -> LpOperator:
     return op._resolvent_impl(z)
 
 
+def check_ray_points(n_points: int) -> int:
+    """A ray-family size has both rays at each radius: even and >= 2."""
+    if n_points < 2 or n_points % 2:
+        raise ValueError(f"ray family size must be even and >= 2, got {n_points}")
+    return n_points
+
+
 def ray_resolvent_family(op: LpOperator, theta: float, n_points: int = 24):
-    """The family { z R(z, A) } for z log-spaced on both rays of angle theta."""
+    """The family { z R(z, A) } for z log-spaced on both rays of angle theta:
+    n_points / 2 radii, each on both rays (n_points even, >= 2)."""
     scale = op.spectral_scale()
-    per_ray = n_points // 2
+    per_ray = check_ray_points(n_points) // 2
     radii = np.logspace(-3, 3, per_ray) * scale
     fam = []
     for r in radii:
@@ -826,45 +831,23 @@ def superop_norm_s2(op: LpOperator) -> float:
 def schatten_opnorm_lower(
     op: LpOperator, p: float, starts: int = 50, iters: int = 40, seed: int = 0
 ) -> float:
-    """Lower-bound estimate of ||T||_{S^p -> S^p} by nonlinear power iteration.
-
-    Alternates the norming element of T(x) with the S^p polar of the
-    adjoint applied to it; every reported value is a ratio attained by a
-    concrete x, hence a certified lower bound.  Exact (SVD) at p = 2.
+    """Lower-bound estimate of ||T||_{S^p -> S^p} by nonlinear power iteration
+    (:func:`core.power_ascent` over the seeded random starts); every value
+    is a ratio attained by a concrete x, hence a certified lower bound.
+    Exact (SVD) at p = 2.
     """
     if p == 2.0:
         return superop_norm_s2(op)
     d = op.dim
     rng = np.random.default_rng(seed)
+    x0 = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(starts)]
     dag = op.dagger()
-    pp = conjugate_exponent(p)
-
-    def norm(x):
-        return float(schatten_from_sv(np.linalg.svd(x, compute_uv=False), p))
-
-    best = 0.0
-    for _ in range(starts):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        nx = norm(x)
-        if nx == 0.0:
-            continue
-        x = x / nx
-        for _ in range(iters):
-            ny, xi = norm_and_polar(op.apply(x), p)
-            if ny <= 1e-300:
-                break
-            best = max(best, float(ny))
-            w = dag.apply(xi)
-            x_new = polar_factor(w, pp)
-            if np.linalg.norm(x_new - x) <= 1e-12 * np.linalg.norm(x):
-                x = x_new
-                break
-            x = x_new
-        y = op.apply(x)
-        nx = norm(x)
-        if nx > 0:
-            best = max(best, norm(y) / nx)
-    return best
+    best, _ = power_ascent(
+        lambda xs: np.stack([op.apply(x) for x in xs]),
+        lambda ys: np.stack([dag.apply(y) for y in ys]),
+        np.stack(x0), p, iters + 1,  # iters steps visit iters + 1 iterates
+    )
+    return float(np.max(best, initial=0.0))
 
 
 def sector_type(op: LpOperator, p: float = 2.0, seed: int = 0) -> SectorProfile:
@@ -878,15 +861,10 @@ def sector_type(op: LpOperator, p: float = 2.0, seed: int = 0) -> SectorProfile:
     thetas = [omega + g for g in gaps if omega + g < math.pi - 1e-6]
     constants = []
     for theta in thetas:
-        k = 0.0
-        for scaled in ray_resolvent_family(op, theta, SECTOR_RAY_POINTS):
-            if p == 2.0:
-                k = max(k, superop_norm_s2(scaled))
-            else:
-                k = max(
-                    k,
-                    schatten_opnorm_lower(scaled, p, starts=8, iters=25, seed=seed),
-                )
+        k = max(
+            schatten_opnorm_lower(scaled, p, starts=8, iters=25, seed=seed)
+            for scaled in ray_resolvent_family(op, theta, SECTOR_RAY_POINTS)
+        )
         constants.append((float(theta), float(k)))
     return SectorProfile(omega_hat=omega, constants=constants, p=p, exact=p == 2.0)
 

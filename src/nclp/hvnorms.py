@@ -77,18 +77,15 @@ def gram_col_norm(xs, gram, p: float) -> float:
 
         || (sum_{ij} G_{ij} x_i* x_j)^{1/2} ||_p.
 
-    With G the identity this is :func:`col_norm`.
+    It is :func:`col_norm` of y_k = sum_j (G^{1/2})_{kj} x_j, since
+    sum_k y_k* y_k is the twisted square; with G the identity y = x.
     """
     fam = as_family(xs)
     g = as_matrix(gram)
     n = fam.shape[0]
     if g.shape != (n, n):
         raise ValueError(f"Gram matrix must be {n}x{n}, got {g.shape}")
-    lam = np.linalg.eigvalsh(0.5 * (g + adjoint(g)))
-    if lam[0] < -1e-10 * max(1.0, lam[-1]):
-        raise ValueError(f"Gram matrix is not PSD (min eigenvalue {lam[0]:.3e})")
-    inner = np.einsum("ij,iab,jac->bc", g, fam.conj(), fam)
-    return schatten_norm(psd_sqrt(inner), p)
+    return col_norm(np.einsum("kj,jab->kab", psd_sqrt(g), fam), p)
 
 
 @dataclass

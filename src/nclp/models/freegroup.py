@@ -51,10 +51,6 @@ def word_mul(a: Word, b: Word) -> Word:
     return reduce_word(a + b)
 
 
-def word_length(w: Word) -> int:
-    return len(w)
-
-
 def word_from_string(s: str) -> Word:
     """Parse "a B a" (lowercase = generator, uppercase = inverse); "e" is
     the empty word.  Generator letters are a..z in order."""

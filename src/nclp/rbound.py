@@ -12,7 +12,8 @@ Those suprema run over unboundedly many selections and families, so only
 *lower bounds* are computable; every estimate returned here is certified
 by a stored witness whose objective value reproduces it.  The search is
 seeded random restarts followed by alternating local ascent (nonlinear
-power iteration in x for the column/row objectives, accept-if-improve
+power iteration in x for the column/row objectives, which is the shared
+kernel :func:`core.power_ascent` on the stacked family; accept-if-improve
 subgradient steps for the Rademacher one) and greedy reselection of the
 operators.  Profiling a sectorial operator discretizes the scaled
 resolvents z R(z, A) along the rays of a test angle into such a family.
@@ -25,13 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    check_exponent,
-    conjugate_exponent,
-    norm_and_polar,
-    polar_factor,
-    schatten_from_sv,
-)
+from .core import check_exponent, polar_factor, power_ascent
 from .funcalc import LpOperator, ray_resolvent_family
 from .hvnorms import (
     _hstack_maps,
@@ -108,36 +103,19 @@ def re_evaluate(est: BoundEstimate, ops) -> float:
 
 
 def _ascend_colrow(ops, sel, xs, p, mode, iters):
-    """Maximize the stacked-Schatten ratio over x at fixed selection.
-
-    One step: y = T(x); xi = norming element of y; x <- S^p polar of
-    T^dagger(xi).  Each iterate's ratio is evaluated exactly, and the best
-    witness is kept, so the outcome is always a certified lower bound.
-    """
+    """The witness maximizing the stacked-Schatten ratio over x at fixed
+    selection: the one-start :func:`core.power_ascent` on the column (or
+    row) stack."""
     daggers = [ops[k].dagger() for k in sel]
     stack, unstack = (_vstack_maps if mode == "col" else _hstack_maps)(*xs.shape)
-    best_val, best_x = -math.inf, xs
-    pp = conjugate_exponent(p)
 
-    def norm(m):
-        return float(schatten_from_sv(np.linalg.svd(m, compute_uv=False), p))
+    def fwd(s):
+        return stack(_apply_selection(ops, sel, unstack(s[0])))[None]
 
-    x = xs
-    for _ in range(iters):
-        den_norm = norm(stack(x))
-        if den_norm <= 1e-300:
-            break
-        num_norm, xi = norm_and_polar(stack(_apply_selection(ops, sel, x)), p)
-        val = float(num_norm) / den_norm
-        if val > best_val:
-            best_val, best_x = val, x
-        ws = np.stack([dag.apply(blk) for dag, blk in zip(daggers, unstack(xi))])
-        x_new = unstack(polar_factor(stack(ws), pp))
-        if np.linalg.norm(x_new - x) <= 1e-13 * np.linalg.norm(x):
-            x = x_new
-            break
-        x = x_new
-    return best_val, best_x
+    def adj(s):
+        return stack(np.stack([dag.apply(b) for dag, b in zip(daggers, unstack(s[0]))]))[None]
+
+    return unstack(power_ascent(fwd, adj, stack(xs)[None], p, iters)[1][0])
 
 
 # -- rademacher inner ascent: accept-if-improve subgradient steps -----------
@@ -216,13 +194,13 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
                     # the power-iteration witness of the column objective is
                     # a strong extra start (for singletons the objectives
                     # coincide); polish both candidates by subgradient steps
-                    _, x_pi = _ascend_colrow(ops, sel, x, p, "col", budget.iters)
+                    x_pi = _ascend_colrow(ops, sel, x, p, "col", budget.iters)
                     val, x = _ascend_rad(ops, sel, x, p, budget.rad_steps)
                     val_pi, x_pi = _ascend_rad(ops, sel, x_pi, p, budget.rad_steps)
                     if val_pi > val:
                         val, x = val_pi, x_pi
                 else:
-                    val, x = _ascend_colrow(ops, sel, x, p, notion, budget.iters)
+                    x = _ascend_colrow(ops, sel, x, p, notion, budget.iters)
                 # greedy operator reselection at the current witness
                 sel = list(sel)
                 for slot in range(L):

@@ -142,6 +142,25 @@ class TestErrorPaths:
         code = cli.main(["calculus-check", "--A", "bogus:1"])
         assert code == cli.EXIT_NUMERIC
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sector-profile", "--p", "0.5"],
+            ["khintchine", "--p", "0.5", "--seed", "1"],
+            ["schatten-selftest", "--p", "nan"],
+            ["rbound", "--points", "11", "--seed", "1"],
+            ["rbound", "--points", "1", "--seed", "1"],
+        ],
+        ids=["sector-p-below-1", "khintchine-p-below-1", "selftest-p-nan",
+             "rbound-odd-points", "rbound-one-point"],
+    )
+    def test_out_of_domain_flag_is_usage_error(self, tmp_path, capsys, argv):
+        code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert "Traceback" not in err and "numeric failure" not in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"p": 4.0, "dim": 2, "family": 3, "seed": 9, "samples": 2}))

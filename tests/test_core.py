@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nclp import core
+from nclp import core, funcalc as fc
 
 from conftest import random_matrix, random_psd, unit
 
@@ -174,3 +174,105 @@ class TestPolarFactor:
             pairing = np.vdot(xi[k], y[k]).real  # Re tr(xi* y)
             assert pairing == pytest.approx(core.schatten_norm(y[k], p), rel=1e-12)
             assert norms[k] == pytest.approx(core.schatten_norm(y[k], p), rel=1e-14)
+
+
+def _stacked(op):
+    return lambda xs: np.stack([op.apply(x) for x in xs])
+
+
+def _per_start_ascent(op, x0s, p, iters):
+    """Reference for power_ascent: the per-start loop it replaced, one
+    start at a time with its own norm calls; each start's best ratio."""
+    dag = op.dagger()
+    pp = core.conjugate_exponent(p)
+    out = []
+    for x in x0s:
+        best = 0.0
+        x = x / core.schatten_norm(x, p)
+        for _ in range(iters):
+            ny, xi = core.norm_and_polar(op.apply(x), p)
+            if ny <= 1e-300:
+                break
+            best = max(best, float(ny))
+            x_new = core.polar_factor(dag.apply(xi), pp)
+            if np.linalg.norm(x_new - x) <= 1e-12 * np.linalg.norm(x):
+                x = x_new
+                break
+            x = x_new
+        nx = core.schatten_norm(x, p)
+        if nx > 0:
+            best = max(best, core.schatten_norm(op.apply(x), p) / nx)
+        out.append(best)
+    return np.array(out)
+
+
+def _kinds(rng, d=3):
+    return {
+        "left": fc.LeftMult(random_matrix(rng, d)),
+        "schur": fc.SchurMult(random_matrix(rng, d)),
+        "dense": fc.DenseOp(random_matrix(rng, d * d)),
+        "amplified": fc.AmplifiedOp(fc.SchurMult(random_matrix(rng, 2)), 2),
+    }
+
+
+class TestPowerAscent:
+    @pytest.mark.parametrize("kind", ["left", "schur", "dense", "amplified"])
+    @pytest.mark.parametrize("p", [1, 1.5, 4, math.inf])
+    def test_matches_per_start_loop(self, rng, kind, p):
+        op = _kinds(rng)[kind]
+        x0s = np.stack([random_matrix(rng, op.dim) for _ in range(6)])
+        best, best_x = core.power_ascent(
+            _stacked(op), _stacked(op.dagger()), x0s, p, 31
+        )
+        ref = _per_start_ascent(op, x0s, p, 30)  # 30 steps, 31 iterates
+        assert best == pytest.approx(ref, rel=1e-13)
+        for val, x in zip(best, best_x):  # each value is attained by its witness
+            ratio = core.schatten_norm(op.apply(x), p) / core.schatten_norm(x, p)
+            assert ratio == pytest.approx(val, rel=1e-13)
+
+    def test_stopped_start_is_frozen(self, rng):
+        # E_22 is a fixed point of x -> a x at every p; the random start is not
+        op = fc.LeftMult(np.diag([1.0, 2.0]))
+        fixed = unit(2, 1, 1)
+        x0s = np.stack([fixed, random_matrix(rng, 2)])
+        seen = {"fwd": [], "adj": []}
+
+        def record(name, f):
+            def g(xs):
+                seen[name].append(xs.copy())
+                return f(xs)
+
+            return g
+
+        best, best_x = core.power_ascent(
+            record("fwd", _stacked(op)), record("adj", _stacked(op)), x0s, 4.0, 20
+        )
+        assert best[0] == pytest.approx(2.0, rel=1e-15)
+        assert np.allclose(best_x[0], fixed, atol=1e-15)
+        # the fixed start is stepped once, found fixed, and never seen again
+        assert [len(xs) for xs in seen["fwd"] + seen["adj"]].count(2) == 2
+        assert all(len(xs) == 1 for xs in seen["fwd"][1:] + seen["adj"][1:])
+        assert len(seen["fwd"]) > 2  # the other start keeps moving
+
+    def test_vanishing_starts_stop(self, rng):
+        # the zero map, and a zero start of a nonzero map, give ratio 0
+        zero = fc.SchurMult(np.zeros((2, 2)))
+        x0s = np.stack([random_matrix(rng, 2) for _ in range(3)])
+        best, _ = core.power_ascent(_stacked(zero), _stacked(zero), x0s, 4.0, 10)
+        assert not np.any(best)
+        assert fc.schatten_opnorm_lower(zero, 4.0, starts=3) == 0.0
+        op = fc.LeftMult(np.diag([1.0, 2.0]))
+        x0s[1] = 0.0
+        best, _ = core.power_ascent(_stacked(op), _stacked(op), x0s, 4.0, 10)
+        assert best[1] == 0.0 and np.all(best[[0, 2]] > 1.0)
+
+    def test_sector_type_batches_its_svds(self, monkeypatch):
+        svd, calls = np.linalg.svd, [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        fc.sector_type(fc.LeftMult(np.diag([1.0, 2.0])), p=4.0)
+        assert calls[0] <= 10_000  # 54,178 with one start at a time

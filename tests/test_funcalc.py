@@ -180,6 +180,13 @@ class TestResolvent:
         rhs = (z2 - z1) * (r1.a @ r2.a)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [0, 1, 11])
+    def test_ray_family_size_must_be_even(self, n):
+        op = fc.LeftMult(np.diag([1.0, 2.0]))
+        with pytest.raises(ValueError, match="even and >= 2"):
+            fc.ray_resolvent_family(op, 0.8, n)
+        assert len(fc.ray_resolvent_family(op, 0.8, 2)) == 2
+
 
 class TestHolFnLibrary:
     def test_g_values(self):

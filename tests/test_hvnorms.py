@@ -96,6 +96,18 @@ class TestGramColNorm:
                 hvnorms.col_norm(xs, p), rel=1e-10
             )
 
+    @pytest.mark.parametrize("p", [1, 1.5, 4])
+    def test_identity_gram_rank_one_family(self, p):
+        # a root of the twisted Gram square misses col_norm by 1.9e-8 at p = 1
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        coef = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        fam = [c * np.outer(a, b.conj()) for c in coef]
+        assert hvnorms.gram_col_norm(fam, np.eye(6), p) == pytest.approx(
+            hvnorms.col_norm(fam, p), rel=1e-14
+        )
+
     def test_all_ones_gram(self, rng):
         # all a_k equal: the twisted square is |sum x_k|^2
         xs = random_family(rng, 3, 3)
