@@ -368,6 +368,14 @@ def cmd_schur(args):
     return ["check", "value", "ok"], rows, EXIT_OK if ok else EXIT_NUMERIC
 
 
+# word pools of the dyadic shells |g| = 1, 2, 4
+DYADIC_POOLS = (
+    ((1,), (-1,), (2,), (-2,)),
+    ((1, 1), (1, 2), (2, 1), (-1, 2), (2, 2)),
+    ((1, 2, 1, 2), (1, 1, 2, 2), (2, -1, 2, 1), (1, 2, -1, -2)),
+)
+
+
 def cmd_freegroup(args):
     rows = []
     if args.which == "norms":
@@ -408,18 +416,13 @@ def cmd_freegroup(args):
         cols = ["trial", "t", "ratio", "ok"]
     else:  # dyadic
         _require_seed(args)
-        pools = {
-            0: [(1,), (-1,), (2,), (-2,)],
-            1: [(1, 1), (1, 2), (2, 1), (-1, 2), (2, 2)],
-            2: [(1, 2, 1, 2), (1, 1, 2, 2), (2, -1, 2, 1), (1, 2, -1, -2)],
-        }
         for trial in range(args.samples):
             rng = np.random.default_rng(args.seed + trial)
             shells = [
                 freegroup.GroupPoly(
                     {
                         w: complex(rng.standard_normal(), rng.standard_normal())
-                        for w in pools[k]
+                        for w in DYADIC_POOLS[k]
                     }
                 )
                 for k in range(args.shells)
@@ -556,6 +559,12 @@ def _checked(convert, check):
     return parse
 
 
+def _at_least_one(n: int) -> int:
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_common(sp):
     sp.add_argument("--p", type=_checked(float, check_exponent), default=2.0, help="Schatten exponent")
     sp.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory for stochastic runs)")
@@ -613,8 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rbound", help="boundedness constants of scaled-resolvent families")
     sp.add_argument("--A", dest="op", default="leftdiag:0.5,1,2")
-    sp.add_argument("--theta", type=float, nargs="+", default=[0.8])
-    sp.add_argument("--restarts", type=int, default=16)
+    sp.add_argument("--theta", type=_checked(float, rbound.check_test_angle), nargs="+",
+                    default=[0.8], help="test angles in (0, pi)")
+    sp.add_argument("--restarts", type=_checked(int, _at_least_one), default=16)
     sp.add_argument("--iters", type=int, default=25)
     sp.add_argument("--points", type=_checked(int, fc.check_ray_points), default=12,
                     help="ray family size (even)")
@@ -644,13 +654,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("freegroup", help="free-group norms / length-decay / dyadic shells")
     sp.add_argument("which", choices=("norms", "poisson", "dyadic"))
     sp.add_argument("--even-p", type=int, default=4, choices=freegroup.EVEN_PS)
-    sp.add_argument("--shells", type=int, default=3)
+    sp.add_argument("--shells", type=int, default=3,
+                    choices=range(1, len(DYADIC_POOLS) + 1))
     sp.set_defaults(fn_impl=cmd_freegroup)
     _add_common(sp)
 
     sp = sub.add_parser("qfock", help="twisted Gram positivity / moments / OU spectrum")
     sp.add_argument("which", choices=("gram", "moments", "ou"))
-    sp.add_argument("--q", type=float, default=0.5)
+    sp.add_argument("--q", type=_checked(float, fock.check_q), default=0.5,
+                    help="deformation in (-1, 1)")
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--levels", type=int, default=4, help="top truncation level")
     sp.add_argument("--t", type=float, default=0.8)
@@ -659,7 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("clifford", help="spin-system semigroup / length multiplier")
     sp.add_argument("which", choices=("semigroup", "multiplier"))
-    sp.add_argument("--n", type=int, default=3)
+    sp.add_argument("--n", type=_checked(int, clifford.check_frame_n), default=3,
+                    help=f"generator count, 1..{clifford.DIAG_OP_MAX}")
     sp.add_argument("--t", type=float, default=0.4)
     sp.add_argument("--fn", default="zis:0.5")
     sp.set_defaults(fn_impl=cmd_clifford)
@@ -669,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("which", choices=("stein", "cesaro"))
     sp.add_argument("--n-factors", type=int, default=3)
     sp.add_argument("--m-count", type=int, default=24)
-    sp.add_argument("--restarts", type=int, default=8)
+    sp.add_argument("--restarts", type=_checked(int, _at_least_one), default=8)
     sp.add_argument("--iters", type=int, default=20)
     sp.set_defaults(fn_impl=cmd_martingale)
     _add_common(sp)

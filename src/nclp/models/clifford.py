@@ -75,6 +75,13 @@ def normalized_trace(x) -> complex:
     return complex(np.trace(x) / x.shape[0])
 
 
+def check_frame_n(n: int) -> int:
+    """Frame-diagonal maps exist for 1 <= n <= DIAG_OP_MAX generators."""
+    if not 1 <= n <= DIAG_OP_MAX:
+        raise ValueError(f"frame-diagonal maps need 1 <= n <= {DIAG_OP_MAX}, got {n}")
+    return n
+
+
 class CliffordDiagonalOp(fc.LpOperator):
     """A map diagonal on the V_F frame: x -> sum_F c(F) tau(V_F* x) V_F.
 
@@ -84,8 +91,7 @@ class CliffordDiagonalOp(fc.LpOperator):
     """
 
     def __init__(self, rep: SpinRep, coeff_fn):
-        if rep.n > DIAG_OP_MAX:
-            raise ValueError(f"frame-diagonal maps limited to n <= {DIAG_OP_MAX}")
+        check_frame_n(rep.n)
         self.rep = rep
         self.dim = rep.dim
         self.subsets = list(all_subsets(rep.n))

@@ -38,14 +38,21 @@ def inversions(perm) -> int:
     )
 
 
+def check_q(q: float) -> float:
+    """A deformation parameter lies strictly in (-1, 1)."""
+    q = float(q)
+    if not -1.0 < q < 1.0:
+        raise ValueError(f"q must lie strictly in (-1, 1), got {q}")
+    return q
+
+
 def q_gram(level: int, d: int, q: float) -> np.ndarray:
     """The twisted Gram matrix Q_q on the d^level-dimensional level."""
     if level < 0:
         raise ValueError("level must be nonnegative")
     if level > GRAM_LEVEL_MAX:
         raise ValueError(f"level {level} exceeds the permutation-sum cap {GRAM_LEVEL_MAX}")
-    if not -1.0 < q < 1.0:
-        raise ValueError("q must lie in (-1, 1)")
+    check_q(q)
     if level == 0:
         return np.ones((1, 1))
     dn = d**level
@@ -69,8 +76,7 @@ class FockBasis:
     def __init__(self, d: int, n_max: int, q: float):
         if d < 1 or n_max < 0:
             raise ValueError("need d >= 1 and n_max >= 0")
-        if not -1.0 < q < 1.0:
-            raise ValueError(f"q must lie strictly in (-1, 1), got {q}")
+        check_q(q)
         self.d = d
         self.n_max = n_max
         self.q = q

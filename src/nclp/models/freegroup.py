@@ -6,8 +6,9 @@ its inverse), always kept in reduced form; |g| is the reduced letter
 count.  Polynomials are finitely supported coefficient maps on words with
 the normalized trace tau(x) = coefficient at the empty word.  Even-power
 norms ||x||_p = tau((x* x)^{p/2})^{1/p} are finite convolutions, hence
-computed exactly (no spectral truncation); p = 2 collapses to the
-l2 norm of the coefficients.
+computed exactly (no spectral truncation), and only half of the power is
+ever built: with y = x* x, ||x||_p^p = ||h||_2^2, the l2 norm of the
+coefficients of h = y^j (p = 4j) or h = x y^j (p = 4j + 2).
 """
 
 from __future__ import annotations
@@ -154,19 +155,16 @@ class GroupPoly:
         return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
 
     def norm_even(self, p: int) -> float:
-        """Exact || . ||_p for even integer p via repeated convolution."""
+        """Exact || . ||_p for even p from a half-depth product: with y = x* x,
+        ||x||_p^p = ||h||_2^2 for h = y^j (p = 4j) or x y^j (p = 4j + 2)."""
         if p not in EVEN_PS:
             raise ValueError(f"exact norms available for p in {EVEN_PS}, got {p}")
-        if not self.coeffs:
-            return 0.0
-        if p == 2:
-            return self.norm2()
-        y = self.star() * self
-        power = y
-        for _ in range(p // 2 - 1):
-            power = power * y
-        val = power.trace().real
-        return max(val, 0.0) ** (1.0 / p)
+        h = self if p % 4 else None
+        if p > 2:
+            y = self.star() * self
+            for _ in range(p // 4):
+                h = y if h is None else h * y
+        return h.norm2() ** (2.0 / p)
 
     def poisson(self, t: float) -> "GroupPoly":
         """Length-decay semigroup: the coefficient at g picks up e^{-t |g|}."""

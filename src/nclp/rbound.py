@@ -59,9 +59,17 @@ class BoundEstimate:
     selection: tuple
     witness: np.ndarray
     status: str
-    restarts: int
+    restarts: int  # starts actually run
     seed: int
     theta: float | None = None
+
+
+def check_test_angle(theta: float) -> float:
+    """A test angle names the rays exp(+-i theta): it lies in (0, pi)."""
+    theta = float(theta)
+    if not 0.0 < theta < math.pi:
+        raise ValueError(f"test angle must lie in (0, pi), got {theta}")
+    return theta
 
 
 def _check_family(ops) -> list:
@@ -180,12 +188,14 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
 
     best_val, best_sel, best_x = -math.inf, (0,), None
     per_length = max(budget.restarts // max(len(lengths), 1), 1)
+    runs = 0
     for L in lengths:
         starts = [s for s in extra if s.shape == (L, d, d)]
         while len(starts) < per_length:
             starts.append(
                 rng.standard_normal((L, d, d)) + 1j * rng.standard_normal((L, d, d))
             )
+        runs += len(starts)
         for x0 in starts:
             sel = tuple(rng.integers(0, n_ops, size=L).tolist())
             x = x0
@@ -222,7 +232,7 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
         selection=best_sel,
         witness=best_x,
         status=status,
-        restarts=budget.restarts,
+        restarts=runs,
         seed=seed,
         theta=theta,
     )
@@ -270,19 +280,20 @@ def sector_rbound_profile(
     n_points: int = 24,
 ) -> list:
     """Estimate Col/Row/Rad constants of the scaled-resolvent families at
-    each test angle above the operator's type angle."""
+    each test angle between the operator's type angle and pi."""
     omega = op.sector_angle()
     rows = []
     for theta in theta_grid:
+        theta = check_test_angle(theta)
         if theta <= omega:
             raise ValueError(f"theta {theta} is not above the type angle {omega:.4f}")
         fam = ray_resolvent_family(op, theta, n_points)
         rows.append(
             ProfileRow(
-                theta=float(theta),
-                col=_estimate("col", fam, p, budget, seed, None, theta=float(theta)),
-                row=_estimate("row", fam, p, budget, seed, None, theta=float(theta)),
-                rad=_estimate("rad", fam, p, budget, seed, None, theta=float(theta)),
+                theta=theta,
+                col=_estimate("col", fam, p, budget, seed, None, theta=theta),
+                row=_estimate("row", fam, p, budget, seed, None, theta=theta),
+                rad=_estimate("rad", fam, p, budget, seed, None, theta=theta),
             )
         )
     return rows

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nclp import cli
+from nclp.models import freegroup
 
 
 def run(argv, tmp_path, fmt="csv", name="out"):
@@ -125,6 +126,17 @@ class TestSubcommands:
         ]
         assert all(wf and (tmp_path / wf.split("/")[-1]).exists() for wf in witness_files)
 
+    @pytest.mark.parametrize("budget,started", [(1, 4), (4, 4), (9, 8)])
+    def test_rbound_reports_starts_run(self, tmp_path, budget, started):
+        # each of the four selection lengths 1, 2, 4, 8 gets
+        # max(budget // 4, 1) starts
+        code, text = run(["rbound", "--seed", "1", "--restarts", str(budget),
+                          "--iters", "2", "--points", "4"], tmp_path)
+        assert code == 0
+        rows = data_rows(text)
+        col = rows[0].split(",").index("restarts")
+        assert {int(r.split(",")[col]) for r in rows[1:]} == {started}
+
 
 class TestErrorPaths:
     def test_usage_error(self):
@@ -150,9 +162,18 @@ class TestErrorPaths:
             ["schatten-selftest", "--p", "nan"],
             ["rbound", "--points", "11", "--seed", "1"],
             ["rbound", "--points", "1", "--seed", "1"],
+            ["rbound", "--theta", "3.5", "--seed", "1"],
+            ["rbound", "--theta", "0.9", "0", "--seed", "1"],
+            ["rbound", "--restarts", "0", "--seed", "1"],
+            ["martingale", "stein", "--restarts", "0", "--seed", "1"],
+            ["qfock", "gram", "--q", "1.0"],
+            ["clifford", "semigroup", "--n", "8"],
+            ["freegroup", "dyadic", "--shells", "4", "--seed", "1"],
         ],
         ids=["sector-p-below-1", "khintchine-p-below-1", "selftest-p-nan",
-             "rbound-odd-points", "rbound-one-point"],
+             "rbound-odd-points", "rbound-one-point", "rbound-theta-above-pi",
+             "rbound-theta-zero", "rbound-no-restarts", "stein-no-restarts",
+             "qfock-q-one", "clifford-n-above-frame-cap", "dyadic-shells-above-pools"],
     )
     def test_out_of_domain_flag_is_usage_error(self, tmp_path, capsys, argv):
         code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
@@ -260,7 +281,11 @@ class TestSolverExitCodes:
 
 
 class TestFailingChecks:
-    def test_support_overflow_is_numeric_failure(self, capsys):
+    def test_support_overflow_is_numeric_failure(self, capsys, monkeypatch):
+        def overflow(shells, p):
+            raise freegroup.SupportOverflowError("product support exceeded the cap")
+
+        monkeypatch.setattr(cli.freegroup, "dyadic_unconditionality", overflow)
         code = cli.main(["freegroup", "dyadic", "--even-p", "6", "--seed", "1",
                          "--samples", "1"])
         err = capsys.readouterr().err
@@ -290,6 +315,14 @@ class TestFreegroupNorms:
         assert all(r[3] == "True" for r in rows)
         if p == 4:  # the default rows keep their bytes
             assert rows[0][2] == repr(6.0**0.25)
+
+    def test_dyadic_p6_runs(self, tmp_path):
+        code, text = run(["freegroup", "dyadic", "--even-p", "6", "--seed", "1",
+                          "--samples", "1"], tmp_path)
+        assert code == 0
+        rows = [r.split(",") for r in data_rows(text)]
+        assert rows[0] == ["trial", "constant", "ok"]
+        assert [r[2] for r in rows[1:]] == ["True"]
 
     def test_unsupported_even_p_is_usage_error(self):
         assert cli.main(["freegroup", "norms", "--even-p", "5"]) == cli.EXIT_USAGE

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nclp.models.freegroup import (
+    EVEN_PS,
     GroupPoly,
     SupportOverflowError,
     dyadic_unconditionality,
@@ -111,6 +113,64 @@ class TestNorms:
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError):
             GroupPoly.lam("a").norm_even(3)
+
+    def test_zero_polynomial(self):
+        for p in EVEN_PS:
+            assert GroupPoly.zero().norm_even(p) == 0.0
+
+
+# words of the benchmark's signs workload
+FG_WORDS = ((), (1,), (2,), (1, 2), (-1, 2), (1, 1), (2, -1))
+
+_coeff = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+_word = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=2).map(tuple)
+
+
+def _full_depth_norm(x, p):
+    """||x||_p from the whole power tau((x* x)^{p/2}), built by repeated
+    convolution: the reference the half-depth identity must reproduce."""
+    if not x.coeffs:
+        return 0.0
+    if p == 2:
+        return x.norm2()
+    y = x.star() * x
+    power = y
+    for _ in range(p // 2 - 1):
+        power = power * y
+    return max(power.trace().real, 0.0) ** (1.0 / p)
+
+
+class TestHalfDepthNorm:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.dictionaries(_word, _coeff, min_size=1, max_size=4))
+    def test_matches_full_depth_convolution(self, coeffs):
+        x = GroupPoly(coeffs)
+        assume(x.norm2() > 1e-3)
+        for p in EVEN_PS:
+            assert x.norm_even(p) == pytest.approx(_full_depth_norm(x, p), rel=1e-12)
+
+    def test_signs_words(self):
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            x = GroupPoly({w: complex(*rng.standard_normal(2)) for w in FG_WORDS})
+            for p in EVEN_PS:
+                assert x.norm_even(p) == pytest.approx(_full_depth_norm(x, p), rel=1e-12)
+
+    def test_dyadic_shells_p6_fit_the_default_cap(self):
+        # the full-depth power of these sums overflows 200,000 words
+        for seed in range(3):
+            shells = _random_shells(np.random.default_rng(seed), 3)
+            val = dyadic_unconditionality(shells, 6)
+            assert math.isfinite(val) and val >= 1.0 - 1e-12
+
+    def test_half_depth_product_honours_cap(self):
+        x = GroupPoly({(1,): 1.0, (2,): 1.0, (3,): 1.0}, cap=10)
+        assert len(x.star() * x) <= x.cap  # y = x* x fits, so p = 4 runs
+        ref = _full_depth_norm(GroupPoly(x.coeffs), 4)  # y y needs the default cap
+        assert x.norm_even(4) == pytest.approx(ref, rel=1e-12)
+        for p in (6, 8):  # x y and y y do not
+            with pytest.raises(SupportOverflowError):
+                x.norm_even(p)
 
 
 class TestPoissonSemigroup:

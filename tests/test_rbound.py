@@ -171,6 +171,28 @@ class TestSectorProfile:
             rbound.sector_rbound_profile(op, 2.0, [0.5], CFG, seed=0)
 
 
+    @pytest.mark.parametrize("theta", [math.pi, 3.5, 0.0, -0.5])
+    def test_rejects_theta_outside_zero_pi(self, theta):
+        with pytest.raises(ValueError):
+            rbound.sector_rbound_profile(left_diag(1.0, 2.0), 2.0, [theta], CFG, seed=0)
+
+
+class TestStartCount:
+    @pytest.mark.parametrize("restarts,started", [(0, 3), (3, 3), (7, 6)])
+    def test_restarts_counts_starts_run(self, restarts, started):
+        cfg = rbound.SearchCfg(restarts=restarts, iters=3, lengths=(1, 2, 4),
+                               reselect_rounds=1)
+        est = rbound.col_bound_estimate([left_diag(1.0, 2.0)], 2.0, cfg, seed=0)
+        assert est.restarts == started
+
+    def test_extra_starts_count(self):
+        cfg = rbound.SearchCfg(restarts=2, iters=3, lengths=(1, 2), reselect_rounds=1)
+        extra = [np.eye(2)[None], np.ones((1, 2, 2)), 2 * np.eye(2)[None]]
+        est = rbound.col_bound_estimate([left_diag(1.0, 2.0)], 2.0, cfg, seed=0,
+                                        extra_starts=extra)
+        assert est.restarts == 3 + 1  # three given at length 1, one drawn at 2
+
+
 class TestDeterminism:
     def test_same_seed_same_estimate(self, rng):
         fam = [fc.SchurMult(random_matrix(rng, 3)) for _ in range(2)]
