@@ -589,8 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("khintchine", help="sign-average sandwich ratios for random families")
     sp.add_argument("--dim", type=int, default=3)
     sp.add_argument("--family", type=int, default=4, help="family length")
-    sp.add_argument("--restarts", type=int, default=8)
-    sp.add_argument("--iters", type=int, default=200)
+    sp.add_argument("--restarts", type=_checked(int, _at_least_one), default=8)
+    sp.add_argument("--iters", type=_checked(int, _at_least_one), default=200)
     sp.set_defaults(fn_impl=cmd_khintchine)
     _add_common(sp)
 
@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=_checked(float, rbound.check_test_angle), nargs="+",
                     default=[0.8], help="test angles in (0, pi)")
     sp.add_argument("--restarts", type=_checked(int, _at_least_one), default=16)
-    sp.add_argument("--iters", type=int, default=25)
+    sp.add_argument("--iters", type=_checked(int, _at_least_one), default=25)
     sp.add_argument("--points", type=_checked(int, fc.check_ray_points), default=12,
                     help="ray family size (even)")
     sp.set_defaults(fn_impl=cmd_rbound)
@@ -644,10 +644,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("schur", help="distance-symbol semigroup checks")
-    sp.add_argument("--points", type=int, default=8)
+    sp.add_argument("--points", type=_checked(int, _at_least_one), default=8)
     sp.add_argument("--spacing", type=float, default=1.0)
     sp.add_argument("--t", type=float, default=0.7)
-    sp.add_argument("--amplification", type=int, default=4)
+    sp.add_argument("--amplification", type=_checked(int, _at_least_one), default=4)
     sp.set_defaults(fn_impl=cmd_schur)
     _add_common(sp)
 
@@ -683,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-factors", type=int, default=3)
     sp.add_argument("--m-count", type=int, default=24)
     sp.add_argument("--restarts", type=_checked(int, _at_least_one), default=8)
-    sp.add_argument("--iters", type=int, default=20)
+    sp.add_argument("--iters", type=_checked(int, _at_least_one), default=20)
     sp.set_defaults(fn_impl=cmd_martingale)
     _add_common(sp)
 

@@ -142,8 +142,10 @@ def norm_and_polar(y, p: float):
 
 def power_ascent(fwd, adj, x, p: float, iters: int):
     """Nonlinear power iteration for sup ||fwd(x)||_p / ||x||_p (Boyd 1974),
-    batched over the leading (start) axis of x; ``fwd`` and its adjoint
-    ``adj`` map stacks of matrices to stacks.
+    batched over the leading (start) axis of x.  ``fwd(xs, idx)`` and its
+    adjoint ``adj(xs, idx)`` map a stack of matrices to a stack, where
+    ``idx`` holds the start index of each row, so one batch can carry
+    starts of different maps.
 
     A step moves x to the S^p polar of adj(xi), xi the norming element of
     fwd(x).  Up to ``iters`` iterates of each start are evaluated, each
@@ -159,7 +161,7 @@ def power_ascent(fwd, adj, x, p: float, iters: int):
     for step in range(iters):
         xs = x[live]
         den = schatten_from_sv(np.linalg.svd(xs, compute_uv=False), p)
-        num, xi = norm_and_polar(fwd(xs), p)
+        num, xi = norm_and_polar(fwd(xs, live), p)
         ok = (den > 1e-300) & (num > 1e-300)
         ratio = np.divide(num, den, out=np.zeros_like(num), where=ok)
         up = ratio > best[live]
@@ -167,7 +169,7 @@ def power_ascent(fwd, adj, x, p: float, iters: int):
         live, xs = live[ok], xs[ok]
         if step == iters - 1 or not live.size:
             break
-        x[live] = polar_factor(adj(xi[ok]), pp)
+        x[live] = polar_factor(adj(xi[ok], live), pp)
         step_size = np.linalg.norm(x[live] - xs, axis=(1, 2))
         live = live[step_size > ASCENT_RTOL * np.linalg.norm(xs, axis=(1, 2))]
         if not live.size:

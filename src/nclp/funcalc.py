@@ -46,6 +46,7 @@ EIG_COND_MAX = 1e8
 ZERO_RTOL = 1e-9  # |lambda| below this times the spectral scale counts as kernel
 COLLISION_RTOL = 1e-9  # resolvent points this close to the spectrum are refused
 TRUNCATION_TOL = 1e-6  # endpoint estimate above which the contour window warns
+_BATCH_ENTRIES = 1 << 16  # complex entries per batch in the chunked quadrature loops
 SECTOR_RAY_POINTS = 26  # scaled resolvents per test angle in sector_type
 MASS_DEFECT_MAX = 1e-8  # allowed |mass - 1| of the subordination quadrature
 
@@ -342,6 +343,10 @@ class LpOperator:
         self._dense = s
         return s
 
+    def s2_norm(self) -> float:
+        """Operator norm on S^2: the largest singular value of the dense form."""
+        return float(np.linalg.norm(self.to_dense(), 2))
+
     def spectral_scale(self) -> float:
         """The top of the spectral window (1 for kernel-only)."""
         return spectral_window(self.spectrum())[1]
@@ -566,6 +571,10 @@ class AmplifiedOp(LpOperator):
     def spectrum(self):
         return np.tile(self.base.spectrum(), self.m * self.m)
 
+    def s2_norm(self):
+        # I_m (x) T has the singular values of T, each m^2 times
+        return self.base.s2_norm()
+
     def __repr__(self):
         return f"Amplified({self.base!r}, m={self.m})"
 
@@ -683,24 +692,32 @@ def _contour_coefficients(f: HolFn, spec: ContourSpec):
     return np.concatenate([z_lo, z_hi]), np.concatenate([c_lo, c_hi])
 
 
-def contour_kernel(f: HolFn, spec: ContourSpec):
-    """Scalar quadrature q(lam) ~= (1/2 pi i) int f(z)/(z - lam) dz,
-    vectorized over arrays of spectral points."""
-    z, c = _contour_coefficients(f, spec)
+def _cauchy_sums(z, c, lam) -> np.ndarray:
+    """sum_j c[k, j] / (z_j - lam) for every row k of c, entrywise over the
+    array lam: the scalar quadrature of the entrywise kinds, in chunks of
+    spectral points of at most _BATCH_ENTRIES terms."""
+    lam = np.asarray(lam, dtype=np.complex128)
+    flat = lam.ravel()
+    out = np.empty((len(c), flat.size), dtype=np.complex128)
+    step = max(1, _BATCH_ENTRIES // max(c.size, 1))
+    for k in range(0, flat.size, step):
+        part = flat[k : k + step]
+        out[:, k : k + step] = np.sum(c[:, :, None] / (z[:, None] - part), axis=1)
+    return out.reshape((len(c),) + lam.shape)
 
-    def q(lam):
-        lam = np.asarray(lam, dtype=np.complex128)
-        flat = lam.ravel()
-        out = np.zeros(flat.shape, dtype=np.complex128)
-        chunk = max(1, int(2e6) // max(z.size, 1))
-        for k in range(0, flat.size, chunk):
-            part = flat[k : k + chunk]
-            out[k : k + chunk] = np.sum(
-                c[:, None] / (z[:, None] - part[None, :]), axis=0
-            )
-        return out.reshape(lam.shape)
 
-    return q
+def _resolvent_sums(z, c, s) -> np.ndarray:
+    """sum_j c[k, j] (z_j - s)^{-1} for every row k of c and a square matrix
+    s: batched inverses over chunks of nodes of at most _BATCH_ENTRIES
+    entries, each chunk summed with one tensordot."""
+    n = s.shape[0]
+    eye = np.eye(n)
+    out = np.zeros((len(c), n, n), dtype=np.complex128)
+    step = max(1, _BATCH_ENTRIES // (n * n))
+    for k in range(0, z.size, step):
+        res = np.linalg.inv(z[k : k + step, None, None] * eye - s)
+        out += np.tensordot(c[:, k : k + step], res, axes=1)
+    return out
 
 
 def _check_contour(op: LpOperator, f: HolFn, spec: ContourSpec):
@@ -734,6 +751,24 @@ def _truncation_estimate(f: HolFn, spec: ContourSpec) -> float:
     return float(np.sum(vals)) * math.log(10.0)
 
 
+def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
+    """The symbols of f(A) for every f in fs, stacked, from one sweep over
+    the nodes of ``spec``.  Each f gets the contour and truncation checks."""
+    for f in fs:
+        _check_contour(op, f, spec)
+        est = _truncation_estimate(f, spec)
+        if est > TRUNCATION_TOL:
+            warnings.warn(
+                f"contour window [{spec.r_min:.2e}, {spec.r_max:.2e}] may truncate "
+                f"{f.name} (endpoint estimate {est:.2e})",
+                ContourTruncationWarning,
+                stacklevel=3,
+            )
+    z = _contour_coefficients(fs[0], spec)[0]
+    c = np.stack([_contour_coefficients(f, spec)[1] for f in fs])
+    return (_cauchy_sums if op.entrywise else _resolvent_sums)(z, c, op.symbol)
+
+
 def contour_calculus(
     op: LpOperator,
     f: HolFn,
@@ -742,35 +777,17 @@ def contour_calculus(
     """f(A) by trapezoid quadrature of the sector-boundary Cauchy integral.
 
     The quadrature acts on the symbol and the kind is kept: entrywise
-    symbols go through the scalar kernel, matrix symbols integrate their
-    own resolvents (d x d for multiplications, d^2 x d^2 otherwise), so
-    the result never passes through an eigendecomposition.  Emits
-    :class:`ContourTruncationWarning` when the endpoint integrand
-    suggests the window is too narrow.
+    symbols go through the scalar Cauchy sums, matrix symbols sum their
+    own resolvents (d x d for multiplications, d^2 x d^2 otherwise),
+    inverted in batches of nodes, so the result never passes through an
+    eigendecomposition.  Emits :class:`ContourTruncationWarning` when the
+    endpoint integrand suggests the window is too narrow.
     """
     if f.klass != "hinf0":
         raise ValueError(f"{f.name} has no decay at 0/infinity; use extended_calculus")
     if spec is None:
         spec = default_contour(op, f)
-    _check_contour(op, f, spec)
-    est = _truncation_estimate(f, spec)
-    if est > TRUNCATION_TOL:
-        warnings.warn(
-            f"contour window [{spec.r_min:.2e}, {spec.r_max:.2e}] may truncate "
-            f"{f.name} (endpoint estimate {est:.2e})",
-            ContourTruncationWarning,
-            stacklevel=2,
-        )
-
-    s = op.symbol
-    if op.entrywise:
-        return op.with_symbol(contour_kernel(f, spec)(s))
-    z, c = _contour_coefficients(f, spec)
-    eye = np.eye(s.shape[0])
-    acc = np.zeros(s.shape, dtype=np.complex128)
-    for zj, cj in zip(z, c):
-        acc += cj * np.linalg.solve(zj * eye - s, eye)
-    return op.with_symbol(acc)
+    return op.with_symbol(_contour_symbols(op, (f,), spec)[0])
 
 
 def eigen_calculus(op: LpOperator, fn) -> LpOperator:
@@ -788,14 +805,15 @@ def extended_calculus(
 
     In finite dimension the space splits as N(A) + R(A); the calculus is
     the boundary integral of fg corrected by g(A)^{-1} on the range
-    component, and it annihilates the kernel component (f(0) = 0).
+    component, and it annihilates the kernel component (f(0) = 0).  fg(A)
+    and g(A) come from one sweep over the shared contour nodes, with the
+    contour and truncation checks of each.
     """
     g = library("g")
     fg = product_fn(f, g)
     if spec is None:
         spec = default_contour(op, fg)
-    fg_s = contour_calculus(op, fg, spec).symbol
-    g_s = contour_calculus(op, g, spec).symbol
+    fg_s, g_s = _contour_symbols(op, (fg, g), spec)
     # g(A) + P0 is invertible; (I - P0) drops the kernel component again
     p0 = op.kernel_projection().symbol
     if op.entrywise:
@@ -823,11 +841,6 @@ class SectorProfile:
     exact: bool  # True when K_theta comes from an SVD (p = 2)
 
 
-def superop_norm_s2(op: LpOperator) -> float:
-    """Exact operator norm on S^2 (largest singular value of the dense form)."""
-    return float(np.linalg.norm(op.to_dense(), 2))
-
-
 def schatten_opnorm_lower(
     op: LpOperator, p: float, starts: int = 50, iters: int = 40, seed: int = 0
 ) -> float:
@@ -836,16 +849,25 @@ def schatten_opnorm_lower(
     is a ratio attained by a concrete x, hence a certified lower bound.
     Exact (SVD) at p = 2.
     """
+    return _family_opnorm_lower([op], p, starts, iters, seed)
+
+
+def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int) -> float:
+    """max over the family of the :func:`schatten_opnorm_lower` estimates,
+    from one :func:`core.power_ascent` over every member's seeded starts
+    (start i belongs to member i // starts; each member gets the same ones)."""
     if p == 2.0:
-        return superop_norm_s2(op)
-    d = op.dim
+        return max(op.s2_norm() for op in ops)
+    d = ops[0].dim
     rng = np.random.default_rng(seed)
     x0 = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(starts)]
-    dag = op.dagger()
+
+    def each(maps):
+        return lambda xs, idx: np.stack([maps[i // starts].apply(x) for x, i in zip(xs, idx)])
+
     best, _ = power_ascent(
-        lambda xs: np.stack([op.apply(x) for x in xs]),
-        lambda ys: np.stack([dag.apply(y) for y in ys]),
-        np.stack(x0), p, iters + 1,  # iters steps visit iters + 1 iterates
+        each(ops), each([op.dagger() for op in ops]),
+        np.tile(x0, (len(ops), 1, 1)), p, iters + 1,  # iters steps visit iters + 1 iterates
     )
     return float(np.max(best, initial=0.0))
 
@@ -855,16 +877,16 @@ def sector_type(op: LpOperator, p: float = 2.0, seed: int = 0) -> SectorProfile:
     K_theta = sup ||z R(z, A)|| over the ray family of each test angle
     theta = omega_hat + (0.05, 0.15, 0.4, 0.8, 1.4) below pi.  Exact
     superoperator norms at p = 2, power-iteration lower bounds otherwise
-    (``exact`` records which)."""
+    (``exact`` records which): one ascent per test angle runs the 8 seeded
+    starts of every ray member together.  A member's starts and iterates
+    are those of its own :func:`schatten_opnorm_lower` call."""
     omega = op.sector_angle()
     gaps = (0.05, 0.15, 0.4, 0.8, 1.4)
     thetas = [omega + g for g in gaps if omega + g < math.pi - 1e-6]
     constants = []
     for theta in thetas:
-        k = max(
-            schatten_opnorm_lower(scaled, p, starts=8, iters=25, seed=seed)
-            for scaled in ray_resolvent_family(op, theta, SECTOR_RAY_POINTS)
-        )
+        fam = ray_resolvent_family(op, theta, SECTOR_RAY_POINTS)
+        k = _family_opnorm_lower(fam, p, starts=8, iters=25, seed=seed)
         constants.append((float(theta), float(k)))
     return SectorProfile(omega_hat=omega, constants=constants, p=p, exact=p == 2.0)
 

@@ -68,7 +68,7 @@ def schur_hinf_apply(sym: SchurSymbol, f: fc.HolFn, x) -> np.ndarray:
 
 def amplified_s2_norm(op: fc.LpOperator, level: int) -> float:
     """Operator norm of I_m (x) T on the Hilbert-Schmidt space."""
-    return fc.superop_norm_s2(fc.AmplifiedOp(op, level))
+    return fc.AmplifiedOp(op, level).s2_norm()
 
 
 def choi_min_eigenvalue(op: fc.LpOperator, level: int = 1) -> float:

@@ -117,10 +117,10 @@ def _ascend_colrow(ops, sel, xs, p, mode, iters):
     daggers = [ops[k].dagger() for k in sel]
     stack, unstack = (_vstack_maps if mode == "col" else _hstack_maps)(*xs.shape)
 
-    def fwd(s):
+    def fwd(s, _idx):
         return stack(_apply_selection(ops, sel, unstack(s[0])))[None]
 
-    def adj(s):
+    def adj(s, _idx):
         return stack(np.stack([dag.apply(b) for dag, b in zip(daggers, unstack(s[0]))]))[None]
 
     return unstack(power_ascent(fwd, adj, stack(xs)[None], p, iters)[1][0])

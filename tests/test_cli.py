@@ -169,11 +169,19 @@ class TestErrorPaths:
             ["qfock", "gram", "--q", "1.0"],
             ["clifford", "semigroup", "--n", "8"],
             ["freegroup", "dyadic", "--shells", "4", "--seed", "1"],
+            ["khintchine", "--restarts", "0", "--seed", "1"],
+            ["khintchine", "--iters", "0", "--seed", "1"],
+            ["rbound", "--iters", "0", "--seed", "1"],
+            ["martingale", "stein", "--iters", "0", "--seed", "1"],
+            ["schur", "--amplification", "0"],
+            ["schur", "--points", "0"],
         ],
         ids=["sector-p-below-1", "khintchine-p-below-1", "selftest-p-nan",
              "rbound-odd-points", "rbound-one-point", "rbound-theta-above-pi",
              "rbound-theta-zero", "rbound-no-restarts", "stein-no-restarts",
-             "qfock-q-one", "clifford-n-above-frame-cap", "dyadic-shells-above-pools"],
+             "qfock-q-one", "clifford-n-above-frame-cap", "dyadic-shells-above-pools",
+             "khintchine-no-restarts", "khintchine-no-iters", "rbound-no-iters",
+             "stein-no-iters", "schur-no-amplification", "schur-no-points"],
     )
     def test_out_of_domain_flag_is_usage_error(self, tmp_path, capsys, argv):
         code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])

@@ -177,7 +177,7 @@ class TestPolarFactor:
 
 
 def _stacked(op):
-    return lambda xs: np.stack([op.apply(x) for x in xs])
+    return lambda xs, idx: np.stack([op.apply(x) for x in xs])
 
 
 def _per_start_ascent(op, x0s, p, iters):
@@ -238,9 +238,9 @@ class TestPowerAscent:
         seen = {"fwd": [], "adj": []}
 
         def record(name, f):
-            def g(xs):
+            def g(xs, idx):
                 seen[name].append(xs.copy())
-                return f(xs)
+                return f(xs, idx)
 
             return g
 
@@ -275,4 +275,37 @@ class TestPowerAscent:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         fc.sector_type(fc.LeftMult(np.diag([1.0, 2.0])), p=4.0)
-        assert calls[0] <= 10_000  # 54,178 with one start at a time
+        # 54,178 with one start at a time, 9,969 with one ascent per ray member
+        assert calls[0] <= 400
+
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_sector_type_matches_per_member_ascents(self, p):
+        op = fc.LeftMult(np.diag([1.0, 2.0]))
+        prof = fc.sector_type(op, p=p)
+        ref = []
+        for theta, _ in prof.constants:
+            k = 0.0
+            for member in fc.ray_resolvent_family(op, theta, fc.SECTOR_RAY_POINTS):
+                rng = np.random.default_rng(0)  # every member gets the same 8 starts
+                x0s = np.stack([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                                for _ in range(8)])
+                best, _ = core.power_ascent(
+                    _stacked(member), _stacked(member.dagger()), x0s, p, 26
+                )
+                k = max(k, float(np.max(best)))
+            ref.append(k)
+        assert [k for _, k in prof.constants] == ref
+
+    def test_starts_carry_their_indices(self, rng):
+        # two maps in one batch: start i applies map i // 3
+        ops = [fc.LeftMult(np.diag([1.0, 2.0])), fc.RightMult(np.diag([3.0, 0.5]))]
+        x0s = np.stack([random_matrix(rng, 2) for _ in range(3)] * 2)
+
+        def each(maps):
+            return lambda xs, idx: np.stack([maps[i // 3].apply(x) for x, i in zip(xs, idx)])
+
+        best, _ = core.power_ascent(each(ops), each([op.dagger() for op in ops]), x0s, 4.0, 20)
+        for k, op in enumerate(ops):
+            alone, _ = core.power_ascent(_stacked(op), _stacked(op.dagger()),
+                                         x0s[3 * k : 3 * k + 3], 4.0, 20)
+            assert np.array_equal(best[3 * k : 3 * k + 3], alone)

@@ -16,6 +16,23 @@ def dense_of(op):
     return op.to_dense()
 
 
+def _every_kind(rng):
+    a = random_matrix(rng, 3)
+    h = 0.5 * (a + a.conj().T)
+    u, _ = np.linalg.qr(random_matrix(rng, 3))
+    return {
+        "left": fc.LeftMult(a),
+        "right": fc.RightMult(random_matrix(rng, 3)),
+        "schur": fc.SchurMult(random_matrix(rng, 3)),
+        "sandwich": fc.SandwichSchur(u, u.conj().T, random_matrix(rng, 3)),
+        "adpair": fc.AdPair(h, h.T),
+        "dense": fc.DenseOp(random_matrix(rng, 9)),
+        "amplified": fc.AmplifiedOp(fc.SchurMult(random_matrix(rng, 2)), 2),
+        "condexp": martingale.CondExpOp(martingale.MartingaleTower(1), 0),
+        "clifford": clifford.clifford_semigroup(clifford.spin_generators(2), 0.4),
+    }
+
+
 class TestOperatorKinds:
     def test_leftmult_dense_is_kron(self, rng):
         a = random_matrix(rng, 3)
@@ -24,6 +41,14 @@ class TestOperatorKinds:
     def test_rightmult_dense_is_kron(self, rng):
         b = random_matrix(rng, 3)
         assert np.allclose(fc.RightMult(b).to_dense(), np.kron(np.eye(3), b.T))
+
+    @pytest.mark.parametrize("kind", ["left", "right", "schur", "sandwich", "adpair",
+                                      "dense", "amplified", "condexp", "clifford"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_amplified_s2_norm_is_the_base_norm(self, rng, kind, m):
+        amp = fc.AmplifiedOp(_every_kind(rng)[kind], m)
+        dense = float(np.linalg.norm(amp.to_dense(), 2))
+        assert amp.s2_norm() == pytest.approx(dense, rel=1e-12)
 
     def test_schur_apply(self, rng):
         m = random_matrix(rng, 2)
@@ -331,6 +356,103 @@ class TestExtendedCalculus:
         for s in (-2.0, 0.3, 1.0):
             out = fc.imaginary_power(op, s)
             assert out.a[0, 0] == pytest.approx(1.0, abs=1e-7)
+
+
+def _looped_contour(op, f, spec=None):
+    """Reference for the batched contour sweep: the per-node loop it
+    replaced, one solve per node, accumulated in node order."""
+    spec = spec or fc.default_contour(op, f)
+    z, c = fc._contour_coefficients(f, spec)
+    s = op.symbol
+    eye = np.eye(s.shape[0])
+    acc = np.zeros(s.shape, dtype=complex)
+    for zj, cj in zip(z, c):
+        acc += cj * np.linalg.solve(zj * eye - s, eye)
+    return acc
+
+
+def _sylvester_dense(rng, d):
+    """DenseOp of x -> A x + x B, A and B upper bidiagonal with separated
+    positive diagonals (the dense operators of the calculus benchmark)."""
+    a = 1.0 + 0.5 * np.arange(d) + rng.uniform(0.0, 0.1, d)
+    b = (0.5 * d + 0.5) * np.arange(d) + rng.uniform(0.0, 0.1, d)
+    am = np.diag(a) + np.diag(rng.uniform(0.2, 0.6, d - 1), 1)
+    bm = np.diag(b) + np.diag(rng.uniform(0.2, 0.6, d - 1), 1)
+    eye = np.eye(d)
+    return fc.DenseOp(np.kron(am, eye) + np.kron(eye, bm.T))
+
+
+def _count_calls(monkeypatch, name):
+    """Patch np.linalg.<name> to record the shape of its first argument."""
+    real, shapes = getattr(np.linalg, name), []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return shapes
+
+
+class TestContourSweep:
+    @pytest.mark.parametrize("kind", ["left", "right", "amplified", "condexp", "dense5"])
+    @pytest.mark.parametrize("fid", ["g", "sqrtzexp"])
+    def test_matches_per_node_loop(self, rng, kind, fid):
+        diag = np.diag([0.5, 1.0, 2.5])
+        nonnormal = diag + np.diag([0.7, 0.3], 1)
+        op = {
+            "left": fc.LeftMult(nonnormal),
+            "right": fc.RightMult(nonnormal),
+            "amplified": fc.AmplifiedOp(fc.LeftMult(diag), 2),
+            "condexp": martingale.CondExpOp(martingale.MartingaleTower(2), 1),
+            "dense5": _sylvester_dense(rng, 5),
+        }[kind]
+        f = fc.library(fid)
+        if kind == "dense5":  # the last chunk of nodes is a short one
+            assert 2 * fc.default_contour(op, f).n_points % (fc._BATCH_ENTRIES // 25**2)
+        ref = _looped_contour(op, f)
+        out = fc.contour_calculus(op, f).symbol
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_extended_makes_one_sweep(self, rng, monkeypatch):
+        op = _sylvester_dense(rng, 8)
+        f = fc.library("zis:0.8")
+        invs = _count_calls(monkeypatch, "inv")
+        solves = _count_calls(monkeypatch, "solve")
+        fc.extended_calculus(op, f)
+        nodes = 2 * fc.default_contour(op, fc.product_fn(f, fc.library("g"))).n_points
+        per_chunk = fc._BATCH_ENTRIES // 64**2
+        # one batched inverse per chunk of nodes, shared by fg and g (1,601
+        # solves with one per node and function); the rest is the kernel
+        # projection's eigenvector inverse and the final g(A) solve
+        assert sum(len(sh) == 3 for sh in invs) == -(-nodes // per_chunk)
+        assert all(sh[0] <= per_chunk for sh in invs if len(sh) == 3)
+        assert len(invs) + len(solves) <= -(-nodes // per_chunk) + 2
+
+    def test_extended_matches_two_looped_sweeps(self):
+        op = fc.LeftMult(np.array([[0.5, 0.8], [0.0, 2.0]]))
+        f = fc.library("zis:0.8")
+        fg = fc.product_fn(f, fc.library("g"))
+        spec = fc.default_contour(op, fg)
+        fg_s, g_s = _looped_contour(op, fg, spec), _looped_contour(op, fc.library("g"), spec)
+        p0 = op.kernel_projection().symbol
+        ref = (np.eye(2) - p0) @ np.linalg.solve(g_s + p0, fg_s)
+        out = fc.extended_calculus(op, f).symbol
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("entrywise", [False, True])
+    def test_narrow_window_warns_for_each_function(self, entrywise):
+        op = (fc.SchurMult if entrywise else fc.LeftMult)(np.diag([1.0, 2.0]) + 1.0)
+        g = fc.library("g")
+        narrow = fc.ContourSpec(gamma=1.5, r_min=0.1, r_max=20.0)
+        with pytest.warns(fc.ContourTruncationWarning, match="truncate g ") as rec:
+            fc.contour_calculus(op, g, narrow)
+        assert [w.filename for w in rec] == [__file__]
+        with pytest.warns(fc.ContourTruncationWarning) as rec:
+            fc.extended_calculus(op, fc.library("zis:0.5"), narrow)
+        names = [str(w.message).split("truncate ")[1].split()[0] for w in rec]
+        assert names == ["zis:0.5*g", "g"]
+        assert all(w.filename == __file__ for w in rec)
 
 
 class TestApproximationAndLaplace:
