@@ -84,9 +84,7 @@ def parse_operator(spec: str) -> fc.LpOperator:
     raise ValueError(f"unknown operator spec {spec!r}")
 
 
-def parse_grid(text, op=None):
-    if not text:
-        return None if op is None else sqfn.LogGrid.for_operator(op)
+def parse_grid(text):
     t_min, t_max, n = text.split(",")
     return sqfn.LogGrid.make(float(t_min), float(t_max), int(n))
 
@@ -295,7 +293,7 @@ SQFN_COLS = [
 def cmd_sqfn_equiv(args):
     _require_seed(args)
     op = parse_operator(args.op)
-    grid = parse_grid(args.grid, op)
+    grid = args.grid or sqfn.LogGrid.for_operator(op)
     f = fc.library(args.fn)
     rep = sqfn.equivalence_experiment(
         op, f, args.p, sample_count=args.samples, seed=args.seed, grid=grid,
@@ -327,7 +325,7 @@ def cmd_rowcol_gap(args):
     rows = []
     for n in args.n:
         op = fc.LeftMult(np.diag(2.0 ** np.arange(1, n + 1)))
-        grid = parse_grid(args.grid, op)
+        grid = args.grid or sqfn.LogGrid.for_operator(op)
         rep = sqfn.row_col_gap(n, args.p, grid)
         rows.append(
             {
@@ -565,6 +563,20 @@ def _at_least_one(n: int) -> int:
     return n
 
 
+_COUNT = _checked(int, _at_least_one)
+
+
+def _spec(parse):
+    """An argparse type for a spec that must parse; the text is kept, so
+    data rows echo it as given."""
+
+    def check(text):
+        parse(text)
+        return text
+
+    return _checked(str, check)
+
+
 def _add_common(sp):
     sp.add_argument("--p", type=_checked(float, check_exponent), default=2.0, help="Schatten exponent")
     sp.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory for stochastic runs)")
@@ -573,7 +585,7 @@ def _add_common(sp):
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--strict", action="store_true", help="treat solver-budget warnings as failures")
     sp.add_argument("--config", default=None, help="flat JSON config file; flags override")
-    sp.add_argument("--grid", default=None, help="tmin,tmax,n quadrature window")
+    sp.add_argument("--grid", type=_checked(str, parse_grid), default=None, help="tmin,tmax,n quadrature window")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -582,27 +594,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("schatten-selftest", help="norm/modulus/sqrt identities")
-    sp.add_argument("--dim", type=int, default=4)
+    sp.add_argument("--dim", type=_COUNT, default=4)
     sp.set_defaults(fn_impl=cmd_schatten_selftest)
     _add_common(sp)
 
     sp = sub.add_parser("khintchine", help="sign-average sandwich ratios for random families")
-    sp.add_argument("--dim", type=int, default=3)
-    sp.add_argument("--family", type=int, default=4, help="family length")
-    sp.add_argument("--restarts", type=_checked(int, _at_least_one), default=8)
-    sp.add_argument("--iters", type=_checked(int, _at_least_one), default=200)
+    sp.add_argument("--dim", type=_COUNT, default=3)
+    sp.add_argument("--family", type=_COUNT, default=4, help="family length")
+    sp.add_argument("--restarts", type=_COUNT, default=8)
+    sp.add_argument("--iters", type=_COUNT, default=200)
     sp.set_defaults(fn_impl=cmd_khintchine)
     _add_common(sp)
 
     sp = sub.add_parser("tensor-extend", help="index-space contraction checks")
-    sp.add_argument("--dim", type=int, default=3)
-    sp.add_argument("--family", type=int, default=4)
+    sp.add_argument("--dim", type=_COUNT, default=3)
+    sp.add_argument("--family", type=_COUNT, default=4)
     sp.set_defaults(fn_impl=cmd_tensor_extend)
     _add_common(sp)
 
     sp = sub.add_parser("calculus-check", help="contour/extended calculus vs the eigen oracle")
-    sp.add_argument("--fn", default="g", help="comma-separated function ids")
-    sp.add_argument("--A", dest="op", default="leftdiag:1,4", help="operator spec")
+    sp.add_argument("--fn", type=_spec(lambda t: [fc.library(f) for f in t.split(",")]),
+                    default="g", help="comma-separated function ids")
+    sp.add_argument("--A", dest="op", type=_spec(parse_operator), default="leftdiag:1,4")
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.set_defaults(fn_impl=cmd_calculus_check)
     _add_common(sp)
@@ -611,43 +624,43 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("which", choices=("group-average", "subordination"))
     sp.add_argument("--diag", default="1,2", help="diagonal entries of the generator")
     sp.add_argument("--t", type=float, default=1.0)
-    sp.add_argument("--nodes", type=int, default=64)
+    sp.add_argument("--nodes", type=_COUNT, default=64)
     sp.set_defaults(fn_impl=cmd_identities)
     _add_common(sp)
 
     sp = sub.add_parser("sector-profile", help="type angle and resolvent constants")
-    sp.add_argument("--A", dest="op", default="leftdiag:1,2")
+    sp.add_argument("--A", dest="op", type=_spec(parse_operator), default="leftdiag:1,2")
     sp.set_defaults(fn_impl=cmd_sector_profile)
     _add_common(sp)
 
     sp = sub.add_parser("rbound", help="boundedness constants of scaled-resolvent families")
-    sp.add_argument("--A", dest="op", default="leftdiag:0.5,1,2")
+    sp.add_argument("--A", dest="op", type=_spec(parse_operator), default="leftdiag:0.5,1,2")
     sp.add_argument("--theta", type=_checked(float, rbound.check_test_angle), nargs="+",
                     default=[0.8], help="test angles in (0, pi)")
-    sp.add_argument("--restarts", type=_checked(int, _at_least_one), default=16)
-    sp.add_argument("--iters", type=_checked(int, _at_least_one), default=25)
+    sp.add_argument("--restarts", type=_COUNT, default=16)
+    sp.add_argument("--iters", type=_COUNT, default=25)
     sp.add_argument("--points", type=_checked(int, fc.check_ray_points), default=12,
                     help="ray family size (even)")
     sp.set_defaults(fn_impl=cmd_rbound)
     _add_common(sp)
 
     sp = sub.add_parser("sqfn-equiv", help="square-function norm equivalence constants")
-    sp.add_argument("--A", dest="op", default="leftdiag:0.5,1,2.5,4")
-    sp.add_argument("--fn", default="sqrtzexp")
+    sp.add_argument("--A", dest="op", type=_spec(parse_operator), default="leftdiag:0.5,1,2.5,4")
+    sp.add_argument("--fn", type=_spec(fc.library), default="sqrtzexp")
     sp.add_argument("--variant", choices=("col", "row", "rad"), default="col")
     sp.set_defaults(fn_impl=cmd_sqfn_equiv)
     _add_common(sp)
 
     sp = sub.add_parser("rowcol-gap", help="row/column square function gap family")
-    sp.add_argument("--n", type=int, nargs="+", default=[4, 8, 16])
+    sp.add_argument("--n", type=_COUNT, nargs="+", default=[4, 8, 16])
     sp.set_defaults(fn_impl=cmd_rowcol_gap)
     _add_common(sp)
 
     sp = sub.add_parser("schur", help="distance-symbol semigroup checks")
-    sp.add_argument("--points", type=_checked(int, _at_least_one), default=8)
+    sp.add_argument("--points", type=_COUNT, default=8)
     sp.add_argument("--spacing", type=float, default=1.0)
     sp.add_argument("--t", type=float, default=0.7)
-    sp.add_argument("--amplification", type=_checked(int, _at_least_one), default=4)
+    sp.add_argument("--amplification", type=_COUNT, default=4)
     sp.set_defaults(fn_impl=cmd_schur)
     _add_common(sp)
 
@@ -663,8 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("which", choices=("gram", "moments", "ou"))
     sp.add_argument("--q", type=_checked(float, fock.check_q), default=0.5,
                     help="deformation in (-1, 1)")
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--levels", type=int, default=4, help="top truncation level")
+    sp.add_argument("--d", type=_COUNT, default=2)
+    sp.add_argument("--levels", type=_checked(int, fock.check_level), default=4, help="top level, 0..6")
     sp.add_argument("--t", type=float, default=0.8)
     sp.set_defaults(fn_impl=cmd_qfock)
     _add_common(sp)
@@ -674,16 +687,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_checked(int, clifford.check_frame_n), default=3,
                     help=f"generator count, 1..{clifford.DIAG_OP_MAX}")
     sp.add_argument("--t", type=float, default=0.4)
-    sp.add_argument("--fn", default="zis:0.5")
+    sp.add_argument("--fn", type=_spec(fc.library), default="zis:0.5")
     sp.set_defaults(fn_impl=cmd_clifford)
     _add_common(sp)
 
     sp = sub.add_parser("martingale", help="tower boundedness / Cesaro increments")
     sp.add_argument("which", choices=("stein", "cesaro"))
-    sp.add_argument("--n-factors", type=int, default=3)
-    sp.add_argument("--m-count", type=int, default=24)
-    sp.add_argument("--restarts", type=_checked(int, _at_least_one), default=8)
-    sp.add_argument("--iters", type=_checked(int, _at_least_one), default=20)
+    sp.add_argument("--n-factors", type=_COUNT, default=3)
+    sp.add_argument("--m-count", type=_COUNT, default=24)
+    sp.add_argument("--restarts", type=_COUNT, default=8)
+    sp.add_argument("--iters", type=_COUNT, default=20)
     sp.set_defaults(fn_impl=cmd_martingale)
     _add_common(sp)
 

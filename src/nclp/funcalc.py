@@ -207,14 +207,6 @@ def product_fn(f: HolFn, g: HolFn, name=None) -> HolFn:
 # ---------------------------------------------------------------------------
 
 
-def vec(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=np.complex128).reshape(-1)
-
-
-def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(v).reshape(d, d)
-
-
 def _mat_eig(a: np.ndarray):
     """Eigendecomposition with hermitian fast path and condition guard."""
     a = as_matrix(a)
@@ -246,8 +238,11 @@ def _apply_scalar(fn, lam, zero_value=0.0) -> np.ndarray:
 class LpOperator:
     """Base class: a linear map on d x d complex matrices.
 
-    Subclasses provide ``apply`` and ``dim``.  The spectral structure is
-    one small interface that every algorithm goes through:
+    Subclasses provide ``apply`` and ``dim``.  ``apply`` takes any stack
+    of shape (..., d, d) and maps every matrix of it, so a batch passes
+    through one call; :func:`apply_each` runs a stack through a family,
+    one map per matrix.  The spectral structure is one small interface
+    that every algorithm goes through:
 
     * ``symbol``: the array the kind is a function of.  For ``entrywise``
       kinds it holds the eigenvalues themselves, one per frame vector;
@@ -275,22 +270,15 @@ class LpOperator:
         return DenseOp(s)
 
     def frame(self):
-        """Eigenframe of the d^2 x d^2 symbol, acting on row-major vecs."""
+        """Eigenframe of the d^2 x d^2 symbol: its eigenvectors and their
+        dual basis act as dense superoperators, lam as a d x d array."""
         lam, v, vinv = _mat_eig(self.symbol)
-        d = self.dim
-
-        def vecs(x):
-            return x.reshape(x.shape[:-2] + (d * d,))
-
-        def mats(y):
-            return y.reshape(y.shape[:-1] + (d, d))
-
         return (
-            lam,
-            lambda x: vecs(x) @ vinv.T,
-            lambda y: mats(y @ v.T),
-            lambda z: mats(z @ vinv.conj()),
-            lambda y: vecs(y) @ v.conj(),
+            lam.reshape(self.dim, self.dim),
+            DenseOp(vinv).apply,
+            DenseOp(v).apply,
+            DenseOp(adjoint(vinv)).apply,
+            DenseOp(adjoint(v)).apply,
         )
 
     def spectrum(self) -> np.ndarray:
@@ -328,20 +316,15 @@ class LpOperator:
         return f"{type(self).__name__}(dim={self.dim})"
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the d^2 x d^2 superoperator (row-major vec)."""
+        """Materialize the d^2 x d^2 superoperator (row-major vec): column
+        i d + j is the image of the matrix unit E_ij, from one ``apply``."""
         cached = getattr(self, "_dense", None)
         if cached is not None:
             return cached
-        d = self.dim
-        s = np.empty((d * d, d * d), dtype=np.complex128)
-        basis = np.zeros((d, d), dtype=np.complex128)
-        for i in range(d):
-            for j in range(d):
-                basis[i, j] = 1.0
-                s[:, i * d + j] = vec(self.apply(basis))
-                basis[i, j] = 0.0
-        self._dense = s
-        return s
+        n = self.dim * self.dim
+        units = np.eye(n, dtype=np.complex128).reshape(n, self.dim, self.dim)
+        self._dense = self.apply(units).reshape(n, n).T
+        return self._dense
 
     def s2_norm(self) -> float:
         """Operator norm on S^2: the largest singular value of the dense form."""
@@ -518,7 +501,8 @@ class DenseOp(LpOperator):
         self._dense = self.s
 
     def apply(self, x):
-        return unvec(self.s @ vec(x), self.dim)
+        x = np.asarray(x, dtype=np.complex128)
+        return (x.reshape(x.shape[:-2] + self.s.shape[:1]) @ self.s.T).reshape(x.shape)
 
 
 class AmplifiedOp(LpOperator):
@@ -536,14 +520,17 @@ class AmplifiedOp(LpOperator):
         self.dim = base.dim * m
         self.entrywise = base.entrywise
 
-    def apply(self, x):
+    def split(self, x):
+        """(..., m d, m d) -> (..., m, m, d, d): the stack of d x d blocks."""
         d, m = self.base.dim, self.m
-        blocks = np.asarray(x, dtype=np.complex128).reshape(m, d, m, d)
-        out = np.empty_like(blocks)
-        for i in range(m):
-            for j in range(m):
-                out[i, :, j, :] = self.base.apply(blocks[i, :, j, :])
-        return out.reshape(m * d, m * d)
+        return np.swapaxes(x.reshape(x.shape[:-2] + (m, d, m, d)), -3, -2)
+
+    def merge(self, b):
+        """The inverse of :meth:`split`."""
+        return np.swapaxes(b, -3, -2).reshape(b.shape[:-4] + (self.dim, self.dim))
+
+    def apply(self, x):
+        return self.merge(self.base.apply(self.split(np.asarray(x, dtype=np.complex128))))
 
     symbol = property(lambda self: self.base.symbol)
 
@@ -552,14 +539,7 @@ class AmplifiedOp(LpOperator):
 
     def frame(self):
         lam, into, out, into_adj, out_adj = self.base.frame()
-        d, m = self.base.dim, self.m
-
-        def split(x):  # (..., m d, m d) -> (..., m, m, d, d)
-            return np.swapaxes(x.reshape(x.shape[:-2] + (m, d, m, d)), -3, -2)
-
-        def merge(b):
-            return np.swapaxes(b, -3, -2).reshape(b.shape[:-4] + (m * d, m * d))
-
+        split, merge = self.split, self.merge
         return (
             lam[None, None],
             lambda x: into(split(x)),
@@ -612,17 +592,23 @@ def ray_resolvent_family(op: LpOperator, theta: float, n_points: int = 24):
     return fam
 
 
+def apply_each(ops, which, xs) -> np.ndarray:
+    """The stack of ops[which[i]] applied to xs[i]: one stacked ``apply``
+    per run of equal consecutive entries of ``which``."""
+    which = np.asarray(which)
+    out = np.empty(np.shape(xs), dtype=np.complex128)
+    cuts = [0, *(np.flatnonzero(which[1:] != which[:-1]) + 1), len(which)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        out[lo:hi] = ops[which[lo]].apply(xs[lo:hi])
+    return out
+
+
 def choi_matrix(op: LpOperator) -> np.ndarray:
-    """Choi matrix sum_{ij} E_ij (x) op(E_ij); PSD iff op is completely positive."""
+    """Choi matrix sum_{ij} E_ij (x) op(E_ij); PSD iff op is completely
+    positive.  Entry (i d + a, j d + b) is op(E_ij)[a, b], entry
+    (a d + b, i d + j) of the dense form."""
     d = op.dim
-    c = np.zeros((d * d, d * d), dtype=np.complex128)
-    e = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            e[i, j] = 1.0
-            c[i * d : (i + 1) * d, j * d : (j + 1) * d] = op.apply(e)
-            e[i, j] = 0.0
-    return c
+    return op.to_dense().reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +849,7 @@ def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int) -> f
     x0 = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(starts)]
 
     def each(maps):
-        return lambda xs, idx: np.stack([maps[i // starts].apply(x) for x, i in zip(xs, idx)])
+        return lambda xs, idx: apply_each(maps, idx // starts, xs)
 
     best, _ = power_ascent(
         each(ops), each([op.dagger() for op in ops]),

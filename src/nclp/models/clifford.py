@@ -101,8 +101,8 @@ class CliffordDiagonalOp(fc.LpOperator):
     def apply(self, x):
         x = np.asarray(x, dtype=complex)
         # tau(V_F* x) against the trace-orthonormal frame
-        comps = np.einsum("fab,ab->f", self.vfs.conj(), x) / self.dim
-        return np.einsum("f,fab->ab", self.coeffs * comps, self.vfs)
+        comps = np.einsum("fab,...ab->...f", self.vfs.conj(), x) / self.dim
+        return np.einsum("...f,fab->...ab", self.coeffs * comps, self.vfs)
 
     def spectrum(self):
         # eigenvalues on the frame plus 0 on its orthocomplement

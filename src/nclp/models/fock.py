@@ -46,12 +46,16 @@ def check_q(q: float) -> float:
     return q
 
 
+def check_level(level: int) -> int:
+    """A Fock level lies in 0..GRAM_LEVEL_MAX (the n! permutation-sum cap)."""
+    if not 0 <= level <= GRAM_LEVEL_MAX:
+        raise ValueError(f"level must lie in 0..{GRAM_LEVEL_MAX}, got {level}")
+    return level
+
+
 def q_gram(level: int, d: int, q: float) -> np.ndarray:
     """The twisted Gram matrix Q_q on the d^level-dimensional level."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    if level > GRAM_LEVEL_MAX:
-        raise ValueError(f"level {level} exceeds the permutation-sum cap {GRAM_LEVEL_MAX}")
+    check_level(level)
     check_q(q)
     if level == 0:
         return np.ones((1, 1))

@@ -47,23 +47,24 @@ class MartingaleTower:
 def cond_exp(tower: MartingaleTower, k: int, x) -> np.ndarray:
     """E_k(x): normalized partial trace over the discarded factors,
     tensored with the identity; trace preserving, unital, idempotent and
-    self-adjoint for the trace inner product."""
+    self-adjoint for the trace inner product.  Maps every matrix of a
+    stack (..., d, d)."""
     n = tower.n_factors
     if not 0 <= k <= n:
         raise ValueError(f"level must lie in 0..{n}")
     x = np.asarray(x, dtype=complex)
     d = tower.dim
-    if x.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} matrix")
+    if x.shape[-2:] != (d, d):
+        raise ValueError(f"expected {d}x{d} matrices")
     if k == n:
         return x.copy()
     dk = 2**k
     dr = 2 ** (n - k)
-    blocks = x.reshape(dk, dr, dk, dr)
+    lead = x.shape[:-2]
     if tower.direction == "increasing":
-        kept = np.trace(blocks, axis1=1, axis2=3) / dr
+        kept = np.trace(x.reshape(lead + (dk, dr, dk, dr)), axis1=-3, axis2=-1) / dr
         return np.kron(kept, np.eye(dr))
-    kept = np.trace(x.reshape(dr, dk, dr, dk), axis1=0, axis2=2) / dr
+    kept = np.trace(x.reshape(lead + (dr, dk, dr, dk)), axis1=-4, axis2=-2) / dr
     return np.kron(np.eye(dr), kept)
 
 

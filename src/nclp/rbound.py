@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_exponent, polar_factor, power_ascent
-from .funcalc import LpOperator, ray_resolvent_family
+from .funcalc import LpOperator, apply_each, ray_resolvent_family
 from .hvnorms import (
     _hstack_maps,
     _sign_block,
@@ -82,14 +82,10 @@ def _check_family(ops) -> list:
     return ops
 
 
-def _apply_selection(ops, sel, xs):
-    return np.stack([ops[k].apply(xs[i]) for i, k in enumerate(sel)])
-
-
 def objective(notion: str, ops, sel, xs, p: float) -> float:
     """The ratio defining the constant, evaluated at a concrete witness."""
     xs = as_family(xs)
-    ys = _apply_selection(ops, sel, xs)
+    ys = apply_each(ops, sel, xs)
     if notion == "col":
         den = col_norm(xs, p)
         return col_norm(ys, p) / den if den > 0 else 0.0
@@ -110,20 +106,16 @@ def re_evaluate(est: BoundEstimate, ops) -> float:
 # -- column / row inner ascent: nonlinear power iteration ------------------
 
 
-def _ascend_colrow(ops, sel, xs, p, mode, iters):
+def _ascend_colrow(ops, daggers, sel, xs, p, mode, iters):
     """The witness maximizing the stacked-Schatten ratio over x at fixed
     selection: the one-start :func:`core.power_ascent` on the column (or
-    row) stack."""
-    daggers = [ops[k].dagger() for k in sel]
+    row) stack.  ``daggers`` are the adjoints of ``ops``."""
     stack, unstack = (_vstack_maps if mode == "col" else _hstack_maps)(*xs.shape)
 
-    def fwd(s, _idx):
-        return stack(_apply_selection(ops, sel, unstack(s[0])))[None]
+    def each(maps):
+        return lambda s, _idx: stack(apply_each(maps, sel, unstack(s[0])))[None]
 
-    def adj(s, _idx):
-        return stack(np.stack([dag.apply(b) for dag, b in zip(daggers, unstack(s[0]))]))[None]
-
-    return unstack(power_ascent(fwd, adj, stack(xs)[None], p, iters)[1][0])
+    return unstack(power_ascent(each(ops), each(daggers), stack(xs)[None], p, iters)[1][0])
 
 
 # -- rademacher inner ascent: accept-if-improve subgradient steps -----------
@@ -140,13 +132,11 @@ def _rad_subgradient(ops, daggers, sel, xs, p):
     n = xs.shape[0]
     half = 1 << (n - 1)
     signs = _sign_block(0, half, n)
-    xis = polar_factor(_signed_sums(signs, _apply_selection(ops, sel, xs)), p)
-    pulled = _signed_sums(signs.T, xis) / half
-    return np.stack([daggers[k].apply(blk) for k, blk in zip(sel, pulled)])
+    xis = polar_factor(_signed_sums(signs, apply_each(ops, sel, xs)), p)
+    return apply_each(daggers, sel, _signed_sums(signs.T, xis) / half)
 
 
-def _ascend_rad(ops, sel, xs, p, steps):
-    daggers = [op.dagger() for op in ops]
+def _ascend_rad(ops, daggers, sel, xs, p, steps):
     best = objective("rad", ops, sel, xs, p)
     x = xs
     for _ in range(steps):
@@ -185,6 +175,7 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
         if notion != "rad" or L <= RAD_SELECTION_MAX
     ]
     extra = [np.asarray(s, dtype=np.complex128) for s in (extra_starts or [])]
+    daggers = [op.dagger() for op in ops]
 
     best_val, best_sel, best_x = -math.inf, (0,), None
     per_length = max(budget.restarts // max(len(lengths), 1), 1)
@@ -204,13 +195,13 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
                     # the power-iteration witness of the column objective is
                     # a strong extra start (for singletons the objectives
                     # coincide); polish both candidates by subgradient steps
-                    x_pi = _ascend_colrow(ops, sel, x, p, "col", budget.iters)
-                    val, x = _ascend_rad(ops, sel, x, p, budget.rad_steps)
-                    val_pi, x_pi = _ascend_rad(ops, sel, x_pi, p, budget.rad_steps)
+                    x_pi = _ascend_colrow(ops, daggers, sel, x, p, "col", budget.iters)
+                    val, x = _ascend_rad(ops, daggers, sel, x, p, budget.rad_steps)
+                    val_pi, x_pi = _ascend_rad(ops, daggers, sel, x_pi, p, budget.rad_steps)
                     if val_pi > val:
                         val, x = val_pi, x_pi
                 else:
-                    x = _ascend_colrow(ops, sel, x, p, notion, budget.iters)
+                    x = _ascend_colrow(ops, daggers, sel, x, p, notion, budget.iters)
                 # greedy operator reselection at the current witness
                 sel = list(sel)
                 for slot in range(L):

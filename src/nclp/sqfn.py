@@ -23,7 +23,8 @@ import numpy as np
 
 from . import funcalc as fc
 from .core import NumericsError, as_matrix, check_exponent, schatten_norm
-from .hvnorms import _hstack_maps, _vstack_maps, col_norm, row_norm
+from .hvnorms import (_hstack_maps, _vstack_maps, col_norm, intersection_norm, row_norm,
+                      sum_norm_solve)
 from .optim import ConvexCfg, minimize_split_schatten
 
 # Radial coverage of the default grid relative to the extreme spectral
@@ -110,11 +111,8 @@ def _rad(u: np.ndarray, p: float, cfg: ConvexCfg | None) -> tuple[float, tuple[s
     """The symmetric square function of a node stack and the statuses of
     its solves (none for p >= 2)."""
     if p >= 2.0:
-        return max(col_norm(u, p), row_norm(u, p)), ()
-    n, d1, d2 = u.shape
-    f1, a1 = _vstack_maps(n, d1, d2)
-    f2, a2 = _hstack_maps(n, d1, d2)
-    res = minimize_split_schatten(f1, a1, f2, a2, u, p, cfg)
+        return intersection_norm(u, p), ()
+    res = sum_norm_solve(u, p, cfg)
     return res.value, (res.status,)
 
 

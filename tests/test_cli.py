@@ -48,6 +48,7 @@ class TestArtifacts:
         assert code == 0
         for line in data_rows(text)[1:]:
             assert float(line.rsplit(",", 2)[1]) <= 1e-6
+            assert ',"leftdiag:1,4",' in line  # the op column echoes the spec
 
     def test_byte_identical_data_rows(self, tmp_path):
         argv = ["khintchine", "--p", "1", "--dim", "2", "--family", "3", "--seed", "11",
@@ -152,7 +153,7 @@ class TestErrorPaths:
 
     def test_unknown_operator_spec(self):
         code = cli.main(["calculus-check", "--A", "bogus:1"])
-        assert code == cli.EXIT_NUMERIC
+        assert code == cli.EXIT_USAGE
 
     @pytest.mark.parametrize(
         "argv",
@@ -175,13 +176,36 @@ class TestErrorPaths:
             ["martingale", "stein", "--iters", "0", "--seed", "1"],
             ["schur", "--amplification", "0"],
             ["schur", "--points", "0"],
+            ["calculus-check", "--A", "foo:1"],
+            ["calculus-check", "--fn", "bogus"],
+            ["calculus-check", "--fn", "g,gn:0"],
+            ["sector-profile", "--A", "leftdiag:1,x"],
+            ["sqfn-equiv", "--seed", "1", "--grid", "1,2"],
+            ["clifford", "multiplier", "--fn", "bogus"],
+            ["schatten-selftest", "--dim", "0"],
+            ["khintchine", "--dim", "0", "--seed", "1"],
+            ["tensor-extend", "--dim", "0", "--seed", "1"],
+            ["khintchine", "--family", "0", "--seed", "1"],
+            ["tensor-extend", "--family", "0", "--seed", "1"],
+            ["martingale", "cesaro", "--n-factors", "0", "--seed", "1"],
+            ["martingale", "cesaro", "--m-count", "0", "--seed", "1"],
+            ["identities", "group-average", "--nodes", "0"],
+            ["rowcol-gap", "--n", "4", "0"],
+            ["qfock", "gram", "--levels", "7"],
+            ["qfock", "gram", "--d", "0"],
         ],
         ids=["sector-p-below-1", "khintchine-p-below-1", "selftest-p-nan",
              "rbound-odd-points", "rbound-one-point", "rbound-theta-above-pi",
              "rbound-theta-zero", "rbound-no-restarts", "stein-no-restarts",
              "qfock-q-one", "clifford-n-above-frame-cap", "dyadic-shells-above-pools",
              "khintchine-no-restarts", "khintchine-no-iters", "rbound-no-iters",
-             "stein-no-iters", "schur-no-amplification", "schur-no-points"],
+             "stein-no-iters", "schur-no-amplification", "schur-no-points",
+             "calculus-bad-operator", "calculus-bad-fn", "calculus-bad-fn-parameter",
+             "sector-bad-operator", "sqfn-grid-two-fields", "clifford-bad-fn",
+             "selftest-no-dim", "khintchine-no-dim", "tensor-no-dim", "khintchine-no-family",
+             "tensor-no-family", "cesaro-no-factors", "cesaro-no-increments",
+             "identities-no-nodes", "rowcol-gap-zero-n", "qfock-levels-above-cap",
+             "qfock-no-d"],
     )
     def test_out_of_domain_flag_is_usage_error(self, tmp_path, capsys, argv):
         code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
@@ -281,6 +305,8 @@ class TestSolverExitCodes:
         def fake_solve(fwd1, adj1, fwd2, adj2, v0, p, cfg=None):
             return SolveResult(value=1.0, minimizer=np.zeros_like(v0), status=status)
 
+        # the symmetric square function solves through hvnorms, the bracket in sqfn
+        monkeypatch.setattr(cli.hvnorms, "minimize_split_schatten", fake_solve)
         monkeypatch.setattr(cli.sqfn, "minimize_split_schatten", fake_solve)
         argv = ["sqfn-equiv", "--A", "leftdiag:0.5,1,2", "--fn", "sqrtzexp", "--p", "1.5",
                 "--seed", "3", "--samples", "2", "--variant", "rad",

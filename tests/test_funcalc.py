@@ -9,7 +9,7 @@ from nclp import funcalc as fc
 from nclp.core import SpectralCollisionError
 from nclp.models import clifford, martingale
 
-from conftest import random_matrix
+from conftest import random_matrix, unit
 
 
 def dense_of(op):
@@ -150,6 +150,102 @@ class TestKindContract:
             (into_adj(np.conj(lam) * out_adj(x)), op.dagger().apply(x)),
         ):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def _stack_kinds():
+    rng = np.random.default_rng(11)
+    h = random_matrix(rng, 3)
+    h = 0.5 * (h + h.conj().T)
+    u, _ = np.linalg.qr(random_matrix(rng, 3))
+    v, _ = np.linalg.qr(random_matrix(rng, 3))
+    tower = martingale.MartingaleTower(2)
+    return [
+        ("left", fc.LeftMult(random_matrix(rng, 3))),  # non-normal
+        ("right", fc.RightMult(random_matrix(rng, 3))),
+        ("schur", fc.SchurMult(random_matrix(rng, 3))),
+        ("sandwich", fc.SandwichSchur(u, v, random_matrix(rng, 3))),
+        ("adpair", fc.AdPair(h, np.diag([-0.5, 0.2, 1.0]))),
+        ("dense", fc.DenseOp(random_matrix(rng, 9))),
+        ("amplified-dense", fc.AmplifiedOp(fc.DenseOp(random_matrix(rng, 4)), 3)),
+        ("amplified-left", fc.AmplifiedOp(fc.LeftMult(random_matrix(rng, 2)), 2)),
+        ("condexp-increasing", martingale.CondExpOp(tower, 1)),
+        ("condexp-decreasing",
+         martingale.CondExpOp(martingale.MartingaleTower(2, "decreasing"), 1)),
+        ("clifford", clifford.clifford_semigroup(clifford.spin_generators(2), 0.3)),
+    ]
+
+
+_STACK_KINDS = [pytest.param(op, id=name) for name, op in _stack_kinds()]
+
+
+def _count_applies(monkeypatch, op):
+    """Log the argument shape of every ``op.apply`` call."""
+    calls, inner = [], op.apply
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return inner(x)
+
+    monkeypatch.setattr(op, "apply", counted)
+    return calls
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)
+
+
+class TestStackedApply:
+    """``apply`` maps every matrix of a (..., d, d) stack on every kind."""
+
+    @pytest.mark.parametrize("op", _STACK_KINDS)
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    def test_stack_equals_per_matrix(self, rng, op, lead):
+        d = op.dim
+        xs = random_matrix(rng, d, d * int(np.prod(lead))).reshape(d, -1, d)
+        xs = np.swapaxes(xs, 0, 1).reshape(lead + (d, d))
+        got = op.apply(xs)
+        want = np.stack([op.apply(x) for x in xs.reshape(-1, d, d)]).reshape(xs.shape)
+        assert got.shape == xs.shape
+        assert _rel_err(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("op", _STACK_KINDS)
+    def test_dense_and_choi_match_unit_loop(self, op):
+        d = op.dim
+        dense = np.empty((d * d, d * d), dtype=complex)
+        choi = np.empty((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                img = op.apply(unit(d, i, j))
+                dense[:, i * d + j] = img.reshape(-1)
+                choi[i * d : (i + 1) * d, j * d : (j + 1) * d] = img
+        assert _rel_err(fc.choi_matrix(op), choi) <= 1e-14
+        assert _rel_err(op.to_dense(), dense) <= 1e-14
+
+    def test_dense_and_choi_apply_once(self, monkeypatch):
+        op = fc.SchurMult(np.arange(1.0, 10.0).reshape(3, 3))
+        calls = _count_applies(monkeypatch, op)
+        fc.choi_matrix(op)
+        op.to_dense()
+        assert calls == [(9, 3, 3)]  # to_dense is cached after choi's call
+
+    def test_amplified_applies_its_base_once(self, rng, monkeypatch):
+        base = fc.LeftMult(random_matrix(rng, 2))
+        calls = _count_applies(monkeypatch, base)
+        fc.AmplifiedOp(base, 3).apply(random_matrix(rng, 6, 24).reshape(4, 6, 6))
+        assert calls == [(4, 3, 3, 2, 2)]
+
+    def test_apply_each_unsorted_with_repeats(self, rng, monkeypatch):
+        ops = [fc.LeftMult(random_matrix(rng, 3)), fc.SchurMult(random_matrix(rng, 3)),
+               fc.DenseOp(random_matrix(rng, 9))]
+        logs = [_count_applies(monkeypatch, op) for op in ops]
+        which = [2, 0, 0, 1, 2, 2, 0]
+        xs = np.stack([random_matrix(rng, 3) for _ in which])
+        got = fc.apply_each(ops, which, xs)
+        for k, x, y in zip(which, xs, got):
+            assert _rel_err(y, ops[k].apply(x)) <= 1e-14
+        # one stacked call per run: [2], [0, 0], [1], [2, 2], [0], then the checks above
+        runs = [shape for log in logs for shape in log if shape != (3, 3)]
+        assert sorted(runs) == [(1, 3, 3), (1, 3, 3), (1, 3, 3), (2, 3, 3), (2, 3, 3)]
 
 
 class TestQuadratureLayer:

@@ -213,7 +213,8 @@ def _reference_subgradient(ops, daggers, sel, xs, p):
         signs[0] = 1.0
         for k in range(1, n):
             signs[k] = 1.0 if (idx >> (k - 1)) & 1 else -1.0
-        total = np.einsum("k,kab->ab", signs, rbound._apply_selection(ops, sel, xs))
+        ys = np.stack([ops[k].apply(x) for k, x in zip(sel, xs)])
+        total = np.einsum("k,kab->ab", signs, ys)
         xi = polar_factor(total, p)
         for k in range(n):
             grads[k] += signs[k] * daggers[sel[k]].apply(xi)
