@@ -1,10 +1,11 @@
 """Reproducible experiment runner.
 
 Every subcommand writes one artifact per run: a header block (tool
-version, config echo, wall time) followed by data rows, as CSV (tables)
-or JSON (machine use).  Identical configuration and seed produce
-byte-identical data rows; wall time lives only in the header.  A flat
-JSON config file can prefill any flag (explicit flags win).  Exit codes:
+version, config echo, the subcommand's diagnostics, wall time) followed
+by data rows, as CSV (tables) or JSON (machine use).  Identical
+configuration and seed produce byte-identical data rows; wall time and
+diagnostics live only in the header.  A flat JSON config file can
+prefill any flag (explicit flags win).  Exit codes:
 0 ok, 2 usage error, 3 numeric failure, 4 solver-budget warning (soft
 unless --strict, which hardens it to 3).
 """
@@ -99,7 +100,8 @@ def _rng_matrix(rng, d):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (columns, rows, exit_hint)
+# subcommand implementations: each returns (columns, rows, exit_hint),
+# optionally followed by a dict of header fields
 # ---------------------------------------------------------------------------
 
 
@@ -318,7 +320,8 @@ def cmd_sqfn_equiv(args):
         "seed": args.seed,
     }
     exhausted = "budget-exhausted" in rep.solver_statuses + sr.solver_statuses
-    return SQFN_COLS, [row], EXIT_SOLVER if exhausted else EXIT_OK
+    hint = EXIT_SOLVER if exhausted else EXIT_OK
+    return SQFN_COLS, [row], hint, {"grid_truncated": sr.truncated}
 
 
 def cmd_rowcol_gap(args):
@@ -580,7 +583,7 @@ def _spec(parse):
 def _add_common(sp):
     sp.add_argument("--p", type=_checked(float, check_exponent), default=2.0, help="Schatten exponent")
     sp.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory for stochastic runs)")
-    sp.add_argument("--samples", type=int, default=10, help="number of trials/rows")
+    sp.add_argument("--samples", type=_COUNT, default=10, help="number of trials/rows")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--strict", action="store_true", help="treat solver-budget warnings as failures")
@@ -747,13 +750,15 @@ def main(argv=None) -> int:
         "command": " ".join([args.command] + [t for t in argv if t != args.command]),
     }
     try:
-        columns, rows, hint = args.fn_impl(args)
+        columns, rows, hint, *header = args.fn_impl(args)
     except SystemExit as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericsError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    for fields in header:
+        meta.update(fields)
     meta["wall_time_s"] = f"{time.time() - start:.3f}"
     write_artifact(args.out, args.format, meta, columns, rows)
     if hint == EXIT_SOLVER and args.strict:

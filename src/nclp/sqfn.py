@@ -12,12 +12,22 @@ The bracket norm instead minimizes col(x1) + row(x2) over matrix
 splittings x = x1 + x2 upstream of the square function.  Norm-equivalence
 constants and the explicit row/column gap family on the dyadic diagonal
 2, 4, ..., 2^n are provided as experiments.
+
+The n weighted nodes u_j = sqrt(w_j) F(t_j A) x are linear in at most
+m = d^2 spectral coefficients, so they span at most m dimensions of the
+index space.  A reduced QR of the n x m weight matrix, sqrt(w) F(t lam) =
+Q R, writes u = (Q (x) 1) v with v_i = out(R_i * into(x)) and Q an
+isometry.  The column, row and sum norms are invariant under an isometry
+of the index space (the sum norm because tensor extension by Q* is
+contractive), so every square function, and the bracket solver, runs on
+the min(n, m) members v instead of the n nodes, with the same value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,10 +87,15 @@ def grid_cf(f: fc.HolFn, grid: LogGrid, scale: float = 1.0) -> float:
 
 
 class _NodeFamily:
-    """Precomputed action of {F(t_j A)}_j and of its Frobenius adjoints,
-    diagonal in the operator's frame: F(t_j A) x = out(F(t_j lam) * into(x)).
-    Without a grid the operator's default grid is used.  Every square
-    function of one (A, F, grid) derives from one family."""
+    """Precomputed action of {F(t_j A)}_j, diagonal in the operator's
+    frame: F(t_j A) x = out(F(t_j lam) * into(x)).  Without a grid the
+    operator's default grid is used.  Every square function of one
+    (A, F, grid) derives from one family.
+
+    The weighted nodes are compressed exactly: with sqrt(w) F(t lam) = Q R
+    (reduced QR over the n nodes, R of shape (min(n, lam.size), *lam.shape)),
+    the weighted node stack is (Q (x) 1) applied to the members
+    out(R_i * into(x)), and Q preserves column, row and sum norms."""
 
     def __init__(self, op: fc.LpOperator, f: fc.HolFn, grid: LogGrid | None = None):
         self.grid = LogGrid.for_operator(op) if grid is None else grid
@@ -90,21 +105,30 @@ class _NodeFamily:
         ker = fc.kernel_mask(lam)  # F(0) = 0 on the kernel
         arg = self.grid.t.reshape((-1,) + (1,) * lam.ndim) * lam
         self.vals = np.where(ker, 0.0, np.asarray(f(np.where(ker, 1.0, arg))))
-        self.sw = np.sqrt(self.grid.w)[:, None, None]
 
-    def fwd(self, x: np.ndarray) -> np.ndarray:
-        """(n, d, d) array of F(t_j A) x."""
-        x = np.asarray(x, dtype=np.complex128)
+    @cached_property
+    def coef(self) -> np.ndarray:
+        """R of the reduced QR sqrt(w) F(t lam) = Q R, one member per row."""
+        weighted = np.sqrt(self.grid.w)[:, None] * self.vals.reshape(self.grid.n, -1)
+        return np.linalg.qr(weighted, mode="r").reshape((-1,) + self.vals.shape[1:])
+
+    def nodes(self, x: np.ndarray) -> np.ndarray:
+        """(n, d, d) array of F(t_j A) x on the full grid."""
         return self._out(self.vals * self._into(x)[None])
 
+    def fwd(self, x: np.ndarray) -> np.ndarray:
+        """The compressed members out(R_i * into(x)), shape (len(R), d, d)."""
+        return self._out(self.coef * self._into(x)[None])
+
     def adj(self, ys: np.ndarray) -> np.ndarray:
-        """Adjoint of fwd: sum_j F(t_j A)^dagger y_j."""
+        """Adjoint of fwd: sum_i out(R_i * into(.))^dagger y_i."""
         ys = np.asarray(ys, dtype=np.complex128)
-        return self._into_adj(np.sum(np.conj(self.vals) * self._out_adj(ys), axis=0))
+        return self._into_adj(np.sum(np.conj(self.coef) * self._out_adj(ys), axis=0))
 
     def weighted(self, x) -> np.ndarray:
-        """The weighted node stack u_j = sqrt(w_j) F(t_j A) x."""
-        return self.sw * self.fwd(as_matrix(x))
+        """A family with the column, row and sum norms of the weighted node
+        stack sqrt(w_j) F(t_j A) x: its compressed members."""
+        return self.fwd(as_matrix(x))
 
 
 def _rad(u: np.ndarray, p: float, cfg: ConvexCfg | None) -> tuple[float, tuple[str, ...]]:
@@ -118,7 +142,7 @@ def _rad(u: np.ndarray, p: float, cfg: ConvexCfg | None) -> tuple[float, tuple[s
 
 def node_apply(op, x, f: fc.HolFn, grid: LogGrid) -> np.ndarray:
     """Stacked evaluations F(t_j A) x on the grid, shape (n, d, d)."""
-    return _NodeFamily(op, f, grid).fwd(as_matrix(x))
+    return _NodeFamily(op, f, grid).nodes(as_matrix(x))
 
 
 def sq_col(op, x, f: fc.HolFn, grid: LogGrid | None = None, p: float = 2.0) -> float:
@@ -155,14 +179,14 @@ class BracketResult:
 
 
 def _bracket(fam: _NodeFamily, x, p: float, cfg: ConvexCfg | None) -> BracketResult:
-    sw = fam.sw
-    col, col_adj = _vstack_maps(fam.grid.n, fam.dim, fam.dim)
-    row, row_adj = _hstack_maps(fam.grid.n, fam.dim, fam.dim)
+    members = len(fam.coef)
+    col, col_adj = _vstack_maps(members, fam.dim, fam.dim)
+    row, row_adj = _hstack_maps(members, fam.dim, fam.dim)
     res = minimize_split_schatten(
-        lambda x1: col(sw * fam.fwd(x1)),
-        lambda m: fam.adj(sw * col_adj(m)),
-        lambda x2: row(sw * fam.fwd(x2)),
-        lambda m: fam.adj(sw * row_adj(m)),
+        lambda x1: col(fam.fwd(x1)),
+        lambda m: fam.adj(col_adj(m)),
+        lambda x2: row(fam.fwd(x2)),
+        lambda m: fam.adj(row_adj(m)),
         as_matrix(x),
         p,
         cfg,
@@ -213,7 +237,8 @@ def square_report(
     p = check_exponent(p)
     fam = _NodeFamily(op, f, grid)
     u = fam.weighted(x)
-    mags = np.linalg.norm(u.reshape(fam.grid.n, -1), axis=1)
+    nodes = fam.nodes(as_matrix(x)).reshape(fam.grid.n, -1)
+    mags = np.sqrt(fam.grid.w) * np.linalg.norm(nodes, axis=1)
     peak = float(np.max(mags)) if mags.size else 0.0
     # endpoint mass enters the accumulated square S quadratically
     truncated = bool(peak > 0 and max(mags[0], mags[-1]) ** 2 > 1e-9 * peak**2)

@@ -1,5 +1,7 @@
 import json
 import math
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +115,23 @@ class TestSubcommands:
         k1 = float(row[header.index("K1")])
         assert k1 == pytest.approx(1 / math.sqrt(2), abs=1e-4)
 
+    @pytest.mark.parametrize("grid,truncated", [([], "False"), (["--grid", "0.5,2,64"], "True")])
+    def test_sqfn_equiv_header_reports_grid_truncation(self, tmp_path, grid, truncated):
+        code, text = run(["sqfn-equiv", "--p", "4", "--seed", "3", "--samples", "2"] + grid,
+                         tmp_path)
+        assert code == 0
+        assert f"# grid_truncated = {truncated}" in text.splitlines()
+        code, text = run(["sqfn-equiv", "--p", "4", "--seed", "3", "--samples", "2"] + grid,
+                         tmp_path, fmt="json")
+        assert json.loads(text)["meta"]["grid_truncated"] is (truncated == "True")
+
+    def test_python_dash_m(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["nclp", "schatten-selftest", "--seed", "1"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("nclp", run_name="__main__")
+        assert exc.value.code == 0
+        assert "hoelder_2_2_1" in capsys.readouterr().out
+
     def test_rbound_writes_witness_files(self, tmp_path):
         path = tmp_path / "rb.csv"
         code = cli.main(
@@ -193,6 +212,8 @@ class TestErrorPaths:
             ["rowcol-gap", "--n", "4", "0"],
             ["qfock", "gram", "--levels", "7"],
             ["qfock", "gram", "--d", "0"],
+            ["khintchine", "--samples", "0", "--seed", "1"],
+            ["tensor-extend", "--samples", "-1", "--seed", "1"],
         ],
         ids=["sector-p-below-1", "khintchine-p-below-1", "selftest-p-nan",
              "rbound-odd-points", "rbound-one-point", "rbound-theta-above-pi",
@@ -205,7 +226,7 @@ class TestErrorPaths:
              "selftest-no-dim", "khintchine-no-dim", "tensor-no-dim", "khintchine-no-family",
              "tensor-no-family", "cesaro-no-factors", "cesaro-no-increments",
              "identities-no-nodes", "rowcol-gap-zero-n", "qfock-levels-above-cap",
-             "qfock-no-d"],
+             "qfock-no-d", "khintchine-no-samples", "tensor-negative-samples"],
     )
     def test_out_of_domain_flag_is_usage_error(self, tmp_path, capsys, argv):
         code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])

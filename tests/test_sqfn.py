@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nclp import funcalc as fc
-from nclp import sqfn
+from nclp import hvnorms, sqfn
 from nclp.core import schatten_norm
 from nclp.models import martingale
 from nclp.optim import ConvexCfg
@@ -307,32 +307,78 @@ class TestGridRobustness:
         assert rep2.truncated
 
 
+def _all_kinds(rng):
+    """One small operator of every kind, each with its own frame."""
+    u0, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    v0, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    herm = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    herm = herm @ herm.conj().T + 0.2 * np.eye(3)
+    return [
+        fc.SchurMult(rng.uniform(0.2, 2.0, size=(3, 3))),
+        fc.SandwichSchur(u0, v0, rng.uniform(0.3, 2.0, size=(3, 3))),
+        fc.LeftMult(herm),
+        fc.RightMult(np.diag([0.5, 1.0, 2.0])),
+        fc.DenseOp(fc.LeftMult(np.diag([0.4, 1.1, 3.0])).to_dense()),
+        fc.AdPair(herm, np.diag([-0.5, -0.2, 0.1])),
+        fc.AmplifiedOp(fc.LeftMult(herm), 2),
+        martingale.CondExpOp(martingale.MartingaleTower(2), 1),
+    ]
+
+
 class TestNodeFamilyAdjoint:
     def test_adjointness_all_kinds(self, rng):
         # <fwd(x), Y> = <x, adj(Y)> in the real trace inner product; the
         # decomposition solvers differentiate through adj, so a silent
         # mismatch would degrade them without failing any value check
         f = fc.library("zexp")
-        u0, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        v0, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        herm = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        herm = herm @ herm.conj().T + 0.2 * np.eye(3)
-        ops = [
-            fc.SchurMult(rng.uniform(0.2, 2.0, size=(3, 3))),
-            fc.SandwichSchur(u0, v0, rng.uniform(0.3, 2.0, size=(3, 3))),
-            fc.LeftMult(herm),
-            fc.RightMult(np.diag([0.5, 1.0, 2.0])),
-            fc.DenseOp(fc.LeftMult(np.diag([0.4, 1.1, 3.0])).to_dense()),
-            fc.AdPair(herm, np.diag([-0.5, -0.2, 0.1])),
-            fc.AmplifiedOp(fc.LeftMult(herm), 2),
-            martingale.CondExpOp(martingale.MartingaleTower(2), 1),
-        ]
         grid = sqfn.LogGrid.make(1e-6, 1e4, 48)
-        for op in ops:
+        for op in _all_kinds(rng):
             fam = sqfn._NodeFamily(op, f, grid)
             d = op.dim
             x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            ys = rng.standard_normal((48, d, d)) + 1j * rng.standard_normal((48, d, d))
+            shape = fam.fwd(x).shape
+            ys = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             lhs = np.sum(np.conj(ys) * fam.fwd(x)).real
             rhs = np.sum(np.conj(fam.adj(ys)) * x).real
             assert lhs == pytest.approx(rhs, rel=1e-10), type(op).__name__
+
+
+class TestNodeCompression:
+    """The compressed members against the independent full node stack
+    sqrt(w_j) F(t_j A) x of ``node_apply``."""
+
+    @pytest.mark.parametrize("n", [4, 48, 512])
+    def test_member_count(self, rng, n):
+        f = fc.library("zexp")
+        grid = sqfn.LogGrid.make(1e-6, 1e4, n)
+        for op in _all_kinds(rng):
+            fam = sqfn._NodeFamily(op, f, grid)
+            members = fam.weighted(random_matrix(rng, op.dim)).shape
+            assert members[1:] == (op.dim, op.dim)
+            assert members[0] <= min(n, op.frame()[0].size), type(op).__name__
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+    def test_col_row_match_full_stack(self, rng, p):
+        f = fc.library("zexp")
+        for op in _all_kinds(rng):
+            grid = sqfn.LogGrid.for_operator(op)
+            x = random_matrix(rng, op.dim)
+            full = np.sqrt(grid.w)[:, None, None] * sqfn.node_apply(op, x, f, grid)
+            u = sqfn._NodeFamily(op, f, grid).weighted(x)
+            for norm in (hvnorms.col_norm, hvnorms.row_norm):
+                ref = norm(full, p)
+                assert norm(u, p) == pytest.approx(ref, rel=1e-12), type(op).__name__
+
+    def test_bracket_witness_on_full_nodes(self, rng):
+        # the bracket value is re-evaluated from its witness on all grid
+        # nodes, so it does not rest on the compressed path alone
+        f = fc.library("zexp")
+        cfg = ConvexCfg(restarts=3, iters=80, seed=5)
+        for op in _all_kinds(rng):
+            grid = sqfn.LogGrid.for_operator(op)
+            sw = np.sqrt(grid.w)[:, None, None]
+            x = random_matrix(rng, op.dim)
+            res = sqfn.bracket_norm(op, x, f, grid, 1.5, cfg)
+            full = hvnorms.col_norm(sw * sqfn.node_apply(op, res.witness, f, grid), 1.5)
+            full += hvnorms.row_norm(sw * sqfn.node_apply(op, x - res.witness, f, grid), 1.5)
+            assert full == pytest.approx(res.value, rel=1e-9), type(op).__name__
