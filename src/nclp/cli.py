@@ -6,8 +6,9 @@ by data rows, as CSV (tables) or JSON (machine use).  Identical
 configuration and seed produce byte-identical data rows; wall time and
 diagnostics live only in the header.  A flat JSON config file can
 prefill any flag (explicit flags win).  Exit codes:
-0 ok, 2 usage error, 3 numeric failure, 4 solver-budget warning (soft
-unless --strict, which hardens it to 3).
+0 ok, 2 usage error, 3 numeric failure, 4 solver warning: a split-norm
+solve ended with its relative duality gap above tolerance (soft unless
+--strict, which hardens it to 3).
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def cmd_schatten_selftest(args):
 
 def cmd_khintchine(args):
     _require_seed(args)
-    cfg = ConvexCfg(restarts=args.restarts, iters=args.iters, seed=args.seed)
+    cfg = ConvexCfg(iters=args.iters)
 
     def one(trial):
         fam = [
@@ -145,6 +146,7 @@ def cmd_khintchine(args):
             "p": args.p,
             "radavg": rep.radavg,
             "radnorm": rep.radnorm,
+            "radnorm_lower": "" if rep.radnorm_lower is None else rep.radnorm_lower,
             "side": rep.side,
             "lower_ok": rep.lower_ok,
             "upper_ratio": rep.upper_ratio,
@@ -158,8 +160,8 @@ def cmd_khintchine(args):
         hint = EXIT_SOLVER
     else:
         hint = EXIT_OK
-    cols = ["trial", "p", "radavg", "radnorm", "side", "lower_ok", "upper_ratio",
-            "solver_status"]
+    cols = ["trial", "p", "radavg", "radnorm", "radnorm_lower", "side", "lower_ok",
+            "upper_ratio", "solver_status"]
     return cols, rows, hint
 
 
@@ -319,9 +321,11 @@ def cmd_sqfn_equiv(args):
         "K2": rep.k2_hat,
         "seed": args.seed,
     }
-    exhausted = "budget-exhausted" in rep.solver_statuses + sr.solver_statuses
+    solves = rep.solves + sr.solves
+    exhausted = any(res.status == "budget-exhausted" for res in solves)
     hint = EXIT_SOLVER if exhausted else EXIT_OK
-    return SQFN_COLS, [row], hint, {"grid_truncated": sr.truncated}
+    gap_max = max((res.gap for res in solves), default=None)
+    return SQFN_COLS, [row], hint, {"grid_truncated": sr.truncated, "solver_gap_max": gap_max}
 
 
 def cmd_rowcol_gap(args):
@@ -586,7 +590,7 @@ def _add_common(sp):
     sp.add_argument("--samples", type=_COUNT, default=10, help="number of trials/rows")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--strict", action="store_true", help="treat solver-budget warnings as failures")
+    sp.add_argument("--strict", action="store_true", help="treat solver warnings (gap above tolerance) as failures")
     sp.add_argument("--config", default=None, help="flat JSON config file; flags override")
     sp.add_argument("--grid", type=_checked(str, parse_grid), default=None, help="tmin,tmax,n quadrature window")
 
@@ -604,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("khintchine", help="sign-average sandwich ratios for random families")
     sp.add_argument("--dim", type=_COUNT, default=3)
     sp.add_argument("--family", type=_COUNT, default=4, help="family length")
-    sp.add_argument("--restarts", type=_COUNT, default=8)
-    sp.add_argument("--iters", type=_COUNT, default=200)
+    sp.add_argument("--iters", type=_COUNT, default=ConvexCfg.iters,
+                    help="L-BFGS iterations per smoothing stage of the p < 2 solver")
     sp.set_defaults(fn_impl=cmd_khintchine)
     _add_common(sp)
 

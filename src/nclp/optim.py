@@ -6,83 +6,177 @@ always of the shape
     minimize_v  || L1(v) ||_p  +  || L2(v0 - v) ||_p
 
 with L1, L2 linear maps from an array of matrices into a single (stacked)
-matrix.  The objective is convex but nonsmooth; we run Nesterov-accelerated
-gradient descent on a smoothed surrogate (singular values s replaced by
-sqrt(s^2 + mu^2)) over a decreasing smoothing schedule, with multiple
-starts.  Each step takes its spectra from one eigendecomposition of the
-small Gram matrix of each image (y*y or y y*), never a tall SVD.  Gram
-spectra square the condition number, so they only rank iterates: the
-reported value is the exact (SVD) objective of the reported minimizer.
-Because the problem is a minimization, every iterate is feasible, so the
-reported value is always a valid upper bound on the true infimum.
+matrix.  The objective is convex but nonsmooth.  The solver runs one
+deterministic smoothing continuation: singular values s become
+sqrt(s^2 + mu^2), and for mu = scale * 10^-k, k = 1, 2, ..., a
+limited-memory BFGS run (two-loop recursion, Armijo backtracking) in the
+real inner product Re tr(x* y) minimizes the smoothed objective.  The
+first stage starts at the better of the trivial splits v = v0 and v = 0,
+whose objective is the scale; each later stage starts where the last one
+ended.  Smoothed values and
+gradients come from one eigendecomposition of the small Gram matrix of
+each image (y*y or y y*), never a tall SVD.
+
+Every stage ends with an interval [lower, upper] for the infimum.  The
+upper end is the exact (SVD) objective of the best point seen, trivial
+splits included, so it never exceeds min(||L1 v0||_p, ||L2 v0||_p).  The
+lower end is weak duality: whenever L1* xi1 = L2* xi2 = w,
+
+    ||L1 v||_p + ||L2 (v0 - v)||_p  >=  Re<w, v0> / max(||xi1||_p', ||xi2||_p')
+
+for every v, by Hoelder on each term.  The certificate takes xi1 = g1, the
+smoothed gradient of side 1, and xi2 = g2 + L2 z, the side-2 gradient
+corrected by conjugate gradients on L2* L2 z = w - L2* g2.  For the sum
+norm the denominator is the intersection norm in p', the dual of the sum
+norm (Lust-Piquard--Pisier).  A run is "converged" exactly when
+upper - lower <= tol * upper; otherwise it ends "budget-exhausted" after
+MU_DECADES stages and still reports its interval.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import schatten_from_sv
+from .core import conjugate_exponent, schatten_norm
 
-STAGES, MU_START = 4, 1e-1  # smoothing schedule mu = MU_START * scale * 10^-stage
+MU_DECADES = 8  # smoothing stages mu = scale * 10^-k, k = 1..MU_DECADES
+MEMORY = 8  # L-BFGS correction pairs
+ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking search
+BACKTRACKS = 30  # halvings before a step counts as lost in roundoff
+ROUNDOFF = 1e-12  # relative change of the smoothed objective below its roundoff
 
 
 @dataclass
 class ConvexCfg:
-    """Budget and determinism knobs for the split-norm solver."""
+    """Budget and tolerance of the split-norm solver.
 
-    restarts: int = 16
-    iters: int = 500
-    seed: int = 0
+    ``iters`` caps the L-BFGS iterations of each smoothing stage, and
+    ``tol`` is the relative duality gap at which a solve is converged.
+    ``restarts`` and ``seed`` are ignored: the solver is deterministic and
+    runs from one start.  They are kept only so that existing callers that
+    still set them keep working.
+    """
+
+    iters: int = 2000
     tol: float = 1e-6
+    restarts: int = 0
+    seed: int = 0
 
 
 @dataclass
 class SolveResult:
-    value: float
+    value: float  # upper bound: the exact objective of ``minimizer``
     minimizer: np.ndarray
-    status: str  # "converged" | "budget-exhausted"
+    status: str  # "converged" exactly when gap <= tol, else "budget-exhausted"
+    lower: float  # certified lower bound on the infimum
+    gap: float  # relative duality gap (value - lower) / value
+    iters: int  # L-BFGS iterations over all stages
 
 
 def _smooth_value_grad(y: np.ndarray, p: float, mu: float):
-    """Smoothed Schatten p-norm, its gradient, and the norm on the Gram
-    spectrum, all from one eigendecomposition of the small Gram matrix.
+    """Smoothed Schatten p-norm and its gradient, both from one
+    eigendecomposition of the small Gram matrix.
 
     With G = y*y for a tall y (y y* for a wide one) and
     h(t) = total^(1/p-1) (t + mu^2)^(p/2-1), the gradient with respect to
     the real inner product Re tr(x* y) is y h(G) (h(G) y for a wide y).
-    The third value squares the condition number, so it only ranks
-    iterates; reported values come from ``exact_objective``.
     """
     tall = y.shape[0] >= y.shape[1]
     gram = y.conj().T @ y if tall else y @ y.conj().T
     lam, v = np.linalg.eigh(gram)
-    lam = np.clip(lam, 0.0, None)
-    gram_norm = float(schatten_from_sv(np.sqrt(lam[::-1]), p))
-    shifted = lam + mu * mu
+    shifted = np.clip(lam, 0.0, None) + mu * mu
     total = float(np.sum(shifted ** (0.5 * p)))
     if total <= 0.0:
-        return 0.0, np.zeros_like(y), gram_norm
+        return 0.0, np.zeros_like(y)
     val = total ** (1.0 / p)
     h = total ** (1.0 / p - 1.0) * shifted ** (0.5 * p - 1.0)
     hg = (v * h) @ v.conj().T
-    return val, (y @ hg if tall else hg @ y), gram_norm
+    return val, (y @ hg if tall else hg @ y)
 
 
-def _op_norm_sq(fwd, adj, shape, rng, iters: int = 30) -> float:
-    """Power-iteration estimate of ||L||^2 for a linear map L given as
-    (forward, adjoint) callables on arrays of the given shape."""
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    lam = 1.0
-    for _ in range(iters):
-        w = adj(fwd(v))
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 1.0
-        lam = nrm / max(float(np.linalg.norm(v)), 1e-300)
-        v = w / nrm
-    return max(lam, 1e-12)
+def _rdot(a: np.ndarray, b: np.ndarray) -> float:
+    """The real inner product Re tr(a* b) of two equally shaped arrays."""
+    return float(np.vdot(a, b).real)
+
+
+def _conjugate_gradients(op, rhs: np.ndarray, steps: int) -> np.ndarray:
+    """Solve op(z) = rhs for op self-adjoint and positive semidefinite in the
+    real inner product, with rhs in its range (the normal equations of a
+    linear map are).  Stops at roundoff level or after ``steps`` steps."""
+    z = np.zeros_like(rhs)
+    r = rhs.copy()
+    d = r.copy()
+    rr = _rdot(r, r)
+    floor = (1e-14 * np.sqrt(rr)) ** 2
+    for _ in range(steps):
+        if rr <= floor:
+            break
+        q = op(d)
+        dq = _rdot(d, q)
+        if dq <= 0.0:
+            break
+        step = rr / dq
+        z += step * d
+        r -= step * q
+        rr, rr_prev = _rdot(r, r), rr
+        d = r + (rr / rr_prev) * d
+    return z
+
+
+def _lbfgs(fun, x: np.ndarray, iters: int, gtol: float, gamma: float):
+    """Minimize a smooth function from x by limited-memory BFGS.
+
+    ``fun(x)`` returns (value, gradient).  The first direction is
+    -gamma * gradient.  Stops when the gradient norm is at most ``gtol``,
+    after ``iters`` iterations, or when backtracking finds no decrease
+    above roundoff.  Returns the last point and the iteration count.
+    """
+    f, g = fun(x)
+    pairs = deque(maxlen=MEMORY)  # (s, y, 1 / <s, y>)
+    done = 0
+    while done < iters and np.sqrt(_rdot(g, g)) > gtol:
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            a = rho * _rdot(s, q)
+            q -= a * y
+            alphas.append(a)
+        d = gamma * q
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d += (a - rho * _rdot(y, d)) * s
+        d = -d
+        slope = _rdot(g, d)
+        if slope >= 0.0:  # curvature pairs gone stale: restart from -gamma g
+            pairs.clear()
+            d = -gamma * g
+            slope = _rdot(g, d)
+        t = 1.0
+        for _ in range(BACKTRACKS):
+            x_new = x + t * d
+            f_new, g_new = fun(x_new)
+            if f_new - f <= ARMIJO * t * slope:
+                break
+            # once the decrease is lost in the roundoff of f, the slope at
+            # the trial point decides (approximate Wolfe, Hager-Zhang)
+            if f_new - f <= ROUNDOFF * abs(f) and _rdot(g_new, d) <= -0.8 * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        s, y = x_new - x, g_new - g
+        if not np.any(s):
+            break
+        sy = _rdot(s, y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / _rdot(y, y)
+        x, f, g = x_new, f_new, g_new
+        done += 1
+    return x, done
 
 
 def minimize_split_schatten(
@@ -94,7 +188,8 @@ def minimize_split_schatten(
     p: float,
     cfg: ConvexCfg | None = None,
 ) -> SolveResult:
-    """Minimize ``||L1(v)||_p + ||L2(v0 - v)||_p`` over v.
+    """Minimize ``||L1(v)||_p + ||L2(v0 - v)||_p`` over v, with a certified
+    interval for the infimum.
 
     ``fwd1``/``adj1`` and ``fwd2``/``adj2`` are the forward maps and their
     adjoints with respect to the real trace inner product.
@@ -103,58 +198,49 @@ def minimize_split_schatten(
         cfg = ConvexCfg()
     if not np.isfinite(p) or p < 1.0:
         raise ValueError(f"solver requires a finite exponent p >= 1, got {p}")
-    rng = np.random.default_rng(cfg.seed)
     v0 = np.asarray(v0, dtype=np.complex128)
+    dual_p = conjugate_exponent(p)
 
     def exact_objective(v):
-        n1 = np.linalg.svd(fwd1(v), compute_uv=False)
-        n2 = np.linalg.svd(fwd2(v0 - v), compute_uv=False)
-        return float(schatten_from_sv(n1, p)) + float(schatten_from_sv(n2, p))
+        return schatten_norm(fwd1(v), p) + schatten_norm(fwd2(v0 - v), p)
 
-    # Lipschitz scale of the smoothed gradient is (||L1||^2 + ||L2||^2)/mu.
-    lip_base = _op_norm_sq(fwd1, adj1, v0.shape, rng) + _op_norm_sq(
-        fwd2, adj2, v0.shape, rng
+    def side_grads(v, mu):
+        f1, g1 = _smooth_value_grad(fwd1(v), p, mu)
+        f2, g2 = _smooth_value_grad(fwd2(v0 - v), p, mu)
+        return f1 + f2, g1, g2
+
+    def smoothed(v, mu):
+        f, g1, g2 = side_grads(v, mu)
+        return f, adj1(g1) - adj2(g2)
+
+    def certificate(v, mu):
+        _, g1, g2 = side_grads(v, mu)
+        w = adj1(g1)
+        z = _conjugate_gradients(lambda u: adj2(fwd2(u)), w - adj2(g2), 2 * v0.size)
+        dual = max(schatten_norm(g1, dual_p), schatten_norm(g2 + fwd2(z), dual_p))
+        return _rdot(w, v0) / dual if dual > 0.0 else 0.0
+
+    upper, best = min(
+        ((exact_objective(v), v) for v in (v0, np.zeros_like(v0))), key=lambda t: t[0]
     )
-
-    scale = max(exact_objective(v0), exact_objective(np.zeros_like(v0)), 1e-12)
-
-    starts = [v0.copy(), np.zeros_like(v0), 0.5 * v0]
-    amp = float(np.linalg.norm(v0)) / max(np.sqrt(v0.size), 1.0)
-    while len(starts) < max(cfg.restarts, 3):
-        starts.append(
-            amp * (rng.standard_normal(v0.shape) + 1j * rng.standard_normal(v0.shape))
-        )
-
-    best_val = np.inf
-    best_v = v0.copy()
-    improved_late = False
-
-    iters_per_stage = max(cfg.iters // STAGES, 10)
-    for start in starts:
-        x = start.copy()
-        for stage in range(STAGES):
-            mu = MU_START * scale * 10.0 ** (-stage)
-            step = mu / lip_base
-            x_prev = x.copy()
-            y = x.copy()
-            for k in range(iters_per_stage):
-                _, g1, r1 = _smooth_value_grad(fwd1(y), p, mu)
-                _, g2, r2 = _smooth_value_grad(fwd2(v0 - y), p, mu)
-                ranked = r1 + r2
-                if ranked < best_val - cfg.tol * scale:
-                    improved_late = stage == STAGES - 1 and k > iters_per_stage // 2
-                if ranked < best_val:
-                    best_val = ranked
-                    best_v = y.copy()
-                grad = adj1(g1) - adj2(g2)
-                x_new = y - step * grad
-                y = x_new + (k / (k + 3.0)) * (x_new - x_prev)
-                x_prev = x
-                x = x_new
-        final = exact_objective(x)
-        if final < best_val:
-            best_val = final
-            best_v = x.copy()
-
-    status = "budget-exhausted" if improved_late else "converged"
-    return SolveResult(value=exact_objective(best_v), minimizer=best_v, status=status)
+    scale, lower, iters = upper, 0.0, 0
+    x = best
+    for k in range(1, MU_DECADES + 1):
+        if upper - lower <= cfg.tol * upper:
+            break
+        mu = scale * 10.0**-k
+        # the gradient w - L2* g2 is the residual the certificate corrects;
+        # below the smoothing bias ~ mu / scale it buys no tighter interval
+        gtol = 0.3 * max(10.0**-k, cfg.tol)
+        x, done = _lbfgs(partial(smoothed, mu=mu), x, cfg.iters, gtol, mu)
+        iters += done
+        val = exact_objective(x)
+        if val < upper:
+            upper, best = val, x
+        lower = max(lower, certificate(x, mu))
+    # a valid lower bound exceeds the upper one only by roundoff
+    lower = min(lower, upper)
+    gap = (upper - lower) / upper if upper > 0.0 else 0.0
+    status = "converged" if upper - lower <= cfg.tol * upper else "budget-exhausted"
+    return SolveResult(value=upper, minimizer=best.copy(), status=status, lower=lower,
+                       gap=gap, iters=iters)

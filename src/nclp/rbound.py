@@ -58,7 +58,6 @@ class BoundEstimate:
     value: float
     selection: tuple
     witness: np.ndarray
-    status: str
     restarts: int  # starts actually run
     seed: int
     theta: float | None = None
@@ -215,14 +214,12 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
             if val > best_val:
                 best_val, best_sel, best_x = val, sel, x.copy()
 
-    status = "converged" if best_val > -math.inf else "budget-exhausted"
     return BoundEstimate(
         notion=notion,
         p=p,
         value=float(best_val),
         selection=best_sel,
         witness=best_x,
-        status=status,
         restarts=runs,
         seed=seed,
         theta=theta,

@@ -35,7 +35,7 @@ from . import funcalc as fc
 from .core import NumericsError, as_matrix, check_exponent, schatten_norm
 from .hvnorms import (_hstack_maps, _vstack_maps, col_norm, intersection_norm, row_norm,
                       sum_norm_solve)
-from .optim import ConvexCfg, minimize_split_schatten
+from .optim import ConvexCfg, SolveResult, minimize_split_schatten
 
 # Radial coverage of the default grid relative to the extreme spectral
 # magnitudes.  The inner cutoff controls the truncation error of the
@@ -131,13 +131,15 @@ class _NodeFamily:
         return self.fwd(as_matrix(x))
 
 
-def _rad(u: np.ndarray, p: float, cfg: ConvexCfg | None) -> tuple[float, tuple[str, ...]]:
-    """The symmetric square function of a node stack and the statuses of
-    its solves (none for p >= 2)."""
+def _rad(
+    u: np.ndarray, p: float, cfg: ConvexCfg | None
+) -> tuple[float, tuple[SolveResult, ...]]:
+    """The symmetric square function of a node stack and its split-norm
+    solves (none for p >= 2)."""
     if p >= 2.0:
         return intersection_norm(u, p), ()
     res = sum_norm_solve(u, p, cfg)
-    return res.value, (res.status,)
+    return res.value, (res,)
 
 
 def node_apply(op, x, f: fc.HolFn, grid: LogGrid) -> np.ndarray:
@@ -171,18 +173,11 @@ def sq_rad(
     return _rad(_NodeFamily(op, f, grid).weighted(x), p, cfg)[0]
 
 
-@dataclass
-class BracketResult:
-    value: float
-    witness: np.ndarray  # the optimal x1 in x = x1 + x2
-    status: str
-
-
-def _bracket(fam: _NodeFamily, x, p: float, cfg: ConvexCfg | None) -> BracketResult:
+def _bracket(fam: _NodeFamily, x, p: float, cfg: ConvexCfg | None) -> SolveResult:
     members = len(fam.coef)
     col, col_adj = _vstack_maps(members, fam.dim, fam.dim)
     row, row_adj = _hstack_maps(members, fam.dim, fam.dim)
-    res = minimize_split_schatten(
+    return minimize_split_schatten(
         lambda x1: col(fam.fwd(x1)),
         lambda m: fam.adj(col_adj(m)),
         lambda x2: row(fam.fwd(x2)),
@@ -191,7 +186,6 @@ def _bracket(fam: _NodeFamily, x, p: float, cfg: ConvexCfg | None) -> BracketRes
         p,
         cfg,
     )
-    return BracketResult(value=res.value, witness=res.minimizer, status=res.status)
 
 
 def bracket_norm(
@@ -201,12 +195,12 @@ def bracket_norm(
     grid: LogGrid | None = None,
     p: float = 2.0,
     cfg: ConvexCfg | None = None,
-) -> BracketResult:
+) -> SolveResult:
     """inf { col-sq(x1) + row-sq(x - x1) } over matrix splittings.
 
     The infimum runs over decompositions of x itself, upstream of the
     square function, so the value always dominates the symmetric square
-    function of x.
+    function of x.  The minimizer is the optimal x1 in x = x1 + x2.
     """
     p = check_exponent(p)
     return _bracket(_NodeFamily(op, f, grid), x, p, cfg)
@@ -220,7 +214,7 @@ class SquareReport:
     bracket: float | None
     grid: LogGrid
     truncated: bool
-    solver_statuses: tuple[str, ...]  # one per split-norm solve (rad, bracket)
+    solves: tuple[SolveResult, ...]  # one per split-norm solve (rad, bracket)
 
 
 def square_report(
@@ -244,11 +238,11 @@ def square_report(
     truncated = bool(peak > 0 and max(mags[0], mags[-1]) ** 2 > 1e-9 * peak**2)
     if with_bracket is None:
         with_bracket = p < 2.0
-    rad, statuses = _rad(u, p, cfg)
+    rad, solves = _rad(u, p, cfg)
     bracket = None
     if with_bracket:
         res = _bracket(fam, x, p, cfg)
-        bracket, statuses = res.value, statuses + (res.status,)
+        bracket, solves = res.value, solves + (res,)
     return SquareReport(
         col=col_norm(u, p),
         row=row_norm(u, p),
@@ -256,7 +250,7 @@ def square_report(
         bracket=bracket,
         grid=fam.grid,
         truncated=truncated,
-        solver_statuses=statuses,
+        solves=solves,
     )
 
 
@@ -278,7 +272,7 @@ class EquivReport:
     p: float
     variant: str
     samples: int
-    solver_statuses: tuple[str, ...]  # one per split-norm solve
+    solves: tuple[SolveResult, ...]  # one per split-norm solve
 
 
 def equivalence_experiment(
@@ -304,17 +298,17 @@ def equivalence_experiment(
     rng = np.random.default_rng(seed)
     d = op.dim
     k1, k2 = math.inf, 0.0
-    statuses = ()
+    solves = ()
     for _ in range(sample_count):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         nx = schatten_norm(x, p)
         sq, solved = square(fam.weighted(x))
-        statuses += solved
+        solves += solved
         pnorm = schatten_norm(proj.apply(x), p)
         k1 = min(k1, (sq + pnorm) / nx)
         k2 = max(k2, sq / nx)
     return EquivReport(k1_hat=k1, k2_hat=k2, p=p, variant=variant, samples=sample_count,
-                       solver_statuses=statuses)
+                       solves=solves)
 
 
 def dyadic_gap_coefficients(n: int) -> np.ndarray:

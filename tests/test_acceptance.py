@@ -197,7 +197,7 @@ def test_acceptance_5_khintchine_sandwich():
     violations = 0
     c_measured = 0.0
     sum_defect = 0.0
-    cfg = ConvexCfg(restarts=6, iters=200, tol=1e-4)
+    cfg = ConvexCfg(iters=200, tol=1e-4)
     for trial in range(50):
         rng = np.random.default_rng(5000 + trial)
         n = int(rng.integers(2, 9))

@@ -42,6 +42,21 @@ class TestArtifacts:
         for line in data_rows(text)[1:]:
             assert ",True," in line
 
+    @pytest.mark.parametrize("p", ["1", "4"])
+    def test_khintchine_interval_column(self, tmp_path, p):
+        # below p = 2 the sum norm is an infimum, reported with its certified
+        # lower end; at p >= 2 it is the intersection norm and the column is empty
+        code, text = run(["khintchine", "--p", p, "--dim", "2", "--family", "3",
+                          "--seed", "11", "--samples", "2"], tmp_path)
+        assert code == 0
+        rows = [r.split(",") for r in data_rows(text)]
+        lo, hi = rows[0].index("radnorm_lower"), rows[0].index("radnorm")
+        for row in rows[1:]:
+            if p == "4":
+                assert row[lo] == ""
+            else:
+                assert float(row[lo]) <= float(row[hi]) <= float(row[lo]) * (1 + 1e-6)
+
     def test_calculus_check_tolerance(self, tmp_path):
         code, text = run(
             ["calculus-check", "--fn", "g,zexp,sqrtzexp,zis:0.5", "--A", "leftdiag:1,4"],
@@ -189,7 +204,6 @@ class TestErrorPaths:
             ["qfock", "gram", "--q", "1.0"],
             ["clifford", "semigroup", "--n", "8"],
             ["freegroup", "dyadic", "--shells", "4", "--seed", "1"],
-            ["khintchine", "--restarts", "0", "--seed", "1"],
             ["khintchine", "--iters", "0", "--seed", "1"],
             ["rbound", "--iters", "0", "--seed", "1"],
             ["martingale", "stein", "--iters", "0", "--seed", "1"],
@@ -219,7 +233,7 @@ class TestErrorPaths:
              "rbound-odd-points", "rbound-one-point", "rbound-theta-above-pi",
              "rbound-theta-zero", "rbound-no-restarts", "stein-no-restarts",
              "qfock-q-one", "clifford-n-above-frame-cap", "dyadic-shells-above-pools",
-             "khintchine-no-restarts", "khintchine-no-iters", "rbound-no-iters",
+             "khintchine-no-iters", "rbound-no-iters",
              "stein-no-iters", "schur-no-amplification", "schur-no-points",
              "calculus-bad-operator", "calculus-bad-fn", "calculus-bad-fn-parameter",
              "sector-bad-operator", "sqfn-grid-two-fields", "clifford-bad-fn",
@@ -323,8 +337,11 @@ class TestSolverExitCodes:
                                               strict, expected):
         from nclp.optim import SolveResult
 
+        gap = 0.0 if status == "converged" else 0.5
+
         def fake_solve(fwd1, adj1, fwd2, adj2, v0, p, cfg=None):
-            return SolveResult(value=1.0, minimizer=np.zeros_like(v0), status=status)
+            return SolveResult(value=1.0, minimizer=np.zeros_like(v0), status=status,
+                               lower=1.0 - gap, gap=gap, iters=1)
 
         # the symmetric square function solves through hvnorms, the bracket in sqfn
         monkeypatch.setattr(cli.hvnorms, "minimize_split_schatten", fake_solve)
@@ -333,6 +350,7 @@ class TestSolverExitCodes:
                 "--seed", "3", "--samples", "2", "--variant", "rad",
                 "--out", str(tmp_path / "sq.csv")]
         assert cli.main(argv + ["--strict"] * strict) == expected
+        assert f"# solver_gap_max = {gap!r}" in (tmp_path / "sq.csv").read_text().splitlines()
 
 
 class TestFailingChecks:

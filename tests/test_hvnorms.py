@@ -202,7 +202,7 @@ class TestRadAverage:
 class TestSumAndRadNorm:
     def test_singleton(self, rng):
         x = random_matrix(rng, 2)
-        val = hvnorms.sum_norm([x], 1, ConvexCfg(restarts=4, iters=200))
+        val = hvnorms.sum_norm([x], 1, ConvexCfg(iters=200))
         assert val == pytest.approx(core.schatten_norm(x, 1), rel=1e-6)
 
     def test_zero_family(self):
@@ -213,7 +213,7 @@ class TestSumAndRadNorm:
         for _ in range(5):
             xs = random_family(rng, 3, 2)
             for p in (1, 1.5):
-                val = hvnorms.sum_norm(xs, p, ConvexCfg(restarts=4, iters=120))
+                val = hvnorms.sum_norm(xs, p, ConvexCfg(iters=120))
                 cap = min(hvnorms.col_norm(xs, p), hvnorms.row_norm(xs, p))
                 assert val <= cap + 1e-9
 
@@ -229,7 +229,7 @@ class TestSumAndRadNorm:
         hu = cp.hstack([u[k * d1 : (k + 1) * d1, :] for k in range(n)])
         prob = cp.Problem(cp.Minimize(cp.normNuc(u) + cp.normNuc(h - hu)))
         prob.solve(solver=cp.SCS, eps=1e-9, max_iters=200_000)
-        val = hvnorms.sum_norm(xs, 1, ConvexCfg(restarts=8, iters=400))
+        val = hvnorms.sum_norm(xs, 1, ConvexCfg(iters=400))
         assert val == pytest.approx(prob.value, abs=1e-3 * max(prob.value, 1.0))
 
     def test_rad_norm_dispatch(self, rng):
@@ -237,7 +237,7 @@ class TestSumAndRadNorm:
         assert hvnorms.rad_norm(xs, 4) == pytest.approx(
             hvnorms.intersection_norm(xs, 4), rel=1e-12
         )
-        cfg = ConvexCfg(restarts=4, iters=120)
+        cfg = ConvexCfg(iters=120)
         assert hvnorms.rad_norm(xs, 1.5, cfg) == pytest.approx(
             hvnorms.sum_norm(xs, 1.5, cfg), rel=1e-9
         )
@@ -262,7 +262,7 @@ class TestKhintchine:
     def test_p1_sum_side(self, rng):
         for _ in range(5):
             xs = random_family(rng, 3, 2)
-            rep = hvnorms.khintchine_report(xs, 1, ConvexCfg(restarts=6, iters=200))
+            rep = hvnorms.khintchine_report(xs, 1, ConvexCfg(iters=200))
             assert rep.side == "sum"
             assert rep.lower_ok  # rad average below the sum norm
             assert rep.radavg <= rep.radnorm + 1e-6
@@ -287,5 +287,5 @@ class TestSolverSanityAtP2:
         # closed-form convergence check for the solver
         xs = random_family(rng, 3, 3)
         target = hvnorms.intersection_norm(xs, 2)
-        val = hvnorms.sum_norm(xs, 2, ConvexCfg(restarts=6, iters=200))
+        val = hvnorms.sum_norm(xs, 2, ConvexCfg(iters=200))
         assert val == pytest.approx(target, rel=1e-6)

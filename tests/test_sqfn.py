@@ -139,7 +139,7 @@ class TestSqRadAndBracket:
         x = random_matrix(rng, 2)
         f = fc.library("zexp")
         grid = sqfn.LogGrid.for_operator(op, n=96)
-        cfg = ConvexCfg(restarts=4, iters=120)
+        cfg = ConvexCfg(iters=120)
         val = sqfn.sq_rad(op, x, f, grid, 1.5, cfg)
         cap = min(sqfn.sq_col(op, x, f, grid, 1.5), sqfn.sq_row(op, x, f, grid, 1.5))
         assert val <= cap + 1e-6
@@ -147,7 +147,7 @@ class TestSqRadAndBracket:
     def test_bracket_zero(self, posdiag_op):
         f = fc.library("sqrtzexp")
         res = sqfn.bracket_norm(
-            posdiag_op, np.zeros((4, 4)), f, p=1.5, cfg=ConvexCfg(restarts=3, iters=60)
+            posdiag_op, np.zeros((4, 4)), f, p=1.5, cfg=ConvexCfg(iters=60)
         )
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
@@ -157,10 +157,10 @@ class TestSqRadAndBracket:
         x = random_matrix(rng, 2)
         f = fc.library("zexp")
         grid = sqfn.LogGrid.for_operator(op, n=96)
-        res = sqfn.bracket_norm(op, x, f, grid, 1.5, ConvexCfg(restarts=4, iters=120))
+        res = sqfn.bracket_norm(op, x, f, grid, 1.5, ConvexCfg(iters=120))
         assert res.value <= sqfn.sq_col(op, x, f, grid, 1.5) + 1e-9
         # witness is a genuine splitting: re-evaluate the objective
-        x1 = res.witness
+        x1 = res.minimizer
         direct = sqfn.sq_col(op, x1, f, grid, 1.5) + sqfn.sq_row(op, x - x1, f, grid, 1.5)
         assert direct == pytest.approx(res.value, rel=1e-9)
 
@@ -170,7 +170,7 @@ class TestSqRadAndBracket:
         x = random_matrix(rng, 2)
         f = fc.library("zexp")
         grid = sqfn.LogGrid.for_operator(op, n=96)
-        cfg = ConvexCfg(restarts=4, iters=150)
+        cfg = ConvexCfg(iters=150)
         bracket = sqfn.bracket_norm(op, x, f, grid, 1.5, cfg).value
         rad = sqfn.sq_rad(op, x, f, grid, 1.5, cfg)
         assert bracket / rad >= 1 - 1e-6
@@ -196,7 +196,7 @@ class TestOneNodeFamily:
         x = random_matrix(rng, 3)
         f = fc.library("zexp")
         grid = sqfn.LogGrid.for_operator(op, n=96)
-        cfg = ConvexCfg(restarts=2, iters=40, seed=4)
+        cfg = ConvexCfg(iters=40)
         rep = sqfn.square_report(count_frames(op), x, f, grid, p, cfg, with_bracket=True)
         assert op.frames == 1
         assert rep.col == sqfn.sq_col(op, x, f, grid, p)
@@ -373,12 +373,12 @@ class TestNodeCompression:
         # the bracket value is re-evaluated from its witness on all grid
         # nodes, so it does not rest on the compressed path alone
         f = fc.library("zexp")
-        cfg = ConvexCfg(restarts=3, iters=80, seed=5)
+        cfg = ConvexCfg(iters=80)
         for op in _all_kinds(rng):
             grid = sqfn.LogGrid.for_operator(op)
             sw = np.sqrt(grid.w)[:, None, None]
             x = random_matrix(rng, op.dim)
             res = sqfn.bracket_norm(op, x, f, grid, 1.5, cfg)
-            full = hvnorms.col_norm(sw * sqfn.node_apply(op, res.witness, f, grid), 1.5)
-            full += hvnorms.row_norm(sw * sqfn.node_apply(op, x - res.witness, f, grid), 1.5)
+            full = hvnorms.col_norm(sw * sqfn.node_apply(op, res.minimizer, f, grid), 1.5)
+            full += hvnorms.row_norm(sw * sqfn.node_apply(op, x - res.minimizer, f, grid), 1.5)
             assert full == pytest.approx(res.value, rel=1e-9), type(op).__name__
