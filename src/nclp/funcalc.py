@@ -652,12 +652,18 @@ R_MIN_REL = 1e-14
 R_MAX_REL = 1e10
 
 
-def default_contour(op: LpOperator, f: HolFn, n_points: int = 400) -> ContourSpec:
+def check_sector(op: LpOperator, f: HolFn) -> float:
+    """The type angle of op, refused unless it lies below f's sector."""
     omega = op.sector_angle()
     if omega >= f.theta:
         raise ValueError(
             f"operator type angle {omega:.3f} is not below the function sector {f.theta:.3f}"
         )
+    return omega
+
+
+def default_contour(op: LpOperator, f: HolFn, n_points: int = 400) -> ContourSpec:
+    omega = check_sector(op, f)
     gamma = 0.5 * (omega + f.theta)
     lo, hi = spectral_window(op.spectrum())
     return ContourSpec(gamma=gamma, r_min=R_MIN_REL * lo, r_max=R_MAX_REL * hi, n_points=n_points)
@@ -667,12 +673,13 @@ def _contour_coefficients(f: HolFn, spec: ContourSpec):
     """Nodes z_j and weights c_j with f(A) ~= sum_j c_j R(z_j, A).
 
     The boundary of the sector is traversed counterclockwise around the
-    spectrum: down the upper ray, out the lower ray.
+    spectrum: down the upper ray, out the lower ray.  The nodes are the
+    lower ray followed by its exact conjugate, the upper ray.
     """
     r, w = spec.nodes()
     g = spec.gamma
     z_lo = r * cmath.exp(-1j * g)
-    z_hi = r * cmath.exp(1j * g)
+    z_hi = z_lo.conj()
     c_lo = w * r * cmath.exp(-1j * g) * f(z_lo) / (2j * math.pi)
     c_hi = -w * r * cmath.exp(1j * g) * f(z_hi) / (2j * math.pi)
     return np.concatenate([z_lo, z_hi]), np.concatenate([c_lo, c_hi])
@@ -694,15 +701,24 @@ def _cauchy_sums(z, c, lam) -> np.ndarray:
 
 def _resolvent_sums(z, c, s) -> np.ndarray:
     """sum_j c[k, j] (z_j - s)^{-1} for every row k of c and a square matrix
-    s: batched inverses over chunks of nodes of at most _BATCH_ENTRIES
-    entries, each chunk summed with one tensordot."""
-    n = s.shape[0]
+    s, on the nodes of :func:`_contour_coefficients` (the lower ray, then
+    its conjugate).  The lower ray is inverted in batched chunks of at most
+    _BATCH_ENTRIES entries.  For a real s the upper ray costs no inverse:
+    (conj(z) - s)^{-1} = conj((z - s)^{-1}); a symbol with any nonzero
+    imaginary part inverts the upper ray's chunk too.  Each ray's part of a
+    chunk is summed with one tensordot."""
+    n, half = s.shape[0], z.size // 2
     eye = np.eye(n)
+    real = not np.any(np.imag(s))
+    c_lo, c_hi, z_lo, z_hi = c[:, :half], c[:, half:], z[:half], z[half:]
     out = np.zeros((len(c), n, n), dtype=np.complex128)
     step = max(1, _BATCH_ENTRIES // (n * n))
-    for k in range(0, z.size, step):
-        res = np.linalg.inv(z[k : k + step, None, None] * eye - s)
-        out += np.tensordot(c[:, k : k + step], res, axes=1)
+    for k in range(0, half, step):
+        part = slice(k, k + step)
+        res = np.linalg.inv(z_lo[part, None, None] * eye - s)
+        res_hi = res.conj() if real else np.linalg.inv(z_hi[part, None, None] * eye - s)
+        out += np.tensordot(c_lo[:, part], res, axes=1)
+        out += np.tensordot(c_hi[:, part], res_hi, axes=1)
     return out
 
 
@@ -766,8 +782,15 @@ def contour_calculus(
     symbols go through the scalar Cauchy sums, matrix symbols sum their
     own resolvents (d x d for multiplications, d^2 x d^2 otherwise),
     inverted in batches of nodes, so the result never passes through an
-    eigendecomposition.  Emits :class:`ContourTruncationWarning` when the
-    endpoint integrand suggests the window is too narrow.
+    eigendecomposition.  The upper-ray nodes are the conjugates of the
+    lower-ray ones, and for a real symbol S
+
+        (conj(z) - S)^{-1} = conj((z - S)^{-1}),
+
+    so only the lower ray is inverted.  The weights c_j still carry f at
+    every node: f need not be conjugate-symmetric.  Emits
+    :class:`ContourTruncationWarning` when the endpoint integrand suggests
+    the window is too narrow.
     """
     if f.klass != "hinf0":
         raise ValueError(f"{f.name} has no decay at 0/infinity; use extended_calculus")

@@ -90,7 +90,8 @@ class _NodeFamily:
     """Precomputed action of {F(t_j A)}_j, diagonal in the operator's
     frame: F(t_j A) x = out(F(t_j lam) * into(x)).  Without a grid the
     operator's default grid is used.  Every square function of one
-    (A, F, grid) derives from one family.
+    (A, F, grid) derives from one family.  An operator whose type angle is
+    not below F's sector is refused before F is evaluated.
 
     The weighted nodes are compressed exactly: with sqrt(w) F(t lam) = Q R
     (reduced QR over the n nodes, R of shape (min(n, lam.size), *lam.shape)),
@@ -98,6 +99,7 @@ class _NodeFamily:
     out(R_i * into(x)), and Q preserves column, row and sum norms."""
 
     def __init__(self, op: fc.LpOperator, f: fc.HolFn, grid: LogGrid | None = None):
+        fc.check_sector(op, f)
         self.grid = LogGrid.for_operator(op) if grid is None else grid
         self.dim = op.dim
         lam, self._into, self._out, self._into_adj, self._out_adj = op.frame()

@@ -2,6 +2,7 @@ import json
 import math
 import runpy
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,21 @@ class TestErrorPaths:
         # negative time is a domain error -> numeric failure exit code
         code = cli.main(["schur", "--points", "3", "--t", "-1.0"])
         assert code == cli.EXIT_NUMERIC
+
+    def test_sqfn_checks_the_function_sector(self, capsys):
+        # the spectrum a_i - b_j of this derivation reaches the negative axis
+        spec = ["--A", "adiag:1,2|0.5,3", "--fn", "zexp"]
+        expected = cli.main(["calculus-check"] + spec)
+        calculus_err = capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            code = cli.main(["sqfn-equiv", "--p", "1.5", "--seed", "1", "--samples", "1"] + spec)
+        err = capsys.readouterr().err
+        message = "operator type angle 3.142 is not below the function sector 1.400"
+        assert message in calculus_err and message in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in rec if issubclass(w.category, RuntimeWarning)]
+        assert code == expected
 
     def test_unknown_operator_spec(self):
         code = cli.main(["calculus-check", "--A", "bogus:1"])

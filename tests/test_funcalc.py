@@ -478,6 +478,13 @@ def _sylvester_dense(rng, d):
     return fc.DenseOp(np.kron(am, eye) + np.kron(eye, bm.T))
 
 
+def _complex_dense(op):
+    """A complex-entry DenseOp similar to ``op`` through a diagonal unitary:
+    same spectrum, same non-normality, nonzero imaginary parts."""
+    phase = np.exp(1j * np.arange(op.s.shape[0]))
+    return fc.DenseOp(phase[:, None] * op.s * phase.conj()[None, :])
+
+
 def _count_calls(monkeypatch, name):
     """Patch np.linalg.<name> to record the shape of its first argument."""
     real, shapes = getattr(np.linalg, name), []
@@ -504,26 +511,72 @@ class TestContourSweep:
             "dense5": _sylvester_dense(rng, 5),
         }[kind]
         f = fc.library(fid)
-        if kind == "dense5":  # the last chunk of nodes is a short one
-            assert 2 * fc.default_contour(op, f).n_points % (fc._BATCH_ENTRIES // 25**2)
+        if kind == "dense5":  # the last chunk of lower-ray nodes is a short one
+            assert fc.default_contour(op, f).n_points % (fc._BATCH_ENTRIES // 25**2)
         ref = _looped_contour(op, f)
         out = fc.contour_calculus(op, f).symbol
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_extended_makes_one_sweep(self, rng, monkeypatch):
-        op = _sylvester_dense(rng, 8)
+    @staticmethod
+    def _assert_one_sweep(monkeypatch, op, rays):
+        """extended_calculus(op, zis:0.8) makes one batched inverse per chunk
+        of ``rays`` * n_points nodes, shared by fg and g (1,601 solves with
+        one per node and function); the rest is the kernel projection's
+        eigenvector inverse and the final g(A) solve."""
         f = fc.library("zis:0.8")
         invs = _count_calls(monkeypatch, "inv")
         solves = _count_calls(monkeypatch, "solve")
         fc.extended_calculus(op, f)
-        nodes = 2 * fc.default_contour(op, fc.product_fn(f, fc.library("g"))).n_points
+        nodes = rays * fc.default_contour(op, fc.product_fn(f, fc.library("g"))).n_points
         per_chunk = fc._BATCH_ENTRIES // 64**2
-        # one batched inverse per chunk of nodes, shared by fg and g (1,601
-        # solves with one per node and function); the rest is the kernel
-        # projection's eigenvector inverse and the final g(A) solve
         assert sum(len(sh) == 3 for sh in invs) == -(-nodes // per_chunk)
         assert all(sh[0] <= per_chunk for sh in invs if len(sh) == 3)
         assert len(invs) + len(solves) <= -(-nodes // per_chunk) + 2
+
+    def test_extended_makes_one_sweep(self, rng, monkeypatch):
+        # a real symbol inverts the lower ray only and takes the upper ray's
+        # resolvents as their conjugates
+        self._assert_one_sweep(monkeypatch, _sylvester_dense(rng, 8), rays=1)
+
+    def test_extended_complex_symbol_inverts_both_rays(self, rng, monkeypatch):
+        self._assert_one_sweep(monkeypatch, _complex_dense(_sylvester_dense(rng, 8)), rays=2)
+
+    def test_upper_ray_is_the_conjugate_lower_ray(self):
+        spec = fc.ContourSpec(gamma=0.9, r_min=1e-3, r_max=1e4, n_points=37)
+        z, _ = fc._contour_coefficients(fc.library("zexp"), spec)
+        assert np.array_equal(z[37:], z[:37].conj())
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_extended_matches_paired_looped_sweeps(self, rng, complex_entries):
+        # zis:0.8 is not conjugate-symmetric: f(conj z) != conj f(z)
+        op = _sylvester_dense(rng, 5)
+        if complex_entries:
+            op = _complex_dense(op)
+        f, g = fc.library("zis:0.8"), fc.library("g")
+        fg = fc.product_fn(f, g)
+        spec = fc.default_contour(op, fg)
+        fg_s, g_s = _looped_contour(op, fg, spec), _looped_contour(op, g, spec)
+        p0 = op.kernel_projection().symbol
+        eye = np.eye(p0.shape[0])
+        ref = (eye - p0) @ np.linalg.solve(g_s + p0, fg_s)
+        out = fc.extended_calculus(op, f).symbol
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_short_last_lower_ray_chunk(self, rng, monkeypatch, complex_entries):
+        op = _sylvester_dense(rng, 4)
+        if complex_entries:
+            op = _complex_dense(op)
+        f = fc.library("sqrtzexp")
+        spec = fc.default_contour(op, f, n_points=300)
+        per_chunk = fc._BATCH_ENTRIES // 16**2
+        assert spec.n_points % per_chunk  # 300 = 256 + 44
+        ref = _looped_contour(op, f, spec)
+        invs = _count_calls(monkeypatch, "inv")
+        out = fc.contour_calculus(op, f, spec).symbol
+        chunks = [256, 256, 44, 44] if complex_entries else [256, 44]
+        assert [sh[0] for sh in invs] == chunks
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_extended_matches_two_looped_sweeps(self):
         op = fc.LeftMult(np.array([[0.5, 0.8], [0.0, 2.0]]))

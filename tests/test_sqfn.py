@@ -217,6 +217,15 @@ class TestOneNodeFamily:
             ratios.append(sqfn.sq_rad(posdiag_op, x, f, p=4.0) / schatten_norm(x, 4.0))
         assert rep.k2_hat == max(ratios)
 
+    def test_rejects_operator_outside_function_sector(self, rng):
+        # spectrum a_i - b_j includes -2 and -1: type angle pi
+        op = fc.AdPair(np.diag([1.0, 2.0]), np.diag([0.5, 3.0]))
+        calls = []
+        f = fc.make_hinf(fc.library("zexp").theta, lambda z: calls.append(z) or z, name="f")
+        with pytest.raises(ValueError, match="type angle 3.142 is not below the function sector 1.400"):
+            sqfn.sq_col(op, random_matrix(rng, 2), f)
+        assert calls == []  # refused before F is evaluated
+
 
 class TestEquivalence:
     def test_scalar_case_constants(self, posdiag_op):
