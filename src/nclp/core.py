@@ -22,6 +22,9 @@ import numpy as np
 HERM_RTOL = 1e-10
 PSD_CLAMP_RTOL = 1e-10
 ASCENT_RTOL = 1e-13  # fixed-point rule of power_ascent, relative to ||x||
+# schatten_from_sv sums s**p unscaled while p |log top| stays below this:
+# e^690 leaves e^19 of the double range (e^+-708) for the sum of the powers
+_POW_SAFE_LOG = 690.0
 
 _TEXT_FMT = "%.17g"  # 17 significant digits: exact binary64 round trip
 
@@ -93,7 +96,9 @@ def schatten_norm(x, p: float) -> float:
 
 def schatten_from_sv(s, p: float):
     """Schatten p-norms from singular values sorted decreasingly along the
-    last axis, batched over the leading axes (the one shared kernel)."""
+    last axis, batched over the leading axes (the one shared kernel).  A
+    row whose power sum would overflow or underflow (a huge p, or extreme
+    singular values) is rescaled by its top singular value."""
     s = np.asarray(s)
     if s.shape[-1] == 0:
         return np.zeros(s.shape[:-1])
@@ -102,7 +107,28 @@ def schatten_from_sv(s, p: float):
     if p == 2.0:
         # cheaper and exactly the Frobenius norm
         return np.sqrt(np.sum(s * s, axis=-1))
-    return np.sum(s**p, axis=-1) ** (1.0 / p)
+    top = s[..., 0]
+    lo, hi = (float(top), float(top)) if s.ndim == 1 else (float(top.min()), float(top.max()))
+    if lo > 0.0 and p * max(math.log(hi), -math.log(lo)) < _POW_SAFE_LOG:
+        return np.sum(s**p, axis=-1) ** (1.0 / p)
+    return _schatten_guarded(s, p)
+
+
+def _schatten_guarded(s, p: float):
+    """:func:`schatten_from_sv` where s**p may overflow or underflow: the
+    rows whose power sum is not a positive finite number, although their
+    top singular value is positive, are recomputed as
+    top * sum((s / top)**p)**(1/p); every other row keeps the plain sum."""
+    with np.errstate(over="ignore"):
+        total = np.sum(s**p, axis=-1)
+    norms = np.array(total ** (1.0 / p))
+    top = s[..., 0]
+    bad = ~((total > 0.0) & (total < math.inf)) & (top > 0.0)
+    if np.any(bad):
+        flat, bad = s.reshape(-1, s.shape[-1]), np.reshape(bad, -1)
+        rows, tops = flat[bad], flat[bad, :1]
+        norms.reshape(-1)[bad] = tops[:, 0] * np.sum((rows / tops) ** p, axis=-1) ** (1.0 / p)
+    return norms[()]
 
 
 def _sv_and_polar(y, p: float):

@@ -137,9 +137,10 @@ def _sign_block(offset: int, count: int, n: int) -> np.ndarray:
 
 
 def _signed_sums(signs, fam) -> np.ndarray:
-    """The sums sum_k eps_sk x_k for every row s of signs, as one matmul."""
-    n = fam.shape[0]
-    return (signs @ fam.reshape(n, -1)).reshape(len(signs), *fam.shape[1:])
+    """The sums sum_k eps_sk x_k for every row s of signs, as one matmul,
+    batched over the leading axes of fam (..., n, d1, d2)."""
+    *lead, n, d1, d2 = fam.shape
+    return (signs @ fam.reshape(*lead, n, d1 * d2)).reshape(*lead, len(signs), d1, d2)
 
 
 def _signed_norms(sign_blocks, fam, p):
@@ -208,21 +209,24 @@ def intersection_norm(xs, p: float) -> float:
 
 
 def _vstack_maps(n, d1, d2):
+    """The column stack (n d1) x d2 of an (n, d1, d2) family and its
+    inverse, batched over leading axes."""
     def fwd(v):
-        return v.reshape(n * d1, d2)
+        return v.reshape(v.shape[:-3] + (n * d1, d2))
 
     def adj(m):
-        return m.reshape(n, d1, d2)
+        return m.reshape(m.shape[:-2] + (n, d1, d2))
 
     return fwd, adj
 
 
 def _hstack_maps(n, d1, d2):
+    """The row stack d1 x (n d2) and its inverse, batched likewise."""
     def fwd(v):
-        return np.transpose(v, (1, 0, 2)).reshape(d1, n * d2)
+        return np.swapaxes(v, -3, -2).reshape(v.shape[:-3] + (d1, n * d2))
 
     def adj(m):
-        return np.transpose(m.reshape(d1, n, d2), (1, 0, 2))
+        return np.swapaxes(m.reshape(m.shape[:-2] + (d1, n, d2)), -3, -2)
 
     return fwd, adj
 

@@ -10,12 +10,21 @@ matrix families (x_1, ..., x_L) of
 
 Those suprema run over unboundedly many selections and families, so only
 *lower bounds* are computable; every estimate returned here is certified
-by a stored witness whose objective value reproduces it.  The search is
-seeded random restarts followed by alternating local ascent (nonlinear
-power iteration in x for the column/row objectives, which is the shared
-kernel :func:`core.power_ascent` on the stacked family; accept-if-improve
+by a stored witness whose objective value reproduces it (to roundoff:
+the search evaluates candidates in batches, :func:`objective` one family
+at a time).  The search is seeded random restarts followed by
+alternating local ascent (nonlinear power iteration in x for the
+column/row objectives, which is the shared kernel
+:func:`core.power_ascent` on the stacked families; accept-if-improve
 subgradient steps for the Rademacher one) and greedy reselection of the
-operators.  Profiling a sectorial operator discretizes the scaled
+operators.  The starts of one selection length run in lock-step: each
+round's power iteration is one :func:`core.power_ascent` call that
+carries every start under its own selection.  Reselection puts the
+candidates of a slot on a leading axis: at a fixed witness the
+denominator is computed once, and the n_ops families that differ only
+in that slot's member go through one batched numerator (one SVD batch
+of the stacked candidates for col/row, one ``_signed_sums`` and one SVD
+batch for rad).  Profiling a sectorial operator discretizes the scaled
 resolvents z R(z, A) along the rays of a test angle into such a family.
 """
 
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_exponent, polar_factor, power_ascent
+from .core import check_exponent, polar_factor, power_ascent, schatten_from_sv
 from .funcalc import LpOperator, apply_each, ray_resolvent_family
 from .hvnorms import (
     _hstack_maps,
@@ -102,19 +111,63 @@ def re_evaluate(est: BoundEstimate, ops) -> float:
     return objective(est.notion, _check_family(ops), est.selection, est.witness, est.p)
 
 
+# -- the objective at many families at once --------------------------------
+
+
+def _family_norms(notion, fams, p):
+    """The col / row / rad norm of every family on the leading axes of
+    ``fams`` (..., L, d, d), from one batched SVD.  Without leading axes
+    it is exactly ``col_norm`` / ``row_norm`` / ``rad_average`` of the
+    family (the rad one with L <= RAD_SELECTION_MAX, one sign block)."""
+    if notion == "rad":
+        n = fams.shape[-3]
+        half = 1 << (n - 1)
+        sums = _signed_sums(_sign_block(0, half, n), fams)
+        return np.sum(schatten_from_sv(np.linalg.svd(sums, compute_uv=False), p), axis=-1) / half
+    stack = (_vstack_maps if notion == "col" else _hstack_maps)(*fams.shape[-3:])[0]
+    return schatten_from_sv(np.linalg.svd(stack(fams), compute_uv=False), p)
+
+
+def _reselect(notion, ops, sel, x, p):
+    """Greedy operator reselection at the fixed witness x: slot by slot,
+    the member (first maximum) of largest objective with the other slots
+    held.  The denominator is one norm of x; ``images[j, k] = ops[j](x_k)``
+    takes one ``apply`` per member, and the n_ops candidate families of a
+    slot, which differ only in that slot's image, sit on a leading axis of
+    one batched numerator.  Returns the selection and its value."""
+    n_ops, length = len(ops), len(sel)
+    den = _family_norms(notion, x, p)
+    images = np.stack([op.apply(x) for op in ops])
+    sel = np.array(sel)
+    ys = images[sel, np.arange(length)]
+    for slot in range(length):
+        fams = np.repeat(ys[None], n_ops, axis=0)
+        fams[:, slot] = images[:, slot]
+        vals = _family_norms(notion, fams, p) / den if den > 0 else np.zeros(n_ops)
+        sel[slot] = best = int(np.argmax(vals))
+        ys[slot] = images[best, slot]
+    return sel, float(vals[best])
+
+
 # -- column / row inner ascent: nonlinear power iteration ------------------
 
 
-def _ascend_colrow(ops, daggers, sel, xs, p, mode, iters):
-    """The witness maximizing the stacked-Schatten ratio over x at fixed
-    selection: the one-start :func:`core.power_ascent` on the column (or
-    row) stack.  ``daggers`` are the adjoints of ``ops``."""
-    stack, unstack = (_vstack_maps if mode == "col" else _hstack_maps)(*xs.shape)
+def _ascend_colrow(ops, daggers, sels, xs, p, mode, iters):
+    """The witnesses maximizing the stacked-Schatten ratio over x at fixed
+    selections, for all starts xs (S, L, d, d) at once, start i under
+    selection sels[i]: one :func:`core.power_ascent` on the column (or
+    row) stacks.  ``daggers`` are the adjoints of ``ops``."""
+    _, length, d, _ = xs.shape
+    stack, unstack = (_vstack_maps if mode == "col" else _hstack_maps)(length, d, d)
 
     def each(maps):
-        return lambda s, _idx: stack(apply_each(maps, sel, unstack(s[0])))[None]
+        def fwd(s, idx):
+            fams = unstack(s)
+            ys = apply_each(maps, sels[idx].ravel(), fams.reshape(-1, d, d))
+            return stack(ys.reshape(fams.shape))
+        return fwd
 
-    return unstack(power_ascent(each(ops), each(daggers), stack(xs)[None], p, iters)[1][0])
+    return unstack(power_ascent(each(ops), each(daggers), stack(xs), p, iters)[1])
 
 
 # -- rademacher inner ascent: accept-if-improve subgradient steps -----------
@@ -135,8 +188,11 @@ def _rad_subgradient(ops, daggers, sel, xs, p):
     return apply_each(daggers, sel, _signed_sums(signs.T, xis) / half)
 
 
-def _ascend_rad(ops, daggers, sel, xs, p, steps):
-    best = objective("rad", ops, sel, xs, p)
+def _ascend_rad(ops, daggers, sel, xs, p, steps, best=None):
+    """Subgradient ascent of the rad objective from xs; ``best`` is its
+    value at xs when already known."""
+    if best is None:
+        best = objective("rad", ops, sel, xs, p)
     x = xs
     for _ in range(steps):
         g = _rad_subgradient(ops, daggers, sel, x, p)
@@ -186,33 +242,33 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
                 rng.standard_normal((L, d, d)) + 1j * rng.standard_normal((L, d, d))
             )
         runs += len(starts)
-        for x0 in starts:
-            sel = tuple(rng.integers(0, n_ops, size=L).tolist())
-            x = x0
-            for _round in range(budget.reselect_rounds):
-                if notion == "rad":
-                    # the power-iteration witness of the column objective is
-                    # a strong extra start (for singletons the objectives
-                    # coincide); polish both candidates by subgradient steps
-                    x_pi = _ascend_colrow(ops, daggers, sel, x, p, "col", budget.iters)
-                    val, x = _ascend_rad(ops, daggers, sel, x, p, budget.rad_steps)
-                    val_pi, x_pi = _ascend_rad(ops, daggers, sel, x_pi, p, budget.rad_steps)
-                    if val_pi > val:
-                        val, x = val_pi, x_pi
-                else:
-                    x = _ascend_colrow(ops, daggers, sel, x, p, notion, budget.iters)
-                # greedy operator reselection at the current witness
-                sel = list(sel)
-                for slot in range(L):
-                    cand_vals = []
-                    for j in range(n_ops):
-                        sel[slot] = j
-                        cand_vals.append(objective(notion, ops, tuple(sel), x, p))
-                    sel[slot] = int(np.argmax(cand_vals))
-                sel = tuple(sel)
-            val = objective(notion, ops, sel, x, p)
+        # the starts of one length run in lock-step, each under its own
+        # selection, drawn after the starts in start order
+        sels = np.array([rng.integers(0, n_ops, size=L) for _ in starts])
+        x = np.stack(starts)
+        vals = None
+        for _round in range(budget.reselect_rounds):
+            if notion == "rad":
+                # the power-iteration witness of the column objective is
+                # a strong extra start (for singletons the objectives
+                # coincide); polish both candidates by subgradient steps
+                x_pi = _ascend_colrow(ops, daggers, sels, x, p, "col", budget.iters)
+                for i, sel in enumerate(sels):
+                    known = None if vals is None else vals[i]
+                    val, xi = _ascend_rad(ops, daggers, sel, x[i], p, budget.rad_steps, known)
+                    val_pi, xi_pi = _ascend_rad(ops, daggers, sel, x_pi[i], p, budget.rad_steps)
+                    x[i] = xi_pi if val_pi > val else xi
+            else:
+                x = _ascend_colrow(ops, daggers, sels, x, p, notion, budget.iters)
+            # greedy operator reselection at the current witnesses
+            vals = np.zeros(len(starts))
+            for i in range(len(starts)):
+                sels[i], vals[i] = _reselect(notion, ops, sels[i], x[i], p)
+        if vals is None:
+            vals = [objective(notion, ops, sel, xi, p) for sel, xi in zip(sels, x)]
+        for sel, val, xi in zip(sels, vals, x):
             if val > best_val:
-                best_val, best_sel, best_x = val, sel, x.copy()
+                best_val, best_sel, best_x = val, tuple(sel.tolist()), xi.copy()
 
     return BoundEstimate(
         notion=notion,

@@ -66,6 +66,37 @@ class TestSchattenNorm:
             core.schatten_norm(np.eye(2), 0.5)
 
 
+class TestSchattenRange:
+    """s**p over- or underflows for huge exponents (the dual exponent of p
+    just above 1) and for extreme singular values; those rows are rescaled
+    by their top singular value, every other row keeps the plain sum."""
+
+    def test_huge_exponent_does_not_overflow(self):
+        # plain sum(s**p)**(1/p) overflows to inf (with a RuntimeWarning)
+        assert core.schatten_from_sv(np.array([3.0, 1.0]), 4.5e15) == 3.0
+
+    def test_extreme_singular_values(self):
+        for scale in (1e-200, 1e200):
+            got = core.schatten_from_sv(np.array([1.0, 0.5]) * scale, 4.0)
+            assert got == pytest.approx(scale * (1 + 0.5**4) ** 0.25, rel=1e-15)
+
+    def test_only_failing_rows_are_rescaled(self, rng):
+        s = np.sort(rng.random((6, 3)), axis=-1)[:, ::-1] * 4.0
+        plain = np.sum(s**3.5, axis=-1) ** (1 / 3.5)
+        mixed = np.concatenate([s, [[1e-300, 1e-301, 0.0], [0.0, 0.0, 0.0]]])
+        got = core.schatten_from_sv(mixed, 3.5)
+        assert np.array_equal(got[:6], plain)
+        assert got[6] == pytest.approx(1e-300 * (1 + 0.1**3.5) ** (1 / 3.5), rel=1e-14)
+        assert got[7] == 0.0
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0, 7.25])
+    def test_in_range_values_are_the_plain_sum(self, rng, p):
+        s = np.linalg.svd(rng.standard_normal((5, 4, 4)), compute_uv=False)
+        assert np.array_equal(core.schatten_from_sv(s, p), np.sum(s**p, axis=-1) ** (1 / p))
+        for row in s:  # one family: the scalar root, as before
+            assert core.schatten_from_sv(row, p) == np.sum(row**p) ** (1 / p)
+
+
 class TestModulusTracePsd:
     def test_modulus_diag(self):
         x = np.diag([-2.0, 1j])

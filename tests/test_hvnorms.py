@@ -232,6 +232,16 @@ class TestSumAndRadNorm:
         val = hvnorms.sum_norm(xs, 1, ConvexCfg(iters=400))
         assert val == pytest.approx(prob.value, abs=1e-3 * max(prob.value, 1.0))
 
+    def test_p_just_above_one_certifies(self):
+        # the dual exponent p' ~ 4.5e15 used to overflow the certificate's
+        # Schatten norm, reporting lower = 0 and "budget-exhausted"
+        xs = np.stack(random_family(np.random.default_rng(0), 2, 2))
+        res = hvnorms.sum_norm_solve(xs, 1.0000000000000002)
+        assert res.status == "converged"
+        assert 0.0 < res.lower <= res.value
+        at_one = hvnorms.sum_norm_solve(xs, 1.0)
+        assert res.value == pytest.approx(at_one.value, rel=1e-6)
+
     def test_rad_norm_dispatch(self, rng):
         xs = random_family(rng, 3, 2)
         assert hvnorms.rad_norm(xs, 4) == pytest.approx(

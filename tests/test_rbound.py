@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nclp import funcalc as fc
-from nclp import rbound
+from nclp import hvnorms, rbound
 from nclp.core import polar_factor
 from nclp.hvnorms import intersection_norm, rad_average
 
@@ -260,3 +260,127 @@ class TestRadSubgradient:
         xs = np.stack([random_matrix(rng, 3) for _ in range(n)])
         rbound._rad_subgradient(ops, daggers, tuple(range(n)), xs, 4.0)
         assert sorted(log) == sorted([f"T{k}" for k in range(n)] + [f"T{k}^dag" for k in range(n)])
+
+
+def _reference_candidates(notion, ops, held, slot, x, p):
+    """The per-candidate loop the batched reselection replaces: one
+    ``objective`` call per member, each with its own denominator."""
+    held = list(held)
+    vals = []
+    for j in range(len(ops)):
+        held[slot] = j
+        vals.append(rbound.objective(notion, ops, tuple(held), x, p))
+    return np.array(vals)
+
+
+def _random_ops(rng, d=3):
+    return [
+        fc.DenseOp(random_matrix(rng, d * d)),
+        fc.LeftMult(random_matrix(rng, d)),
+        fc.SchurMult(random_matrix(rng, d)),
+        fc.RightMult(random_matrix(rng, d)),
+    ]
+
+
+def _ray_ops(_rng):
+    return fc.ray_resolvent_family(left_diag(0.5, 1.0, 2.0), 0.9, 8)
+
+
+class TestBatchedReselection:
+    @pytest.mark.parametrize("family", [_random_ops, _ray_ops])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("notion", ["col", "row", "rad"])
+    def test_matches_per_candidate_loop(self, rng, monkeypatch, family, p, notion):
+        ops = family(rng)
+        real, norms = rbound._family_norms, []
+        monkeypatch.setattr(rbound, "_family_norms",
+                            lambda *args: norms.append(real(*args)) or norms[-1])
+        for length in (1, 3, 5):
+            sel = rng.integers(0, len(ops), size=length)
+            x = np.stack([random_matrix(rng, 3) for _ in range(length)])
+            norms.clear()
+            got_sel, got_val = rbound._reselect(notion, ops, sel, x, p)
+            den, *nums = norms
+            assert len(nums) == length
+            held = list(sel)
+            for slot, num in enumerate(nums):
+                ref = _reference_candidates(notion, ops, held, slot, x, p)
+                np.testing.assert_allclose(num / den, ref, rtol=1e-13, atol=0)
+                held[slot] = got_sel[slot]
+                assert ref[got_sel[slot]] >= ref.max() * (1 - 1e-13)
+            ref_val = rbound.objective(notion, ops, tuple(got_sel.tolist()), x, p)
+            assert got_val == pytest.approx(ref_val, rel=1e-13)
+
+    @pytest.mark.parametrize("lead", [(1,), (5,), (2, 3)])
+    def test_signed_sums_leading_axes_are_per_family_calls(self, rng, lead):
+        n = 4
+        fams = rng.standard_normal(lead + (n, 3, 2)) + 1j * rng.standard_normal(lead + (n, 3, 2))
+        signs = hvnorms._sign_block(0, 1 << (n - 1), n)
+        got = hvnorms._signed_sums(signs, fams)
+        flat = fams.reshape(-1, n, 3, 2)
+        ref = np.stack([hvnorms._signed_sums(signs, f) for f in flat])
+        assert np.array_equal(got.reshape(ref.shape), ref)
+
+    def test_applies_each_member_once(self, rng):
+        n, log = 5, []
+        ops = [_Counted(fc.LeftMult(random_matrix(rng, 3)), f"T{k}", log) for k in range(n)]
+        xs = np.stack([random_matrix(rng, 3) for _ in range(4)])
+        rbound._reselect("col", ops, np.zeros(4, dtype=int), xs, 4.0)
+        assert sorted(log) == [f"T{k}" for k in range(n)]
+
+    @pytest.mark.parametrize("notion", ["col", "row", "rad"])
+    def test_one_denominator_per_witness_one_numerator_per_slot(self, rng, monkeypatch,
+                                                                 notion):
+        ops = [fc.LeftMult(random_matrix(rng, 3)) for _ in range(3)]
+        shapes, ascents = [], []
+        real_norms, real_ascent = rbound._family_norms, rbound.power_ascent
+
+        def norms(notion_, fams, p):
+            shapes.append(fams.shape)
+            return real_norms(notion_, fams, p)
+
+        def ascent(fwd, adj, x, p, iters):
+            ascents.append(x.shape)
+            return real_ascent(fwd, adj, x, p, iters)
+
+        monkeypatch.setattr(rbound, "_family_norms", norms)
+        monkeypatch.setattr(rbound, "power_ascent", ascent)
+        lengths, starts, rounds = (1, 2, 4), 3, 2
+        cfg = rbound.SearchCfg(restarts=starts * len(lengths), iters=4, lengths=lengths,
+                               reselect_rounds=rounds, rad_steps=2)
+        getattr(rbound, f"{notion}_bound_estimate")(ops, 4.0, cfg, seed=0)
+        dens = [s for s in shapes if len(s) == 3]
+        nums = [s for s in shapes if len(s) == 4]
+        assert len(dens) == len(lengths) * starts * rounds
+        assert len(nums) == sum(lengths) * starts * rounds
+        assert all(s[0] == len(ops) for s in nums)
+        # one power ascent per (length, round), carrying every start
+        assert len(ascents) == len(lengths) * rounds
+        assert [s[0] for s in ascents] == [starts] * len(ascents)
+
+    def test_rad_second_round_reuses_the_reselection_value(self, rng, monkeypatch):
+        ops = [fc.LeftMult(random_matrix(rng, 3)) for _ in range(3)]
+        calls = []
+        real = rbound.objective
+        monkeypatch.setattr(rbound, "objective", lambda *a: calls.append(a[0]) or real(*a))
+        cfg = rbound.SearchCfg(restarts=4, iters=4, lengths=(1, 2), reselect_rounds=2,
+                               rad_steps=0)
+        rbound.rad_bound_estimate(ops, 4.0, cfg, seed=0)
+        # per start: both openings in round 1, only the power-ascent one in round 2
+        assert len(calls) == 4 * 3
+
+
+class TestBenchmarkSelections:
+    """The ray family of the benchmark's rbound cases keeps its selections."""
+
+    @pytest.mark.parametrize("notion,selection,value", [
+        ("col", (6, 6, 6, 0, 7, 0, 6, 0), 1.1540751790762611),
+        ("row", (7, 0, 7, 7, 6, 0, 0, 7), 1.1594193918868116),
+        ("rad", (7, 6, 7, 0, 6, 0, 7, 0), 1.1540751948538621),
+    ])
+    def test_golden(self, notion, selection, value):
+        fam = fc.ray_resolvent_family(left_diag(0.5, 1.0, 2.0), 0.9, 12)
+        cfg = rbound.SearchCfg(restarts=8, iters=25)
+        est = getattr(rbound, f"{notion}_bound_estimate")(fam, 4.0, cfg, seed=0)
+        assert est.selection == selection
+        assert est.value == pytest.approx(value, rel=1e-12)
