@@ -10,9 +10,8 @@ matrix families (x_1, ..., x_L) of
 
 Those suprema run over unboundedly many selections and families, so only
 *lower bounds* are computable; every estimate returned here is certified
-by a stored witness whose objective value reproduces it (to roundoff:
-the search evaluates candidates in batches, :func:`objective` one family
-at a time).  The search is seeded random restarts followed by
+by a stored witness whose objective value reproduces it.  The search is
+seeded random restarts followed by
 alternating local ascent (nonlinear power iteration in x for the
 column/row objectives, which is the shared kernel
 :func:`core.power_ascent` on the stacked families; accept-if-improve
@@ -40,12 +39,11 @@ from .funcalc import LpOperator, apply_each, ray_resolvent_family
 from .hvnorms import (
     _hstack_maps,
     _sign_block,
+    _signed_norms,
     _signed_sums,
     _vstack_maps,
     as_family,
-    col_norm,
     rad_average,
-    row_norm,
 )
 
 RAD_SELECTION_MAX = 12  # exact sign enumeration in the rad objective
@@ -92,18 +90,14 @@ def _check_family(ops) -> list:
 
 def objective(notion: str, ops, sel, xs, p: float) -> float:
     """The ratio defining the constant, evaluated at a concrete witness."""
+    p = check_exponent(p)
     xs = as_family(xs)
-    ys = apply_each(ops, sel, xs)
-    if notion == "col":
-        den = col_norm(xs, p)
-        return col_norm(ys, p) / den if den > 0 else 0.0
-    if notion == "row":
-        den = row_norm(xs, p)
-        return row_norm(ys, p) / den if den > 0 else 0.0
-    if notion == "rad":
-        den = rad_average(xs, p)
-        return rad_average(ys, p) / den if den > 0 else 0.0
-    raise ValueError(f"unknown notion {notion!r}")
+    if not np.isfinite(xs).all():
+        raise ValueError("witness has non-finite entries")
+    den = _family_norms(notion, xs, p)
+    if den > 0:
+        return float(_family_norms(notion, apply_each(ops, sel, xs), p) / den)
+    return 0.0
 
 
 def re_evaluate(est: BoundEstimate, ops) -> float:
@@ -116,16 +110,22 @@ def re_evaluate(est: BoundEstimate, ops) -> float:
 
 def _family_norms(notion, fams, p):
     """The col / row / rad norm of every family on the leading axes of
-    ``fams`` (..., L, d, d), from one batched SVD.  Without leading axes
-    it is exactly ``col_norm`` / ``row_norm`` / ``rad_average`` of the
-    family (the rad one with L <= RAD_SELECTION_MAX, one sign block)."""
+    ``fams`` (..., L, d, d), from one SVD batch of the column or row stacks
+    or of the 2^(L-1) signed sums.  On one family it is exactly
+    ``col_norm`` / ``row_norm`` / ``rad_average``; a rad family longer than
+    RAD_SELECTION_MAX (only :func:`objective` passes one) goes to
+    ``rad_average``, which enumerates its signs in chunks."""
     if notion == "rad":
         n = fams.shape[-3]
+        if n > RAD_SELECTION_MAX:
+            return rad_average(fams, p)
         half = 1 << (n - 1)
-        sums = _signed_sums(_sign_block(0, half, n), fams)
-        return np.sum(schatten_from_sv(np.linalg.svd(sums, compute_uv=False), p), axis=-1) / half
-    stack = (_vstack_maps if notion == "col" else _hstack_maps)(*fams.shape[-3:])[0]
-    return schatten_from_sv(np.linalg.svd(stack(fams), compute_uv=False), p)
+        (norms,) = _signed_norms([_sign_block(0, half, n)], fams, p)
+        return np.sum(norms, axis=-1) / half
+    if notion in ("col", "row"):
+        stack = (_vstack_maps if notion == "col" else _hstack_maps)(*fams.shape[-3:])[0]
+        return schatten_from_sv(np.linalg.svd(stack(fams), compute_uv=False), p)
+    raise ValueError(f"unknown notion {notion!r}")
 
 
 def _reselect(notion, ops, sel, x, p):
@@ -269,6 +269,11 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
         for sel, val, xi in zip(sels, vals, x):
             if val > best_val:
                 best_val, best_sel, best_x = val, tuple(sel.tolist()), xi.copy()
+    if best_x is not None:
+        # the value certified is the stored witness's objective, exactly
+        # what re_evaluate recomputes (the search's batched values can
+        # differ from it in the last bit)
+        best_val = objective(notion, ops, best_sel, best_x, p)
 
     return BoundEstimate(
         notion=notion,

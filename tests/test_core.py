@@ -96,6 +96,16 @@ class TestSchattenRange:
         for row in s:  # one family: the scalar root, as before
             assert core.schatten_from_sv(row, p) == np.sum(row**p) ** (1 / p)
 
+    @pytest.mark.parametrize("p", [1.0, 3.0, 4.5e15])
+    def test_range_check_only_picks_the_faster_path(self, rng, p):
+        # the plain sum runs when no row can over- or underflow; the guarded
+        # path alone returns the same bits on every row, in range or not
+        s = np.linalg.svd(rng.standard_normal((5, 4, 4)), compute_uv=False)
+        mixed = np.concatenate([s, [[1e-300, 1e-301, 0, 0], [0, 0, 0, 0]]])
+        for batch in (s, s[0], mixed):
+            assert np.array_equal(core._schatten_guarded(batch, p),
+                                  core.schatten_from_sv(batch, p))
+
 
 class TestModulusTracePsd:
     def test_modulus_diag(self):

@@ -332,18 +332,28 @@ class TestBatchedReselection:
     def test_one_denominator_per_witness_one_numerator_per_slot(self, rng, monkeypatch,
                                                                  notion):
         ops = [fc.LeftMult(random_matrix(rng, 3)) for _ in range(3)]
-        shapes, ascents = [], []
+        shapes, ascents, inside = [], [], []
         real_norms, real_ascent = rbound._family_norms, rbound.power_ascent
+        real_reselect = rbound._reselect
 
         def norms(notion_, fams, p):
-            shapes.append(fams.shape)
+            if inside:  # objective, outside reselection, shares the kernel
+                shapes.append(fams.shape)
             return real_norms(notion_, fams, p)
+
+        def reselect(*args):
+            inside.append(True)
+            try:
+                return real_reselect(*args)
+            finally:
+                inside.pop()
 
         def ascent(fwd, adj, x, p, iters):
             ascents.append(x.shape)
             return real_ascent(fwd, adj, x, p, iters)
 
         monkeypatch.setattr(rbound, "_family_norms", norms)
+        monkeypatch.setattr(rbound, "_reselect", reselect)
         monkeypatch.setattr(rbound, "power_ascent", ascent)
         lengths, starts, rounds = (1, 2, 4), 3, 2
         cfg = rbound.SearchCfg(restarts=starts * len(lengths), iters=4, lengths=lengths,
@@ -366,8 +376,36 @@ class TestBatchedReselection:
         cfg = rbound.SearchCfg(restarts=4, iters=4, lengths=(1, 2), reselect_rounds=2,
                                rad_steps=0)
         rbound.rad_bound_estimate(ops, 4.0, cfg, seed=0)
-        # per start: both openings in round 1, only the power-ascent one in round 2
-        assert len(calls) == 4 * 3
+        # per start: both openings in round 1, only the power-ascent one in
+        # round 2; then one certifying the best start's value
+        assert len(calls) == 4 * 3 + 1
+
+    @pytest.mark.parametrize("notion", ["col", "row", "rad"])
+    @pytest.mark.parametrize("family_seed", [1, 5, 18])
+    def test_value_is_the_witness_objective_exactly(self, notion, family_seed):
+        # a DenseOp member makes the search's stacked apply round differently
+        # from apply_each: on these families the best start's batched value
+        # is 1 ulp off its objective (row on 1, rad on 5, col on 18); the
+        # returned value is still re_evaluate's, bit for bit
+        ops = _random_ops(np.random.default_rng(family_seed))
+        cfg = rbound.SearchCfg(restarts=6, iters=8, lengths=(1, 2, 4), rad_steps=4)
+        est = getattr(rbound, f"{notion}_bound_estimate")(ops, 4.0, cfg, seed=0)
+        assert rbound.re_evaluate(est, ops) == est.value
+
+    @pytest.mark.parametrize("notion", ["col", "row", "rad"])
+    def test_objective_refuses_a_non_finite_witness(self, notion):
+        xs = np.ones((2, 2, 2), dtype=complex)
+        xs[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            rbound.objective(notion, [fc.LeftMult(np.eye(2))], (0, 0), xs, 4.0)
+
+    @pytest.mark.parametrize("n", [1, 3, rbound.RAD_SELECTION_MAX + 1])
+    @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+    def test_one_family_is_the_hvnorms_norm(self, rng, n, p):
+        fam = np.stack([random_matrix(rng, 2) for _ in range(n)])
+        assert rbound._family_norms("col", fam, p) == hvnorms.col_norm(fam, p)
+        assert rbound._family_norms("row", fam, p) == hvnorms.row_norm(fam, p)
+        assert rbound._family_norms("rad", fam, p) == hvnorms.rad_average(fam, p)
 
 
 class TestBenchmarkSelections:
