@@ -208,25 +208,32 @@ def intersection_norm(xs, p: float) -> float:
     return max(col_norm(fam, p), row_norm(fam, p))
 
 
-def _vstack_maps(n, d1, d2):
+def _vstack_maps(n, d1, d2, lead=()):
     """The column stack (n d1) x d2 of an (n, d1, d2) family and its
-    inverse, batched over leading axes."""
+    inverse, batched over the leading axes ``lead`` (one of them may be
+    -1); the shapes are fixed here, so each call is one reshape."""
+    flat, fam = (*lead, n * d1, d2), (*lead, n, d1, d2)
+
     def fwd(v):
-        return v.reshape(v.shape[:-3] + (n * d1, d2))
+        return v.reshape(flat)
 
     def adj(m):
-        return m.reshape(m.shape[:-2] + (n, d1, d2))
+        return m.reshape(fam)
 
     return fwd, adj
 
 
-def _hstack_maps(n, d1, d2):
+def _hstack_maps(n, d1, d2, lead=()):
     """The row stack d1 x (n d2) and its inverse, batched likewise."""
+    k = len(lead)
+    swap = (*range(k), k + 1, k, k + 2)
+    flat, mid = (*lead, d1, n * d2), (*lead, d1, n, d2)
+
     def fwd(v):
-        return np.swapaxes(v, -3, -2).reshape(v.shape[:-3] + (d1, n * d2))
+        return v.transpose(swap).reshape(flat)
 
     def adj(m):
-        return np.swapaxes(m.reshape(m.shape[:-2] + (d1, n, d2)), -3, -2)
+        return m.reshape(mid).transpose(swap)
 
     return fwd, adj
 

@@ -11,20 +11,21 @@ matrix families (x_1, ..., x_L) of
 Those suprema run over unboundedly many selections and families, so only
 *lower bounds* are computable; every estimate returned here is certified
 by a stored witness whose objective value reproduces it.  The search is
-seeded random restarts followed by
-alternating local ascent (nonlinear power iteration in x for the
-column/row objectives, which is the shared kernel
-:func:`core.power_ascent` on the stacked families; accept-if-improve
-subgradient steps for the Rademacher one) and greedy reselection of the
-operators.  The starts of one selection length run in lock-step: each
-round's power iteration is one :func:`core.power_ascent` call that
-carries every start under its own selection.  Reselection puts the
-candidates of a slot on a leading axis: at a fixed witness the
-denominator is computed once, and the n_ops families that differ only
-in that slot's member go through one batched numerator (one SVD batch
-of the stacked candidates for col/row, one ``_signed_sums`` and one SVD
-batch for rad).  Profiling a sectorial operator discretizes the scaled
-resolvents z R(z, A) along the rays of a test angle into such a family.
+seeded random restarts followed by alternating local ascent (nonlinear
+power iteration in x for the column/row objectives, which is the shared
+kernel :func:`core.power_ascent` on the stacked families;
+accept-if-improve subgradient steps for the Rademacher one) and greedy
+reselection of the operators.  The starts of one selection length run
+in lock-step: each round's power iteration is one
+:func:`core.power_ascent` call that carries every start under its own
+selection.  Reselection puts the candidates of a slot on a leading
+axis: at a fixed witness the denominator is computed once, and the n_ops
+families that differ only in that slot's member go through one batched
+numerator (one SVD batch of the stacked candidates for col/row, one
+``_signed_sums`` and one SVD batch for rad); :func:`objective` takes its
+norms from the same kernel, one family at a time.  Profiling a
+sectorial operator discretizes the scaled resolvents z R(z, A) along
+the rays of a test angle into such a family.
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ def _family_norms(notion, fams, p):
         (norms,) = _signed_norms([_sign_block(0, half, n)], fams, p)
         return np.sum(norms, axis=-1) / half
     if notion in ("col", "row"):
-        stack = (_vstack_maps if notion == "col" else _hstack_maps)(*fams.shape[-3:])[0]
+        maps = _vstack_maps if notion == "col" else _hstack_maps
+        stack = maps(*fams.shape[-3:], fams.shape[:-3])[0]
         return schatten_from_sv(np.linalg.svd(stack(fams), compute_uv=False), p)
     raise ValueError(f"unknown notion {notion!r}")
 
@@ -158,7 +160,8 @@ def _ascend_colrow(ops, daggers, sels, xs, p, mode, iters):
     selection sels[i]: one :func:`core.power_ascent` on the column (or
     row) stacks.  ``daggers`` are the adjoints of ``ops``."""
     _, length, d, _ = xs.shape
-    stack, unstack = (_vstack_maps if mode == "col" else _hstack_maps)(length, d, d)
+    # power_ascent passes only the rows of the starts still running
+    stack, unstack = (_vstack_maps if mode == "col" else _hstack_maps)(length, d, d, (-1,))
 
     def each(maps):
         def fwd(s, idx):
