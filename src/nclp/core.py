@@ -7,6 +7,13 @@ Schatten norms and their norming elements, the modulus ``|x| = (x*x)^{1/2}``, th
 pairing ``<x, y> = tr(xy)``, and the shared PSD square-root kernel, plus
 an exact-round-trip text format for matrices and matrix families.
 
+One batched kernel, :func:`schatten_norms`, computes every Schatten norm.
+At the even exponents p = 2k in MOMENT_EXPONENTS it uses the trace
+moments ||y||_p^p = tr((y*y)^k) (Pisier-Xu 2003, "Non-commutative
+L^p-spaces"): matmuls on the Gram matrix of the smaller side and no SVD,
+with the norming element y (y*y)^(k-1) / ||y||_p^(p-1) from one more
+matmul.  Every other p takes the singular values.
+
 Everything is a pure function of its inputs; nothing mutates its
 arguments and there is no global state.
 """
@@ -25,6 +32,10 @@ ASCENT_RTOL = 1e-13  # fixed-point rule of power_ascent, relative to ||x||
 # schatten_from_sv sums s**p unscaled while p |log top| stays below this:
 # e^690 leaves e^19 of the double range (e^+-708) for the sum of the powers
 _POW_SAFE_LOG = 690.0
+# even exponents p = 2k whose norms come from ||y||_p^p = tr((y*y)^k); a
+# row whose moment leaves _MOMENT_RANGE is recomputed on y / max|y_ij|
+MOMENT_EXPONENTS = (2.0, 4.0, 6.0, 8.0)
+_MOMENT_RANGE = (math.exp(-_POW_SAFE_LOG), math.exp(_POW_SAFE_LOG))
 
 _TEXT_FMT = "%.17g"  # 17 significant digits: exact binary64 round trip
 
@@ -70,19 +81,6 @@ def check_exponent(p: float) -> float:
     return p
 
 
-def singular_values(x) -> np.ndarray:
-    """Singular values in decreasing order, with a condition report on failure."""
-    a = as_matrix(x)
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        scale = float(np.max(np.abs(a))) if a.size else 0.0
-        raise NumericsError(
-            f"SVD failed for {a.shape[0]}x{a.shape[1]} matrix "
-            f"(max |entry| = {scale:.3e}): {exc}"
-        ) from exc
-
-
 def schatten_norm(x, p: float) -> float:
     """Schatten p-norm (sum of p-th powers of singular values)^(1/p).
 
@@ -91,22 +89,31 @@ def schatten_norm(x, p: float) -> float:
     large finite exponent.
     """
     p = check_exponent(p)
-    return float(schatten_from_sv(singular_values(x), p))
+    return float(schatten_norms(as_matrix(x), p))
+
+
+def schatten_norms(y, p: float):
+    """Schatten p-norms of the matrices on the last two axes of y, batched
+    over the leading axes (the one matrix-level norm kernel).  For p in
+    MOMENT_EXPONENTS the norm is the trace moment tr(G^(p/2))^(1/p), G the
+    Gram matrix on the smaller side of y, from matmuls alone; every other
+    p takes the singular values through :func:`schatten_from_sv`."""
+    if p in MOMENT_EXPONENTS:
+        return _moment_norms(y, p, polar=False)[0]
+    return schatten_from_sv(np.linalg.svd(y, compute_uv=False), p)
 
 
 def schatten_from_sv(s, p: float):
     """Schatten p-norms from singular values sorted decreasingly along the
-    last axis, batched over the leading axes (the one shared kernel).  A
-    row whose power sum would overflow or underflow (a huge p, or extreme
-    singular values) is rescaled by its top singular value."""
+    last axis, batched over the leading axes (the SVD side of
+    :func:`schatten_norms`).  A row whose power sum would overflow or
+    underflow (a huge p, or extreme singular values) is rescaled by its top
+    singular value."""
     s = np.asarray(s)
     if s.shape[-1] == 0:
         return np.zeros(s.shape[:-1])
     if p == math.inf:
         return s[..., 0]
-    if p == 2.0:
-        # cheaper and exactly the Frobenius norm
-        return np.sqrt(np.sum(s * s, axis=-1))
     top = s[..., 0]
     lo, hi = (float(top), float(top)) if s.ndim == 1 else (float(top.min()), float(top.max()))
     if lo > 0.0 and p * max(math.log(hi), -math.log(lo)) < _POW_SAFE_LOG:
@@ -152,16 +159,70 @@ def _sv_and_polar(y, p: float):
     return s, (u * d[..., None, :]) @ vh
 
 
+def _moment_norms(y, p: float, polar: bool):
+    """||y||_p for p = 2k in MOMENT_EXPONENTS from tr(G^k), G = y*y for a
+    tall or square y and y y* for a wide one, batched over leading axes;
+    with ``polar`` also the norming element y G^(k-1) / ||y||_p^(p-1)
+    (G^(k-1) y for a wide y), zero where y = 0, otherwise None.  A nonzero
+    row whose moment leaves _MOMENT_RANGE is recomputed on y / max|y_ij|
+    and rescaled, like :func:`_schatten_guarded`."""
+    y = np.asarray(y, dtype=np.complex128)
+    if not y.size:
+        return np.zeros(y.shape[:-2])[()], np.zeros_like(y) if polar else None
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are redone
+        total, lever = _trace_moment(y, int(p) // 2, polar)
+        norms, xi = np.array(total ** (1.0 / p)), None
+        if polar:
+            scale = (norms ** (p - 1.0))[..., None, None]
+            xi = np.divide(lever, scale, out=np.zeros(lever.shape, complex), where=scale > 0)
+    lo, hi = _MOMENT_RANGE
+    bad = np.flatnonzero(~((total >= lo) & (total <= hi)))
+    if bad.size:
+        flat = y.reshape(-1, *y.shape[-2:])
+        top = np.max(np.abs(flat[bad]), axis=(-2, -1))
+        bad, top = bad[top > 0], top[top > 0]
+        if bad.size:
+            fixed, fixed_xi = _moment_norms(flat[bad] / top[:, None, None], p, polar)
+            norms.reshape(-1)[bad] = top * fixed
+            if polar:
+                xi.reshape(flat.shape)[bad] = fixed_xi
+    return norms[()], xi
+
+
+def _trace_moment(y, k: int, polar: bool):
+    """tr((y*y)^k) of every matrix of y, and with ``polar`` the lever
+    y (y*y)^(k-1), mirrored to (y y*)^(k-1) y for a wide y."""
+    if k == 1:
+        f = np.ascontiguousarray(y).view(np.float64)
+        return np.sum(f * f, axis=(-2, -1)), y
+    tall = y.shape[-2] >= y.shape[-1]
+    yh = np.conj(np.swapaxes(y, -1, -2))
+    g = yh @ y if tall else y @ yh
+    h = g if k == 2 else g @ g  # G^(k // 2)
+    other = g if k == 3 else h  # G^(k - k // 2)
+    # tr(h other) = sum_ij h_ij conj(other_ij), other being hermitian
+    total = np.sum(h.view(np.float64) * other.view(np.float64), axis=(-2, -1))
+    if not polar:
+        return total, None
+    power = h @ g if k == 4 else h  # G^(k - 1)
+    return total, (y @ power if tall else power @ y)
+
+
 def polar_factor(y, p: float) -> np.ndarray:
     """Norming element of ||y||_p: the S^{p'}-unit xi with Re tr(xi* y) =
     ||y||_p, and zero where y = 0.  Batched over leading axes."""
+    if p in MOMENT_EXPONENTS:
+        return _moment_norms(y, p, polar=True)[1]
     return _sv_and_polar(y, p)[1]
 
 
 def norm_and_polar(y, p: float):
-    """||y||_p and its norming element from one SVD, batched over leading
-    axes.  The norm comes from the singular values, never from the
+    """||y||_p and its norming element, batched over leading axes: from the
+    trace moments for p in MOMENT_EXPONENTS, otherwise from one SVD.  The
+    norm comes from the moment or the singular values, never from the
     pairing Re tr(xi* y), which at p = 1 drops the slots below 1e-14 * top."""
+    if p in MOMENT_EXPONENTS:
+        return _moment_norms(y, p, polar=True)
     s, xi = _sv_and_polar(y, p)
     return schatten_from_sv(s, p), xi
 
@@ -175,9 +236,9 @@ def power_ascent(fwd, adj, x, p: float, iters: int):
 
     A step moves x to the S^p polar of adj(xi), xi the norming element of
     fwd(x).  Up to ``iters`` iterates of each start are evaluated, each
-    ratio from the singular values of fwd(x) and of x.  A start stops when
-    x or fwd(x) vanishes or at a fixed point, ||x_new - x|| <= ASCENT_RTOL
-    ||x||, and is frozen from then on.  Returns each start's best ratio and
+    ratio from :func:`norm_and_polar` of fwd(x) and :func:`schatten_norms`
+    of x.  A start stops when x or fwd(x) vanishes or at a fixed point,
+    ||x_new - x|| <= ASCENT_RTOL ||x||, and is frozen from then on.  Returns each start's best ratio and
     the iterate attaining it, so every value is a certified lower bound.
     """
     pp = conjugate_exponent(p)
@@ -186,7 +247,7 @@ def power_ascent(fwd, adj, x, p: float, iters: int):
     live = np.arange(len(x))
     for step in range(iters):
         xs = x[live]
-        den = schatten_from_sv(np.linalg.svd(xs, compute_uv=False), p)
+        den = schatten_norms(xs, p)
         num, xi = norm_and_polar(fwd(xs, live), p)
         ok = (den > 1e-300) & (num > 1e-300)
         ratio = np.divide(num, den, out=np.zeros_like(num), where=ok)

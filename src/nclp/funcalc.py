@@ -501,8 +501,9 @@ class DenseOp(LpOperator):
         self._dense = self.s
 
     def apply(self, x):
+        # one row vector per matrix: a stacked row rounds as it does alone
         x = np.asarray(x, dtype=np.complex128)
-        return (x.reshape(x.shape[:-2] + self.s.shape[:1]) @ self.s.T).reshape(x.shape)
+        return (x.reshape(x.shape[:-2] + (1, self.s.shape[0])) @ self.s.T).reshape(x.shape)
 
 
 class AmplifiedOp(LpOperator):

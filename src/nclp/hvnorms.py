@@ -29,8 +29,8 @@ from .core import (
     as_matrix,
     check_exponent,
     psd_sqrt,
-    schatten_from_sv,
     schatten_norm,
+    schatten_norms,
 )
 from .optim import ConvexCfg, SolveResult, minimize_split_schatten
 
@@ -146,8 +146,7 @@ def _signed_sums(signs, fam) -> np.ndarray:
 def _signed_norms(sign_blocks, fam, p):
     """Yield || sum_k eps_sk x_k ||_p for the rows of each block of signs."""
     for signs in sign_blocks:
-        sums = _signed_sums(signs, fam)
-        yield schatten_from_sv(np.linalg.svd(sums, compute_uv=False), p)
+        yield schatten_norms(_signed_sums(signs, fam), p)
 
 
 def rad_average(

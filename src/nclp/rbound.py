@@ -18,14 +18,23 @@ accept-if-improve subgradient steps for the Rademacher one) and greedy
 reselection of the operators.  The starts of one selection length run
 in lock-step: each round's power iteration is one
 :func:`core.power_ascent` call that carries every start under its own
-selection.  Reselection puts the candidates of a slot on a leading
-axis: at a fixed witness the denominator is computed once, and the n_ops
-families that differ only in that slot's member go through one batched
-numerator (one SVD batch of the stacked candidates for col/row, one
-``_signed_sums`` and one SVD batch for rad); :func:`objective` takes its
-norms from the same kernel, one family at a time.  Profiling a
-sectorial operator discretizes the scaled resolvents z R(z, A) along
-the rays of a test angle into such a family.
+selection, and the Rademacher ascent runs the 2S rows of a round (each
+start from its witness and from its column pre-ascent witness) together,
+each row freezing on its own.  One trial of that ascent is one
+:func:`_rad_trial` call: the objective of every row still trying, with
+the norming elements of its numerator's signed sums, whose pull-back is
+the next subgradient once the trial is accepted.  Reselection puts the
+candidates of a slot on a leading axis: at a fixed witness the
+denominator is computed once, and the n_ops families that differ only
+in that slot's member go through one batched numerator (one
+:func:`core.schatten_norms` batch of the stacked candidates for
+col/row, one ``_signed_sums`` and one norm batch for rad);
+:func:`objective` takes its norms from the same kernel, one family at a
+time.  At p = 2, 4, 6, 8 every norm is a trace moment and every norming
+element at p a product of matmuls; only the power iteration's step to an
+S^{p'} polar (p' = 4/3 at p = 4) still takes an SVD.  Profiling a sectorial
+operator discretizes the scaled resolvents z R(z, A) along the rays of a
+test angle into such a family.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_exponent, polar_factor, power_ascent, schatten_from_sv
+from .core import check_exponent, norm_and_polar, power_ascent, schatten_norms
 from .funcalc import LpOperator, apply_each, ray_resolvent_family
 from .hvnorms import (
     _hstack_maps,
@@ -126,7 +135,7 @@ def _family_norms(notion, fams, p):
     if notion in ("col", "row"):
         maps = _vstack_maps if notion == "col" else _hstack_maps
         stack = maps(*fams.shape[-3:], fams.shape[:-3])[0]
-        return schatten_from_sv(np.linalg.svd(stack(fams), compute_uv=False), p)
+        return schatten_norms(stack(fams), p)
     raise ValueError(f"unknown notion {notion!r}")
 
 
@@ -175,43 +184,77 @@ def _ascend_colrow(ops, daggers, sels, xs, p, mode, iters):
 
 # -- rademacher inner ascent: accept-if-improve subgradient steps -----------
 
-
-def _rad_subgradient(ops, daggers, sel, xs, p):
-    """Subgradient of x -> rad_average(T x) pulled back through T^dagger.
-
-    With xi_s the norming element of sum_k eps_sk T_k x_k for each of the
-    2^(n-1) patterns s, linearity gives
-    grad_k = T_k^dagger(sum_s eps_sk xi_s) / 2^(n-1): every T_k and every
-    T_k^dagger is applied once.
-    """
-    n = xs.shape[0]
-    half = 1 << (n - 1)
-    signs = _sign_block(0, half, n)
-    xis = polar_factor(_signed_sums(signs, apply_each(ops, sel, xs)), p)
-    return apply_each(daggers, sel, _signed_sums(signs.T, xis) / half)
+_RAD_ETAS = (1.0, 0.5, 0.25, 0.1)  # step fractions tried in order
 
 
-def _ascend_rad(ops, daggers, sel, xs, p, steps, best=None):
-    """Subgradient ascent of the rad objective from xs; ``best`` is its
-    value at xs when already known."""
-    if best is None:
-        best = objective("rad", ops, sel, xs, p)
-    x = xs
+def _row_norms(v):
+    """The Frobenius norm of each v[r], with the same bits for a row alone
+    as in any batch."""
+    f = np.ascontiguousarray(v).reshape(len(v), -1).view(np.float64)
+    return np.sqrt(np.sum(f * f, axis=-1))
+
+
+def _rad_trial(ops, sels, xs, signs, p):
+    """The rad objective of every family xs[r] (R, L, d, d) under its own
+    selection sels[r], and the norming elements xi_rs of its numerator's
+    signed sums sum_k eps_sk T_k x_rk, which give the subgradient at xs[r]:
+    one norm batch of the signed sums of xs, one ``apply_each`` and one
+    :func:`core.norm_and_polar` batch of the signed sums of the images."""
+    half, d = len(signs), xs.shape[-1]
+    (den,) = _signed_norms([signs], xs, p)
+    ys = apply_each(ops, sels.ravel(), xs.reshape(-1, d, d)).reshape(xs.shape)
+    norms, xis = norm_and_polar(_signed_sums(signs, ys), p)
+    den, num = np.sum(den, axis=-1) / half, np.sum(norms, axis=-1) / half
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0), xis
+
+
+def _rad_subgradient(daggers, sels, xis, signs):
+    """Subgradient of x -> rad_average(T x) at every row, pulled back
+    through T^dagger: with xi_s the norming elements of a row's signed
+    sums, grad_k = T_k^dagger(sum_s eps_sk xi_s) / 2^(L-1)."""
+    half, d = xis.shape[1], xis.shape[-1]
+    pulled = _signed_sums(signs.T, xis) / half
+    return apply_each(daggers, sels.ravel(), pulled.reshape(-1, d, d)).reshape(pulled.shape)
+
+
+def _ascend_rad(ops, daggers, sels, xs, p, steps, known):
+    """Accept-if-improve subgradient ascent of the rad objective for every
+    row r of xs (R, L, d, d) under selection sels[r], all rows in
+    lock-step.  Row r starts from the best value known[r], or from its
+    value at xs[r] where known[r] is NaN.  A step scales the subgradient to
+    ||x|| and accepts the first eta of _RAD_ETAS whose trial beats the best
+    by 1e-14; a row freezes once no eta does or its subgradient vanishes.
+    Each trial is one :func:`_rad_trial` over the rows still trying, and
+    the accepted trial's norming elements give the next subgradient, so no
+    signed sum is decomposed twice.  Returns each row's best value and
+    the witness attaining it."""
+    length = sels.shape[1]
+    signs = _sign_block(0, 1 << (length - 1), length)
+    best, x = np.array(known, dtype=float), xs.copy()
+    live = np.arange(len(x)) if steps else np.flatnonzero(np.isnan(best))
+    if not live.size:
+        return best, x
+    vals, opening = _rad_trial(ops, sels[live], x[live], signs, p)
+    best[live] = np.where(np.isnan(best[live]), vals, best[live])
+    xis = np.zeros((len(x), *opening.shape[1:]), dtype=complex)
+    xis[live] = opening
     for _ in range(steps):
-        g = _rad_subgradient(ops, daggers, sel, x, p)
-        gn = np.linalg.norm(g)
-        if gn <= 1e-300:
-            break
-        g = g * (np.linalg.norm(x) / gn)
-        improved = False
-        for eta in (1.0, 0.5, 0.25, 0.1):
-            cand = (1 - eta) * x + eta * g
-            val = objective("rad", ops, sel, cand, p)
-            if val > best + 1e-14:
-                best, x = val, cand
-                improved = True
+        g = _rad_subgradient(daggers, sels[live], xis[live], signs)
+        gn = _row_norms(g)
+        moving = gn > 1e-300
+        live, g, gn = live[moving], g[moving], gn[moving]
+        trying, g = live, g * (_row_norms(x[live]) / gn)[:, None, None, None]
+        for eta in _RAD_ETAS:
+            if not trying.size:
                 break
-        if not improved:
+            cand = (1 - eta) * x[trying] + eta * g
+            vals, cand_xis = _rad_trial(ops, sels[trying], cand, signs, p)
+            up = vals > best[trying] + 1e-14
+            hit = trying[up]
+            best[hit], x[hit], xis[hit] = vals[up], cand[up], cand_xis[up]
+            trying, g = trying[~up], g[~up]
+        live = live[~np.isin(live, trying)]
+        if not live.size:
             break
     return best, x
 
@@ -254,13 +297,18 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
             if notion == "rad":
                 # the power-iteration witness of the column objective is
                 # a strong extra start (for singletons the objectives
-                # coincide); polish both candidates by subgradient steps
+                # coincide); polish both candidates by subgradient steps,
+                # all 2S rows in one lock-step ascent
                 x_pi = _ascend_colrow(ops, daggers, sels, x, p, "col", budget.iters)
-                for i, sel in enumerate(sels):
-                    known = None if vals is None else vals[i]
-                    val, xi = _ascend_rad(ops, daggers, sel, x[i], p, budget.rad_steps, known)
-                    val_pi, xi_pi = _ascend_rad(ops, daggers, sel, x_pi[i], p, budget.rad_steps)
-                    x[i] = xi_pi if val_pi > val else xi
+                known = np.full(2 * len(starts), np.nan)
+                if vals is not None:  # the reselection values at x
+                    known[: len(starts)] = vals
+                reached, ascended = _ascend_rad(ops, daggers, np.concatenate([sels, sels]),
+                                                np.concatenate([x, x_pi]), p, budget.rad_steps,
+                                                known)
+                val, val_pi = np.split(reached, 2)
+                xi, xi_pi = np.split(ascended, 2)
+                x = np.where((val_pi > val)[:, None, None, None], xi_pi, xi)
             else:
                 x = _ascend_colrow(ops, daggers, sels, x, p, notion, budget.iters)
             # greedy operator reselection at the current witnesses

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,67 @@ class TestSchattenRange:
         for batch in (s, s[0], mixed):
             assert np.array_equal(core._schatten_guarded(batch, p),
                                   core.schatten_from_sv(batch, p))
+
+
+def _moment_batch(rng, shape):
+    """A batch of matrices of one shape with a rank-deficient slice, a zero
+    slice and slices scaled by 1e-200 and 1e200."""
+    y = np.stack([random_matrix(rng, *shape) for _ in range(6)])
+    y[1, :, 0] = 0.0
+    y[2] = 0.0
+    y[3] *= 1e-200
+    y[4] *= 1e200
+    y[5, 0] *= 1e-200  # one tiny row next to ordinary ones
+    return y
+
+
+_SHAPES = pytest.mark.parametrize("shape", [(3, 3), (5, 2), (2, 5), (1, 4)],
+                                  ids=["square", "tall", "wide", "row"])
+
+
+class TestMomentKernel:
+    """p = 2, 4, 6, 8 take ||y||_p^p = tr((y*y)^k) and no SVD; every other
+    p keeps the singular-value path bit for bit."""
+
+    @_SHAPES
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
+    def test_moments_match_the_singular_values(self, rng, shape, p):
+        y = _moment_batch(rng, shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = core.schatten_norms(y, p)
+            norms, xi = core.norm_and_polar(y, p)
+            ref = core.schatten_from_sv(np.linalg.svd(y, compute_uv=False), p)
+        assert np.array_equal(norms, got)
+        assert got[2] == 0.0 and not np.any(xi[2])
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+        pp = core.conjugate_exponent(p)
+        for k in (0, 1, 3, 4, 5):
+            pairing = np.vdot(xi[k], y[k]).real  # Re tr(xi* y)
+            assert pairing == pytest.approx(got[k], rel=1e-13)
+            assert core.schatten_norm(xi[k], pp) == pytest.approx(1.0, rel=1e-13)
+        assert np.array_equal(core.polar_factor(y, p), xi)
+        assert core.schatten_norm(y[0], p) == got[0]
+
+    @_SHAPES
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.5e15, math.inf])
+    def test_other_exponents_keep_the_svd_bits(self, rng, shape, p):
+        y = _moment_batch(rng, shape)
+        s = np.linalg.svd(y, compute_uv=False)
+        assert np.array_equal(core.schatten_norms(y, p), core.schatten_from_sv(s, p))
+        s_full, xi = core._sv_and_polar(y, p)
+        norms, xi_too = core.norm_and_polar(y, p)
+        assert np.array_equal(norms, core.schatten_from_sv(s_full, p))
+        assert np.array_equal(xi_too, xi)
+        assert np.array_equal(core.polar_factor(y, p), xi)
+        assert core.schatten_norm(y[0], p) == core.schatten_from_sv(s[0], p)
+
+    def test_frobenius_is_the_entry_sum(self, rng):
+        y = random_matrix(rng, 3, 4)
+        assert core.schatten_norm(y, 2) == pytest.approx(np.sqrt(np.sum(np.abs(y) ** 2)),
+                                                         rel=1e-15)
+        assert np.allclose(core.polar_factor(y, 2), y / np.linalg.norm(y), rtol=0,
+                           atol=1e-15)
 
 
 class TestModulusTracePsd:

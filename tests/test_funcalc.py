@@ -221,6 +221,15 @@ class TestStackedApply:
         assert _rel_err(fc.choi_matrix(op), choi) <= 1e-14
         assert _rel_err(op.to_dense(), dense) <= 1e-14
 
+    @pytest.mark.parametrize("height", [1, 7, 64])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_dense_rows_round_as_alone(self, rng, d, height):
+        # each matrix of a stack gets the bits it gets applied alone
+        op = fc.DenseOp(random_matrix(rng, d * d))
+        xs = np.stack([random_matrix(rng, d) for _ in range(height)])
+        got = op.apply(xs)
+        assert all(np.array_equal(y, op.apply(x)) for x, y in zip(xs, got))
+
     def test_dense_and_choi_apply_once(self, monkeypatch):
         op = fc.SchurMult(np.arange(1.0, 10.0).reshape(3, 3))
         calls = _count_applies(monkeypatch, op)

@@ -247,19 +247,91 @@ class TestRadSubgradient:
             ops = [fc.LeftMult(random_matrix(rng, d)) for _ in range(3)]
         daggers = [op.dagger() for op in ops]
         for n in range(1, 7):
-            sel = tuple(rng.integers(0, len(ops), size=n).tolist())
-            xs = np.stack([random_matrix(rng, d) for _ in range(n)])
-            got = rbound._rad_subgradient(ops, daggers, sel, xs, p)
-            ref = _reference_subgradient(ops, daggers, sel, xs, p)
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            # three rows, each under its own selection, in one batch
+            sels = rng.integers(0, len(ops), size=(3, n))
+            xs = np.stack([[random_matrix(rng, d) for _ in range(n)] for _ in range(3)])
+            signs = hvnorms._sign_block(0, 1 << (n - 1), n)
+            _, xis = rbound._rad_trial(ops, sels, xs, signs, p)
+            got = rbound._rad_subgradient(daggers, sels, xis, signs)
+            for row, sel, x in zip(got, sels, xs):
+                ref = _reference_subgradient(ops, daggers, tuple(sel), x, p)
+                assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_applies_each_operator_and_adjoint_once(self, rng):
         n, log = 6, []
         ops = [_Counted(fc.LeftMult(random_matrix(rng, 3)), f"T{k}", log) for k in range(n)]
         daggers = [op.dagger() for op in ops]
-        xs = np.stack([random_matrix(rng, 3) for _ in range(n)])
-        rbound._rad_subgradient(ops, daggers, tuple(range(n)), xs, 4.0)
+        xs = np.stack([random_matrix(rng, 3) for _ in range(n)])[None]
+        sels = np.arange(n)[None]
+        signs = hvnorms._sign_block(0, 1 << (n - 1), n)
+        _, xis = rbound._rad_trial(ops, sels, xs, signs, 4.0)
+        rbound._rad_subgradient(daggers, sels, xis, signs)
         assert sorted(log) == sorted([f"T{k}" for k in range(n)] + [f"T{k}^dag" for k in range(n)])
+
+
+def _serial_rad_ascent(ops, daggers, sel, x, p, steps, known):
+    """The accept-if-improve ascent of one row alone, on the same per-trial
+    kernel as the lock-step one; also returns the number of steps taken."""
+    sels = np.array([sel])
+    signs = hvnorms._sign_block(0, 1 << (len(sel) - 1), len(sel))
+    val, xis = rbound._rad_trial(ops, sels, x[None], signs, p)
+    best, taken = (val[0] if np.isnan(known) else known), 0
+    for _ in range(steps):
+        g = rbound._rad_subgradient(daggers, sels, xis, signs)
+        gn = rbound._row_norms(g)[0]
+        if gn <= 1e-300:
+            break
+        g = g[0] * (rbound._row_norms(x[None])[0] / gn)
+        for eta in (1.0, 0.5, 0.25, 0.1):
+            cand = (1 - eta) * x + eta * g
+            val, cand_xis = rbound._rad_trial(ops, sels, cand[None], signs, p)
+            if val[0] > best + 1e-14:
+                best, x, xis, taken = val[0], cand, cand_xis, taken + 1
+                break
+        else:
+            break
+    return best, x, taken
+
+
+class TestLockStepRadAscent:
+    @pytest.mark.parametrize("steps", [0, 1, 25])
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    @pytest.mark.parametrize("kind", [fc.LeftMult, fc.DenseOp])
+    def test_rows_are_the_serial_ascent(self, rng, kind, steps, length, p):
+        # a DenseOp row rounds as it does alone, whatever the stack height
+        ops = [kind(random_matrix(rng, 3 if kind is fc.LeftMult else 9)) for _ in range(4)]
+        daggers = [op.dagger() for op in ops]
+        rows = 8
+        sels = rng.integers(0, len(ops), size=(rows, length))
+        xs = np.stack([[random_matrix(rng, 3) for _ in range(length)] for _ in range(rows)])
+        xs[1] = 0.0  # a vanishing subgradient freezes its row at once
+        known = np.full(rows, np.nan)
+        known[2], known[3] = 1e3, 0.0  # a known best no trial beats, and a low one
+        best, x = rbound._ascend_rad(ops, daggers, sels, xs, p, steps, known)
+        taken = []
+        for r in range(rows):
+            ref_best, ref_x, n = _serial_rad_ascent(ops, daggers, sels[r], xs[r], p, steps,
+                                                   known[r])
+            assert best[r] == ref_best
+            assert np.array_equal(x[r], ref_x)
+            taken.append(n)
+        assert taken[1] == taken[2] == 0
+        if steps == 25 and length > 1:  # the rows froze at different steps
+            assert len(set(taken)) > 2
+
+    def test_steps_zero_evaluates_only_unknown_rows(self, rng, monkeypatch):
+        ops = [fc.LeftMult(random_matrix(rng, 3)) for _ in range(2)]
+        seen, real = [], rbound._rad_trial
+        monkeypatch.setattr(rbound, "_rad_trial",
+                            lambda ops_, sels, *a: seen.append(len(sels)) or real(ops_, sels, *a))
+        xs = np.stack([[random_matrix(rng, 3)] for _ in range(4)])
+        known = np.array([np.nan, 0.5, np.nan, 0.25])
+        best, x = rbound._ascend_rad(ops, [op.dagger() for op in ops], np.zeros((4, 1), int),
+                                     xs, 4.0, 0, known)
+        assert seen == [2]
+        assert best[1] == 0.5 and best[3] == 0.25
+        assert np.array_equal(x, xs)
 
 
 def _reference_candidates(notion, ops, held, slot, x, p):
@@ -370,15 +442,20 @@ class TestBatchedReselection:
 
     def test_rad_second_round_reuses_the_reselection_value(self, rng, monkeypatch):
         ops = [fc.LeftMult(random_matrix(rng, 3)) for _ in range(3)]
-        calls = []
-        real = rbound.objective
-        monkeypatch.setattr(rbound, "objective", lambda *a: calls.append(a[0]) or real(*a))
+        rows, calls = [], []
+        real_trial, real_objective = rbound._rad_trial, rbound.objective
+        monkeypatch.setattr(rbound, "_rad_trial",
+                            lambda ops_, sels, *a: rows.append(len(sels)) or real_trial(ops_, sels, *a))
+        monkeypatch.setattr(rbound, "objective",
+                            lambda *a: calls.append(a[0]) or real_objective(*a))
         cfg = rbound.SearchCfg(restarts=4, iters=4, lengths=(1, 2), reselect_rounds=2,
                                rad_steps=0)
         rbound.rad_bound_estimate(ops, 4.0, cfg, seed=0)
-        # per start: both openings in round 1, only the power-ascent one in
-        # round 2; then one certifying the best start's value
-        assert len(calls) == 4 * 3 + 1
+        # per start: both openings are evaluated in round 1, only the
+        # power-ascent one in round 2, whose other row starts from the
+        # reselection value; then one objective certifies the best start
+        assert sum(rows) == 4 * 3
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("notion", ["col", "row", "rad"])
     @pytest.mark.parametrize("family_seed", [1, 5, 18])
@@ -400,7 +477,7 @@ class TestBatchedReselection:
             rbound.objective(notion, [fc.LeftMult(np.eye(2))], (0, 0), xs, 4.0)
 
     @pytest.mark.parametrize("n", [1, 3, rbound.RAD_SELECTION_MAX + 1])
-    @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+    @pytest.mark.parametrize("p", [1.0, 3.0, 4.0, math.inf])
     def test_one_family_is_the_hvnorms_norm(self, rng, n, p):
         fam = np.stack([random_matrix(rng, 2) for _ in range(n)])
         assert rbound._family_norms("col", fam, p) == hvnorms.col_norm(fam, p)
@@ -412,9 +489,9 @@ class TestBenchmarkSelections:
     """The ray family of the benchmark's rbound cases keeps its selections."""
 
     @pytest.mark.parametrize("notion,selection,value", [
-        ("col", (6, 6, 6, 0, 7, 0, 6, 0), 1.1540751790762611),
+        ("col", (6, 6, 6, 0, 6, 0, 6, 0), 1.1540751790762611),
         ("row", (7, 0, 7, 7, 6, 0, 0, 7), 1.1594193918868116),
-        ("rad", (7, 6, 7, 0, 6, 0, 7, 0), 1.1540751948538621),
+        ("rad", (7, 7, 6, 0), 1.1540751948538621),
     ])
     def test_golden(self, notion, selection, value):
         fam = fc.ray_resolvent_family(left_diag(0.5, 1.0, 2.0), 0.9, 12)
