@@ -165,28 +165,30 @@ def _moment_norms(y, p: float, polar: bool):
     with ``polar`` also the norming element y G^(k-1) / ||y||_p^(p-1)
     (G^(k-1) y for a wide y), zero where y = 0, otherwise None.  A nonzero
     row whose moment leaves _MOMENT_RANGE is recomputed on y / max|y_ij|
-    and rescaled, like :func:`_schatten_guarded`."""
+    and rescaled, like :func:`_schatten_guarded`.  The powers are taken on
+    arrays, never on numpy scalars, whose libm power can differ in the
+    last bit, so a matrix gets the same bits alone as in a batch."""
     y = np.asarray(y, dtype=np.complex128)
     if not y.size:
         return np.zeros(y.shape[:-2])[()], np.zeros_like(y) if polar else None
+    flat = y.reshape(-1, *y.shape[-2:])
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are redone
-        total, lever = _trace_moment(y, int(p) // 2, polar)
-        norms, xi = np.array(total ** (1.0 / p)), None
+        total, lever = _trace_moment(flat, int(p) // 2, polar)
+        norms, xi = total ** (1.0 / p), None
         if polar:
-            scale = (norms ** (p - 1.0))[..., None, None]
+            scale = (norms ** (p - 1.0))[:, None, None]
             xi = np.divide(lever, scale, out=np.zeros(lever.shape, complex), where=scale > 0)
     lo, hi = _MOMENT_RANGE
     bad = np.flatnonzero(~((total >= lo) & (total <= hi)))
     if bad.size:
-        flat = y.reshape(-1, *y.shape[-2:])
         top = np.max(np.abs(flat[bad]), axis=(-2, -1))
         bad, top = bad[top > 0], top[top > 0]
         if bad.size:
             fixed, fixed_xi = _moment_norms(flat[bad] / top[:, None, None], p, polar)
-            norms.reshape(-1)[bad] = top * fixed
+            norms[bad] = top * fixed
             if polar:
-                xi.reshape(flat.shape)[bad] = fixed_xi
-    return norms[()], xi
+                xi[bad] = fixed_xi
+    return norms.reshape(y.shape[:-2])[()], xi.reshape(y.shape) if polar else None
 
 
 def _trace_moment(y, k: int, polar: bool):

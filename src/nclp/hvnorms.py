@@ -59,15 +59,16 @@ def _col_gram(xs: np.ndarray) -> np.ndarray:
 
 
 def col_norm(xs, p: float) -> float:
-    """|| (sum_k x_k* x_k)^{1/2} ||_p, taken from the singular values of the
-    column stack (the root of the Gram matrix loses digits when the family
-    is rank-deficient)."""
+    """|| (sum_k x_k* x_k)^{1/2} ||_p, the Schatten norm of the column stack:
+    its trace moments at p = 2, 4, 6, 8, its singular values otherwise, and
+    never the root of the Gram matrix, which loses digits when the family
+    is rank-deficient."""
     fam = as_family(xs)
     return schatten_norm(_vstack_maps(*fam.shape)[0](fam), p)
 
 
 def row_norm(xs, p: float) -> float:
-    """|| (sum_k x_k x_k*)^{1/2} ||_p, from the row stack's singular values."""
+    """|| (sum_k x_k x_k*)^{1/2} ||_p, the Schatten norm of the row stack."""
     fam = as_family(xs)
     return schatten_norm(_hstack_maps(*fam.shape)[0](fam), p)
 

@@ -146,7 +146,10 @@ class TestMomentKernel:
             assert pairing == pytest.approx(got[k], rel=1e-13)
             assert core.schatten_norm(xi[k], pp) == pytest.approx(1.0, rel=1e-13)
         assert np.array_equal(core.polar_factor(y, p), xi)
-        assert core.schatten_norm(y[0], p) == got[0]
+        for k in range(len(y)):  # a matrix gets the same bits alone
+            alone, alone_xi = core.norm_and_polar(y[k], p)
+            assert alone == got[k] == core.schatten_norm(y[k], p)
+            assert np.array_equal(alone_xi, xi[k])
 
     @_SHAPES
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.5e15, math.inf])

@@ -460,10 +460,10 @@ class TestBatchedReselection:
     @pytest.mark.parametrize("notion", ["col", "row", "rad"])
     @pytest.mark.parametrize("family_seed", [1, 5, 18])
     def test_value_is_the_witness_objective_exactly(self, notion, family_seed):
-        # a DenseOp member makes the search's stacked apply round differently
-        # from apply_each: on these families the best start's batched value
-        # is 1 ulp off its objective (row on 1, rad on 5, col on 18); the
-        # returned value is still re_evaluate's, bit for bit
+        # the search's batched values could differ from objective in the
+        # last bit on these families (row on 1, rad on 5, col on 18) while
+        # a stacked DenseOp apply rounded by stack height; the returned
+        # value is re_evaluate's, bit for bit, whatever the search rounds
         ops = _random_ops(np.random.default_rng(family_seed))
         cfg = rbound.SearchCfg(restarts=6, iters=8, lengths=(1, 2, 4), rad_steps=4)
         est = getattr(rbound, f"{notion}_bound_estimate")(ops, 4.0, cfg, seed=0)
@@ -486,7 +486,7 @@ class TestBatchedReselection:
 
 
 class TestBenchmarkSelections:
-    """The ray family of the benchmark's rbound cases keeps its selections."""
+    """The selections and values of the benchmark's rbound cases."""
 
     @pytest.mark.parametrize("notion,selection,value", [
         ("col", (6, 6, 6, 0, 6, 0, 6, 0), 1.1540751790762611),
