@@ -67,7 +67,7 @@ def write_artifact(path, fmt, meta, columns, rows):
 
 def parse_operator(spec: str) -> fc.LpOperator:
     """Operator specs: leftdiag:<csv>, rightdiag:<csv>, adiag:<csv>|<csv>,
-    schurlin:<n>[:spacing] (collinear distance symbol), schurgen:<n> alias."""
+    schurlin:<n>[:spacing] (collinear distance symbol)."""
     kind, _, rest = spec.partition(":")
     if kind == "leftdiag":
         return fc.LeftMult(np.diag([complex(v) for v in rest.split(",")]))
@@ -78,7 +78,7 @@ def parse_operator(spec: str) -> fc.LpOperator:
         a = np.diag([float(v) for v in a_s.split(",")])
         b = np.diag([float(v) for v in b_s.split(",")]) if b_s else a.copy()
         return fc.AdPair(a, b)
-    if kind in ("schurlin", "schurgen"):
+    if kind == "schurlin":
         parts = rest.split(":")
         n = int(parts[0])
         spacing = float(parts[1]) if len(parts) > 1 else 1.0
@@ -331,17 +331,15 @@ def cmd_sqfn_equiv(args):
 def cmd_rowcol_gap(args):
     rows = []
     for n in args.n:
-        op = fc.LeftMult(np.diag(2.0 ** np.arange(1, n + 1)))
-        grid = args.grid or sqfn.LogGrid.for_operator(op)
-        rep = sqfn.row_col_gap(n, args.p, grid)
+        rep = sqfn.row_col_gap(n, args.p, args.grid)
         rows.append(
             {
                 "experiment": f"rowcol-gap:n={n}",
                 "p": args.p,
                 "F": "sqrtzexp",
-                "n_grid": grid.n,
-                "t_min": grid.t_min,
-                "t_max": grid.t_max,
+                "n_grid": rep.grid.n,
+                "t_min": rep.grid.t_min,
+                "t_max": rep.grid.t_max,
                 "value_col": rep.fc_val,
                 "value_row": rep.fr_val,
                 "value_rad": max(rep.fc_val, rep.fr_val),

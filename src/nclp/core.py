@@ -117,7 +117,10 @@ def schatten_from_sv(s, p: float):
     top = s[..., 0]
     lo, hi = (float(top), float(top)) if s.ndim == 1 else (float(top.min()), float(top.max()))
     if lo > 0.0 and p * max(math.log(hi), -math.log(lo)) < _POW_SAFE_LOG:
-        return np.sum(s**p, axis=-1) ** (1.0 / p)
+        # the root is taken on an array, never on a numpy scalar, whose
+        # libm power can differ in the last bit: the same bits alone as in
+        # a batch
+        return (np.sum(s**p, axis=-1, keepdims=True) ** (1.0 / p)).reshape(s.shape[:-1])[()]
     return _schatten_guarded(s, p)
 
 
@@ -127,8 +130,8 @@ def _schatten_guarded(s, p: float):
     top singular value is positive, are recomputed as
     top * sum((s / top)**p)**(1/p); every other row keeps the plain sum."""
     with np.errstate(over="ignore"):
-        total = np.sum(s**p, axis=-1)
-    norms = np.array(total ** (1.0 / p))
+        total = np.sum(s**p, axis=-1, keepdims=True)
+    norms, total = (total ** (1.0 / p)).reshape(s.shape[:-1]), total[..., 0]
     top = s[..., 0]
     bad = ~((total > 0.0) & (total < math.inf)) & (top > 0.0)
     if np.any(bad):

@@ -16,6 +16,8 @@ provides
   over the boundary of a sector, for functions with polynomial decay,
 * the extended calculus f(A) = g(A)^{-1} (fg)(A) with g(z) = z/(1+z)^2
   for merely bounded analytic f (kernel components are sent to 0),
+* the one family power ascent, :func:`family_ascent`, on column or row
+  stacks (``rbound``'s column/row search and the resolvent constants),
 * imaginary powers, sectoriality profiling (type angle and resolvent
   constants), and two classical integral identities: the Gaussian
   average over a unitary group, and square-root subordination of a
@@ -41,6 +43,7 @@ from .core import (
     as_matrix,
     power_ascent,
 )
+from .hvnorms import _hstack_maps, _vstack_maps
 
 EIG_COND_MAX = 1e8
 ZERO_RTOL = 1e-9  # |lambda| below this times the spectral scale counts as kernel
@@ -604,6 +607,28 @@ def apply_each(ops, which, xs) -> np.ndarray:
     return out
 
 
+def family_ascent(ops, daggers, sels, xs, p: float, kind: str, iters: int):
+    """Nonlinear power iteration for the column (``kind="col"``) or row
+    ratio kind_norm(T_k x_k) / kind_norm(x_k) over the family x, for all
+    starts xs (S, L, d, d) at once, start i under the selection sels[i]
+    (T_k = ops[sels[i, k]]): one :func:`core.power_ascent` on the column
+    or row stacks.  ``daggers`` are the adjoints of ``ops``.  Returns each
+    start's best ratio and the witness family attaining it."""
+    _, length, d, _ = xs.shape
+    # power_ascent passes only the rows of the starts still running
+    stack, unstack = (_vstack_maps if kind == "col" else _hstack_maps)(length, d, d, (-1,))
+
+    def each(maps):
+        def fwd(s, idx):
+            fams = unstack(s)
+            ys = apply_each(maps, sels[idx].ravel(), fams.reshape(-1, d, d))
+            return stack(ys.reshape(fams.shape))
+        return fwd
+
+    best, best_x = power_ascent(each(ops), each(daggers), stack(xs), p, iters)
+    return best, unstack(best_x)
+
+
 def choi_matrix(op: LpOperator) -> np.ndarray:
     """Choi matrix sum_{ij} E_ij (x) op(E_ij); PSD iff op is completely
     positive.  Entry (i d + a, j d + b) is op(E_ij)[a, b], entry
@@ -864,20 +889,18 @@ def schatten_opnorm_lower(
 
 def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int) -> float:
     """max over the family of the :func:`schatten_opnorm_lower` estimates,
-    from one :func:`core.power_ascent` over every member's seeded starts
-    (start i belongs to member i // starts; each member gets the same ones)."""
+    from one :func:`family_ascent` over every member's seeded starts, each a
+    family of length 1 (start i belongs to member i // starts; each member
+    gets the same ones)."""
     if p == 2.0:
         return max(op.s2_norm() for op in ops)
     d = ops[0].dim
     rng = np.random.default_rng(seed)
     x0 = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(starts)]
-
-    def each(maps):
-        return lambda xs, idx: apply_each(maps, idx // starts, xs)
-
-    best, _ = power_ascent(
-        each(ops), each([op.dagger() for op in ops]),
-        np.tile(x0, (len(ops), 1, 1)), p, iters + 1,  # iters steps visit iters + 1 iterates
+    sels = (np.arange(len(ops) * starts) // starts)[:, None]
+    best, _ = family_ascent(
+        ops, [op.dagger() for op in ops], sels, np.tile(x0, (len(ops), 1, 1))[:, None], p,
+        "col", iters + 1,  # iters steps visit iters + 1 iterates
     )
     return float(np.max(best, initial=0.0))
 

@@ -13,8 +13,12 @@ of the index Hilbert space.  The five norms implemented here are
 together with the first-moment Rademacher average E || sum_k eps_k x_k ||_p
 over independent uniform signs, a Gram-weighted column norm, contractive
 tensor extension along the index space, and a Khintchine-ratio report.
-The sign layer, ``_sign_block`` (the patterns) and ``_signed_sums`` (all
-signed sums as one matmul), also serves ``rbound`` and the free group.
+The column, row and exact Rademacher norms come from one batched kernel,
+:func:`family_norms`, which takes every family on the leading axes of a
+stack at once and gives a family alone the same bits as in a batch;
+``rbound`` evaluates its objectives with it.  The sign layer,
+``_sign_block`` (the patterns) and ``_signed_sums`` (all signed sums as
+one matmul), also serves ``rbound`` and the free group.
 """
 
 from __future__ import annotations
@@ -24,14 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    adjoint,
-    as_matrix,
-    check_exponent,
-    psd_sqrt,
-    schatten_norm,
-    schatten_norms,
-)
+from .core import adjoint, as_matrix, check_exponent, psd_sqrt, schatten_norms
 from .optim import ConvexCfg, SolveResult, minimize_split_schatten
 
 RAD_EXACT_MAX = 20  # 2^20 ~ 1e6 sign patterns; refuse exact mode beyond this
@@ -58,19 +55,53 @@ def _col_gram(xs: np.ndarray) -> np.ndarray:
     return np.einsum("kji,kjl->il", xs.conj(), xs)
 
 
+def _checked(xs, p: float):
+    """The family and exponent of a public column / row norm, validated."""
+    fam, p = as_family(xs), check_exponent(p)
+    if not np.isfinite(fam).all():
+        raise ValueError("matrix has non-finite entries")
+    return fam, p
+
+
+def family_norms(kind: str, fams, p: float):
+    """The ``kind`` norm ("col", "row" or "rad") of every family on the
+    leading axes of ``fams`` (..., n, d1, d2), batched, with the same bits
+    for a family alone as in any batch.
+
+    Column and row norms are one :func:`core.schatten_norms` batch of the
+    column or row stacks: trace moments at p = 2, 4, 6, 8, singular values
+    otherwise, and never the root of the Gram matrix, which loses digits
+    when the family is rank-deficient.  The Rademacher average enumerates
+    all 2^(n-1) sign patterns with eps_1 = +1 (the eps -> -eps symmetry),
+    _SIGN_CHUNK patterns per norm batch; it refuses n > RAD_EXACT_MAX."""
+    if kind == "rad":
+        n = fams.shape[-3]
+        if n > RAD_EXACT_MAX:
+            raise ValueError(
+                f"exact enumeration refuses n = {n} > {RAD_EXACT_MAX} "
+                f"(2^{n} norm evaluations); use mode='montecarlo' with a seed"
+            )
+        half, total = 1 << (n - 1), 0.0
+        for off in range(0, half, _SIGN_CHUNK):
+            signs = _sign_block(off, min(_SIGN_CHUNK, half - off), n)
+            total = total + np.sum(schatten_norms(_signed_sums(signs, fams), p), axis=-1)
+        return total / half
+    if kind in ("col", "row"):
+        maps = _vstack_maps if kind == "col" else _hstack_maps
+        return schatten_norms(maps(*fams.shape[-3:], fams.shape[:-3])[0](fams), p)
+    raise ValueError(f"unknown family norm {kind!r}")
+
+
 def col_norm(xs, p: float) -> float:
-    """|| (sum_k x_k* x_k)^{1/2} ||_p, the Schatten norm of the column stack:
-    its trace moments at p = 2, 4, 6, 8, its singular values otherwise, and
-    never the root of the Gram matrix, which loses digits when the family
-    is rank-deficient."""
-    fam = as_family(xs)
-    return schatten_norm(_vstack_maps(*fam.shape)[0](fam), p)
+    """|| (sum_k x_k* x_k)^{1/2} ||_p, the Schatten norm of the column stack."""
+    fam, p = _checked(xs, p)
+    return float(family_norms("col", fam, p))
 
 
 def row_norm(xs, p: float) -> float:
     """|| (sum_k x_k x_k*)^{1/2} ||_p, the Schatten norm of the row stack."""
-    fam = as_family(xs)
-    return schatten_norm(_hstack_maps(*fam.shape)[0](fam), p)
+    fam, p = _checked(xs, p)
+    return float(family_norms("row", fam, p))
 
 
 def gram_col_norm(xs, gram, p: float) -> float:
@@ -144,12 +175,6 @@ def _signed_sums(signs, fam) -> np.ndarray:
     return (signs @ fam.reshape(*lead, n, d1 * d2)).reshape(*lead, len(signs), d1, d2)
 
 
-def _signed_norms(sign_blocks, fam, p):
-    """Yield || sum_k eps_sk x_k ||_p for the rows of each block of signs."""
-    for signs in sign_blocks:
-        yield schatten_norms(_signed_sums(signs, fam), p)
-
-
 def rad_average(
     xs,
     p: float,
@@ -159,26 +184,15 @@ def rad_average(
 ) -> float:
     """First-moment Rademacher average E || sum_k eps_k x_k ||_p.
 
-    ``mode="exact"`` enumerates all sign patterns (using the eps -> -eps
+    ``mode="exact"`` is :func:`family_norms` (using the eps -> -eps
     symmetry to halve the work); it refuses families longer than
     ``RAD_EXACT_MAX``.  ``mode="montecarlo"`` draws seeded uniform signs
     and is deterministic given the seed.
     """
     fam = as_family(xs)
-    check_exponent(p)
-    n = fam.shape[0]
+    p = check_exponent(p)
     if mode == "exact":
-        if n > RAD_EXACT_MAX:
-            raise ValueError(
-                f"exact enumeration refuses n = {n} > {RAD_EXACT_MAX} "
-                f"(2^{n} norm evaluations); use mode='montecarlo' with a seed"
-            )
-        half = 1 << (n - 1)
-        blocks = (
-            _sign_block(off, min(_SIGN_CHUNK, half - off), n)
-            for off in range(0, half, _SIGN_CHUNK)
-        )
-        return sum(float(np.sum(v)) for v in _signed_norms(blocks, fam, p)) / half
+        return float(family_norms("rad", fam, p))
     if mode == "montecarlo":
         mean, _ = rad_average_mc(fam, p, samples=samples, seed=seed)
         return mean
@@ -196,7 +210,7 @@ def rad_average_mc(xs, p: float, samples: int, seed: int | None):
         rng.integers(0, 2, size=(min(_SIGN_CHUNK, samples - pos), n)) * 2.0 - 1.0
         for pos in range(0, samples, _SIGN_CHUNK)
     )
-    vals = np.concatenate(list(_signed_norms(blocks, fam, p)))
+    vals = np.concatenate([schatten_norms(_signed_sums(signs, fam), p) for signs in blocks])
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr

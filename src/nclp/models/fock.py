@@ -113,9 +113,6 @@ class FockBasis:
         v[0] = 1.0
         return v
 
-    def level_of(self, i: int) -> int:
-        return len(self.words[i])
-
     def q_inner(self, u, v) -> complex:
         """<u, v>_q = <G u, v>_0 (conjugate-linear in the second slot)."""
         return complex(np.conj(v) @ (self.gram @ u))

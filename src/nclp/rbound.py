@@ -10,31 +10,30 @@ matrix families (x_1, ..., x_L) of
 
 Those suprema run over unboundedly many selections and families, so only
 *lower bounds* are computable; every estimate returned here is certified
-by a stored witness whose objective value reproduces it.  The search is
-seeded random restarts followed by alternating local ascent (nonlinear
-power iteration in x for the column/row objectives, which is the shared
-kernel :func:`core.power_ascent` on the stacked families;
+by a stored witness whose objective value reproduces it.  Every norm of
+a family comes from one batched kernel, :func:`hvnorms.family_norms`,
+which :func:`objective`, the reselection and the Rademacher trials share.
+The search is seeded random restarts followed by alternating local
+ascent (nonlinear power iteration in x for the column/row objectives,
+which is :func:`funcalc.family_ascent` on the stacked families;
 accept-if-improve subgradient steps for the Rademacher one) and greedy
 reselection of the operators.  The starts of one selection length run
 in lock-step: each round's power iteration is one
-:func:`core.power_ascent` call that carries every start under its own
-selection, and the Rademacher ascent runs the 2S rows of a round (each
-start from its witness and from its column pre-ascent witness) together,
-each row freezing on its own.  One trial of that ascent is one
+:func:`funcalc.family_ascent` call that carries every start under its
+own selection, and the Rademacher ascent runs the 2S rows of a round
+(each start from its witness and from its column pre-ascent witness)
+together, each row freezing on its own.  One trial of that ascent is one
 :func:`_rad_trial` call: the objective of every row still trying, with
 the norming elements of its numerator's signed sums, whose pull-back is
 the next subgradient once the trial is accepted.  Reselection puts the
 candidates of a slot on a leading axis: at a fixed witness the
 denominator is computed once, and the n_ops families that differ only
-in that slot's member go through one batched numerator (one
-:func:`core.schatten_norms` batch of the stacked candidates for
-col/row, one ``_signed_sums`` and one norm batch for rad);
-:func:`objective` takes its norms from the same kernel, one family at a
-time.  At p = 2, 4, 6, 8 every norm is a trace moment and every norming
-element at p a product of matmuls; only the power iteration's step to an
-S^{p'} polar (p' = 4/3 at p = 4) still takes an SVD.  Profiling a sectorial
-operator discretizes the scaled resolvents z R(z, A) along the rays of a
-test angle into such a family.
+in that slot's member go through one batched numerator.  At p = 2, 4,
+6, 8 every norm is a trace moment and every norming element at p a
+product of matmuls; only the power iteration's step to an S^{p'} polar
+(p' = 4/3 at p = 4) still takes an SVD.  Profiling a sectorial operator
+discretizes the scaled resolvents z R(z, A) along the rays of a test
+angle into such a family.
 """
 
 from __future__ import annotations
@@ -44,19 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_exponent, norm_and_polar, power_ascent, schatten_norms
-from .funcalc import LpOperator, apply_each, ray_resolvent_family
-from .hvnorms import (
-    _hstack_maps,
-    _sign_block,
-    _signed_norms,
-    _signed_sums,
-    _vstack_maps,
-    as_family,
-    rad_average,
-)
+from .core import check_exponent, norm_and_polar
+from .funcalc import LpOperator, apply_each, family_ascent, ray_resolvent_family
+from .hvnorms import _sign_block, _signed_sums, as_family, family_norms
 
-RAD_SELECTION_MAX = 12  # exact sign enumeration in the rad objective
+RAD_SELECTION_MAX = 12  # longest rad selection searched (2^11 signs per family)
 
 
 @dataclass
@@ -104,9 +95,9 @@ def objective(notion: str, ops, sel, xs, p: float) -> float:
     xs = as_family(xs)
     if not np.isfinite(xs).all():
         raise ValueError("witness has non-finite entries")
-    den = _family_norms(notion, xs, p)
+    den = family_norms(notion, xs, p)
     if den > 0:
-        return float(_family_norms(notion, apply_each(ops, sel, xs), p) / den)
+        return float(family_norms(notion, apply_each(ops, sel, xs), p) / den)
     return 0.0
 
 
@@ -115,28 +106,7 @@ def re_evaluate(est: BoundEstimate, ops) -> float:
     return objective(est.notion, _check_family(ops), est.selection, est.witness, est.p)
 
 
-# -- the objective at many families at once --------------------------------
-
-
-def _family_norms(notion, fams, p):
-    """The col / row / rad norm of every family on the leading axes of
-    ``fams`` (..., L, d, d), from one SVD batch of the column or row stacks
-    or of the 2^(L-1) signed sums.  On one family it is exactly
-    ``col_norm`` / ``row_norm`` / ``rad_average``; a rad family longer than
-    RAD_SELECTION_MAX (only :func:`objective` passes one) goes to
-    ``rad_average``, which enumerates its signs in chunks."""
-    if notion == "rad":
-        n = fams.shape[-3]
-        if n > RAD_SELECTION_MAX:
-            return rad_average(fams, p)
-        half = 1 << (n - 1)
-        (norms,) = _signed_norms([_sign_block(0, half, n)], fams, p)
-        return np.sum(norms, axis=-1) / half
-    if notion in ("col", "row"):
-        maps = _vstack_maps if notion == "col" else _hstack_maps
-        stack = maps(*fams.shape[-3:], fams.shape[:-3])[0]
-        return schatten_norms(stack(fams), p)
-    raise ValueError(f"unknown notion {notion!r}")
+# -- greedy operator reselection at a fixed witness -------------------------
 
 
 def _reselect(notion, ops, sel, x, p):
@@ -147,39 +117,17 @@ def _reselect(notion, ops, sel, x, p):
     slot, which differ only in that slot's image, sit on a leading axis of
     one batched numerator.  Returns the selection and its value."""
     n_ops, length = len(ops), len(sel)
-    den = _family_norms(notion, x, p)
+    den = family_norms(notion, x, p)
     images = np.stack([op.apply(x) for op in ops])
     sel = np.array(sel)
     ys = images[sel, np.arange(length)]
     for slot in range(length):
         fams = np.repeat(ys[None], n_ops, axis=0)
         fams[:, slot] = images[:, slot]
-        vals = _family_norms(notion, fams, p) / den if den > 0 else np.zeros(n_ops)
+        vals = family_norms(notion, fams, p) / den if den > 0 else np.zeros(n_ops)
         sel[slot] = best = int(np.argmax(vals))
         ys[slot] = images[best, slot]
     return sel, float(vals[best])
-
-
-# -- column / row inner ascent: nonlinear power iteration ------------------
-
-
-def _ascend_colrow(ops, daggers, sels, xs, p, mode, iters):
-    """The witnesses maximizing the stacked-Schatten ratio over x at fixed
-    selections, for all starts xs (S, L, d, d) at once, start i under
-    selection sels[i]: one :func:`core.power_ascent` on the column (or
-    row) stacks.  ``daggers`` are the adjoints of ``ops``."""
-    _, length, d, _ = xs.shape
-    # power_ascent passes only the rows of the starts still running
-    stack, unstack = (_vstack_maps if mode == "col" else _hstack_maps)(length, d, d, (-1,))
-
-    def each(maps):
-        def fwd(s, idx):
-            fams = unstack(s)
-            ys = apply_each(maps, sels[idx].ravel(), fams.reshape(-1, d, d))
-            return stack(ys.reshape(fams.shape))
-        return fwd
-
-    return unstack(power_ascent(each(ops), each(daggers), stack(xs), p, iters)[1])
 
 
 # -- rademacher inner ascent: accept-if-improve subgradient steps -----------
@@ -198,13 +146,14 @@ def _rad_trial(ops, sels, xs, signs, p):
     """The rad objective of every family xs[r] (R, L, d, d) under its own
     selection sels[r], and the norming elements xi_rs of its numerator's
     signed sums sum_k eps_sk T_k x_rk, which give the subgradient at xs[r]:
-    one norm batch of the signed sums of xs, one ``apply_each`` and one
-    :func:`core.norm_and_polar` batch of the signed sums of the images."""
+    one :func:`hvnorms.family_norms` batch for the denominators, one
+    ``apply_each`` and one :func:`core.norm_and_polar` batch of the signed
+    sums of the images."""
     half, d = len(signs), xs.shape[-1]
-    (den,) = _signed_norms([signs], xs, p)
+    den = family_norms("rad", xs, p)
     ys = apply_each(ops, sels.ravel(), xs.reshape(-1, d, d)).reshape(xs.shape)
     norms, xis = norm_and_polar(_signed_sums(signs, ys), p)
-    den, num = np.sum(den, axis=-1) / half, np.sum(norms, axis=-1) / half
+    num = np.sum(norms, axis=-1) / half
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0), xis
 
 
@@ -299,7 +248,7 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
                 # a strong extra start (for singletons the objectives
                 # coincide); polish both candidates by subgradient steps,
                 # all 2S rows in one lock-step ascent
-                x_pi = _ascend_colrow(ops, daggers, sels, x, p, "col", budget.iters)
+                _, x_pi = family_ascent(ops, daggers, sels, x, p, "col", budget.iters)
                 known = np.full(2 * len(starts), np.nan)
                 if vals is not None:  # the reselection values at x
                     known[: len(starts)] = vals
@@ -310,7 +259,7 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
                 xi, xi_pi = np.split(ascended, 2)
                 x = np.where((val_pi > val)[:, None, None, None], xi_pi, xi)
             else:
-                x = _ascend_colrow(ops, daggers, sels, x, p, notion, budget.iters)
+                _, x = family_ascent(ops, daggers, sels, x, p, notion, budget.iters)
             # greedy operator reselection at the current witnesses
             vals = np.zeros(len(starts))
             for i in range(len(starts)):

@@ -327,6 +327,7 @@ class GapReport:
     fr_val: float
     fr_closed_form: float
     ratio: float
+    grid: LogGrid  # the node family's grid: the operator's default unless one was given
 
 
 def row_col_gap(n: int, p: float, grid: LogGrid | None = None) -> GapReport:
@@ -344,7 +345,8 @@ def row_col_gap(n: int, p: float, grid: LogGrid | None = None) -> GapReport:
     f = fc.library("sqrtzexp")
     op = fc.LeftMult(np.diag(2.0 ** np.arange(1, n + 1)))
     e = np.ones((n, 1))
-    u = _NodeFamily(op, f, grid).weighted((e @ e.T) / math.sqrt(n))
+    nodes = _NodeFamily(op, f, grid)
+    u = nodes.weighted((e @ e.T) / math.sqrt(n))
     fc_val, fr_val = col_norm(u, p), row_norm(u, p)
     d = dyadic_gap_coefficients(n)
     idx = np.arange(n)
@@ -362,4 +364,5 @@ def row_col_gap(n: int, p: float, grid: LogGrid | None = None) -> GapReport:
         fr_val=fr_val,
         fr_closed_form=fr_closed,
         ratio=fc_val / fr_val,
+        grid=nodes.grid,
     )

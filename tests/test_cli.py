@@ -226,6 +226,7 @@ class TestErrorPaths:
             ["schur", "--amplification", "0"],
             ["schur", "--points", "0"],
             ["calculus-check", "--A", "foo:1"],
+            ["calculus-check", "--A", "schurgen:4"],
             ["calculus-check", "--fn", "bogus"],
             ["calculus-check", "--fn", "g,gn:0"],
             ["sector-profile", "--A", "leftdiag:1,x"],
@@ -251,7 +252,7 @@ class TestErrorPaths:
              "qfock-q-one", "clifford-n-above-frame-cap", "dyadic-shells-above-pools",
              "khintchine-no-iters", "rbound-no-iters",
              "stein-no-iters", "schur-no-amplification", "schur-no-points",
-             "calculus-bad-operator", "calculus-bad-fn", "calculus-bad-fn-parameter",
+             "calculus-bad-operator", "calculus-removed-alias", "calculus-bad-fn", "calculus-bad-fn-parameter",
              "sector-bad-operator", "sqfn-grid-two-fields", "clifford-bad-fn",
              "selftest-no-dim", "khintchine-no-dim", "tensor-no-dim", "khintchine-no-family",
              "tensor-no-family", "cesaro-no-factors", "cesaro-no-increments",

@@ -164,6 +164,13 @@ class TestMomentKernel:
         assert np.array_equal(core.polar_factor(y, p), xi)
         assert core.schatten_norm(y[0], p) == core.schatten_from_sv(s[0], p)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.5e15])
+    def test_svd_side_gives_a_matrix_the_same_bits_alone(self, rng, p):
+        # the root of a single matrix's power sum is taken on an array: a
+        # numpy scalar's libm power can differ in the last bit
+        y = np.stack([random_matrix(rng, 3) for _ in range(50)])
+        assert core.schatten_norms(y, p).tolist() == [core.schatten_norm(m, p) for m in y]
+
     def test_frobenius_is_the_entry_sum(self, rng):
         y = random_matrix(rng, 3, 4)
         assert core.schatten_norm(y, 2) == pytest.approx(np.sqrt(np.sum(np.abs(y) ** 2)),

@@ -364,8 +364,8 @@ class TestBatchedReselection:
     @pytest.mark.parametrize("notion", ["col", "row", "rad"])
     def test_matches_per_candidate_loop(self, rng, monkeypatch, family, p, notion):
         ops = family(rng)
-        real, norms = rbound._family_norms, []
-        monkeypatch.setattr(rbound, "_family_norms",
+        real, norms = rbound.family_norms, []
+        monkeypatch.setattr(rbound, "family_norms",
                             lambda *args: norms.append(real(*args)) or norms[-1])
         for length in (1, 3, 5):
             sel = rng.integers(0, len(ops), size=length)
@@ -405,7 +405,7 @@ class TestBatchedReselection:
                                                                  notion):
         ops = [fc.LeftMult(random_matrix(rng, 3)) for _ in range(3)]
         shapes, ascents, inside = [], [], []
-        real_norms, real_ascent = rbound._family_norms, rbound.power_ascent
+        real_norms, real_ascent = rbound.family_norms, fc.power_ascent
         real_reselect = rbound._reselect
 
         def norms(notion_, fams, p):
@@ -424,9 +424,9 @@ class TestBatchedReselection:
             ascents.append(x.shape)
             return real_ascent(fwd, adj, x, p, iters)
 
-        monkeypatch.setattr(rbound, "_family_norms", norms)
+        monkeypatch.setattr(rbound, "family_norms", norms)
         monkeypatch.setattr(rbound, "_reselect", reselect)
-        monkeypatch.setattr(rbound, "power_ascent", ascent)
+        monkeypatch.setattr(fc, "power_ascent", ascent)
         lengths, starts, rounds = (1, 2, 4), 3, 2
         cfg = rbound.SearchCfg(restarts=starts * len(lengths), iters=4, lengths=lengths,
                                reselect_rounds=rounds, rad_steps=2)
@@ -469,6 +469,25 @@ class TestBatchedReselection:
         est = getattr(rbound, f"{notion}_bound_estimate")(ops, 4.0, cfg, seed=0)
         assert rbound.re_evaluate(est, ops) == est.value
 
+    @pytest.mark.parametrize("notion", ["col", "row"])
+    def test_reselection_values_are_the_objectives(self, monkeypatch, notion):
+        # a batched numerator and a lone denominator round their roots alike
+        ops = _random_ops(np.random.default_rng(18))
+        real, seen = rbound._reselect, []
+
+        def reselect(notion_, ops_, sel, x, p):
+            sel_out, val = real(notion_, ops_, sel, x, p)
+            seen.append((tuple(sel_out.tolist()), x.copy(), p, val))
+            return sel_out, val
+
+        monkeypatch.setattr(rbound, "_reselect", reselect)
+        cfg = rbound.SearchCfg(restarts=6, iters=8, lengths=(1, 2, 4), rad_steps=4)
+        getattr(rbound, f"{notion}_bound_estimate")(ops, 3.0, cfg, seed=0)
+        assert seen
+        assert [val for *_, val in seen] == [
+            rbound.objective(notion, ops, sel, x, p) for sel, x, p, _ in seen
+        ]
+
     @pytest.mark.parametrize("notion", ["col", "row", "rad"])
     def test_objective_refuses_a_non_finite_witness(self, notion):
         xs = np.ones((2, 2, 2), dtype=complex)
@@ -476,13 +495,17 @@ class TestBatchedReselection:
         with pytest.raises(ValueError, match="non-finite"):
             rbound.objective(notion, [fc.LeftMult(np.eye(2))], (0, 0), xs, 4.0)
 
-    @pytest.mark.parametrize("n", [1, 3, rbound.RAD_SELECTION_MAX + 1])
-    @pytest.mark.parametrize("p", [1.0, 3.0, 4.0, math.inf])
+    @pytest.mark.parametrize("n", [1, 3, 13, 15])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0, math.inf])
     def test_one_family_is_the_hvnorms_norm(self, rng, n, p):
-        fam = np.stack([random_matrix(rng, 2) for _ in range(n)])
-        assert rbound._family_norms("col", fam, p) == hvnorms.col_norm(fam, p)
-        assert rbound._family_norms("row", fam, p) == hvnorms.row_norm(fam, p)
-        assert rbound._family_norms("rad", fam, p) == hvnorms.rad_average(fam, p)
+        # n = 15 enumerates its 2^14 sign patterns in two chunks
+        fams = np.stack([np.stack([random_matrix(rng, 2) for _ in range(n)])
+                         for _ in range(3)])
+        for kind, public in (("col", hvnorms.col_norm), ("row", hvnorms.row_norm),
+                             ("rad", hvnorms.rad_average)):
+            got = hvnorms.family_norms(kind, fams, p)
+            assert got.shape == (3,)
+            assert got.tolist() == [public(fam, p) for fam in fams], kind
 
 
 class TestBenchmarkSelections:
