@@ -12,8 +12,8 @@ no algorithm names a kind.  On top of the operator kinds this module
 provides
 
 * resolvents with spectral-collision detection,
-* the contour-quadrature calculus f(A) = (1/2 pi i) int f(z) R(z,A) dz
-  over the boundary of a sector, for functions with polynomial decay,
+* the contour calculus f(A) = (1/2 pi i) int f(z) R(z,A) dz on one
+  double-exponential rule per ray of a sector boundary, for decaying f,
 * the extended calculus f(A) = g(A)^{-1} (fg)(A) with g(z) = z/(1+z)^2
   for merely bounded analytic f (kernel components are sent to 0),
 * the one family power ascent, :func:`family_ascent`, on column or row
@@ -48,10 +48,17 @@ from .hvnorms import _hstack_maps, _vstack_maps
 EIG_COND_MAX = 1e8
 ZERO_RTOL = 1e-9  # |lambda| below this times the spectral scale counts as kernel
 COLLISION_RTOL = 1e-9  # resolvent points this close to the spectrum are refused
-TRUNCATION_TOL = 1e-6  # endpoint estimate above which the contour window warns
+TRUNCATION_TOL = 1e-6  # endpoint estimate above which the contour rule warns
 _BATCH_ENTRIES = 1 << 16  # complex entries per batch in the chunked quadrature loops
 SECTOR_RAY_POINTS = 26  # scaled resolvents per test angle in sector_type
 MASS_DEFECT_MAX = 1e-8  # allowed |mass - 1| of the subordination quadrature
+# The contour rule (ContourSpec) reaches CONTOUR_SPAN e-folds in r beyond its window
+# (an s = 1/2 decay on a kernel point leaves e^-30), keeps its nodes log-uniform for
+# CONTOUR_MARGIN e-folds more (e^{-z} turns there, above |z| = 1), and its error falls
+# like exp(-2 pi d / CONTOUR_STEP), d the angle from the rays to the spectrum or f's sector.
+CONTOUR_SPAN = 60.0
+CONTOUR_MARGIN = 4.0
+CONTOUR_STEP = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +96,7 @@ def log_trapezoid(lo: float, hi: float, n: int):
 
 
 class ContourTruncationWarning(UserWarning):
-    """The contour window looks too narrow for the requested tolerance."""
+    """The contour rule's endpoint integrand is above TRUNCATION_TOL."""
 
 
 # ---------------------------------------------------------------------------
@@ -646,36 +653,42 @@ def choi_matrix(op: LpOperator) -> np.ndarray:
 class ContourSpec:
     """Quadrature data for the sector-boundary contour.
 
-    The two rays r e^{+- i gamma} are discretized log-uniformly in radius
-    over [r_min, r_max] with ``n_points`` nodes per ray (trapezoid weights
-    in log r).
+    Both rays r e^{+- i gamma} carry one double-exponential rule
+    (Takahasi-Mori) in u = log r: ``n_points`` uniform nodes in |v| <= V,
+
+        u = c + v + b (sinh v - v),   b = 1 / cosh(half_width + CONTOUR_MARGIN),
+
+    b sinh V = CONTOUR_SPAN, weights h du/dv (ends halved).  The nodes are
+    nearly log-uniform over |u - c| <= half_width + CONTOUR_MARGIN and thin
+    out double-exponentially beyond; by default the step h is CONTOUR_STEP.
     """
 
     gamma: float
-    r_min: float
-    r_max: float
-    n_points: int = 400
+    c: float
+    half_width: float = 0.0
+    n_points: int | None = None
 
     def __post_init__(self):
         if not (0 < self.gamma < math.pi):
             raise ValueError("gamma must lie in (0, pi)")
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError("need 0 < r_min < r_max")
+        self._b = 1.0 / math.cosh(self.half_width + CONTOUR_MARGIN)
+        self._v_max = math.asinh(CONTOUR_SPAN / self._b)
+        if self.n_points is None:
+            self.n_points = 2 * math.ceil(self._v_max / CONTOUR_STEP) + 1
         if self.n_points < 8:
             raise ValueError("need at least 8 nodes per ray")
 
+    def rule(self):
+        """u = log r and du/dv at the nodes, and the step h in v."""
+        b, v = self._b, np.linspace(-self._v_max, self._v_max, self.n_points)
+        return self.c + v + b * (np.sinh(v) - v), 1.0 + b * (np.cosh(v) - 1.0), v[1] - v[0]
+
     def nodes(self):
-        return log_trapezoid(self.r_min, self.r_max, self.n_points)
-
-
-# Radial window relative to the extreme spectral magnitudes.  The inner
-# cutoff must beat 1e-6 relative accuracy even for a kernel eigenvalue
-# paired with decay s = 1/2 (error ~ sqrt(r_min)); the outer one covers
-# functions decaying only like 1/r with near-cancelling values on the
-# spectrum.  The log-trapezoid discretization error stays beyond all
-# orders at 400 nodes per ray, so the window can afford to be huge.
-R_MIN_REL = 1e-14
-R_MAX_REL = 1e10
+        """Radii r_j and weights w_j with sum_j w_j g(r_j) ~= int g(r) dr/r."""
+        u, dudv, h = self.rule()
+        w = h * dudv
+        w[[0, -1]] *= 0.5
+        return np.exp(u), w
 
 
 def check_sector(op: LpOperator, f: HolFn) -> float:
@@ -688,11 +701,13 @@ def check_sector(op: LpOperator, f: HolFn) -> float:
     return omega
 
 
-def default_contour(op: LpOperator, f: HolFn, n_points: int = 400) -> ContourSpec:
+def default_contour(op: LpOperator, f: HolFn) -> ContourSpec:
     omega = check_sector(op, f)
     gamma = 0.5 * (omega + f.theta)
     lo, hi = spectral_window(op.spectrum())
-    return ContourSpec(gamma=gamma, r_min=R_MIN_REL * lo, r_max=R_MAX_REL * hi, n_points=n_points)
+    # the window joins the unit circle, where every decay envelope turns
+    lo, hi = math.log(min(lo, 1.0)), math.log(max(hi, 1.0))
+    return ContourSpec(gamma, 0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
 def _contour_coefficients(f: HolFn, spec: ContourSpec):
@@ -754,29 +769,20 @@ def _check_contour(op: LpOperator, f: HolFn, spec: ContourSpec):
         raise ValueError(
             f"need type angle {omega:.3f} < gamma {spec.gamma:.3f} < theta {f.theta:.3f}"
         )
-    lam = op.spectrum()
-    if np.all(kernel_mask(lam)):
+    if np.all(kernel_mask(op.spectrum())):
         return
     margin = spec.gamma - omega
     if margin <= 1e-12:
         raise SpectralCollisionError(
             f"spectrum touches the contour (angle margin {margin:.3e})"
         )
-    lo, hi = spectral_window(lam)
-    if hi > spec.r_max / math.e or lo < spec.r_min * math.e:
-        raise ValueError(
-            "contour radial window does not safely enclose the spectrum: "
-            f"|lambda| in [{lo:.3e}, {hi:.3e}] vs [{spec.r_min:.3e}, {spec.r_max:.3e}]"
-        )
 
 
 def _truncation_estimate(f: HolFn, spec: ContourSpec) -> float:
-    ends = np.array([spec.r_min, spec.r_max])
-    vals = np.abs(f(ends * cmath.exp(1j * spec.gamma))) + np.abs(
-        f(ends * cmath.exp(-1j * spec.gamma))
-    )
-    # roughly |f| dr/r over one extra decade at each end
-    return float(np.sum(vals)) * math.log(10.0)
+    """The integrand |f(z)| du/dv at the two end nodes of each ray."""
+    u, dudv, _ = spec.rule()
+    z = np.exp(u[[0, -1]]) * cmath.exp(-1j * spec.gamma)
+    return float(np.sum((np.abs(f(z)) + np.abs(f(z.conj()))) * dudv[[0, -1]]))
 
 
 def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
@@ -787,8 +793,7 @@ def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
         est = _truncation_estimate(f, spec)
         if est > TRUNCATION_TOL:
             warnings.warn(
-                f"contour window [{spec.r_min:.2e}, {spec.r_max:.2e}] may truncate "
-                f"{f.name} (endpoint estimate {est:.2e})",
+                f"contour rule may truncate {f.name} (endpoint estimate {est:.2e})",
                 ContourTruncationWarning,
                 stacklevel=3,
             )
@@ -802,7 +807,7 @@ def contour_calculus(
     f: HolFn,
     spec: ContourSpec | None = None,
 ) -> LpOperator:
-    """f(A) by trapezoid quadrature of the sector-boundary Cauchy integral.
+    """f(A) by the sinh-rule quadrature of the sector-boundary Cauchy integral.
 
     The quadrature acts on the symbol and the kind is kept: entrywise
     symbols go through the scalar Cauchy sums, matrix symbols sum their
@@ -816,7 +821,7 @@ def contour_calculus(
     so only the lower ray is inverted.  The weights c_j still carry f at
     every node: f need not be conjugate-symmetric.  Emits
     :class:`ContourTruncationWarning` when the endpoint integrand suggests
-    the window is too narrow.
+    the rule truncates f.
     """
     if f.klass != "hinf0":
         raise ValueError(f"{f.name} has no decay at 0/infinity; use extended_calculus")

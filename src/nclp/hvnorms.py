@@ -55,14 +55,6 @@ def _col_gram(xs: np.ndarray) -> np.ndarray:
     return np.einsum("kji,kjl->il", xs.conj(), xs)
 
 
-def _checked(xs, p: float):
-    """The family and exponent of a public column / row norm, validated."""
-    fam, p = as_family(xs), check_exponent(p)
-    if not np.isfinite(fam).all():
-        raise ValueError("matrix has non-finite entries")
-    return fam, p
-
-
 def family_norms(kind: str, fams, p: float):
     """The ``kind`` norm ("col", "row" or "rad") of every family on the
     leading axes of ``fams`` (..., n, d1, d2), batched, with the same bits
@@ -73,7 +65,10 @@ def family_norms(kind: str, fams, p: float):
     otherwise, and never the root of the Gram matrix, which loses digits
     when the family is rank-deficient.  The Rademacher average enumerates
     all 2^(n-1) sign patterns with eps_1 = +1 (the eps -> -eps symmetry),
-    _SIGN_CHUNK patterns per norm batch; it refuses n > RAD_EXACT_MAX."""
+    _SIGN_CHUNK patterns per norm batch; it refuses n > RAD_EXACT_MAX and
+    non-finite entries."""
+    if not np.isfinite(fams).all():
+        raise ValueError("matrix has non-finite entries")
     if kind == "rad":
         n = fams.shape[-3]
         if n > RAD_EXACT_MAX:
@@ -94,14 +89,12 @@ def family_norms(kind: str, fams, p: float):
 
 def col_norm(xs, p: float) -> float:
     """|| (sum_k x_k* x_k)^{1/2} ||_p, the Schatten norm of the column stack."""
-    fam, p = _checked(xs, p)
-    return float(family_norms("col", fam, p))
+    return float(family_norms("col", as_family(xs), check_exponent(p)))
 
 
 def row_norm(xs, p: float) -> float:
     """|| (sum_k x_k x_k*)^{1/2} ||_p, the Schatten norm of the row stack."""
-    fam, p = _checked(xs, p)
-    return float(family_norms("row", fam, p))
+    return float(family_norms("row", as_family(xs), check_exponent(p)))
 
 
 def gram_col_norm(xs, gram, p: float) -> float:
@@ -204,6 +197,8 @@ def rad_average_mc(xs, p: float, samples: int, seed: int | None):
     if seed is None:
         raise ValueError("montecarlo mode requires an explicit seed")
     fam = as_family(xs)
+    if not np.isfinite(fam).all():
+        raise ValueError("matrix has non-finite entries")
     n = fam.shape[0]
     rng = np.random.default_rng(seed)
     blocks = (

@@ -93,9 +93,10 @@ class TestSchattenRange:
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0, 7.25])
     def test_in_range_values_are_the_plain_sum(self, rng, p):
         s = np.linalg.svd(rng.standard_normal((5, 4, 4)), compute_uv=False)
-        assert np.array_equal(core.schatten_from_sv(s, p), np.sum(s**p, axis=-1) ** (1 / p))
-        for row in s:  # one family: the scalar root, as before
-            assert core.schatten_from_sv(row, p) == np.sum(row**p) ** (1 / p)
+        batched = np.sum(s**p, axis=-1) ** (1 / p)
+        assert np.array_equal(core.schatten_from_sv(s, p), batched)
+        for row, want in zip(s, batched):  # one family alone: the bits of the batch
+            assert core.schatten_from_sv(row, p) == want
 
     @pytest.mark.parametrize("p", [1.0, 3.0, 4.5e15])
     def test_range_check_only_picks_the_faster_path(self, rng, p):

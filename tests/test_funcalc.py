@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -379,7 +380,7 @@ class TestContourCalculus:
         op = fc.LeftMult(np.diag([0.5, 1.0, 4.0]))
         g = fc.library("g")
         sp1 = fc.default_contour(op, g)
-        sp2 = fc.ContourSpec(sp1.gamma + 0.1, sp1.r_min, sp1.r_max, sp1.n_points)
+        sp2 = dataclasses.replace(sp1, gamma=sp1.gamma + 0.1)
         a = fc.contour_calculus(op, g, sp1).a
         b = fc.contour_calculus(op, g, sp2).a
         assert np.max(np.abs(a - b)) <= 1e-9
@@ -528,19 +529,20 @@ class TestContourSweep:
 
     @staticmethod
     def _assert_one_sweep(monkeypatch, op, rays):
-        """extended_calculus(op, zis:0.8) makes one batched inverse per chunk
-        of ``rays`` * n_points nodes, shared by fg and g (1,601 solves with
-        one per node and function); the rest is the kernel projection's
+        """extended_calculus(op, zis:0.8) makes one batched inverse per ray
+        inverted and per chunk of its n_points nodes, shared by fg and g (not
+        one solve per node and function); the rest is the kernel projection's
         eigenvector inverse and the final g(A) solve."""
         f = fc.library("zis:0.8")
         invs = _count_calls(monkeypatch, "inv")
         solves = _count_calls(monkeypatch, "solve")
         fc.extended_calculus(op, f)
-        nodes = rays * fc.default_contour(op, fc.product_fn(f, fc.library("g"))).n_points
+        n = fc.default_contour(op, fc.product_fn(f, fc.library("g"))).n_points
         per_chunk = fc._BATCH_ENTRIES // 64**2
-        assert sum(len(sh) == 3 for sh in invs) == -(-nodes // per_chunk)
+        batched = rays * -(-n // per_chunk)
+        assert sum(len(sh) == 3 for sh in invs) == batched
         assert all(sh[0] <= per_chunk for sh in invs if len(sh) == 3)
-        assert len(invs) + len(solves) <= -(-nodes // per_chunk) + 2
+        assert len(invs) + len(solves) <= batched + 2
 
     def test_extended_makes_one_sweep(self, rng, monkeypatch):
         # a real symbol inverts the lower ray only and takes the upper ray's
@@ -551,7 +553,7 @@ class TestContourSweep:
         self._assert_one_sweep(monkeypatch, _complex_dense(_sylvester_dense(rng, 8)), rays=2)
 
     def test_upper_ray_is_the_conjugate_lower_ray(self):
-        spec = fc.ContourSpec(gamma=0.9, r_min=1e-3, r_max=1e4, n_points=37)
+        spec = fc.ContourSpec(gamma=0.9, c=1.5, n_points=37)
         z, _ = fc._contour_coefficients(fc.library("zexp"), spec)
         assert np.array_equal(z[37:], z[:37].conj())
 
@@ -577,7 +579,7 @@ class TestContourSweep:
         if complex_entries:
             op = _complex_dense(op)
         f = fc.library("sqrtzexp")
-        spec = fc.default_contour(op, f, n_points=300)
+        spec = dataclasses.replace(fc.default_contour(op, f), n_points=300)
         per_chunk = fc._BATCH_ENTRIES // 16**2
         assert spec.n_points % per_chunk  # 300 = 256 + 44
         ref = _looped_contour(op, f, spec)
@@ -599,18 +601,36 @@ class TestContourSweep:
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("entrywise", [False, True])
-    def test_narrow_window_warns_for_each_function(self, entrywise):
+    def test_slow_decay_warns_for_each_function(self, entrywise):
         op = (fc.SchurMult if entrywise else fc.LeftMult)(np.diag([1.0, 2.0]) + 1.0)
-        g = fc.library("g")
-        narrow = fc.ContourSpec(gamma=1.5, r_min=0.1, r_max=20.0)
-        with pytest.warns(fc.ContourTruncationWarning, match="truncate g ") as rec:
-            fc.contour_calculus(op, g, narrow)
+        slow = fc.make_hinf0(3.0, lambda z: z**0.05 / (1.0 + z) ** 0.1, s=0.05, name="slow")
+        with pytest.warns(fc.ContourTruncationWarning, match="truncate slow ") as rec:
+            fc.contour_calculus(op, slow)
         assert [w.filename for w in rec] == [__file__]
+        # fg and g are checked one by one: a rule centred e^60 away from the
+        # spectrum cuts both off where g has not yet decayed
+        off = fc.ContourSpec(gamma=1.5, c=60.0)
         with pytest.warns(fc.ContourTruncationWarning) as rec:
-            fc.extended_calculus(op, fc.library("zis:0.5"), narrow)
+            fc.extended_calculus(op, slow, off)
         names = [str(w.message).split("truncate ")[1].split()[0] for w in rec]
-        assert names == ["zis:0.5*g", "g"]
+        assert names == ["slow*g", "g"]
         assert all(w.filename == __file__ for w in rec)
+
+    @pytest.mark.parametrize("fid", ["g", "sqrtzexp", "zexp"])
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            [0.0, 1e-4, 1e4],  # hi/lo = 1e8 around the unit circle, and a kernel point
+            [0.0, 1e-8, 1.0],  # hi/lo = 1e8 below it: e^{-z} turns above the window
+            [1e-5, 3e-5],  # far below it, where g turns at |z| = 1
+        ],
+    )
+    def test_matches_oracle_on_wide_windows(self, spectrum, fid):
+        op = fc.LeftMult(np.diag(spectrum))
+        f = fc.library(fid)
+        out = fc.contour_calculus(op, f).a
+        oracle = fc.eigen_calculus(op, f).a
+        assert np.max(np.abs(out - oracle)) <= 1e-8 * np.max(np.abs(oracle))
 
 
 class TestApproximationAndLaplace:

@@ -198,6 +198,21 @@ class TestRadAverage:
         with pytest.raises(ValueError, match="montecarlo"):
             hvnorms.rad_average(xs, 2)
 
+    @pytest.mark.parametrize("kind", ["col", "row", "rad"])
+    @pytest.mark.parametrize("p", [3.0, 4.0])  # singular values, trace moments
+    def test_family_norms_refuse_non_finite(self, rng, kind, p):
+        fams = np.stack(random_family(rng, 2, 2))
+        fams[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            hvnorms.family_norms(kind, fams, p)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_montecarlo_refuses_non_finite(self, rng, p):
+        xs = random_family(rng, 2, 2)
+        xs[1][0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            hvnorms.rad_average(xs, p, mode="montecarlo", samples=100, seed=1)
+
 
 class TestSumAndRadNorm:
     def test_singleton(self, rng):
