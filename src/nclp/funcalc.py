@@ -112,7 +112,8 @@ class HolFn:
     bound |f(z)| <= c |z|^s / (1+|z|)^(2s) on the sector (making the
     boundary integral absolutely convergent) and ``"hinf"`` when it is
     merely bounded.  For ``hinf0`` the bound is spot-checked on a probe
-    grid at construction time via :func:`make_hinf0`.
+    grid at construction time via :func:`make_hinf0`.  The default contour
+    covers ``scales``, the magnitudes |z| where f turns (poles, exponentials).
     """
 
     theta: float
@@ -120,6 +121,7 @@ class HolFn:
     klass: str
     name: str = "f"
     decay: tuple | None = None
+    scales: tuple = (1.0,)
 
     def __call__(self, z):
         return self.fn(np.asarray(z, dtype=np.complex128))
@@ -131,7 +133,7 @@ def _probe_points(theta: float) -> np.ndarray:
     return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
-def make_hinf0(theta, fn, s, c=None, name="f") -> HolFn:
+def make_hinf0(theta, fn, s, c=None, name="f", scales=(1.0,)) -> HolFn:
     """Build a decaying sector function, measuring or verifying its bound."""
     z = _probe_points(theta)
     vals = np.abs(np.asarray(fn(z)))
@@ -145,11 +147,11 @@ def make_hinf0(theta, fn, s, c=None, name="f") -> HolFn:
         raise ValueError(
             f"{name}: decay bound c={c} violated on probe grid (needs {ratio:.4g})"
         )
-    return HolFn(theta=float(theta), fn=fn, klass="hinf0", name=name, decay=(float(s), float(c)))
+    return HolFn(float(theta), fn, "hinf0", name, (float(s), float(c)), tuple(scales))
 
 
-def make_hinf(theta, fn, name="f") -> HolFn:
-    return HolFn(theta=float(theta), fn=fn, klass="hinf", name=name, decay=None)
+def make_hinf(theta, fn, name="f", scales=(1.0,)) -> HolFn:
+    return HolFn(float(theta), fn, "hinf", name, None, tuple(scales))
 
 
 def _fn_g(z):
@@ -176,8 +178,7 @@ def library(spec: str) -> HolFn:
         return make_hinf0(
             _THETA_WIDE,
             lambda z, n=n: (n * n) * z / ((n + z) * (1.0 + n * z)),
-            s=1.0,
-            name=spec,
+            s=1.0, name=spec, scales=(1.0 / n, float(n)),
         )
     if spec == "zexp":
         return make_hinf0(_THETA_EXP, lambda z: z * np.exp(-z), s=1.0, name="zexp")
@@ -197,19 +198,18 @@ def library(spec: str) -> HolFn:
         return make_hinf0(
             _THETA_EXP,
             lambda z, t=t: np.exp(-t * z) - 1.0 / (1.0 + z),
-            s=1.0,
-            name=spec,
+            s=1.0, name=spec, scales=(1.0, 1.0 / t),
         )
     raise ValueError(f"unknown function id {spec!r}")
 
 
 def product_fn(f: HolFn, g: HolFn, name=None) -> HolFn:
     fn = lambda z: f.fn(z) * g.fn(z)  # noqa: E731
-    theta = min(f.theta, g.theta)
+    theta, name, scales = min(f.theta, g.theta), name or f"{f.name}*{g.name}", f.scales + g.scales
     if f.klass == "hinf" and g.klass == "hinf":
-        return make_hinf(theta, fn, name=name or f"{f.name}*{g.name}")
+        return make_hinf(theta, fn, name, scales)
     s = sum(h.decay[0] for h in (f, g) if h.klass == "hinf0")
-    return make_hinf0(theta, fn, s=s, name=name or f"{f.name}*{g.name}")
+    return make_hinf0(theta, fn, s, name=name, scales=scales)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +660,7 @@ class ContourSpec:
 
     b sinh V = CONTOUR_SPAN, weights h du/dv (ends halved).  The nodes are
     nearly log-uniform over |u - c| <= half_width + CONTOUR_MARGIN and thin
-    out double-exponentially beyond; by default the step h is CONTOUR_STEP.
+    out double-exponentially beyond; the step h is CONTOUR_STEP by default.
     """
 
     gamma: float
@@ -669,18 +669,17 @@ class ContourSpec:
     n_points: int | None = None
 
     def __post_init__(self):
-        if not (0 < self.gamma < math.pi):
-            raise ValueError("gamma must lie in (0, pi)")
-        self._b = 1.0 / math.cosh(self.half_width + CONTOUR_MARGIN)
-        self._v_max = math.asinh(CONTOUR_SPAN / self._b)
-        if self.n_points is None:
-            self.n_points = 2 * math.ceil(self._v_max / CONTOUR_STEP) + 1
-        if self.n_points < 8:
+        if not (0 < self.gamma < math.pi and math.isfinite(self.c)
+                and 0 <= self.half_width < math.inf):
+            raise ValueError("need 0 < gamma < pi, a finite centre c and a finite half_width >= 0")
+        if self.n_points is not None and self.n_points < 8:
             raise ValueError("need at least 8 nodes per ray")
 
     def rule(self):
         """u = log r and du/dv at the nodes, and the step h in v."""
-        b, v = self._b, np.linspace(-self._v_max, self._v_max, self.n_points)
+        b = 1.0 / math.cosh(self.half_width + CONTOUR_MARGIN)
+        v_max = math.asinh(CONTOUR_SPAN / b)
+        v = np.linspace(-v_max, v_max, self.n_points or 2 * math.ceil(v_max / CONTOUR_STEP) + 1)
         return self.c + v + b * (np.sinh(v) - v), 1.0 + b * (np.cosh(v) - 1.0), v[1] - v[0]
 
     def nodes(self):
@@ -705,8 +704,7 @@ def default_contour(op: LpOperator, f: HolFn) -> ContourSpec:
     omega = check_sector(op, f)
     gamma = 0.5 * (omega + f.theta)
     lo, hi = spectral_window(op.spectrum())
-    # the window joins the unit circle, where every decay envelope turns
-    lo, hi = math.log(min(lo, 1.0)), math.log(max(hi, 1.0))
+    lo, hi = math.log(min(lo, *f.scales)), math.log(max(hi, *f.scales))
     return ContourSpec(gamma, 0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
@@ -769,8 +767,12 @@ def _check_contour(op: LpOperator, f: HolFn, spec: ContourSpec):
         raise ValueError(
             f"need type angle {omega:.3f} < gamma {spec.gamma:.3f} < theta {f.theta:.3f}"
         )
-    if np.all(kernel_mask(op.spectrum())):
+    lam = op.spectrum()
+    if np.all(kernel_mask(lam)):
         return
+    lo, hi = np.log(spectral_window(lam))
+    if max(spec.c - lo, hi - spec.c) > spec.half_width + CONTOUR_MARGIN:
+        raise ValueError(f"spectrum window e^[{lo:.1f}, {hi:.1f}] is outside the rule's core")
     margin = spec.gamma - omega
     if margin <= 1e-12:
         raise SpectralCollisionError(
@@ -792,11 +794,8 @@ def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
         _check_contour(op, f, spec)
         est = _truncation_estimate(f, spec)
         if est > TRUNCATION_TOL:
-            warnings.warn(
-                f"contour rule may truncate {f.name} (endpoint estimate {est:.2e})",
-                ContourTruncationWarning,
-                stacklevel=3,
-            )
+            msg = f"contour rule may truncate {f.name} (endpoint estimate {est:.2e})"
+            warnings.warn(msg, ContourTruncationWarning, stacklevel=3)
     z = _contour_coefficients(fs[0], spec)[0]
     c = np.stack([_contour_coefficients(f, spec)[1] for f in fs])
     return (_cauchy_sums if op.entrywise else _resolvent_sums)(z, c, op.symbol)

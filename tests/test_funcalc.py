@@ -507,6 +507,14 @@ def _count_calls(monkeypatch, name):
     return shapes
 
 
+def _assert_diag_matches_oracle(spectrum, fid):
+    op = fc.LeftMult(np.diag(spectrum))
+    f = fc.library(fid)
+    out = fc.contour_calculus(op, f).a
+    oracle = fc.eigen_calculus(op, f).a
+    assert np.max(np.abs(out - oracle)) <= 1e-8 * np.max(np.abs(oracle))
+
+
 class TestContourSweep:
     @pytest.mark.parametrize("kind", ["left", "right", "amplified", "condexp", "dense5"])
     @pytest.mark.parametrize("fid", ["g", "sqrtzexp"])
@@ -522,7 +530,7 @@ class TestContourSweep:
         }[kind]
         f = fc.library(fid)
         if kind == "dense5":  # the last chunk of lower-ray nodes is a short one
-            assert fc.default_contour(op, f).n_points % (fc._BATCH_ENTRIES // 25**2)
+            assert fc.default_contour(op, f).nodes()[0].size % (fc._BATCH_ENTRIES // 25**2)
         ref = _looped_contour(op, f)
         out = fc.contour_calculus(op, f).symbol
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -537,7 +545,7 @@ class TestContourSweep:
         invs = _count_calls(monkeypatch, "inv")
         solves = _count_calls(monkeypatch, "solve")
         fc.extended_calculus(op, f)
-        n = fc.default_contour(op, fc.product_fn(f, fc.library("g"))).n_points
+        n = fc.default_contour(op, fc.product_fn(f, fc.library("g"))).nodes()[0].size
         per_chunk = fc._BATCH_ENTRIES // 64**2
         batched = rays * -(-n // per_chunk)
         assert sum(len(sh) == 3 for sh in invs) == batched
@@ -607,11 +615,14 @@ class TestContourSweep:
         with pytest.warns(fc.ContourTruncationWarning, match="truncate slow ") as rec:
             fc.contour_calculus(op, slow)
         assert [w.filename for w in rec] == [__file__]
-        # fg and g are checked one by one: a rule centred e^60 away from the
-        # spectrum cuts both off where g has not yet decayed
+        # fg and g are checked one by one: a rule centred e^60 away cuts both
+        # off where g has not yet decayed.  Only an all-kernel spectrum lets
+        # such a rule through; on any other the rule must cover the spectrum.
         off = fc.ContourSpec(gamma=1.5, c=60.0)
-        with pytest.warns(fc.ContourTruncationWarning) as rec:
+        with pytest.raises(ValueError, match="outside the rule's core"):
             fc.extended_calculus(op, slow, off)
+        with pytest.warns(fc.ContourTruncationWarning) as rec:
+            fc.extended_calculus(type(op)(np.zeros((2, 2))), slow, off)
         names = [str(w.message).split("truncate ")[1].split()[0] for w in rec]
         assert names == ["slow*g", "g"]
         assert all(w.filename == __file__ for w in rec)
@@ -626,11 +637,25 @@ class TestContourSweep:
         ],
     )
     def test_matches_oracle_on_wide_windows(self, spectrum, fid):
-        op = fc.LeftMult(np.diag(spectrum))
-        f = fc.library(fid)
-        out = fc.contour_calculus(op, f).a
-        oracle = fc.eigen_calculus(op, f).a
-        assert np.max(np.abs(out - oracle)) <= 1e-8 * np.max(np.abs(oracle))
+        _assert_diag_matches_oracle(spectrum, fid)
+
+    @pytest.mark.parametrize("fid", ["heat:1e-5", "heat:1e5", "gn:1000000"])
+    @pytest.mark.parametrize("spectrum", [[0.5, 1.0, 2.0], [1e-5, 3e-5]])
+    def test_matches_oracle_on_far_function_scales(self, spectrum, fid):
+        # e^{-tz} turns at |z| = 1/t and gn's poles sit at -n and -1/n, far
+        # from the spectrum: the default rule's core covers f's scales too
+        _assert_diag_matches_oracle(spectrum, fid)
+
+    def test_spec_is_checked(self):
+        for bad in ({"c": math.nan}, {"c": math.inf}, {"c": 0.0, "half_width": -1.0}):
+            with pytest.raises(ValueError, match="finite"):
+                fc.ContourSpec(gamma=1.0, **bad)
+        # n_points stays unset, so a replaced half_width keeps the step
+        spec = fc.ContourSpec(gamma=1.0, c=0.0)
+        wide = dataclasses.replace(spec, half_width=10.0)
+        assert spec.n_points is None and wide.n_points is None
+        assert all(0.98 * fc.CONTOUR_STEP < s.rule()[2] <= fc.CONTOUR_STEP for s in (spec, wide))
+        assert wide.nodes()[0].size > spec.nodes()[0].size + 150
 
 
 class TestApproximationAndLaplace:
