@@ -507,14 +507,6 @@ def _count_calls(monkeypatch, name):
     return shapes
 
 
-def _assert_diag_matches_oracle(spectrum, fid):
-    op = fc.LeftMult(np.diag(spectrum))
-    f = fc.library(fid)
-    out = fc.contour_calculus(op, f).a
-    oracle = fc.eigen_calculus(op, f).a
-    assert np.max(np.abs(out - oracle)) <= 1e-8 * np.max(np.abs(oracle))
-
-
 class TestContourSweep:
     @pytest.mark.parametrize("kind", ["left", "right", "amplified", "condexp", "dense5"])
     @pytest.mark.parametrize("fid", ["g", "sqrtzexp"])
@@ -627,27 +619,29 @@ class TestContourSweep:
         assert names == ["slow*g", "g"]
         assert all(w.filename == __file__ for w in rec)
 
-    @pytest.mark.parametrize("fid", ["g", "sqrtzexp", "zexp"])
+    # e^{-tz} turns at |z| = 1/t and gn:<n>'s poles sit at -n and -1/n
+    @pytest.mark.parametrize(
+        "fid", ["g", "sqrtzexp", "zexp", "heat:1e-5", "heat:1e5", "gn:1000000"]
+    )
     @pytest.mark.parametrize(
         "spectrum",
         [
             [0.0, 1e-4, 1e4],  # hi/lo = 1e8 around the unit circle, and a kernel point
             [0.0, 1e-8, 1.0],  # hi/lo = 1e8 below it: e^{-z} turns above the window
             [1e-5, 3e-5],  # far below it, where g turns at |z| = 1
+            [0.5, 1.0, 2.0],  # on it: only f's own scale can lie far off
         ],
     )
     def test_matches_oracle_on_wide_windows(self, spectrum, fid):
-        _assert_diag_matches_oracle(spectrum, fid)
-
-    @pytest.mark.parametrize("fid", ["heat:1e-5", "heat:1e5", "gn:1000000"])
-    @pytest.mark.parametrize("spectrum", [[0.5, 1.0, 2.0], [1e-5, 3e-5]])
-    def test_matches_oracle_on_far_function_scales(self, spectrum, fid):
-        # e^{-tz} turns at |z| = 1/t and gn's poles sit at -n and -1/n, far
-        # from the spectrum: the default rule's core covers f's scales too
-        _assert_diag_matches_oracle(spectrum, fid)
+        op = fc.LeftMult(np.diag(spectrum))
+        f = fc.library(fid)
+        out = fc.contour_calculus(op, f).a
+        oracle = fc.eigen_calculus(op, f).a
+        assert np.max(np.abs(out - oracle)) <= 1e-8 * np.max(np.abs(oracle))
 
     def test_spec_is_checked(self):
-        for bad in ({"c": math.nan}, {"c": math.inf}, {"c": 0.0, "half_width": -1.0}):
+        for bad in ({"c": math.nan}, {"c": math.inf}, {"c": 0.0, "half_width": -1.0},
+                    {"c": 0.0, "half_width": math.inf}):
             with pytest.raises(ValueError, match="finite"):
                 fc.ContourSpec(gamma=1.0, **bad)
         # n_points stays unset, so a replaced half_width keeps the step
