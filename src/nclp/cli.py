@@ -5,10 +5,17 @@ version, config echo, the subcommand's diagnostics, wall time) followed
 by data rows, as CSV (tables) or JSON (machine use).  Identical
 configuration and seed produce byte-identical data rows; wall time and
 diagnostics live only in the header.  A flat JSON config file can
-prefill any flag (explicit flags win).  Exit codes:
-0 ok, 2 usage error, 3 numeric failure, 4 solver warning: a split-norm
-solve ended with its relative duality gap above tolerance (soft unless
---strict, which hardens it to 3).
+prefill any flag the subcommand has (explicit flags win); each flag
+exists only on the subcommands that read it.
+
+A subcommand only builds its rows; the columns are the keys of the first
+row, and the exit code follows from the artifact alone: 2 for a usage
+error, 3 for a numeric failure or for a row with a false ``ok`` or
+``*_ok`` cell, else 4 (a solver warning) when a row's ``solver_status``
+or the header's (``sqfn-equiv`` writes the worst status over its solves
+as ``# solver_status``) is ``budget-exhausted``: a split-norm solve
+ended with its relative duality gap above tolerance.  ``--strict``
+hardens that 4 to 3.  Otherwise 0.
 """
 
 from __future__ import annotations
@@ -44,8 +51,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_artifact(path, fmt, meta, columns, rows):
-    """Emit header (meta) plus data rows, CSV or JSON."""
+def write_artifact(path, fmt, meta, rows):
+    """Emit header (meta) plus data rows, CSV or JSON; the columns are the
+    keys of the first row."""
+    columns = list(rows[0])
     if fmt == "json":
         payload = {"meta": meta, "columns": columns, "rows": rows}
         text = json.dumps(payload, indent=2, default=_fmt) + "\n"
@@ -101,8 +110,8 @@ def _rng_matrix(rng, d):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (columns, rows, exit_hint),
-# optionally followed by a dict of header fields
+# subcommand implementations: each returns its rows, optionally paired
+# with a dict of header fields
 # ---------------------------------------------------------------------------
 
 
@@ -127,8 +136,7 @@ def cmd_schatten_selftest(args):
     rec = psd_sqrt(s)
     err = float(np.linalg.norm(rec @ rec - s, 2))
     rows.append({"check": "psd_sqrt_reconstruct", "value": err, "target": 1e-10, "ok": err <= 1e-10 * max(1.0, np.linalg.norm(s, 2))})
-    ok = all(r["ok"] for r in rows)
-    return ["check", "value", "target", "ok"], rows, EXIT_OK if ok else EXIT_NUMERIC
+    return rows
 
 
 def cmd_khintchine(args):
@@ -153,16 +161,7 @@ def cmd_khintchine(args):
             "solver_status": rep.solver_status or "",
         }
 
-    rows = [one(trial) for trial in range(args.samples)]
-    if not all(r["lower_ok"] for r in rows):
-        hint = EXIT_NUMERIC
-    elif any(r["solver_status"] == "budget-exhausted" for r in rows):
-        hint = EXIT_SOLVER
-    else:
-        hint = EXIT_OK
-    cols = ["trial", "p", "radavg", "radnorm", "radnorm_lower", "side", "lower_ok",
-            "upper_ratio", "solver_status"]
-    return cols, rows, hint
+    return [one(trial) for trial in range(args.samples)]
 
 
 def cmd_tensor_extend(args):
@@ -189,9 +188,7 @@ def cmd_tensor_extend(args):
                 "row_ok": rep.row_contractive,
             }
         )
-    cols = ["trial", "p", "t_norm", "col_in", "col_out", "row_in", "row_out", "col_ok", "row_ok"]
-    ok = all(r["col_ok"] and r["row_ok"] for r in rows)
-    return cols, rows, EXIT_OK if ok else EXIT_NUMERIC
+    return rows
 
 
 def cmd_calculus_check(args):
@@ -214,9 +211,7 @@ def cmd_calculus_check(args):
             "ok": float(np.max(np.abs(diff))) / scale <= args.tol,
         }
 
-    rows = [one(fid) for fid in fids]
-    ok = all(r["ok"] for r in rows)
-    return ["fn", "op", "max_rel_err", "ok"], rows, EXIT_OK if ok else EXIT_NUMERIC
+    return [one(fid) for fid in fids]
 
 
 def cmd_identities(args):
@@ -232,18 +227,16 @@ def cmd_identities(args):
         resid, mass = fc.subordination_identity(c, args.t)
         rows.append({"identity": f"subordination:t={args.t}", "residual": resid, "ok": resid <= 1e-5})
         rows.append({"identity": "subordination:mass", "residual": abs(mass - 1.0), "ok": abs(mass - 1.0) <= 1e-8})
-    ok = all(r["ok"] for r in rows)
-    return ["identity", "residual", "ok"], rows, EXIT_OK if ok else EXIT_NUMERIC
+    return rows
 
 
 def cmd_sector_profile(args):
     op = parse_operator(args.op)
     prof = fc.sector_type(op, p=args.p)
-    rows = [
+    return [
         {"theta": th, "k_theta": k, "omega_hat": prof.omega_hat, "exact": prof.exact}
         for th, k in prof.constants
     ]
-    return ["theta", "k_theta", "omega_hat", "exact"], rows, EXIT_OK
 
 
 def cmd_rbound(args):
@@ -273,25 +266,7 @@ def cmd_rbound(args):
                     "witness_file": witness_path,
                 }
             )
-    cols = ["notion", "p", "theta", "estimate", "restarts", "seed", "witness_file"]
-    return cols, rows, EXIT_OK
-
-
-SQFN_COLS = [
-    "experiment",
-    "p",
-    "F",
-    "n_grid",
-    "t_min",
-    "t_max",
-    "value_col",
-    "value_row",
-    "value_rad",
-    "value_bracket",
-    "K1",
-    "K2",
-    "seed",
-]
+    return rows
 
 
 def cmd_sqfn_equiv(args):
@@ -323,9 +298,11 @@ def cmd_sqfn_equiv(args):
     }
     solves = rep.solves + sr.solves
     exhausted = any(res.status == "budget-exhausted" for res in solves)
-    hint = EXIT_SOLVER if exhausted else EXIT_OK
-    gap_max = max((res.gap for res in solves), default=None)
-    return SQFN_COLS, [row], hint, {"grid_truncated": sr.truncated, "solver_gap_max": gap_max}
+    return [row], {
+        "grid_truncated": sr.truncated,
+        "solver_gap_max": max((res.gap for res in solves), default=None),
+        "solver_status": "budget-exhausted" if exhausted else "converged" if solves else None,
+    }
 
 
 def cmd_rowcol_gap(args):
@@ -346,10 +323,10 @@ def cmd_rowcol_gap(args):
                 "value_bracket": "",
                 "K1": rep.fr_closed_form,
                 "K2": rep.ratio,
-                "seed": args.seed if args.seed is not None else "",
+                "seed": "",
             }
         )
-    return SQFN_COLS, rows, EXIT_OK
+    return rows
 
 
 def cmd_schur(args):
@@ -358,7 +335,7 @@ def cmd_schur(args):
     lam_min = float(np.linalg.eigvalsh(0.5 * (op.m + op.m.conj().T))[0])
     amp = schur.amplified_s2_norm(op, args.amplification)
     choi = schur.choi_min_eigenvalue(op)
-    rows = [
+    return [
         {"check": "symbol_min_eigenvalue", "value": lam_min, "ok": lam_min >= -1e-10},
         {
             "check": f"amplified_s2_norm:m={args.amplification}",
@@ -367,8 +344,6 @@ def cmd_schur(args):
         },
         {"check": "choi_min_eigenvalue", "value": choi, "ok": choi >= -1e-10},
     ]
-    ok = all(r["ok"] for r in rows)
-    return ["check", "value", "ok"], rows, EXIT_OK if ok else EXIT_NUMERIC
 
 
 # word pools of the dyadic shells |g| = 1, 2, 4
@@ -399,12 +374,10 @@ def cmd_freegroup(args):
                     "ok": abs(val - target) <= 1e-12,
                 }
             )
-        cols = ["check", "value", "target", "ok"]
     elif args.which == "poisson":
         _require_seed(args)
         rng = np.random.default_rng(args.seed)
         words = [(), (1,), (2,), (1, 2), (-1, 2), (1, 1), (2, -1, 2)]
-        worst = 0.0
         for trial in range(args.samples):
             x = freegroup.GroupPoly(
                 {
@@ -414,9 +387,7 @@ def cmd_freegroup(args):
             )
             t = float(rng.uniform(0.0, 2.0))
             ratio = x.poisson(t).norm_even(args.even_p) / x.norm_even(args.even_p)
-            worst = max(worst, ratio)
             rows.append({"trial": trial, "t": t, "ratio": ratio, "ok": ratio <= 1 + 1e-10})
-        cols = ["trial", "t", "ratio", "ok"]
     else:  # dyadic
         _require_seed(args)
         for trial in range(args.samples):
@@ -432,9 +403,7 @@ def cmd_freegroup(args):
             ]
             const = freegroup.dyadic_unconditionality(shells, args.even_p)
             rows.append({"trial": trial, "constant": const, "ok": math.isfinite(const)})
-        cols = ["trial", "constant", "ok"]
-    ok = all(r["ok"] for r in rows)
-    return cols, rows, EXIT_OK if ok else EXIT_NUMERIC
+    return rows
 
 
 def cmd_qfock(args):
@@ -449,7 +418,6 @@ def cmd_qfock(args):
                     "ok": lam[0] >= -1e-10,
                 }
             )
-        cols = ["level", "min_eigenvalue", "ok"]
     elif args.which == "moments":
         h = np.ones(args.d) / math.sqrt(args.d)
         m2 = fock.gaussian_moment([h, h], args.q).real
@@ -463,7 +431,6 @@ def cmd_qfock(args):
                 "ok": abs(m4 - (2.0 + args.q)) <= 1e-10,
             },
         ]
-        cols = ["moment", "value", "target", "ok"]
     else:  # ou
         basis = fock.FockBasis(args.d, args.levels, args.q)
         ou = fock.ou_semigroup(basis, args.t)
@@ -472,9 +439,7 @@ def cmd_qfock(args):
             blk = ou.mat[s:e, s:e]
             err = float(np.max(np.abs(blk - math.exp(-args.t * level) * np.eye(e - s))))
             rows.append({"level": level, "eigen_error": err, "ok": err <= 1e-12})
-        cols = ["level", "eigen_error", "ok"]
-    ok = all(r["ok"] for r in rows)
-    return cols, rows, EXIT_OK if ok else EXIT_NUMERIC
+    return rows
 
 
 def cmd_clifford(args):
@@ -507,41 +472,26 @@ def cmd_clifford(args):
                 "ok": bool(np.all(np.isfinite(out))),
             }
         )
-    ok = all(r["ok"] for r in rows)
-    return ["check", "value", "ok"], rows, EXIT_OK if ok else EXIT_NUMERIC
+    return rows
 
 
 def cmd_martingale(args):
     tower = martingale.MartingaleTower(args.n_factors)
-    rows = []
+    _require_seed(args)
     if args.which == "stein":
-        _require_seed(args)
         budget = rbound.SearchCfg(restarts=args.restarts, iters=args.iters, lengths=(1, 2))
         est = martingale.stein_colbound(tower, args.p, budget, seed=args.seed)
-        rows.append(
-            {
-                "check": f"stein_col_p{args.p}",
-                "value": est.value,
-                "ok": math.isfinite(est.value) and est.value >= 1.0 - 1e-6,
-            }
-        )
-    else:  # cesaro
-        _require_seed(args)
-        rng = np.random.default_rng(args.seed)
-        op = martingale.CondExpOp(tower, 1)
-        x = _rng_matrix(rng, tower.dim)
-        rep = martingale.cesaro_square_function(op, x, args.m_count, args.p)
-        coeff = math.sqrt(sum(1.0 / (m * (m + 1) ** 2) for m in range(1, args.m_count + 1)))
-        target = coeff * schatten_norm(op.apply(x) - x, args.p)
-        rows.append(
-            {
-                "check": "cesaro_single_expectation",
-                "value": rep.value,
-                "ok": abs(rep.value - target) <= 1e-8 * max(target, 1.0),
-            }
-        )
-    ok = all(r["ok"] for r in rows)
-    return ["check", "value", "ok"], rows, EXIT_OK if ok else EXIT_NUMERIC
+        ok = math.isfinite(est.value) and est.value >= 1.0 - 1e-6
+        return [{"check": f"stein_col_p{args.p}", "value": est.value, "ok": ok}]
+    # cesaro
+    rng = np.random.default_rng(args.seed)
+    op = martingale.CondExpOp(tower, 1)
+    x = _rng_matrix(rng, tower.dim)
+    rep = martingale.cesaro_square_function(op, x, args.m_count, args.p)
+    coeff = math.sqrt(sum(1.0 / (m * (m + 1) ** 2) for m in range(1, args.m_count + 1)))
+    target = coeff * schatten_norm(op.apply(x) - x, args.p)
+    ok = abs(rep.value - target) <= 1e-8 * max(target, 1.0)
+    return [{"check": "cesaro_single_expectation", "value": rep.value, "ok": ok}]
 
 
 # ---------------------------------------------------------------------------
@@ -582,15 +532,23 @@ def _spec(parse):
     return _checked(str, check)
 
 
-def _add_common(sp):
-    sp.add_argument("--p", type=_checked(float, check_exponent), default=2.0, help="Schatten exponent")
-    sp.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory for stochastic runs)")
-    sp.add_argument("--samples", type=_COUNT, default=10, help="number of trials/rows")
+# flags shared by several subcommands; each subcommand names the ones it reads
+SHARED_FLAGS = {
+    "--p": dict(type=_checked(float, check_exponent), default=2.0, help="Schatten exponent"),
+    "--seed": dict(type=int, default=None, help="RNG seed (mandatory for stochastic runs)"),
+    "--samples": dict(type=_COUNT, default=10, help="number of trials/rows"),
+    "--strict": dict(action="store_true", help="treat solver warnings (gap above tolerance) as failures"),
+    "--grid": dict(type=_checked(str, parse_grid), default=None, help="tmin,tmax,n quadrature window"),
+}
+
+
+def _add_common(sp, *shared):
+    """The named ``SHARED_FLAGS``, then the flags of every subcommand."""
+    for flag in shared:
+        sp.add_argument(flag, **SHARED_FLAGS[flag])
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--strict", action="store_true", help="treat solver warnings (gap above tolerance) as failures")
     sp.add_argument("--config", default=None, help="flat JSON config file; flags override")
-    sp.add_argument("--grid", type=_checked(str, parse_grid), default=None, help="tmin,tmax,n quadrature window")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -601,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("schatten-selftest", help="norm/modulus/sqrt identities")
     sp.add_argument("--dim", type=_COUNT, default=4)
     sp.set_defaults(fn_impl=cmd_schatten_selftest)
-    _add_common(sp)
+    _add_common(sp, "--seed")
 
     sp = sub.add_parser("khintchine", help="sign-average sandwich ratios for random families")
     sp.add_argument("--dim", type=_COUNT, default=3)
@@ -609,13 +567,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--iters", type=_COUNT, default=ConvexCfg.iters,
                     help="L-BFGS iterations per smoothing stage of the p < 2 solver")
     sp.set_defaults(fn_impl=cmd_khintchine)
-    _add_common(sp)
+    _add_common(sp, "--p", "--seed", "--samples", "--strict")
 
     sp = sub.add_parser("tensor-extend", help="index-space contraction checks")
     sp.add_argument("--dim", type=_COUNT, default=3)
     sp.add_argument("--family", type=_COUNT, default=4)
     sp.set_defaults(fn_impl=cmd_tensor_extend)
-    _add_common(sp)
+    _add_common(sp, "--p", "--seed", "--samples")
 
     sp = sub.add_parser("calculus-check", help="contour/extended calculus vs the eigen oracle")
     sp.add_argument("--fn", type=_spec(lambda t: [fc.library(f) for f in t.split(",")]),
@@ -636,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sector-profile", help="type angle and resolvent constants")
     sp.add_argument("--A", dest="op", type=_spec(parse_operator), default="leftdiag:1,2")
     sp.set_defaults(fn_impl=cmd_sector_profile)
-    _add_common(sp)
+    _add_common(sp, "--p")
 
     sp = sub.add_parser("rbound", help="boundedness constants of scaled-resolvent families")
     sp.add_argument("--A", dest="op", type=_spec(parse_operator), default="leftdiag:0.5,1,2")
@@ -647,19 +605,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=_checked(int, fc.check_ray_points), default=12,
                     help="ray family size (even)")
     sp.set_defaults(fn_impl=cmd_rbound)
-    _add_common(sp)
+    _add_common(sp, "--p", "--seed")
 
     sp = sub.add_parser("sqfn-equiv", help="square-function norm equivalence constants")
     sp.add_argument("--A", dest="op", type=_spec(parse_operator), default="leftdiag:0.5,1,2.5,4")
     sp.add_argument("--fn", type=_spec(fc.library), default="sqrtzexp")
     sp.add_argument("--variant", choices=("col", "row", "rad"), default="col")
     sp.set_defaults(fn_impl=cmd_sqfn_equiv)
-    _add_common(sp)
+    _add_common(sp, "--p", "--seed", "--samples", "--strict", "--grid")
 
     sp = sub.add_parser("rowcol-gap", help="row/column square function gap family")
     sp.add_argument("--n", type=_COUNT, nargs="+", default=[4, 8, 16])
+    sp.add_argument("--p", type=_checked(float, sqfn.check_gap_exponent), default=4.0,
+                    help="Schatten exponent above 2")
     sp.set_defaults(fn_impl=cmd_rowcol_gap)
-    _add_common(sp)
+    _add_common(sp, "--grid")
 
     sp = sub.add_parser("schur", help="distance-symbol semigroup checks")
     sp.add_argument("--points", type=_COUNT, default=8)
@@ -675,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shells", type=int, default=3,
                     choices=range(1, len(DYADIC_POOLS) + 1))
     sp.set_defaults(fn_impl=cmd_freegroup)
-    _add_common(sp)
+    _add_common(sp, "--seed", "--samples")
 
     sp = sub.add_parser("qfock", help="twisted Gram positivity / moments / OU spectrum")
     sp.add_argument("which", choices=("gram", "moments", "ou"))
@@ -694,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, default=0.4)
     sp.add_argument("--fn", type=_spec(fc.library), default="zis:0.5")
     sp.set_defaults(fn_impl=cmd_clifford)
-    _add_common(sp)
+    _add_common(sp, "--seed")
 
     sp = sub.add_parser("martingale", help="tower boundedness / Cesaro increments")
     sp.add_argument("which", choices=("stein", "cesaro"))
@@ -703,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=_COUNT, default=8)
     sp.add_argument("--iters", type=_COUNT, default=20)
     sp.set_defaults(fn_impl=cmd_martingale)
-    _add_common(sp)
+    _add_common(sp, "--p", "--seed")
 
     return ap
 
@@ -732,6 +692,18 @@ def _with_config(argv, args) -> list:
     return argv[:at] + tokens + argv[at:]
 
 
+def exit_code(meta, rows, strict=False) -> int:
+    """The exit code of an artifact: 3 when a row has a false ``ok`` or
+    ``*_ok`` cell; else 4 (3 if ``strict``) when a row's or the header's
+    ``solver_status`` is ``budget-exhausted``; else 0."""
+    if any(not row[k] for row in rows for k in row if k == "ok" or k.endswith("_ok")):
+        return EXIT_NUMERIC
+    statuses = [row.get("solver_status") for row in rows] + [meta.get("solver_status")]
+    if "budget-exhausted" in statuses:
+        return EXIT_NUMERIC if strict else EXIT_SOLVER
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
@@ -752,20 +724,18 @@ def main(argv=None) -> int:
         "command": " ".join([args.command] + [t for t in argv if t != args.command]),
     }
     try:
-        columns, rows, hint, *header = args.fn_impl(args)
+        result = args.fn_impl(args)
     except SystemExit as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericsError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    for fields in header:
-        meta.update(fields)
+    rows, header = result if isinstance(result, tuple) else (result, {})
+    meta.update(header)
     meta["wall_time_s"] = f"{time.time() - start:.3f}"
-    write_artifact(args.out, args.format, meta, columns, rows)
-    if hint == EXIT_SOLVER and args.strict:
-        return EXIT_NUMERIC
-    return hint
+    write_artifact(args.out, args.format, meta, rows)
+    return exit_code(meta, rows, getattr(args, "strict", False))
 
 
 if __name__ == "__main__":

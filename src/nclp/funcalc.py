@@ -912,14 +912,17 @@ def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int) -> f
 def sector_type(op: LpOperator, p: float = 2.0, seed: int = 0) -> SectorProfile:
     """Sector type: omega_hat from the spectrum and resolvent constants
     K_theta = sup ||z R(z, A)|| over the ray family of each test angle
-    theta = omega_hat + (0.05, 0.15, 0.4, 0.8, 1.4) below pi.  Exact
-    superoperator norms at p = 2, power-iteration lower bounds otherwise
-    (``exact`` records which): one ascent per test angle runs the 8 seeded
-    starts of every ray member together.  A member's starts and iterates
-    are those of its own :func:`schatten_opnorm_lower` call."""
+    theta = omega_hat + (0.05, 0.15, 0.4, 0.8, 1.4) below pi; a type angle
+    that leaves none is a ValueError.  Exact superoperator norms at p = 2,
+    power-iteration lower bounds otherwise (``exact`` records which): one
+    ascent per test angle runs the 8 seeded starts of every ray member
+    together.  A member's starts and iterates are those of its own
+    :func:`schatten_opnorm_lower` call."""
     omega = op.sector_angle()
     gaps = (0.05, 0.15, 0.4, 0.8, 1.4)
     thetas = [omega + g for g in gaps if omega + g < math.pi - 1e-6]
+    if not thetas:
+        raise ValueError(f"operator type angle {omega:.3f} leaves no test angle below pi")
     constants = []
     for theta in thetas:
         fam = ray_resolvent_family(op, theta, SECTOR_RAY_POINTS)
@@ -967,6 +970,15 @@ def subordination_weight(s):
     return np.exp(-1.0 / (4.0 * s)) / (2.0 * math.sqrt(math.pi) * s**1.5)
 
 
+def _psd_spectrum(lam: np.ndarray) -> np.ndarray:
+    """A real generator spectrum clipped at 0; a negative part beyond
+    roundoff is a ValueError."""
+    low = float(np.min(lam, initial=0.0))
+    if low < -1e-10 * max(1.0, float(np.max(np.abs(lam), initial=0.0))):
+        raise ValueError(f"generator must be PSD (min eigenvalue {low:.3e})")
+    return np.clip(lam, 0.0, None)
+
+
 def subordination_identity(c, t: float):
     """Residual of e^{-t C^{1/2}} = int h(s) T_{s t^2} ds, T the heat
     semigroup of a PSD generator C (hermitian matrix or operator kind).
@@ -991,14 +1003,12 @@ def subordination_identity(c, t: float):
         lam = c.spectrum()
         if np.max(np.abs(lam.imag)) > 1e-9 * max(1.0, float(np.max(np.abs(lam)))):
             raise ValueError("generator spectrum must be real nonnegative")
-        lam = np.clip(lam.real, 0.0, None)
+        lam = _psd_spectrum(lam.real)
         lhs = np.exp(-t * np.sqrt(lam))
         rhs = coeff @ np.exp(-np.outer(s_nodes * t * t, lam))
         return float(np.max(np.abs(lhs - rhs))), mass
     cm = as_matrix(c)
     lam, u = np.linalg.eigh(0.5 * (cm + adjoint(cm)))
-    if lam.size and lam[0] < -1e-10 * max(1.0, abs(float(lam[-1]))):
-        raise ValueError(f"generator must be PSD (min eigenvalue {lam[0]:.3e})")
-    lam = np.clip(lam, 0.0, None)
+    lam = _psd_spectrum(lam)
     diag = np.exp(-t * np.sqrt(lam)) - coeff @ np.exp(-np.outer(s_nodes * t * t, lam))
     return float(np.linalg.norm((u * diag) @ adjoint(u), 2)), mass

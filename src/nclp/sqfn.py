@@ -330,6 +330,14 @@ class GapReport:
     grid: LogGrid  # the node family's grid: the operator's default unless one was given
 
 
+def check_gap_exponent(p: float) -> float:
+    """A Schatten exponent above 2, the range of :func:`row_col_gap`."""
+    p = check_exponent(p)
+    if not p > 2.0:
+        raise ValueError("the gap points in this direction only for p > 2")
+    return p
+
+
 def row_col_gap(n: int, p: float, grid: LogGrid | None = None) -> GapReport:
     """The rank-one witness of the row/column square-function gap.
 
@@ -339,9 +347,7 @@ def row_col_gap(n: int, p: float, grid: LogGrid | None = None) -> GapReport:
     || [d_{|i-j|}] ||_{S^{p/2}}^{1/2}, verified here against the
     quadrature to relative 1e-6.  The ratio column/row grows with n.
     """
-    p = check_exponent(p)
-    if not p > 2.0:
-        raise ValueError("the gap points in this direction only for p > 2")
+    p = check_gap_exponent(p)
     f = fc.library("sqrtzexp")
     op = fc.LeftMult(np.diag(2.0 ** np.arange(1, n + 1)))
     e = np.ones((n, 1))

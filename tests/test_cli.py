@@ -1,14 +1,19 @@
 import json
 import math
 import runpy
+import shlex
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nclp import cli
+from nclp.hvnorms import KhintchineReport, TensorExtendReport
 from nclp.models import freegroup
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv, tmp_path, fmt="csv", name="out"):
@@ -111,6 +116,7 @@ class TestSubcommands:
             ["clifford", "multiplier", "--n", "2", "--fn", "zis:0.5", "--seed", "1"],
             ["martingale", "stein", "--n-factors", "2", "--seed", "2"],
             ["martingale", "cesaro", "--n-factors", "2", "--seed", "2", "--m-count", "12"],
+            ["rowcol-gap", "--n", "4"],  # the default --p 4
         ],
     )
     def test_runs_clean(self, tmp_path, argv):
@@ -126,7 +132,8 @@ class TestSubcommands:
         )
         assert code == 0
         header = data_rows(text)[0].split(",")
-        assert header == cli.SQFN_COLS
+        assert header == ["experiment", "p", "F", "n_grid", "t_min", "t_max", "value_col",
+                          "value_row", "value_rad", "value_bracket", "K1", "K2", "seed"]
         row = data_rows(text)[1].split(",")
         k1 = float(row[header.index("K1")])
         assert k1 == pytest.approx(1 / math.sqrt(2), abs=1e-4)
@@ -210,7 +217,7 @@ class TestErrorPaths:
         [
             ["sector-profile", "--p", "0.5"],
             ["khintchine", "--p", "0.5", "--seed", "1"],
-            ["schatten-selftest", "--p", "nan"],
+            ["tensor-extend", "--p", "nan", "--seed", "1"],
             ["rbound", "--points", "11", "--seed", "1"],
             ["rbound", "--points", "1", "--seed", "1"],
             ["rbound", "--theta", "3.5", "--seed", "1"],
@@ -241,12 +248,13 @@ class TestErrorPaths:
             ["martingale", "cesaro", "--m-count", "0", "--seed", "1"],
             ["identities", "group-average", "--nodes", "0"],
             ["rowcol-gap", "--n", "4", "0"],
+            ["rowcol-gap", "--p", "2"],
             ["qfock", "gram", "--levels", "7"],
             ["qfock", "gram", "--d", "0"],
             ["khintchine", "--samples", "0", "--seed", "1"],
             ["tensor-extend", "--samples", "-1", "--seed", "1"],
         ],
-        ids=["sector-p-below-1", "khintchine-p-below-1", "selftest-p-nan",
+        ids=["sector-p-below-1", "khintchine-p-below-1", "tensor-p-nan",
              "rbound-odd-points", "rbound-one-point", "rbound-theta-above-pi",
              "rbound-theta-zero", "rbound-no-restarts", "stein-no-restarts",
              "qfock-q-one", "clifford-n-above-frame-cap", "dyadic-shells-above-pools",
@@ -256,7 +264,8 @@ class TestErrorPaths:
              "sector-bad-operator", "sqfn-grid-two-fields", "clifford-bad-fn",
              "selftest-no-dim", "khintchine-no-dim", "tensor-no-dim", "khintchine-no-family",
              "tensor-no-family", "cesaro-no-factors", "cesaro-no-increments",
-             "identities-no-nodes", "rowcol-gap-zero-n", "qfock-levels-above-cap",
+             "identities-no-nodes", "rowcol-gap-zero-n", "rowcol-gap-p-not-above-2",
+             "qfock-levels-above-cap",
              "qfock-no-d", "khintchine-no-samples", "tensor-negative-samples"],
     )
     def test_out_of_domain_flag_is_usage_error(self, tmp_path, capsys, argv):
@@ -265,6 +274,42 @@ class TestErrorPaths:
         assert code == cli.EXIT_USAGE
         assert "Traceback" not in err and "numeric failure" not in err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schatten-selftest", "--p", "3"],
+            ["khintchine", "--seed", "1", "--grid", "1,2,3"],
+            ["tensor-extend", "--seed", "1", "--strict"],
+            ["calculus-check", "--grid", "1,2,3"],
+            ["calculus-check", "--grid", "1,2,3", "--samples", "9", "--strict", "--seed", "4",
+             "--p", "3"],
+            ["identities", "group-average", "--seed", "1"],
+            ["sector-profile", "--strict"],
+            ["rbound", "--seed", "1", "--samples", "2"],
+            ["rowcol-gap", "--seed", "1"],
+            ["schur", "--samples", "2"],
+            ["freegroup", "norms", "--p", "4"],
+            ["qfock", "gram", "--seed", "1"],
+            ["clifford", "semigroup", "--samples", "2"],
+            ["martingale", "stein", "--seed", "1", "--strict"],
+        ],
+        ids=lambda argv: "-".join([argv[0]] + [t[2:] for t in argv if t.startswith("--")]),
+    )
+    def test_unread_shared_flag_is_usage_error(self, tmp_path, capsys, argv):
+        # sqfn-equiv reads every shared flag, so it has no case here
+        code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
+        assert code == cli.EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_sector_profile_without_test_angle_is_numeric_failure(self, tmp_path, capsys):
+        # the type angle of leftdiag:-1,1 is pi, so no test angle lies below pi
+        code, _ = run(["sector-profile", "--A", "leftdiag:-1,1"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERIC
+        assert "operator type angle 3.142 leaves no test angle below pi" in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         conf = tmp_path / "conf.json"
@@ -283,8 +328,9 @@ class TestErrorPaths:
         [
             (["freegroup", "norms"], {"even_p": 5}),  # the flag --even-p 5 exits 2 too
             (["schatten-selftest"], {"bogus": 1}),
+            (["calculus-check"], {"seed": 4}),  # a flag calculus-check does not read
         ],
-        ids=["bad-choice", "unknown-key"],
+        ids=["bad-choice", "unknown-key", "unread-flag"],
     )
     def test_config_values_go_through_argparse(self, tmp_path, capsys, argv, conf):
         path = tmp_path / "conf.json"
@@ -316,12 +362,10 @@ class TestErrorPaths:
 
 
 class TestSolverExitCodes:
-    def _patch_budget_exhausted(self, monkeypatch):
-        from nclp.hvnorms import KhintchineReport
-
+    def _patch_budget_exhausted(self, monkeypatch, lower_ok=True):
         def fake_report(fam, p, cfg=None, **kw):
             return KhintchineReport(
-                p, 1.0, 2.0, True, 0.5, "sum", solver_status="budget-exhausted"
+                p, 1.0, 2.0, lower_ok, 0.5, "sum", solver_status="budget-exhausted"
             )
 
         monkeypatch.setattr(cli.hvnorms, "khintchine_report", fake_report)
@@ -344,6 +388,12 @@ class TestSolverExitCodes:
         )
         assert code == cli.EXIT_NUMERIC
 
+    def test_false_check_outranks_solver_warning(self, tmp_path, monkeypatch):
+        self._patch_budget_exhausted(monkeypatch, lower_ok=False)
+        code, text = run(["khintchine", "--p", "1", "--dim", "2", "--family", "2",
+                          "--seed", "1", "--samples", "1"], tmp_path)
+        assert code == cli.EXIT_NUMERIC
+        assert data_rows(text)[1].endswith(",False,0.5,budget-exhausted")
 
     @pytest.mark.parametrize(
         "status,strict,expected",
@@ -367,7 +417,9 @@ class TestSolverExitCodes:
                 "--seed", "3", "--samples", "2", "--variant", "rad",
                 "--out", str(tmp_path / "sq.csv")]
         assert cli.main(argv + ["--strict"] * strict) == expected
-        assert f"# solver_gap_max = {gap!r}" in (tmp_path / "sq.csv").read_text().splitlines()
+        header = (tmp_path / "sq.csv").read_text().splitlines()
+        assert f"# solver_gap_max = {gap!r}" in header
+        assert f"# solver_status = {status}" in header
 
 
 class TestFailingChecks:
@@ -381,6 +433,15 @@ class TestFailingChecks:
         err = capsys.readouterr().err
         assert code == cli.EXIT_NUMERIC
         assert err.startswith("numeric failure: ") and "Traceback" not in err
+
+    def test_tensor_false_col_ok_exits_3(self, tmp_path, monkeypatch):
+        def fake_extend(t, xs, p):
+            return TensorExtendReport(1.0, 2.0, 3.0, 2.0, 1.0, False, True)
+
+        monkeypatch.setattr(cli.hvnorms, "tensor_extend", fake_extend)
+        code, text = run(["tensor-extend", "--seed", "1", "--samples", "1"], tmp_path)
+        assert code == cli.EXIT_NUMERIC
+        assert data_rows(text)[1].endswith(",False,True")
 
     def test_selftest_false_row_exits_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "psd_sqrt", lambda s: 0.0 * s)
@@ -416,3 +477,23 @@ class TestFreegroupNorms:
 
     def test_unsupported_even_p_is_usage_error(self):
         assert cli.main(["freegroup", "norms", "--even-p", "5"]) == cli.EXIT_USAGE
+
+
+def readme_commands():
+    """The ``nclp`` command lines of the README's CLI example block."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [cmd for line in block.splitlines() for cmd in line.split(" ; ")
+            if cmd.startswith("nclp ")]
+
+
+def test_readme_commands_exit_0(tmp_path):
+    commands = readme_commands()
+    assert len(commands) == 19
+    for i, cmd in enumerate(commands):
+        argv = shlex.split(cmd)[1:]
+        out = str(tmp_path / f"{i}.csv")
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = out
+        else:
+            argv += ["--out", out]
+        assert cli.main(argv) == 0, cmd

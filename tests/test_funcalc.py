@@ -705,6 +705,11 @@ class TestSectorType:
             angles.append(op.sector_angle())
         assert angles[0] >= angles[1] >= angles[2]
 
+    def test_no_test_angle_below_pi_is_refused(self):
+        # the spectrum {-1, 1} gives the type angle pi: no test angle is left
+        with pytest.raises(ValueError, match="type angle 3.142 leaves no test angle"):
+            fc.sector_type(fc.LeftMult(np.diag([-1.0, 1.0])))
+
     def test_pnorm_lower_bound_diag(self):
         op = fc.LeftMult(np.diag([0.5, 2.0, 1.0]))
         est = fc.schatten_opnorm_lower(op, 4.0, starts=10, iters=30, seed=1)
@@ -741,6 +746,12 @@ class TestIntegralIdentities:
     def test_subordination_rejects_negative(self):
         with pytest.raises(ValueError):
             fc.subordination_identity(np.diag([-1.0]), 1.0)
+
+    @pytest.mark.parametrize("as_operator", [False, True])
+    def test_subordination_rejects_non_psd_in_both_forms(self, as_operator):
+        c = np.diag([-1.0, 2.0])
+        with pytest.raises(ValueError, match="generator must be PSD"):
+            fc.subordination_identity(fc.LeftMult(c) if as_operator else c, 1.0)
 
 
 class TestChoi:
