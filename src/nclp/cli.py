@@ -217,13 +217,13 @@ def cmd_calculus_check(args):
 def cmd_identities(args):
     rows = []
     if args.which == "group-average":
-        a = np.diag([float(v) for v in args.diag.split(",")])
+        a = np.diag(args.diag)
         res_mat = fc.group_average_identity(a, n_nodes=args.nodes)
         res_ad = fc.group_average_identity(a, a, n_nodes=args.nodes)
         rows.append({"identity": "group-average:matrix", "residual": res_mat, "ok": res_mat <= 1e-8})
         rows.append({"identity": "group-average:derivation", "residual": res_ad, "ok": res_ad <= 1e-8})
     else:  # subordination
-        c = np.diag([float(v) for v in args.diag.split(",")])
+        c = np.diag(args.diag)
         resid, mass = fc.subordination_identity(c, args.t)
         rows.append({"identity": f"subordination:t={args.t}", "residual": resid, "ok": resid <= 1e-5})
         rows.append({"identity": "subordination:mass", "residual": abs(mass - 1.0), "ok": abs(mass - 1.0) <= 1e-8})
@@ -521,6 +521,26 @@ def _at_least_one(n: int) -> int:
 _COUNT = _checked(int, _at_least_one)
 
 
+def _finite_floats(text: str) -> list:
+    """Comma-separated finite floats."""
+    vals = [float(v) for v in text.split(",")]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"needs finite values, got {text!r}")
+    return vals
+
+
+def _nonnegative(x: float) -> float:
+    if not (math.isfinite(x) and x >= 0):
+        raise ValueError(f"must be finite and >= 0, got {x}")
+    return x
+
+
+def _positive(x: float) -> float:
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"must be finite and > 0, got {x}")
+    return x
+
+
 def _spec(parse):
     """An argparse type for a spec that must parse; the text is kept, so
     data rows echo it as given."""
@@ -579,14 +599,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fn", type=_spec(lambda t: [fc.library(f) for f in t.split(",")]),
                     default="g", help="comma-separated function ids")
     sp.add_argument("--A", dest="op", type=_spec(parse_operator), default="leftdiag:1,4")
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=_checked(float, _positive), default=1e-6)
     sp.set_defaults(fn_impl=cmd_calculus_check)
     _add_common(sp)
 
     sp = sub.add_parser("identities", help="Gaussian group-average / square-root subordination")
     sp.add_argument("which", choices=("group-average", "subordination"))
-    sp.add_argument("--diag", default="1,2", help="diagonal entries of the generator")
-    sp.add_argument("--t", type=float, default=1.0)
+    sp.add_argument("--diag", type=_checked(str, _finite_floats), default="1,2",
+                    help="diagonal entries of the generator")
+    sp.add_argument("--t", type=_checked(float, _nonnegative), default=1.0)
     sp.add_argument("--nodes", type=_COUNT, default=64)
     sp.set_defaults(fn_impl=cmd_identities)
     _add_common(sp)

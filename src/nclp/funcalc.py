@@ -14,6 +14,7 @@ provides
 * resolvents with spectral-collision detection,
 * the contour calculus f(A) = (1/2 pi i) int f(z) R(z,A) dz on one
   double-exponential rule per ray of a sector boundary, for decaying f,
+  swept in nested levels of halving step until two levels agree,
 * the extended calculus f(A) = g(A)^{-1} (fg)(A) with g(z) = z/(1+z)^2
   for merely bounded analytic f (kernel components are sent to 0),
 * the one family power ascent, :func:`family_ascent`, on column or row
@@ -54,11 +55,17 @@ SECTOR_RAY_POINTS = 26  # scaled resolvents per test angle in sector_type
 MASS_DEFECT_MAX = 1e-8  # allowed |mass - 1| of the subordination quadrature
 # The contour rule (ContourSpec) reaches CONTOUR_SPAN e-folds in r beyond its window
 # (an s = 1/2 decay on a kernel point leaves e^-30), keeps its nodes log-uniform for
-# CONTOUR_MARGIN e-folds more (e^{-z} turns there, above |z| = 1), and its error falls
-# like exp(-2 pi d / CONTOUR_STEP), d the angle from the rays to the spectrum or f's sector.
+# CONTOUR_MARGIN e-folds more (e^{-z} turns there, above |z| = 1), and lays them on a grid
+# of step h <= CONTOUR_STEP in v.  Its error falls like exp(-2 pi d / h), d the angle from
+# the rays to the spectrum or f's sector, so the sweep runs the grid in nested levels of
+# step LEVEL_STRIDES * h, coarsest first, and stops at the first level whose result is
+# within LEVEL_TOL of the level before (relative to its largest entry): the error is then
+# about the square of that difference.  The last stride is the cap.
 CONTOUR_SPAN = 60.0
 CONTOUR_MARGIN = 4.0
 CONTOUR_STEP = 0.1
+LEVEL_STRIDES = (8, 4, 2, 1, 1 / 2, 1 / 4, 1 / 8, 1 / 16)
+LEVEL_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +103,8 @@ def log_trapezoid(lo: float, hi: float, n: int):
 
 
 class ContourTruncationWarning(UserWarning):
-    """The contour rule's endpoint integrand is above TRUNCATION_TOL."""
+    """The contour rule's endpoint integrand is above TRUNCATION_TOL, or its
+    last level still differs from the level before by more than LEVEL_TOL."""
 
 
 # ---------------------------------------------------------------------------
@@ -654,13 +662,20 @@ class ContourSpec:
     """Quadrature data for the sector-boundary contour.
 
     Both rays r e^{+- i gamma} carry one double-exponential rule
-    (Takahasi-Mori) in u = log r: ``n_points`` uniform nodes in |v| <= V,
+    (Takahasi-Mori) in u = log r, on a uniform grid in |v| <= V,
 
         u = c + v + b (sinh v - v),   b = 1 / cosh(half_width + CONTOUR_MARGIN),
 
     b sinh V = CONTOUR_SPAN, weights h du/dv (ends halved).  The nodes are
     nearly log-uniform over |u - c| <= half_width + CONTOUR_MARGIN and thin
-    out double-exponentially beyond; the step h is CONTOUR_STEP by default.
+    out double-exponentially beyond.  The grid has 2M + 1 nodes of step
+    h = V / M <= CONTOUR_STEP, or ``n_points`` nodes when the caller sets it.
+
+    :meth:`levels` splits the default grid into nested levels: every
+    8th, 4th and 2nd node counted from v = -V, then the whole grid, then
+    midpoints that halve the step down to h / 16.  The contour sweep
+    stops at the first level within LEVEL_TOL of the one before.  A
+    caller-set ``n_points`` is a single level: exactly that grid.
     """
 
     gamma: float
@@ -675,12 +690,24 @@ class ContourSpec:
         if self.n_points is not None and self.n_points < 8:
             raise ValueError("need at least 8 nodes per ray")
 
-    def rule(self):
-        """u = log r and du/dv at the nodes, and the step h in v."""
+    def _grid(self):
+        """b, the grid in v, and its step h."""
         b = 1.0 / math.cosh(self.half_width + CONTOUR_MARGIN)
         v_max = math.asinh(CONTOUR_SPAN / b)
-        v = np.linspace(-v_max, v_max, self.n_points or 2 * math.ceil(v_max / CONTOUR_STEP) + 1)
-        return self.c + v + b * (np.sinh(v) - v), 1.0 + b * (np.cosh(v) - 1.0), v[1] - v[0]
+        if self.n_points:
+            v = np.linspace(-v_max, v_max, self.n_points)
+            return b, v, v[1] - v[0]
+        m = math.ceil(v_max / CONTOUR_STEP)
+        return b, np.arange(-m, m + 1) * (v_max / m), v_max / m
+
+    def _map(self, b, v):
+        """u = log r and du/dv at the points v."""
+        return self.c + v + b * (np.sinh(v) - v), 1.0 + b * (np.cosh(v) - 1.0)
+
+    def rule(self):
+        """u = log r and du/dv at the grid nodes, and the step h in v."""
+        b, v, h = self._grid()
+        return (*self._map(b, v), h)
 
     def nodes(self):
         """Radii r_j and weights w_j with sum_j w_j g(r_j) ~= int g(r) dr/r."""
@@ -688,6 +715,25 @@ class ContourSpec:
         w = h * dudv
         w[[0, -1]] *= 0.5
         return np.exp(u), w
+
+    def levels(self):
+        """The nested levels, coarsest first: (stride, r, w) with the radii
+        a level adds to the ones before and their grid weights h du/dv (ends
+        halved), so that stride * sum_j w_j g(r_j) over every level so far
+        is that level's rule of step stride * h."""
+        if self.n_points:
+            yield 1, *self.nodes()
+            return
+        b, v, h = self._grid()
+        m = (len(v) - 1) // 2
+        for i, stride in enumerate(LEVEL_STRIDES):
+            # the level's nodes sit t = stride * k grid steps from v = -V; the
+            # first level takes every k, each later one the odd k it adds
+            t = np.arange(1 if i else 0, math.floor(2 * m / stride) + 1, 2 if i else 1) * stride
+            u, dudv = self._map(b, (t - m) * h)
+            w = h * dudv
+            w[(t == 0) | (t == 2 * m)] *= 0.5
+            yield stride, np.exp(u), w
 
 
 def check_sector(op: LpOperator, f: HolFn) -> float:
@@ -708,14 +754,15 @@ def default_contour(op: LpOperator, f: HolFn) -> ContourSpec:
     return ContourSpec(gamma, 0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
-def _contour_coefficients(f: HolFn, spec: ContourSpec):
-    """Nodes z_j and weights c_j with f(A) ~= sum_j c_j R(z_j, A).
+def _contour_coefficients(f: HolFn, spec: ContourSpec, nodes=None):
+    """Nodes z_j and weights c_j with f(A) ~= sum_j c_j R(z_j, A), on the
+    radii and weights ``nodes`` (the whole grid of ``spec`` by default).
 
     The boundary of the sector is traversed counterclockwise around the
     spectrum: down the upper ray, out the lower ray.  The nodes are the
     lower ray followed by its exact conjugate, the upper ray.
     """
-    r, w = spec.nodes()
+    r, w = spec.nodes() if nodes is None else nodes
     g = spec.gamma
     z_lo = r * cmath.exp(-1j * g)
     z_hi = z_lo.conj()
@@ -738,27 +785,36 @@ def _cauchy_sums(z, c, lam) -> np.ndarray:
     return out.reshape((len(c),) + lam.shape)
 
 
+def _inverse_shifts(z, s) -> np.ndarray:
+    """The stack of (z_j - s)^{-1}: z_j added to the diagonal of a copy of -s."""
+    n = s.shape[0]
+    a = np.empty((z.size, n, n), dtype=np.complex128)
+    a[:] = -s
+    a.reshape(z.size, n * n)[:, :: n + 1] += z[:, None]
+    return np.linalg.inv(a)
+
+
 def _resolvent_sums(z, c, s) -> np.ndarray:
     """sum_j c[k, j] (z_j - s)^{-1} for every row k of c and a square matrix
     s, on the nodes of :func:`_contour_coefficients` (the lower ray, then
     its conjugate).  The lower ray is inverted in batched chunks of at most
     _BATCH_ENTRIES entries.  For a real s the upper ray costs no inverse:
-    (conj(z) - s)^{-1} = conj((z - s)^{-1}); a symbol with any nonzero
-    imaginary part inverts the upper ray's chunk too.  Each ray's part of a
-    chunk is summed with one tensordot."""
-    n, half = s.shape[0], z.size // 2
-    eye = np.eye(n)
+    (conj(z) - s)^{-1} = conj((z - s)^{-1}), so its part is the conjugate of
+    sum_j conj(c_j) (z_j - s)^{-1}, summed with the lower ray's rows in one
+    tensordot per chunk; a symbol with any nonzero imaginary part inverts
+    the upper ray's chunk too."""
+    n, half, k = s.shape[0], z.size // 2, len(c)
     real = not np.any(np.imag(s))
     c_lo, c_hi, z_lo, z_hi = c[:, :half], c[:, half:], z[:half], z[half:]
-    out = np.zeros((len(c), n, n), dtype=np.complex128)
+    rows = np.concatenate([c_lo, c_hi.conj()]) if real else c_lo
+    out = np.zeros((len(rows), n, n), dtype=np.complex128)
     step = max(1, _BATCH_ENTRIES // (n * n))
-    for k in range(0, half, step):
-        part = slice(k, k + step)
-        res = np.linalg.inv(z_lo[part, None, None] * eye - s)
-        res_hi = res.conj() if real else np.linalg.inv(z_hi[part, None, None] * eye - s)
-        out += np.tensordot(c_lo[:, part], res, axes=1)
-        out += np.tensordot(c_hi[:, part], res_hi, axes=1)
-    return out
+    for j in range(0, half, step):
+        part = slice(j, j + step)
+        out += np.tensordot(rows[:, part], _inverse_shifts(z_lo[part], s), axes=1)
+        if not real:
+            out += np.tensordot(c_hi[:, part], _inverse_shifts(z_hi[part], s), axes=1)
+    return out[:k] + out[k:].conj() if real else out
 
 
 def _check_contour(op: LpOperator, f: HolFn, spec: ContourSpec):
@@ -787,18 +843,52 @@ def _truncation_estimate(f: HolFn, spec: ContourSpec) -> float:
     return float(np.sum((np.abs(f(z)) + np.abs(f(z.conj()))) * dudv[[0, -1]]))
 
 
+def _level_gap(new, old, mass) -> float:
+    """max over the stacked symbols of max |new - old| relative to max |new|,
+    or to LEVEL_TOL * mass where that is larger.  mass is the size of the
+    level's sum on the kernel, stride * sum_j |c_j| / |z_j|: an f(A) far
+    below it (f nearly 0 on the spectrum) is all roundoff."""
+    k = len(new)
+    gap = np.max(np.abs(new - old).reshape(k, -1), axis=1)
+    scale = np.maximum(np.max(np.abs(new).reshape(k, -1), axis=1), LEVEL_TOL * mass)
+    return float(np.max(gap / np.maximum(scale, 1e-300)))
+
+
 def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
     """The symbols of f(A) for every f in fs, stacked, from one sweep over
-    the nodes of ``spec``.  Each f gets the contour and truncation checks."""
+    the levels of ``spec``.  Each f gets the contour and truncation checks.
+
+    A level inverts only the nodes it adds and adds their resolvent sums to
+    a running total; its result is stride * total.  The sweep returns the
+    first level within LEVEL_TOL of the level before, for every f at once.
+    A rule that truncates some f stops at the grid (finer steps cannot mend
+    a cut-off integrand), and one still apart at the last level warns."""
+    truncated = False
     for f in fs:
         _check_contour(op, f, spec)
         est = _truncation_estimate(f, spec)
         if est > TRUNCATION_TOL:
+            truncated = True
             msg = f"contour rule may truncate {f.name} (endpoint estimate {est:.2e})"
             warnings.warn(msg, ContourTruncationWarning, stacklevel=3)
-    z = _contour_coefficients(fs[0], spec)[0]
-    c = np.stack([_contour_coefficients(f, spec)[1] for f in fs])
-    return (_cauchy_sums if op.entrywise else _resolvent_sums)(z, c, op.symbol)
+    sums = _cauchy_sums if op.entrywise else _resolvent_sums
+    total, mass, out, gap = 0.0, 0.0, None, None
+    for stride, r, w in spec.levels():
+        zc = [_contour_coefficients(f, spec, (r, w)) for f in fs]
+        z, c = zc[0][0], np.stack([c_f for _, c_f in zc])
+        total = total + sums(z, c, op.symbol)
+        mass = mass + np.abs(c) @ (1.0 / np.abs(z))
+        prev, out = out, stride * total
+        if prev is not None:
+            gap = _level_gap(out, prev, stride * mass)
+            if gap <= LEVEL_TOL or (truncated and stride == 1):
+                return out
+    if gap is not None:
+        h = spec.rule()[2] * LEVEL_STRIDES[-1]
+        msg = (f"contour levels of {', '.join(f.name for f in fs)} differ by {gap:.2e} "
+               f"at the finest step {h:.2e} (tolerance {LEVEL_TOL:.0e})")
+        warnings.warn(msg, ContourTruncationWarning, stacklevel=3)
+    return out
 
 
 def contour_calculus(
@@ -806,7 +896,15 @@ def contour_calculus(
     f: HolFn,
     spec: ContourSpec | None = None,
 ) -> LpOperator:
-    """f(A) by the sinh-rule quadrature of the sector-boundary Cauchy integral.
+    """f(A) by the double-exponential quadrature of the sector-boundary
+    Cauchy integral.
+
+    The rule is swept in the nested levels of :meth:`ContourSpec.levels`,
+    steps 8h, 4h, 2h and h of the grid, then h/2 down to h/16; each level
+    inverts only its new nodes, and the sweep returns the first level whose
+    result differs from the level before by at most LEVEL_TOL relative to
+    its largest entry (its error is then about the square of that
+    difference); a caller-set ``n_points`` is one grid, with no levels.
 
     The quadrature acts on the symbol and the kind is kept: entrywise
     symbols go through the scalar Cauchy sums, matrix symbols sum their
@@ -820,7 +918,7 @@ def contour_calculus(
     so only the lower ray is inverted.  The weights c_j still carry f at
     every node: f need not be conjugate-symmetric.  Emits
     :class:`ContourTruncationWarning` when the endpoint integrand suggests
-    the rule truncates f.
+    the rule truncates f, or when the last level has not converged.
     """
     if f.klass != "hinf0":
         raise ValueError(f"{f.name} has no decay at 0/infinity; use extended_calculus")
@@ -845,8 +943,8 @@ def extended_calculus(
     In finite dimension the space splits as N(A) + R(A); the calculus is
     the boundary integral of fg corrected by g(A)^{-1} on the range
     component, and it annihilates the kernel component (f(0) = 0).  fg(A)
-    and g(A) come from one sweep over the shared contour nodes, with the
-    contour and truncation checks of each.
+    and g(A) come from one sweep over the shared contour levels, which stops
+    once both have converged, with the contour and truncation checks of each.
     """
     g = library("g")
     fg = product_fn(f, g)

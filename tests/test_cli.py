@@ -1,7 +1,9 @@
 import json
 import math
 import runpy
+import os
 import shlex
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -253,6 +255,13 @@ class TestErrorPaths:
             ["qfock", "gram", "--d", "0"],
             ["khintchine", "--samples", "0", "--seed", "1"],
             ["tensor-extend", "--samples", "-1", "--seed", "1"],
+            ["identities", "group-average", "--diag", "1,x"],
+            ["identities", "subordination", "--diag", "1,inf"],
+            ["identities", "subordination", "--t", "nan"],
+            ["identities", "subordination", "--t", "-1"],
+            ["calculus-check", "--tol", "nan"],
+            ["calculus-check", "--tol", "-1"],
+            ["calculus-check", "--tol", "0"],
         ],
         ids=["sector-p-below-1", "khintchine-p-below-1", "tensor-p-nan",
              "rbound-odd-points", "rbound-one-point", "rbound-theta-above-pi",
@@ -266,7 +275,10 @@ class TestErrorPaths:
              "tensor-no-family", "cesaro-no-factors", "cesaro-no-increments",
              "identities-no-nodes", "rowcol-gap-zero-n", "rowcol-gap-p-not-above-2",
              "qfock-levels-above-cap",
-             "qfock-no-d", "khintchine-no-samples", "tensor-negative-samples"],
+             "qfock-no-d", "khintchine-no-samples", "tensor-negative-samples",
+             "identities-diag-not-a-number", "identities-diag-infinite", "identities-t-nan",
+             "identities-t-negative", "calculus-tol-nan", "calculus-tol-negative",
+             "calculus-tol-zero"],
     )
     def test_out_of_domain_flag_is_usage_error(self, tmp_path, capsys, argv):
         code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
@@ -497,3 +509,18 @@ def test_readme_commands_exit_0(tmp_path):
         else:
             argv += ["--out", out]
         assert cli.main(argv) == 0, cmd
+
+
+def test_import_leaves_scipy_out():
+    """Nothing in nclp needs scipy: importing the package and the CLI must
+    not load scipy.linalg (about 0.24 s and 27 MB on every run)."""
+    code = "\n".join([
+        "import sys",
+        "import nclp, nclp.cli",
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

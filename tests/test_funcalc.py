@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -495,6 +496,28 @@ def _complex_dense(op):
     return fc.DenseOp(phase[:, None] * op.s * phase.conj()[None, :])
 
 
+def _narrow_margin_op(omega):
+    """A non-normal LeftMult of type angle omega: diag(0.5, e^{i omega},
+    2 e^{-i omega}, 3) plus the superdiagonal (0.3, 0.2, 0.1)."""
+    lam = [0.5, cmath.exp(1j * omega), 2 * cmath.exp(-1j * omega), 3.0]
+    return fc.LeftMult(np.diag(lam) + np.diag([0.3, 0.2, 0.1], 1))
+
+
+def _inverted_nodes(monkeypatch, op):
+    """Patch np.linalg.inv to record, for each batched inverse of
+    (z_j - S) on op's symbol S, the array of its nodes z_j."""
+    real, nodes = np.linalg.inv, []
+    s00 = op.symbol[0, 0]
+
+    def recording(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            nodes.append(np.asarray(a)[:, 0, 0] + s00)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    return nodes
+
+
 def _count_calls(monkeypatch, name):
     """Patch np.linalg.<name> to record the shape of its first argument."""
     real, shapes = getattr(np.linalg, name), []
@@ -527,30 +550,95 @@ class TestContourSweep:
         out = fc.contour_calculus(op, f).symbol
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @staticmethod
-    def _assert_one_sweep(monkeypatch, op, rays):
-        """extended_calculus(op, zis:0.8) makes one batched inverse per ray
-        inverted and per chunk of its n_points nodes, shared by fg and g (not
-        one solve per node and function); the rest is the kernel projection's
-        eigenvector inverse and the final g(A) solve."""
-        f = fc.library("zis:0.8")
-        invs = _count_calls(monkeypatch, "inv")
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_extended_inverts_each_node_once(self, rng, monkeypatch, complex_entries):
+        """extended_calculus(op, zis:0.8) sweeps fg and g together and each
+        level inverts only the nodes it adds, so no node is inverted twice.
+        A real symbol inverts the lower ray only and takes the upper ray's
+        resolvents as their conjugates; a complex one inverts both rays.
+        The one solve is the final g(A) solve, not one per node."""
+        op = _sylvester_dense(rng, 8)
+        if complex_entries:
+            op = _complex_dense(op)
+        nodes = _inverted_nodes(monkeypatch, op)
         solves = _count_calls(monkeypatch, "solve")
-        fc.extended_calculus(op, f)
-        n = fc.default_contour(op, fc.product_fn(f, fc.library("g"))).nodes()[0].size
-        per_chunk = fc._BATCH_ENTRIES // 64**2
-        batched = rays * -(-n // per_chunk)
-        assert sum(len(sh) == 3 for sh in invs) == batched
-        assert all(sh[0] <= per_chunk for sh in invs if len(sh) == 3)
-        assert len(invs) + len(solves) <= batched + 2
+        fc.extended_calculus(op, fc.library("zis:0.8"))
+        assert len(solves) == 1
+        z = np.concatenate(nodes)
+        assert np.unique(z).size == z.size
+        lower, upper = z[z.imag < 0], z[z.imag > 0]
+        if complex_entries:
+            assert np.allclose(np.sort_complex(upper.conj()), np.sort_complex(lower), rtol=1e-13)
+        else:
+            assert upper.size == 0
+        # at most the nodes of every level: the grid, and its midpoints 16 times over
+        grid = fc.default_contour(op, fc.product_fn(fc.library("zis:0.8"), fc.library("g")))
+        assert lower.size <= 16 * grid.nodes()[0].size
+        assert all(part.size <= fc._BATCH_ENTRIES // 64**2 for part in nodes)
 
-    def test_extended_makes_one_sweep(self, rng, monkeypatch):
-        # a real symbol inverts the lower ray only and takes the upper ray's
-        # resolvents as their conjugates
-        self._assert_one_sweep(monkeypatch, _sylvester_dense(rng, 8), rays=1)
+    def test_g_stops_with_half_the_nodes_of_zexp(self, rng, monkeypatch):
+        # g is resolved at step 0.2; z e^-z needs the grid's 0.1, every node of it
+        op = _sylvester_dense(rng, 8)
+        nodes = _inverted_nodes(monkeypatch, op)
+        counts = {}
+        for fid in ("zexp", "g"):
+            nodes.clear()
+            fc.contour_calculus(op, fc.library(fid))
+            counts[fid] = sum(part.size for part in nodes)
+        assert counts["zexp"] == fc.default_contour(op, fc.library("zexp")).nodes()[0].size
+        assert 0.45 <= counts["g"] / counts["zexp"] <= 0.55
 
-    def test_extended_complex_symbol_inverts_both_rays(self, rng, monkeypatch):
-        self._assert_one_sweep(monkeypatch, _complex_dense(_sylvester_dense(rng, 8)), rays=2)
+    def test_levels_nest_into_the_grid(self):
+        spec = fc.ContourSpec(gamma=1.0, c=0.3, half_width=1.7)
+        levels = list(spec.levels())
+        assert [stride for stride, _, _ in levels] == list(fc.LEVEL_STRIDES)
+        # the levels down to stride 1 are the grid with its weights, each node once
+        r = np.concatenate([lev[1] for lev in levels[:4]])
+        w = np.concatenate([lev[2] for lev in levels[:4]])
+        order = np.argsort(r)
+        grid_r, grid_w = spec.nodes()
+        assert np.array_equal(r[order], grid_r) and np.array_equal(w[order], grid_w)
+        # each later level adds one node between every two neighbours so far
+        for _, r_new, _ in levels[4:]:
+            assert r_new.size == r.size - 1
+            r = np.sort(np.concatenate([r, r_new]))
+            assert np.all(r[1:-1:2] == r_new)
+        # a caller-set n_points is exactly one grid
+        fixed = dataclasses.replace(spec, n_points=37)
+        [(stride, r_fixed, w_fixed)] = list(fixed.levels())
+        assert stride == 1 and r_fixed.size == 37
+        assert np.array_equal(w_fixed, fixed.nodes()[1])
+
+    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    @pytest.mark.parametrize("fid", ["zexp", "sqrtzexp"])
+    def test_narrow_margin_refines_past_the_grid(self, omega, fid):
+        # type angle omega against the sector 1.4 of e^-z: the rays sit
+        # (1.4 - omega) / 2 from both, too close for the grid's step 0.1
+        op = _narrow_margin_op(omega)
+        f = fc.library(fid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", fc.ContourTruncationWarning)
+            out = fc.contour_calculus(op, f).a
+        oracle = fc.eigen_calculus(op, f).a
+        assert np.max(np.abs(out - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+    def test_margin_too_narrow_for_the_cap_warns(self):
+        op = _narrow_margin_op(1.38)
+        with pytest.warns(fc.ContourTruncationWarning, match="contour levels of zexp differ by") as rec:
+            fc.contour_calculus(op, fc.library("zexp"))
+        assert [w.filename for w in rec] == [__file__]
+
+    @pytest.mark.parametrize("make", [fc.LeftMult, fc.SchurMult])
+    @pytest.mark.parametrize("fid", ["g", "sqrtzexp", "zis:0.5"])
+    def test_zero_result_converges_without_warning(self, make, fid):
+        # f(0) = 0 on an all-kernel spectrum: the level difference is roundoff
+        # far below the size of the sum, and the sweep stops without a warning
+        op = make(np.zeros((2, 2)))
+        f = fc.library(fid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", fc.ContourTruncationWarning)
+            out = (fc.contour_calculus if f.klass == "hinf0" else fc.extended_calculus)(op, f)
+        assert np.max(np.abs(out.symbol)) <= 1e-14
 
     def test_upper_ray_is_the_conjugate_lower_ray(self):
         spec = fc.ContourSpec(gamma=0.9, c=1.5, n_points=37)
