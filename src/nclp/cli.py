@@ -645,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("schur", help="distance-symbol semigroup checks")
     sp.add_argument("--points", type=_COUNT, default=8)
     sp.add_argument("--spacing", type=float, default=1.0)
-    sp.add_argument("--t", type=float, default=0.7)
+    sp.add_argument("--t", type=_checked(float, _nonnegative), default=0.7)
     sp.add_argument("--amplification", type=_COUNT, default=4)
     sp.set_defaults(fn_impl=cmd_schur)
     _add_common(sp)
@@ -664,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="deformation in (-1, 1)")
     sp.add_argument("--d", type=_COUNT, default=2)
     sp.add_argument("--levels", type=_checked(int, fock.check_level), default=4, help="top level, 0..6")
-    sp.add_argument("--t", type=float, default=0.8)
+    sp.add_argument("--t", type=_checked(float, _nonnegative), default=0.8)
     sp.set_defaults(fn_impl=cmd_qfock)
     _add_common(sp)
 
@@ -672,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("which", choices=("semigroup", "multiplier"))
     sp.add_argument("--n", type=_checked(int, clifford.check_frame_n), default=3,
                     help=f"generator count, 1..{clifford.DIAG_OP_MAX}")
-    sp.add_argument("--t", type=float, default=0.4)
+    sp.add_argument("--t", type=_checked(float, _nonnegative), default=0.4)
     sp.add_argument("--fn", type=_spec(fc.library), default="zis:0.5")
     sp.set_defaults(fn_impl=cmd_clifford)
     _add_common(sp, "--seed")

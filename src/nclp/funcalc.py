@@ -659,7 +659,8 @@ def choi_matrix(op: LpOperator) -> np.ndarray:
 
 @dataclass
 class ContourSpec:
-    """Quadrature data for the sector-boundary contour.
+    """Quadrature data for the sector-boundary contour, as
+    :func:`default_contour` chooses it.
 
     Both rays r e^{+- i gamma} carry one double-exponential rule
     (Takahasi-Mori) in u = log r, on a uniform grid in |v| <= V,
@@ -669,36 +670,24 @@ class ContourSpec:
     b sinh V = CONTOUR_SPAN, weights h du/dv (ends halved).  The nodes are
     nearly log-uniform over |u - c| <= half_width + CONTOUR_MARGIN and thin
     out double-exponentially beyond.  The grid has 2M + 1 nodes of step
-    h = V / M <= CONTOUR_STEP, or ``n_points`` nodes when the caller sets it.
+    h = V / M <= CONTOUR_STEP.
 
-    :meth:`levels` splits the default grid into nested levels: every
-    8th, 4th and 2nd node counted from v = -V, then the whole grid, then
-    midpoints that halve the step down to h / 16.  The contour sweep
-    stops at the first level within LEVEL_TOL of the one before.  A
-    caller-set ``n_points`` is a single level: exactly that grid.
+    :meth:`levels` splits the grid into nested levels: every 8th, 4th and
+    2nd node counted from v = -V, then the whole grid, then midpoints that
+    halve the step down to h / 16.  The contour sweep stops at the first
+    level within LEVEL_TOL of the one before.
     """
 
     gamma: float
     c: float
     half_width: float = 0.0
-    n_points: int | None = None
-
-    def __post_init__(self):
-        if not (0 < self.gamma < math.pi and math.isfinite(self.c)
-                and 0 <= self.half_width < math.inf):
-            raise ValueError("need 0 < gamma < pi, a finite centre c and a finite half_width >= 0")
-        if self.n_points is not None and self.n_points < 8:
-            raise ValueError("need at least 8 nodes per ray")
 
     def _grid(self):
-        """b, the grid in v, and its step h."""
+        """b, the number M of grid steps on each side of v = 0, and the step h."""
         b = 1.0 / math.cosh(self.half_width + CONTOUR_MARGIN)
         v_max = math.asinh(CONTOUR_SPAN / b)
-        if self.n_points:
-            v = np.linspace(-v_max, v_max, self.n_points)
-            return b, v, v[1] - v[0]
         m = math.ceil(v_max / CONTOUR_STEP)
-        return b, np.arange(-m, m + 1) * (v_max / m), v_max / m
+        return b, m, v_max / m
 
     def _map(self, b, v):
         """u = log r and du/dv at the points v."""
@@ -706,26 +695,15 @@ class ContourSpec:
 
     def rule(self):
         """u = log r and du/dv at the grid nodes, and the step h in v."""
-        b, v, h = self._grid()
-        return (*self._map(b, v), h)
-
-    def nodes(self):
-        """Radii r_j and weights w_j with sum_j w_j g(r_j) ~= int g(r) dr/r."""
-        u, dudv, h = self.rule()
-        w = h * dudv
-        w[[0, -1]] *= 0.5
-        return np.exp(u), w
+        b, m, h = self._grid()
+        return (*self._map(b, np.arange(-m, m + 1) * h), h)
 
     def levels(self):
         """The nested levels, coarsest first: (stride, r, w) with the radii
         a level adds to the ones before and their grid weights h du/dv (ends
         halved), so that stride * sum_j w_j g(r_j) over every level so far
         is that level's rule of step stride * h."""
-        if self.n_points:
-            yield 1, *self.nodes()
-            return
-        b, v, h = self._grid()
-        m = (len(v) - 1) // 2
+        b, m, h = self._grid()
         for i, stride in enumerate(LEVEL_STRIDES):
             # the level's nodes sit t = stride * k grid steps from v = -V; the
             # first level takes every k, each later one the odd k it adds
@@ -747,22 +725,29 @@ def check_sector(op: LpOperator, f: HolFn) -> float:
 
 
 def default_contour(op: LpOperator, f: HolFn) -> ContourSpec:
+    """The one contour rule of f(A): rays halfway between the type angle of
+    op and f's sector, and a core over the spectral window and f's scales.
+    A spectrum that touches the rays is a SpectralCollisionError."""
     omega = check_sector(op, f)
     gamma = 0.5 * (omega + f.theta)
+    if gamma - omega <= 1e-12:
+        raise SpectralCollisionError(
+            f"spectrum touches the contour (angle margin {gamma - omega:.3e})"
+        )
     lo, hi = spectral_window(op.spectrum())
     lo, hi = math.log(min(lo, *f.scales)), math.log(max(hi, *f.scales))
     return ContourSpec(gamma, 0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
-def _contour_coefficients(f: HolFn, spec: ContourSpec, nodes=None):
+def _contour_coefficients(f: HolFn, spec: ContourSpec, nodes):
     """Nodes z_j and weights c_j with f(A) ~= sum_j c_j R(z_j, A), on the
-    radii and weights ``nodes`` (the whole grid of ``spec`` by default).
+    radii and weights ``nodes`` (one level of ``spec``).
 
     The boundary of the sector is traversed counterclockwise around the
     spectrum: down the upper ray, out the lower ray.  The nodes are the
     lower ray followed by its exact conjugate, the upper ray.
     """
-    r, w = spec.nodes() if nodes is None else nodes
+    r, w = nodes
     g = spec.gamma
     z_lo = r * cmath.exp(-1j * g)
     z_hi = z_lo.conj()
@@ -817,25 +802,6 @@ def _resolvent_sums(z, c, s) -> np.ndarray:
     return out[:k] + out[k:].conj() if real else out
 
 
-def _check_contour(op: LpOperator, f: HolFn, spec: ContourSpec):
-    omega = op.sector_angle()
-    if not (omega < spec.gamma < f.theta):
-        raise ValueError(
-            f"need type angle {omega:.3f} < gamma {spec.gamma:.3f} < theta {f.theta:.3f}"
-        )
-    lam = op.spectrum()
-    if np.all(kernel_mask(lam)):
-        return
-    lo, hi = np.log(spectral_window(lam))
-    if max(spec.c - lo, hi - spec.c) > spec.half_width + CONTOUR_MARGIN:
-        raise ValueError(f"spectrum window e^[{lo:.1f}, {hi:.1f}] is outside the rule's core")
-    margin = spec.gamma - omega
-    if margin <= 1e-12:
-        raise SpectralCollisionError(
-            f"spectrum touches the contour (angle margin {margin:.3e})"
-        )
-
-
 def _truncation_estimate(f: HolFn, spec: ContourSpec) -> float:
     """The integrand |f(z)| du/dv at the two end nodes of each ray."""
     u, dudv, _ = spec.rule()
@@ -856,7 +822,7 @@ def _level_gap(new, old, mass) -> float:
 
 def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
     """The symbols of f(A) for every f in fs, stacked, from one sweep over
-    the levels of ``spec``.  Each f gets the contour and truncation checks.
+    the levels of ``spec``.  Each f gets the truncation check.
 
     A level inverts only the nodes it adds and adds their resolvent sums to
     a running total; its result is stride * total.  The sweep returns the
@@ -865,7 +831,6 @@ def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
     a cut-off integrand), and one still apart at the last level warns."""
     truncated = False
     for f in fs:
-        _check_contour(op, f, spec)
         est = _truncation_estimate(f, spec)
         if est > TRUNCATION_TOL:
             truncated = True
@@ -891,20 +856,16 @@ def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
     return out
 
 
-def contour_calculus(
-    op: LpOperator,
-    f: HolFn,
-    spec: ContourSpec | None = None,
-) -> LpOperator:
+def contour_calculus(op: LpOperator, f: HolFn) -> LpOperator:
     """f(A) by the double-exponential quadrature of the sector-boundary
-    Cauchy integral.
+    Cauchy integral, on the rule of :func:`default_contour`.
 
     The rule is swept in the nested levels of :meth:`ContourSpec.levels`,
     steps 8h, 4h, 2h and h of the grid, then h/2 down to h/16; each level
     inverts only its new nodes, and the sweep returns the first level whose
     result differs from the level before by at most LEVEL_TOL relative to
     its largest entry (its error is then about the square of that
-    difference); a caller-set ``n_points`` is one grid, with no levels.
+    difference).
 
     The quadrature acts on the symbol and the kind is kept: entrywise
     symbols go through the scalar Cauchy sums, matrix symbols sum their
@@ -922,9 +883,7 @@ def contour_calculus(
     """
     if f.klass != "hinf0":
         raise ValueError(f"{f.name} has no decay at 0/infinity; use extended_calculus")
-    if spec is None:
-        spec = default_contour(op, f)
-    return op.with_symbol(_contour_symbols(op, (f,), spec)[0])
+    return op.with_symbol(_contour_symbols(op, (f,), default_contour(op, f))[0])
 
 
 def eigen_calculus(op: LpOperator, fn) -> LpOperator:
@@ -935,22 +894,19 @@ def eigen_calculus(op: LpOperator, fn) -> LpOperator:
     return op.eigen_fn(lambda lam: np.asarray(fn_arr(lam)))
 
 
-def extended_calculus(
-    op: LpOperator, f: HolFn, spec: ContourSpec | None = None
-) -> LpOperator:
+def extended_calculus(op: LpOperator, f: HolFn) -> LpOperator:
     """f(A) = g(A)^{-1} (fg)(A) with g(z) = z/(1+z)^2, for bounded f.
 
     In finite dimension the space splits as N(A) + R(A); the calculus is
     the boundary integral of fg corrected by g(A)^{-1} on the range
     component, and it annihilates the kernel component (f(0) = 0).  fg(A)
-    and g(A) come from one sweep over the shared contour levels, which stops
-    once both have converged, with the contour and truncation checks of each.
+    and g(A) come from one sweep over the levels of fg's default rule, which
+    stops once both have converged, with the truncation check of each.  g
+    has the wider sector and one scale, 1, so that rule suits g too.
     """
     g = library("g")
     fg = product_fn(f, g)
-    if spec is None:
-        spec = default_contour(op, fg)
-    fg_s, g_s = _contour_symbols(op, (fg, g), spec)
+    fg_s, g_s = _contour_symbols(op, (fg, g), default_contour(op, fg))
     # g(A) + P0 is invertible; (I - P0) drops the kernel component again
     p0 = op.kernel_projection().symbol
     if op.entrywise:
@@ -959,10 +915,10 @@ def extended_calculus(
     return op.with_symbol((eye - p0) @ np.linalg.solve(g_s + p0, fg_s))
 
 
-def imaginary_power(op: LpOperator, s: float, spec: ContourSpec | None = None):
+def imaginary_power(op: LpOperator, s: float):
     """A^{is} via the extended calculus with f(z) = z^{is} (principal branch;
     the contour never crosses the cut on the negative reals)."""
-    return extended_calculus(op, library(f"zis:{s}"), spec)
+    return extended_calculus(op, library(f"zis:{s}"))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 from .core import adjoint, as_matrix, check_exponent, psd_sqrt, schatten_norms
 from .optim import ConvexCfg, SolveResult, minimize_split_schatten
 
-RAD_EXACT_MAX = 20  # 2^20 ~ 1e6 sign patterns; refuse exact mode beyond this
+RAD_EXACT_MAX = 20  # 2^20 ~ 1e6 sign patterns; exact enumeration refuses more
 _SIGN_CHUNK = 1 << 13  # sign patterns per batched SVD
 
 
@@ -74,7 +74,7 @@ def family_norms(kind: str, fams, p: float):
         if n > RAD_EXACT_MAX:
             raise ValueError(
                 f"exact enumeration refuses n = {n} > {RAD_EXACT_MAX} "
-                f"(2^{n} norm evaluations); use mode='montecarlo' with a seed"
+                f"(2^{n} norm evaluations); use rad_average_mc with a seed"
             )
         half, total = 1 << (n - 1), 0.0
         for off in range(0, half, _SIGN_CHUNK):
@@ -168,35 +168,20 @@ def _signed_sums(signs, fam) -> np.ndarray:
     return (signs @ fam.reshape(*lead, n, d1 * d2)).reshape(*lead, len(signs), d1, d2)
 
 
-def rad_average(
-    xs,
-    p: float,
-    mode: str = "exact",
-    samples: int = 100_000,
-    seed: int | None = None,
-) -> float:
-    """First-moment Rademacher average E || sum_k eps_k x_k ||_p.
-
-    ``mode="exact"`` is :func:`family_norms` (using the eps -> -eps
-    symmetry to halve the work); it refuses families longer than
-    ``RAD_EXACT_MAX``.  ``mode="montecarlo"`` draws seeded uniform signs
-    and is deterministic given the seed.
+def rad_average(xs, p: float) -> float:
+    """First-moment Rademacher average E || sum_k eps_k x_k ||_p, exactly:
+    :func:`family_norms` (using the eps -> -eps symmetry to halve the
+    work); it refuses families longer than ``RAD_EXACT_MAX``, for which
+    :func:`rad_average_mc` draws seeded signs.
     """
-    fam = as_family(xs)
-    p = check_exponent(p)
-    if mode == "exact":
-        return float(family_norms("rad", fam, p))
-    if mode == "montecarlo":
-        mean, _ = rad_average_mc(fam, p, samples=samples, seed=seed)
-        return mean
-    raise ValueError(f"unknown mode {mode!r}")
+    return float(family_norms("rad", as_family(xs), check_exponent(p)))
 
 
 def rad_average_mc(xs, p: float, samples: int, seed: int | None):
     """Monte Carlo Rademacher average; returns (mean, standard error)."""
     if seed is None:
-        raise ValueError("montecarlo mode requires an explicit seed")
-    fam = as_family(xs)
+        raise ValueError("rad_average_mc requires an explicit seed")
+    fam, p = as_family(xs), check_exponent(p)
     if not np.isfinite(fam).all():
         raise ValueError("matrix has non-finite entries")
     n = fam.shape[0]

@@ -191,8 +191,9 @@ class TestErrorPaths:
         assert cli.main(["khintchine", "--p", "4"]) == cli.EXIT_USAGE
 
     def test_numeric_failure_exit(self, tmp_path):
-        # negative time is a domain error -> numeric failure exit code
-        code = cli.main(["schur", "--points", "3", "--t", "-1.0"])
+        # well-formed flags, but the spectrum a_i - b_j of this derivation
+        # reaches the negative axis, outside the sector of z e^-z
+        code = cli.main(["calculus-check", "--A", "adiag:1,2|0.5,3", "--fn", "zexp"])
         assert code == cli.EXIT_NUMERIC
 
     def test_sqfn_checks_the_function_sector(self, capsys):
@@ -262,6 +263,11 @@ class TestErrorPaths:
             ["calculus-check", "--tol", "nan"],
             ["calculus-check", "--tol", "-1"],
             ["calculus-check", "--tol", "0"],
+            ["schur", "--t", "-1"],
+            ["clifford", "semigroup", "--t", "-1"],
+            ["qfock", "ou", "--t", "nan"],
+            ["qfock", "ou", "--t", "inf"],
+            ["qfock", "gram", "--t", "nan"],
         ],
         ids=["sector-p-below-1", "khintchine-p-below-1", "tensor-p-nan",
              "rbound-odd-points", "rbound-one-point", "rbound-theta-above-pi",
@@ -278,7 +284,8 @@ class TestErrorPaths:
              "qfock-no-d", "khintchine-no-samples", "tensor-negative-samples",
              "identities-diag-not-a-number", "identities-diag-infinite", "identities-t-nan",
              "identities-t-negative", "calculus-tol-nan", "calculus-tol-negative",
-             "calculus-tol-zero"],
+             "calculus-tol-zero", "schur-t-negative", "clifford-t-negative", "qfock-t-nan",
+             "qfock-t-infinite", "qfock-gram-t-nan"],
     )
     def test_out_of_domain_flag_is_usage_error(self, tmp_path, capsys, argv):
         code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])

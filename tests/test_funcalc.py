@@ -382,8 +382,7 @@ class TestContourCalculus:
         g = fc.library("g")
         sp1 = fc.default_contour(op, g)
         sp2 = dataclasses.replace(sp1, gamma=sp1.gamma + 0.1)
-        a = fc.contour_calculus(op, g, sp1).a
-        b = fc.contour_calculus(op, g, sp2).a
+        a, b = (fc._contour_symbols(op, (g,), sp)[0] for sp in (sp1, sp2))
         assert np.max(np.abs(a - b)) <= 1e-9
 
     def test_hermitian_preservation(self, rng):
@@ -404,6 +403,14 @@ class TestContourCalculus:
         op = fc.LeftMult(np.diag([-1.0 + 0.0j]))  # spectrum on the cut
         with pytest.raises((SpectralCollisionError, ValueError)):
             fc.contour_calculus(op, fc.library("g"))
+
+    @pytest.mark.parametrize("calculus", [fc.contour_calculus, fc.extended_calculus])
+    def test_spectrum_on_the_rays_is_refused(self, calculus):
+        # type angle 1.4 - 1e-13 below the sector 1.4 of z e^-z: the rays
+        # halfway between sit 5e-14 from the spectrum
+        op = fc.LeftMult(np.diag([cmath.exp(1j * (1.4 - 1e-13)), 2.0]))
+        with pytest.raises(SpectralCollisionError, match="spectrum touches the contour"):
+            calculus(op, fc.library("zexp"))
 
 
 class TestEigenCalculus:
@@ -465,11 +472,22 @@ class TestExtendedCalculus:
             assert out.a[0, 0] == pytest.approx(1.0, abs=1e-7)
 
 
-def _looped_contour(op, f, spec=None):
+def _grid_nodes(spec):
+    """The radii and weights of the whole grid of ``spec``, built from its
+    rule: the trapezoid weights h du/dv with the ends halved."""
+    u, dudv, h = spec.rule()
+    w = h * dudv
+    w[[0, -1]] *= 0.5
+    return np.exp(u), w
+
+
+def _looped_contour(op, f, spec=None, nodes=None):
     """Reference for the batched contour sweep: the per-node loop it
-    replaced, one solve per node, accumulated in node order."""
+    replaced, one solve per node, accumulated in node order, on the grid of
+    ``spec`` (f's default rule if unset) or on the radii and weights
+    ``nodes``."""
     spec = spec or fc.default_contour(op, f)
-    z, c = fc._contour_coefficients(f, spec)
+    z, c = fc._contour_coefficients(f, spec, _grid_nodes(spec) if nodes is None else nodes)
     s = op.symbol
     eye = np.eye(s.shape[0])
     acc = np.zeros(s.shape, dtype=complex)
@@ -545,7 +563,7 @@ class TestContourSweep:
         }[kind]
         f = fc.library(fid)
         if kind == "dense5":  # the last chunk of lower-ray nodes is a short one
-            assert fc.default_contour(op, f).nodes()[0].size % (fc._BATCH_ENTRIES // 25**2)
+            assert fc.default_contour(op, f).rule()[0].size % (fc._BATCH_ENTRIES // 25**2)
         ref = _looped_contour(op, f)
         out = fc.contour_calculus(op, f).symbol
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -573,7 +591,7 @@ class TestContourSweep:
             assert upper.size == 0
         # at most the nodes of every level: the grid, and its midpoints 16 times over
         grid = fc.default_contour(op, fc.product_fn(fc.library("zis:0.8"), fc.library("g")))
-        assert lower.size <= 16 * grid.nodes()[0].size
+        assert lower.size <= 16 * grid.rule()[0].size
         assert all(part.size <= fc._BATCH_ENTRIES // 64**2 for part in nodes)
 
     def test_g_stops_with_half_the_nodes_of_zexp(self, rng, monkeypatch):
@@ -585,7 +603,7 @@ class TestContourSweep:
             nodes.clear()
             fc.contour_calculus(op, fc.library(fid))
             counts[fid] = sum(part.size for part in nodes)
-        assert counts["zexp"] == fc.default_contour(op, fc.library("zexp")).nodes()[0].size
+        assert counts["zexp"] == fc.default_contour(op, fc.library("zexp")).rule()[0].size
         assert 0.45 <= counts["g"] / counts["zexp"] <= 0.55
 
     def test_levels_nest_into_the_grid(self):
@@ -596,18 +614,13 @@ class TestContourSweep:
         r = np.concatenate([lev[1] for lev in levels[:4]])
         w = np.concatenate([lev[2] for lev in levels[:4]])
         order = np.argsort(r)
-        grid_r, grid_w = spec.nodes()
+        grid_r, grid_w = _grid_nodes(spec)
         assert np.array_equal(r[order], grid_r) and np.array_equal(w[order], grid_w)
         # each later level adds one node between every two neighbours so far
         for _, r_new, _ in levels[4:]:
             assert r_new.size == r.size - 1
             r = np.sort(np.concatenate([r, r_new]))
             assert np.all(r[1:-1:2] == r_new)
-        # a caller-set n_points is exactly one grid
-        fixed = dataclasses.replace(spec, n_points=37)
-        [(stride, r_fixed, w_fixed)] = list(fixed.levels())
-        assert stride == 1 and r_fixed.size == 37
-        assert np.array_equal(w_fixed, fixed.nodes()[1])
 
     @pytest.mark.parametrize("omega", [1.0, 1.3])
     @pytest.mark.parametrize("fid", ["zexp", "sqrtzexp"])
@@ -640,10 +653,12 @@ class TestContourSweep:
             out = (fc.contour_calculus if f.klass == "hinf0" else fc.extended_calculus)(op, f)
         assert np.max(np.abs(out.symbol)) <= 1e-14
 
-    def test_upper_ray_is_the_conjugate_lower_ray(self):
-        spec = fc.ContourSpec(gamma=0.9, c=1.5, n_points=37)
-        z, _ = fc._contour_coefficients(fc.library("zexp"), spec)
-        assert np.array_equal(z[37:], z[:37].conj())
+    def test_upper_ray_is_the_conjugate_lower_ray(self, rng):
+        f = fc.library("zexp")
+        spec = fc.default_contour(_sylvester_dense(rng, 8), f)
+        for _, r, w in spec.levels():
+            z, _ = fc._contour_coefficients(f, spec, (r, w))
+            assert np.array_equal(z[r.size:], z[: r.size].conj())
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_extended_matches_paired_looped_sweeps(self, rng, complex_entries):
@@ -663,17 +678,20 @@ class TestContourSweep:
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_short_last_lower_ray_chunk(self, rng, monkeypatch, complex_entries):
-        op = _sylvester_dense(rng, 4)
+        # the first level of the dense8 rule: 25 nodes per ray in chunks of 16
+        op = _sylvester_dense(rng, 8)
         if complex_entries:
             op = _complex_dense(op)
         f = fc.library("sqrtzexp")
-        spec = dataclasses.replace(fc.default_contour(op, f), n_points=300)
-        per_chunk = fc._BATCH_ENTRIES // 16**2
-        assert spec.n_points % per_chunk  # 300 = 256 + 44
-        ref = _looped_contour(op, f, spec)
+        spec = fc.default_contour(op, f)
+        _, r, w = next(spec.levels())
+        per_chunk = fc._BATCH_ENTRIES // 64**2
+        assert r.size % per_chunk  # 25 = 16 + 9
+        ref = _looped_contour(op, f, spec, (r, w))
+        z, c = fc._contour_coefficients(f, spec, (r, w))
         invs = _count_calls(monkeypatch, "inv")
-        out = fc.contour_calculus(op, f, spec).symbol
-        chunks = [256, 256, 44, 44] if complex_entries else [256, 44]
+        out = fc._resolvent_sums(z, c[None], op.symbol)[0]
+        chunks = [16, 16, 9, 9] if complex_entries else [16, 9]
         assert [sh[0] for sh in invs] == chunks
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -695,17 +713,14 @@ class TestContourSweep:
         with pytest.warns(fc.ContourTruncationWarning, match="truncate slow ") as rec:
             fc.contour_calculus(op, slow)
         assert [w.filename for w in rec] == [__file__]
-        # fg and g are checked one by one: a rule centred e^60 away cuts both
-        # off where g has not yet decayed.  Only an all-kernel spectrum lets
-        # such a rule through; on any other the rule must cover the spectrum.
+        # the functions of one sweep are checked one by one: a rule centred
+        # e^60 away cuts fg and g off where g has not yet decayed
+        g = fc.library("g")
         off = fc.ContourSpec(gamma=1.5, c=60.0)
-        with pytest.raises(ValueError, match="outside the rule's core"):
-            fc.extended_calculus(op, slow, off)
         with pytest.warns(fc.ContourTruncationWarning) as rec:
-            fc.extended_calculus(type(op)(np.zeros((2, 2))), slow, off)
+            fc._contour_symbols(type(op)(np.zeros((2, 2))), (fc.product_fn(slow, g), g), off)
         names = [str(w.message).split("truncate ")[1].split()[0] for w in rec]
         assert names == ["slow*g", "g"]
-        assert all(w.filename == __file__ for w in rec)
 
     # e^{-tz} turns at |z| = 1/t and gn:<n>'s poles sit at -n and -1/n
     @pytest.mark.parametrize(
@@ -727,17 +742,15 @@ class TestContourSweep:
         oracle = fc.eigen_calculus(op, f).a
         assert np.max(np.abs(out - oracle)) <= 1e-8 * np.max(np.abs(oracle))
 
-    def test_spec_is_checked(self):
-        for bad in ({"c": math.nan}, {"c": math.inf}, {"c": 0.0, "half_width": -1.0},
-                    {"c": 0.0, "half_width": math.inf}):
-            with pytest.raises(ValueError, match="finite"):
-                fc.ContourSpec(gamma=1.0, **bad)
-        # n_points stays unset, so a replaced half_width keeps the step
-        spec = fc.ContourSpec(gamma=1.0, c=0.0)
-        wide = dataclasses.replace(spec, half_width=10.0)
-        assert spec.n_points is None and wide.n_points is None
+    def test_default_rule_step(self):
+        # a one-point window and one of width e^20 take the same step, the
+        # wide one on more nodes
+        g = fc.library("g")
+        spec = fc.default_contour(fc.LeftMult(np.diag([1.0])), g)
+        wide = fc.default_contour(fc.LeftMult(np.diag([math.exp(-10.0), math.exp(10.0)])), g)
+        assert wide.half_width == pytest.approx(10.0)
         assert all(0.98 * fc.CONTOUR_STEP < s.rule()[2] <= fc.CONTOUR_STEP for s in (spec, wide))
-        assert wide.nodes()[0].size > spec.nodes()[0].size + 150
+        assert wide.rule()[0].size > spec.rule()[0].size + 150
 
 
 class TestApproximationAndLaplace:

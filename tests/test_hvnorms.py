@@ -189,13 +189,13 @@ class TestRadAverage:
 
     def test_montecarlo_deterministic(self, rng):
         xs = random_family(rng, 4, 2)
-        a = hvnorms.rad_average(xs, 2, mode="montecarlo", samples=2000, seed=5)
-        b = hvnorms.rad_average(xs, 2, mode="montecarlo", samples=2000, seed=5)
+        a = hvnorms.rad_average_mc(xs, 2, samples=2000, seed=5)
+        b = hvnorms.rad_average_mc(xs, 2, samples=2000, seed=5)
         assert a == b
 
     def test_exact_refuses_large_family(self, rng):
         xs = random_family(rng, 21, 1)
-        with pytest.raises(ValueError, match="montecarlo"):
+        with pytest.raises(ValueError, match="use rad_average_mc with a seed"):
             hvnorms.rad_average(xs, 2)
 
     @pytest.mark.parametrize("kind", ["col", "row", "rad"])
@@ -211,7 +211,12 @@ class TestRadAverage:
         xs = random_family(rng, 2, 2)
         xs[1][0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            hvnorms.rad_average(xs, p, mode="montecarlo", samples=100, seed=1)
+            hvnorms.rad_average_mc(xs, p, samples=100, seed=1)
+
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    def test_montecarlo_refuses_bad_exponent(self, rng, p):
+        with pytest.raises(ValueError, match="Schatten exponent"):
+            hvnorms.rad_average_mc(random_family(rng, 2, 2), p, samples=100, seed=1)
 
 
 class TestSumAndRadNorm:
