@@ -636,9 +636,14 @@ class TestContourSweep:
         assert np.max(np.abs(out - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
     def test_margin_too_narrow_for_the_cap_warns(self):
-        op = _narrow_margin_op(1.38)
+        # both public entry points warn once, at their caller; the extended
+        # one names its two functions
+        op, f = _narrow_margin_op(1.38), fc.library("zexp")
         with pytest.warns(fc.ContourTruncationWarning, match="contour levels of zexp differ by") as rec:
-            fc.contour_calculus(op, fc.library("zexp"))
+            fc.contour_calculus(op, f)
+        assert [w.filename for w in rec] == [__file__]
+        with pytest.warns(fc.ContourTruncationWarning, match=r"contour levels of zexp\*g, g differ by") as rec:
+            fc.extended_calculus(op, f)
         assert [w.filename for w in rec] == [__file__]
 
     @pytest.mark.parametrize("make", [fc.LeftMult, fc.SchurMult])
