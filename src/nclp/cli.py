@@ -571,6 +571,19 @@ def _add_common(sp, *shared):
     sp.add_argument("--config", default=None, help="flat JSON config file; flags override")
 
 
+def _add_modes(sp, flags, **modes):
+    """The modes of a subcommand as nested subparsers (dest ``which``), each
+    with only the flags it reads: its own from ``flags``, shared ones from
+    ``SHARED_FLAGS``."""
+    sub = sp.add_subparsers(dest="which", required=True)
+    for mode, names in modes.items():
+        mp = sub.add_parser(mode)
+        for name in names:
+            if name in flags:
+                mp.add_argument(name, **flags[name])
+        _add_common(mp, *(name for name in names if name in SHARED_FLAGS))
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nclp", description=__doc__)
     ap.add_argument("--version", action="version", version=f"nclp {__version__}")
@@ -659,23 +672,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, "--seed", "--samples")
 
     sp = sub.add_parser("qfock", help="twisted Gram positivity / moments / OU spectrum")
-    sp.add_argument("which", choices=("gram", "moments", "ou"))
-    sp.add_argument("--q", type=_checked(float, fock.check_q), default=0.5,
-                    help="deformation in (-1, 1)")
-    sp.add_argument("--d", type=_COUNT, default=2)
-    sp.add_argument("--levels", type=_checked(int, fock.check_level), default=4, help="top level, 0..6")
-    sp.add_argument("--t", type=_checked(float, _nonnegative), default=0.8)
     sp.set_defaults(fn_impl=cmd_qfock)
-    _add_common(sp)
+    _add_modes(sp, {
+        "--q": dict(type=_checked(float, fock.check_q), default=0.5, help="deformation in (-1, 1)"),
+        "--d": dict(type=_COUNT, default=2),
+        "--levels": dict(type=_checked(int, fock.check_level), default=4, help="top level, 0..6"),
+        "--t": dict(type=_checked(float, _nonnegative), default=0.8),
+    }, gram=("--q", "--d", "--levels"), moments=("--q", "--d"),
+        ou=("--q", "--d", "--levels", "--t"))
 
     sp = sub.add_parser("clifford", help="spin-system semigroup / length multiplier")
-    sp.add_argument("which", choices=("semigroup", "multiplier"))
-    sp.add_argument("--n", type=_checked(int, clifford.check_frame_n), default=3,
-                    help=f"generator count, 1..{clifford.DIAG_OP_MAX}")
-    sp.add_argument("--t", type=_checked(float, _nonnegative), default=0.4)
-    sp.add_argument("--fn", type=_spec(fc.library), default="zis:0.5")
     sp.set_defaults(fn_impl=cmd_clifford)
-    _add_common(sp, "--seed")
+    _add_modes(sp, {
+        "--n": dict(type=_checked(int, clifford.check_frame_n), default=3,
+                    help=f"generator count, 1..{clifford.DIAG_OP_MAX}"),
+        "--t": dict(type=_checked(float, _nonnegative), default=0.4),
+        "--fn": dict(type=_spec(fc.library), default="zis:0.5"),
+    }, semigroup=("--n", "--t"), multiplier=("--n", "--fn", "--seed"))
 
     sp = sub.add_parser("martingale", help="tower boundedness / Cesaro increments")
     sp.add_argument("which", choices=("stein", "cesaro"))
@@ -691,8 +704,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _with_config(argv, args) -> list:
     """argv with the config file's entries as flag tokens right after the
-    subcommand: argparse checks them like typed flags, and the explicit
-    flags, coming later, win.  Keys are flag names ("even_p" or "even-p")."""
+    subcommand and its mode, if it has one: argparse checks them like typed
+    flags, and the explicit flags, coming later, win.  Keys are flag names
+    ("even_p" or "even-p")."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             conf = json.load(fh)
@@ -710,6 +724,8 @@ def _with_config(argv, args) -> list:
         else:
             tokens.append(f"{flag}={value}")
     at = argv.index(args.command) + 1
+    if getattr(args, "which", None):  # a mode's flags live on its own parser
+        at = argv.index(args.which, at) + 1
     return argv[:at] + tokens + argv[at:]
 
 

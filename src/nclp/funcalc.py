@@ -344,9 +344,17 @@ class LpOperator:
         self._dense = self.apply(units).reshape(n, n).T
         return self._dense
 
-    def s2_norm(self) -> float:
-        """Operator norm on S^2: the largest singular value of the dense form."""
-        return float(np.linalg.norm(self.to_dense(), 2))
+    def opnorm(self, p: float):
+        """The exact S^p -> S^p operator norm where the kind knows it, else
+        None.  Here: at p = 2 the Hilbert-Schmidt norm, the largest singular
+        value of the dense form; no value at any other p.
+
+        Contract: every value returned is also the completely bounded norm,
+        the norm of each amplification I_m (x) T on S^p (at p = 2 an
+        amplification acts on the m^2 blocks of a Frobenius sum apart), so
+        :class:`AmplifiedOp` returns its base's value.
+        """
+        return float(np.linalg.norm(self.to_dense(), 2)) if p == 2.0 else None
 
     def spectral_scale(self) -> float:
         """The top of the spectral window (1 for kernel-only)."""
@@ -385,6 +393,11 @@ class LeftMult(LpOperator):
     def with_symbol(self, s):
         return LeftMult(s)
 
+    def opnorm(self, p):
+        # Hoelder gives ||a x||_p <= ||a||_inf ||x||_p at every p, and the
+        # rank-one x = v w*, v a top right singular vector of a, attains it
+        return float(np.linalg.norm(self.a, 2))
+
     def frame(self):
         lam, v, vinv = _mat_eig(self.a)
         vh, vinvh = adjoint(v), adjoint(vinv)
@@ -411,6 +424,10 @@ class RightMult(LpOperator):
 
     def with_symbol(self, s):
         return RightMult(s)
+
+    def opnorm(self, p):
+        # the mirror of LeftMult.opnorm: x = w u*, u a top left singular vector of b
+        return float(np.linalg.norm(self.b, 2))
 
     def frame(self):
         lam, v, vinv = _mat_eig(self.b)
@@ -570,9 +587,9 @@ class AmplifiedOp(LpOperator):
     def spectrum(self):
         return np.tile(self.base.spectrum(), self.m * self.m)
 
-    def s2_norm(self):
-        # I_m (x) T has the singular values of T, each m^2 times
-        return self.base.s2_norm()
+    def opnorm(self, p):
+        # every value a kind knows is its cb norm (LpOperator.opnorm)
+        return self.base.opnorm(p)
 
     def __repr__(self):
         return f"Amplified({self.base!r}, m={self.m})"
@@ -931,58 +948,66 @@ class SectorProfile:
     omega_hat: float
     constants: list  # [(theta, K_theta)]
     p: float
-    exact: bool  # True when K_theta comes from an SVD (p = 2)
+    exact: bool  # True when every K_theta is an exact norm (LpOperator.opnorm)
 
 
 def schatten_opnorm_lower(
     op: LpOperator, p: float, starts: int = 50, iters: int = 40, seed: int = 0
 ) -> float:
-    """Lower-bound estimate of ||T||_{S^p -> S^p} by nonlinear power iteration
-    (:func:`core.power_ascent` over the seeded random starts); every value
-    is a ratio attained by a concrete x, hence a certified lower bound.
-    Exact (SVD) at p = 2.
+    """Lower bound on ||T||_{S^p -> S^p}: the exact norm where the kind
+    knows it (:meth:`LpOperator.opnorm`: every kind at p = 2, left and
+    right multiplication at every p), otherwise nonlinear power iteration
+    (:func:`core.power_ascent` over the seeded random starts), whose every
+    value is a ratio attained by a concrete x, hence a certified lower bound.
     """
-    return _family_opnorm_lower([op], p, starts, iters, seed)
+    return _family_opnorm_lower([op], p, starts, iters, seed)[0]
 
 
-def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int) -> float:
-    """max over the family of the :func:`schatten_opnorm_lower` estimates,
-    from one :func:`family_ascent` over every member's seeded starts, each a
-    family of length 1 (start i belongs to member i // starts; each member
-    gets the same ones)."""
-    if p == 2.0:
-        return max(op.s2_norm() for op in ops)
-    d = ops[0].dim
+def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int):
+    """(max over the family of the :func:`schatten_opnorm_lower` values,
+    True when every one is an exact ``opnorm``).  The members without one
+    run one :func:`family_ascent` over their seeded starts, each a family
+    of length 1 (start i belongs to the (i // starts)-th of them; each gets
+    the same ones)."""
+    known = [op.opnorm(p) for op in ops]
+    best = max((k for k in known if k is not None), default=0.0)
+    rest = [op for op, k in zip(ops, known) if k is None]
+    if not rest:
+        return best, True
+    d = rest[0].dim
     rng = np.random.default_rng(seed)
     x0 = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(starts)]
-    sels = (np.arange(len(ops) * starts) // starts)[:, None]
-    best, _ = family_ascent(
-        ops, [op.dagger() for op in ops], sels, np.tile(x0, (len(ops), 1, 1))[:, None], p,
+    sels = (np.arange(len(rest) * starts) // starts)[:, None]
+    ratios, _ = family_ascent(
+        rest, [op.dagger() for op in rest], sels, np.tile(x0, (len(rest), 1, 1))[:, None], p,
         "col", iters + 1,  # iters steps visit iters + 1 iterates
     )
-    return float(np.max(best, initial=0.0))
+    return max(best, float(np.max(ratios, initial=0.0))), False
 
 
 def sector_type(op: LpOperator, p: float = 2.0, seed: int = 0) -> SectorProfile:
     """Sector type: omega_hat from the spectrum and resolvent constants
     K_theta = sup ||z R(z, A)|| over the ray family of each test angle
     theta = omega_hat + (0.05, 0.15, 0.4, 0.8, 1.4) below pi; a type angle
-    that leaves none is a ValueError.  Exact superoperator norms at p = 2,
-    power-iteration lower bounds otherwise (``exact`` records which): one
-    ascent per test angle runs the 8 seeded starts of every ray member
-    together.  A member's starts and iterates are those of its own
-    :func:`schatten_opnorm_lower` call."""
+    that leaves none is a ValueError.  Each member's norm is its exact
+    ``opnorm`` where the kind has one (every kind at p = 2; left and right
+    multiplication, whose ray members are again multiplications, at every
+    p), and ``exact`` is True when all of them are.  Otherwise it is a
+    power-iteration lower bound: one ascent per test angle runs the 8
+    seeded starts of every ray member together, a member's starts and
+    iterates those of its own :func:`schatten_opnorm_lower` call."""
     omega = op.sector_angle()
     gaps = (0.05, 0.15, 0.4, 0.8, 1.4)
     thetas = [omega + g for g in gaps if omega + g < math.pi - 1e-6]
     if not thetas:
         raise ValueError(f"operator type angle {omega:.3f} leaves no test angle below pi")
-    constants = []
+    constants, exact = [], True
     for theta in thetas:
         fam = ray_resolvent_family(op, theta, SECTOR_RAY_POINTS)
-        k = _family_opnorm_lower(fam, p, starts=8, iters=25, seed=seed)
+        k, known = _family_opnorm_lower(fam, p, starts=8, iters=25, seed=seed)
         constants.append((float(theta), float(k)))
-    return SectorProfile(omega_hat=omega, constants=constants, p=p, exact=p == 2.0)
+        exact = exact and known
+    return SectorProfile(omega_hat=omega, constants=constants, p=p, exact=exact)
 
 
 # ---------------------------------------------------------------------------

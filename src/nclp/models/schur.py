@@ -68,7 +68,7 @@ def schur_hinf_apply(sym: SchurSymbol, f: fc.HolFn, x) -> np.ndarray:
 
 def amplified_s2_norm(op: fc.LpOperator, level: int) -> float:
     """Operator norm of I_m (x) T on the Hilbert-Schmidt space."""
-    return fc.AmplifiedOp(op, level).s2_norm()
+    return fc.AmplifiedOp(op, level).opnorm(2.0)
 
 
 def choi_min_eigenvalue(op: fc.LpOperator, level: int = 1) -> float:

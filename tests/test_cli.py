@@ -65,6 +65,16 @@ class TestArtifacts:
             else:
                 assert float(row[lo]) <= float(row[hi]) <= float(row[lo]) * (1 + 1e-6)
 
+    @pytest.mark.parametrize("spec,exact", [("leftdiag:1,2", "True"), ("rightdiag:1,3", "True"),
+                                            ("adiag:1,2|-1,-3", "False")])
+    def test_sector_profile_exact_column(self, tmp_path, spec, exact):
+        # exact norms at p = 4 only for the multiplication kinds
+        code, text = run(["sector-profile", "--A", spec, "--p", "4"], tmp_path)
+        assert code == 0
+        rows = [r.split(",") for r in data_rows(text)]
+        col = rows[0].index("exact")
+        assert len(rows) > 1 and all(row[col] == exact for row in rows[1:])
+
     def test_calculus_check_tolerance(self, tmp_path):
         code, text = run(
             ["calculus-check", "--fn", "g,zexp,sqrtzexp,zis:0.5", "--A", "leftdiag:1,4"],
@@ -312,6 +322,15 @@ class TestErrorPaths:
             ["qfock", "gram", "--seed", "1"],
             ["clifford", "semigroup", "--samples", "2"],
             ["martingale", "stein", "--seed", "1", "--strict"],
+            # a mode's flags exist only on the modes that read them
+            *(pytest.param(argv, id="-".join(t.lstrip("-") for t in argv[:3])) for argv in [
+                ["qfock", "gram", "--t", "5"],
+                ["qfock", "moments", "--t", "5"],
+                ["qfock", "moments", "--levels", "2"],
+                ["clifford", "multiplier", "--t", "1"],
+                ["clifford", "semigroup", "--fn", "g"],
+                ["clifford", "semigroup", "--seed", "1"],
+            ]),
         ],
         ids=lambda argv: "-".join([argv[0]] + [t[2:] for t in argv if t.startswith("--")]),
     )
@@ -342,14 +361,22 @@ class TestErrorPaths:
         assert len(rows) == 2  # header + one trial: the flag beat the config
         assert ",4.0," in rows[1]
 
+    def test_config_file_reaches_a_mode(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"levels": 2, "q": 0.3}))
+        code, text = run(["qfock", "gram", "--config", str(conf), "--levels", "1"], tmp_path)
+        assert code == 0
+        assert len(data_rows(text)) == 3  # header + levels 0 and 1: the flag beat the config
+
     @pytest.mark.parametrize(
         "argv,conf",
         [
             (["freegroup", "norms"], {"even_p": 5}),  # the flag --even-p 5 exits 2 too
             (["schatten-selftest"], {"bogus": 1}),
             (["calculus-check"], {"seed": 4}),  # a flag calculus-check does not read
+            (["qfock", "gram"], {"t": 1}),  # a flag only the ou mode reads
         ],
-        ids=["bad-choice", "unknown-key", "unread-flag"],
+        ids=["bad-choice", "unknown-key", "unread-flag", "unread-mode-flag"],
     )
     def test_config_values_go_through_argparse(self, tmp_path, capsys, argv, conf):
         path = tmp_path / "conf.json"

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from nclp import funcalc as fc
-from nclp.core import SpectralCollisionError
+from nclp.core import SpectralCollisionError, power_ascent, schatten_norm
 from nclp.models import clifford, martingale
 
 from conftest import random_matrix, unit
@@ -50,7 +50,7 @@ class TestOperatorKinds:
     def test_amplified_s2_norm_is_the_base_norm(self, rng, kind, m):
         amp = fc.AmplifiedOp(_every_kind(rng)[kind], m)
         dense = float(np.linalg.norm(amp.to_dense(), 2))
-        assert amp.s2_norm() == pytest.approx(dense, rel=1e-12)
+        assert amp.opnorm(2.0) == pytest.approx(dense, rel=1e-12)
 
     def test_schur_apply(self, rng):
         m = random_matrix(rng, 2)
@@ -821,6 +821,71 @@ class TestSectorType:
         est = fc.schatten_opnorm_lower(op, 4.0, starts=10, iters=30, seed=1)
         assert est == pytest.approx(2.0, rel=1e-6)
         assert est <= 2.0 + 1e-9
+
+
+class TestOpnorm:
+    """``opnorm(p)``: the exact S^p -> S^p norm where the kind knows it."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0, math.inf])
+    def test_multiplication_norm_is_the_top_singular_value(self, rng, side, p):
+        a = random_matrix(rng, 3)
+        assert not np.allclose(a @ a.conj().T, a.conj().T @ a)  # non-normal
+        top = float(np.linalg.norm(a, 2))
+        op = fc.LeftMult(a) if side == "left" else fc.RightMult(a)
+        assert op.opnorm(p) == top
+        # a rank-one x along a top singular vector attains it
+        u, _, vh = np.linalg.svd(a)
+        w = random_matrix(rng, 3)[:, :1]
+        x = vh[0].conj()[:, None] @ w.conj().T if side == "left" else w @ u[:, 0].conj()[None, :]
+        assert schatten_norm(op.apply(x), p) / schatten_norm(x, p) == pytest.approx(top, rel=1e-14)
+        # and the power ascent, a lower bound, never passes it
+        dag = op.dagger()
+        x0s = np.stack([random_matrix(rng, 3) for _ in range(6)])
+        best, _ = power_ascent(lambda xs, idx: op.apply(xs), lambda xs, idx: dag.apply(xs),
+                               x0s, p, 30)
+        assert np.max(best) <= top * (1 + 1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_amplification_returns_the_base_value(self, rng, p):
+        base = fc.LeftMult(random_matrix(rng, 2))
+        assert fc.AmplifiedOp(base, 3).opnorm(p) == base.opnorm(p)
+
+    @pytest.mark.parametrize("kind", ["schur", "dense", "amplified"])
+    def test_no_value_off_p2(self, rng, kind):
+        # "amplified" is an amplified Schur multiplier
+        assert _every_kind(rng)[kind].opnorm(4.0) is None
+
+    def test_sector_constants_of_a_multiplication_are_exact(self):
+        a = np.diag([1.0, 2.0])
+        prof = fc.sector_type(fc.LeftMult(a), p=4.0)
+        assert prof.exact
+        radii = np.logspace(-3, 3, fc.SECTOR_RAY_POINTS // 2) * 2.0
+        for theta, k in prof.constants:
+            zs = [r * cmath.exp(1j * s * theta) for r in radii for s in (1, -1)]
+            ref = max(np.linalg.norm(z * np.linalg.inv(z * np.eye(2) - a), 2) for z in zs)
+            assert k == pytest.approx(ref, rel=1e-14)
+
+    def test_exact_only_where_every_member_has_a_value(self):
+        schur = fc.SchurMult(np.array([[1.0, 2.0], [0.5, 1.5]]))
+        assert fc.sector_type(schur, p=2.0).exact
+        assert not fc.sector_type(schur, p=4.0).exact
+        assert fc.sector_type(fc.RightMult(np.diag([1.0, 3.0])), p=1.5).exact
+
+    def test_multiplication_kinds_never_ascend(self, monkeypatch):
+        calls, ascent = [], fc.power_ascent
+
+        def counting(*args):
+            calls.append(args[3])
+            return ascent(*args)
+
+        monkeypatch.setattr(fc, "power_ascent", counting)
+        a = np.diag([1.0, 2.0])
+        for op in (fc.LeftMult(a), fc.RightMult(a), fc.AmplifiedOp(fc.LeftMult(a), 2)):
+            fc.sector_type(op, p=4.0)
+        assert calls == []
+        fc.sector_type(fc.SchurMult(a + 1.0), p=4.0)
+        assert calls == [4.0] * 5  # the patch sees every ascent that runs
 
 
 class TestIntegralIdentities:
