@@ -27,6 +27,7 @@ import json
 import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -571,134 +572,125 @@ def _add_common(sp, *shared):
     sp.add_argument("--config", default=None, help="flat JSON config file; flags override")
 
 
-def _add_modes(sp, flags, **modes):
-    """The modes of a subcommand as nested subparsers (dest ``which``), each
-    with only the flags it reads: its own from ``flags``, shared ones from
-    ``SHARED_FLAGS``."""
-    sub = sp.add_subparsers(dest="which", required=True)
-    for mode, names in modes.items():
-        mp = sub.add_parser(mode)
-        for name in names:
-            if name in flags:
-                mp.add_argument(name, **flags[name])
-        _add_common(mp, *(name for name in names if name in SHARED_FLAGS))
+def _add_flags(sp, flags, reads):
+    """The flags a subcommand reads: its own from ``flags``, the rest from
+    ``SHARED_FLAGS``.  ``reads`` names them, or maps each mode of the
+    subcommand to the flags it reads: the modes become nested subparsers
+    (dest ``which``), each with only its own flags."""
+    if isinstance(reads, dict):
+        modes = sp.add_subparsers(dest="which", required=True)
+        for mode, names in reads.items():
+            _add_flags(modes.add_parser(mode), flags, names)
+        return
+    for name in reads:
+        if name in flags:
+            sp.add_argument(name, **flags[name])
+    _add_common(sp, *(name for name in reads if name not in flags))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="nclp", description=__doc__)
-    ap.add_argument("--version", action="version", version=f"nclp {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
+class Subcommand(NamedTuple):
+    help: str
+    impl: Callable
+    flags: dict  # the subcommand's own flags
+    reads: object  # the flag names it reads, or a dict of them per mode
 
-    sp = sub.add_parser("schatten-selftest", help="norm/modulus/sqrt identities")
-    sp.add_argument("--dim", type=_COUNT, default=4)
-    sp.set_defaults(fn_impl=cmd_schatten_selftest)
-    _add_common(sp, "--seed")
 
-    sp = sub.add_parser("khintchine", help="sign-average sandwich ratios for random families")
-    sp.add_argument("--dim", type=_COUNT, default=3)
-    sp.add_argument("--family", type=_COUNT, default=4, help="family length")
-    sp.add_argument("--iters", type=_COUNT, default=ConvexCfg.iters,
-                    help="L-BFGS iterations per smoothing stage of the p < 2 solver")
-    sp.set_defaults(fn_impl=cmd_khintchine)
-    _add_common(sp, "--p", "--seed", "--samples", "--strict")
-
-    sp = sub.add_parser("tensor-extend", help="index-space contraction checks")
-    sp.add_argument("--dim", type=_COUNT, default=3)
-    sp.add_argument("--family", type=_COUNT, default=4)
-    sp.set_defaults(fn_impl=cmd_tensor_extend)
-    _add_common(sp, "--p", "--seed", "--samples")
-
-    sp = sub.add_parser("calculus-check", help="contour/extended calculus vs the eigen oracle")
-    sp.add_argument("--fn", type=_spec(lambda t: [fc.library(f) for f in t.split(",")]),
-                    default="g", help="comma-separated function ids")
-    sp.add_argument("--A", dest="op", type=_spec(parse_operator), default="leftdiag:1,4")
-    sp.add_argument("--tol", type=_checked(float, _positive), default=1e-6)
-    sp.set_defaults(fn_impl=cmd_calculus_check)
-    _add_common(sp)
-
-    sp = sub.add_parser("identities", help="Gaussian group-average / square-root subordination")
-    sp.add_argument("which", choices=("group-average", "subordination"))
-    sp.add_argument("--diag", type=_checked(str, _finite_floats), default="1,2",
-                    help="diagonal entries of the generator")
-    sp.add_argument("--t", type=_checked(float, _nonnegative), default=1.0)
-    sp.add_argument("--nodes", type=_COUNT, default=64)
-    sp.set_defaults(fn_impl=cmd_identities)
-    _add_common(sp)
-
-    sp = sub.add_parser("sector-profile", help="type angle and resolvent constants")
-    sp.add_argument("--A", dest="op", type=_spec(parse_operator), default="leftdiag:1,2")
-    sp.set_defaults(fn_impl=cmd_sector_profile)
-    _add_common(sp, "--p")
-
-    sp = sub.add_parser("rbound", help="boundedness constants of scaled-resolvent families")
-    sp.add_argument("--A", dest="op", type=_spec(parse_operator), default="leftdiag:0.5,1,2")
-    sp.add_argument("--theta", type=_checked(float, rbound.check_test_angle), nargs="+",
-                    default=[0.8], help="test angles in (0, pi)")
-    sp.add_argument("--restarts", type=_COUNT, default=16)
-    sp.add_argument("--iters", type=_COUNT, default=25)
-    sp.add_argument("--points", type=_checked(int, fc.check_ray_points), default=12,
-                    help="ray family size (even)")
-    sp.set_defaults(fn_impl=cmd_rbound)
-    _add_common(sp, "--p", "--seed")
-
-    sp = sub.add_parser("sqfn-equiv", help="square-function norm equivalence constants")
-    sp.add_argument("--A", dest="op", type=_spec(parse_operator), default="leftdiag:0.5,1,2.5,4")
-    sp.add_argument("--fn", type=_spec(fc.library), default="sqrtzexp")
-    sp.add_argument("--variant", choices=("col", "row", "rad"), default="col")
-    sp.set_defaults(fn_impl=cmd_sqfn_equiv)
-    _add_common(sp, "--p", "--seed", "--samples", "--strict", "--grid")
-
-    sp = sub.add_parser("rowcol-gap", help="row/column square function gap family")
-    sp.add_argument("--n", type=_COUNT, nargs="+", default=[4, 8, 16])
-    sp.add_argument("--p", type=_checked(float, sqfn.check_gap_exponent), default=4.0,
-                    help="Schatten exponent above 2")
-    sp.set_defaults(fn_impl=cmd_rowcol_gap)
-    _add_common(sp, "--grid")
-
-    sp = sub.add_parser("schur", help="distance-symbol semigroup checks")
-    sp.add_argument("--points", type=_COUNT, default=8)
-    sp.add_argument("--spacing", type=float, default=1.0)
-    sp.add_argument("--t", type=_checked(float, _nonnegative), default=0.7)
-    sp.add_argument("--amplification", type=_COUNT, default=4)
-    sp.set_defaults(fn_impl=cmd_schur)
-    _add_common(sp)
-
-    sp = sub.add_parser("freegroup", help="free-group norms / length-decay / dyadic shells")
-    sp.add_argument("which", choices=("norms", "poisson", "dyadic"))
-    sp.add_argument("--even-p", type=int, default=4, choices=freegroup.EVEN_PS)
-    sp.add_argument("--shells", type=int, default=3,
-                    choices=range(1, len(DYADIC_POOLS) + 1))
-    sp.set_defaults(fn_impl=cmd_freegroup)
-    _add_common(sp, "--seed", "--samples")
-
-    sp = sub.add_parser("qfock", help="twisted Gram positivity / moments / OU spectrum")
-    sp.set_defaults(fn_impl=cmd_qfock)
-    _add_modes(sp, {
+SUBCOMMANDS = {
+    "schatten-selftest": Subcommand("norm/modulus/sqrt identities", cmd_schatten_selftest, {
+        "--dim": dict(type=_COUNT, default=4),
+    }, ("--dim", "--seed")),
+    "khintchine": Subcommand("sign-average sandwich ratios for random families", cmd_khintchine, {
+        "--dim": dict(type=_COUNT, default=3),
+        "--family": dict(type=_COUNT, default=4, help="family length"),
+        "--iters": dict(type=_COUNT, default=ConvexCfg.iters,
+                        help="L-BFGS iterations per smoothing stage of the p < 2 solver"),
+    }, ("--dim", "--family", "--iters", "--p", "--seed", "--samples", "--strict")),
+    "tensor-extend": Subcommand("index-space contraction checks", cmd_tensor_extend, {
+        "--dim": dict(type=_COUNT, default=3),
+        "--family": dict(type=_COUNT, default=4),
+    }, ("--dim", "--family", "--p", "--seed", "--samples")),
+    "calculus-check": Subcommand("contour/extended calculus vs the eigen oracle", cmd_calculus_check, {
+        "--fn": dict(type=_spec(lambda t: [fc.library(f) for f in t.split(",")]),
+                     default="g", help="comma-separated function ids"),
+        "--A": dict(dest="op", type=_spec(parse_operator), default="leftdiag:1,4"),
+        "--tol": dict(type=_checked(float, _positive), default=1e-6),
+    }, ("--fn", "--A", "--tol")),
+    "identities": Subcommand("Gaussian group-average / square-root subordination", cmd_identities, {
+        "--diag": dict(type=_checked(str, _finite_floats), default="1,2",
+                       help="diagonal entries of the generator"),
+        "--t": dict(type=_checked(float, _nonnegative), default=1.0),
+        "--nodes": dict(type=_COUNT, default=64),
+    }, {"group-average": ("--diag", "--nodes"), "subordination": ("--diag", "--t")}),
+    "sector-profile": Subcommand("type angle and resolvent constants", cmd_sector_profile, {
+        "--A": dict(dest="op", type=_spec(parse_operator), default="leftdiag:1,2"),
+    }, ("--A", "--p")),
+    "rbound": Subcommand("boundedness constants of scaled-resolvent families", cmd_rbound, {
+        "--A": dict(dest="op", type=_spec(parse_operator), default="leftdiag:0.5,1,2"),
+        "--theta": dict(type=_checked(float, rbound.check_test_angle), nargs="+",
+                        default=[0.8], help="test angles in (0, pi)"),
+        "--restarts": dict(type=_COUNT, default=16),
+        "--iters": dict(type=_COUNT, default=25),
+        "--points": dict(type=_checked(int, fc.check_ray_points), default=12,
+                         help="ray family size (even)"),
+    }, ("--A", "--theta", "--restarts", "--iters", "--points", "--p", "--seed")),
+    "sqfn-equiv": Subcommand("square-function norm equivalence constants", cmd_sqfn_equiv, {
+        "--A": dict(dest="op", type=_spec(parse_operator), default="leftdiag:0.5,1,2.5,4"),
+        "--fn": dict(type=_spec(fc.library), default="sqrtzexp"),
+        "--variant": dict(choices=("col", "row", "rad"), default="col"),
+    }, ("--A", "--fn", "--variant", "--p", "--seed", "--samples", "--strict", "--grid")),
+    "rowcol-gap": Subcommand("row/column square function gap family", cmd_rowcol_gap, {
+        "--n": dict(type=_COUNT, nargs="+", default=[4, 8, 16]),
+        "--p": dict(type=_checked(float, sqfn.check_gap_exponent), default=4.0,
+                    help="Schatten exponent above 2"),
+    }, ("--n", "--p", "--grid")),
+    "schur": Subcommand("distance-symbol semigroup checks", cmd_schur, {
+        "--points": dict(type=_COUNT, default=8),
+        "--spacing": dict(type=float, default=1.0),
+        "--t": dict(type=_checked(float, _nonnegative), default=0.7),
+        "--amplification": dict(type=_COUNT, default=4),
+    }, ("--points", "--spacing", "--t", "--amplification")),
+    "freegroup": Subcommand("free-group norms / length-decay / dyadic shells", cmd_freegroup, {
+        "--even-p": dict(type=int, default=4, choices=freegroup.EVEN_PS),
+        "--shells": dict(type=int, default=3, choices=range(1, len(DYADIC_POOLS) + 1)),
+    }, {"norms": ("--even-p",), "poisson": ("--even-p", "--seed", "--samples"),
+        "dyadic": ("--even-p", "--seed", "--samples", "--shells")}),
+    "qfock": Subcommand("twisted Gram positivity / moments / OU spectrum", cmd_qfock, {
         "--q": dict(type=_checked(float, fock.check_q), default=0.5, help="deformation in (-1, 1)"),
         "--d": dict(type=_COUNT, default=2),
         "--levels": dict(type=_checked(int, fock.check_level), default=4, help="top level, 0..6"),
         "--t": dict(type=_checked(float, _nonnegative), default=0.8),
-    }, gram=("--q", "--d", "--levels"), moments=("--q", "--d"),
-        ou=("--q", "--d", "--levels", "--t"))
-
-    sp = sub.add_parser("clifford", help="spin-system semigroup / length multiplier")
-    sp.set_defaults(fn_impl=cmd_clifford)
-    _add_modes(sp, {
+    }, {"gram": ("--q", "--d", "--levels"), "moments": ("--q", "--d"),
+        "ou": ("--q", "--d", "--levels", "--t")}),
+    "clifford": Subcommand("spin-system semigroup / length multiplier", cmd_clifford, {
         "--n": dict(type=_checked(int, clifford.check_frame_n), default=3,
                     help=f"generator count, 1..{clifford.DIAG_OP_MAX}"),
         "--t": dict(type=_checked(float, _nonnegative), default=0.4),
         "--fn": dict(type=_spec(fc.library), default="zis:0.5"),
-    }, semigroup=("--n", "--t"), multiplier=("--n", "--fn", "--seed"))
+    }, {"semigroup": ("--n", "--t"), "multiplier": ("--n", "--fn", "--seed")}),
+    "martingale": Subcommand("tower boundedness / Cesaro increments", cmd_martingale, {
+        "--n-factors": dict(type=_COUNT, default=3),
+        "--m-count": dict(type=_COUNT, default=24),
+        "--restarts": dict(type=_COUNT, default=8),
+        "--iters": dict(type=_COUNT, default=20),
+    }, {"stein": ("--n-factors", "--p", "--seed", "--restarts", "--iters"),
+        "cesaro": ("--n-factors", "--m-count", "--p", "--seed")}),
+}
 
-    sp = sub.add_parser("martingale", help="tower boundedness / Cesaro increments")
-    sp.add_argument("which", choices=("stein", "cesaro"))
-    sp.add_argument("--n-factors", type=_COUNT, default=3)
-    sp.add_argument("--m-count", type=_COUNT, default=24)
-    sp.add_argument("--restarts", type=_COUNT, default=8)
-    sp.add_argument("--iters", type=_COUNT, default=20)
-    sp.set_defaults(fn_impl=cmd_martingale)
-    _add_common(sp, "--p", "--seed")
 
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The nclp parser for ``argv``.  Every subcommand is on it with its
+    help, so that ``nclp --help`` lists them all and a wrong name is an
+    invalid choice, but only the one argv names (its first token that is
+    not a flag) gets its arguments."""
+    ap = argparse.ArgumentParser(prog="nclp", description=__doc__)
+    ap.add_argument("--version", action="version", version=f"nclp {__version__}")
+    sub = ap.add_subparsers(dest="command", required=True)
+    named = next((t for t in argv if not t.startswith("-")), None)
+    for name, cmd in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        sp.set_defaults(fn_impl=cmd.impl)
+        if name == named:
+            _add_flags(sp, cmd.flags, cmd.reads)
     return ap
 
 
@@ -743,7 +735,7 @@ def exit_code(meta, rows, strict=False) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser()
+    ap = build_parser(argv)
     try:
         args = ap.parse_args(argv)
         if args.config:

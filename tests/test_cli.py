@@ -167,6 +167,23 @@ class TestSubcommands:
         assert exc.value.code == 0
         assert "hoelder_2_2_1" in capsys.readouterr().out
 
+    def test_help_lists_every_subcommand(self, capsys):
+        assert cli.main(["--help"]) == 0
+        listing = capsys.readouterr().out
+        assert all(name in listing for name in cli.SUBCOMMANDS)
+        assert cli.main(["no-such-command"]) == cli.EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(cli.SUBCOMMANDS))
+    def test_subcommand_help(self, capsys, name):
+        # the parser fills in only the arguments of the subcommand argv names
+        assert cli.main([name, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: nclp {name}")
+        reads = cli.SUBCOMMANDS[name].reads
+        shown = ["{" + ",".join(reads) + "}"] if isinstance(reads, dict) else [*reads, "--out"]
+        assert all(flag in text for flag in shown)
+
     def test_rbound_writes_witness_files(self, tmp_path):
         path = tmp_path / "rb.csv"
         code = cli.main(
@@ -323,13 +340,23 @@ class TestErrorPaths:
             ["clifford", "semigroup", "--samples", "2"],
             ["martingale", "stein", "--seed", "1", "--strict"],
             # a mode's flags exist only on the modes that read them
-            *(pytest.param(argv, id="-".join(t.lstrip("-") for t in argv[:3])) for argv in [
+            *(pytest.param(argv, id="-".join(argv[:2] + [t[2:] for t in argv if t.startswith("--")]))
+              for argv in [
                 ["qfock", "gram", "--t", "5"],
                 ["qfock", "moments", "--t", "5"],
                 ["qfock", "moments", "--levels", "2"],
                 ["clifford", "multiplier", "--t", "1"],
                 ["clifford", "semigroup", "--fn", "g"],
                 ["clifford", "semigroup", "--seed", "1"],
+                ["identities", "group-average", "--t", "5"],
+                ["identities", "subordination", "--nodes", "3"],
+                ["freegroup", "norms", "--seed", "1"],
+                ["freegroup", "norms", "--samples", "3"],
+                ["freegroup", "norms", "--shells", "2"],
+                ["freegroup", "poisson", "--seed", "1", "--shells", "2"],
+                ["martingale", "stein", "--seed", "1", "--m-count", "3"],
+                ["martingale", "cesaro", "--seed", "1", "--restarts", "2"],
+                ["martingale", "cesaro", "--seed", "1", "--iters", "2"],
             ]),
         ],
         ids=lambda argv: "-".join([argv[0]] + [t[2:] for t in argv if t.startswith("--")]),

@@ -507,6 +507,13 @@ def _sylvester_dense(rng, d):
     return fc.DenseOp(np.kron(am, eye) + np.kron(eye, bm.T))
 
 
+def _tail_cut(op, f, spec):
+    """The grid positions (t_lo, t_hi) that the sweep of f on op keeps
+    strictly between."""
+    r, w = _grid_nodes(spec)
+    return fc._tail_cut(op, r, fc._contour_coefficients(f, spec, (r, w))[1][None])
+
+
 def _complex_dense(op):
     """A complex-entry DenseOp similar to ``op`` through a diagonal unitary:
     same spectrum, same non-normality, nonzero imaginary parts."""
@@ -594,21 +601,84 @@ class TestContourSweep:
         assert lower.size <= 16 * grid.rule()[0].size
         assert all(part.size <= fc._BATCH_ENTRIES // 64**2 for part in nodes)
 
-    def test_g_stops_with_half_the_nodes_of_zexp(self, rng, monkeypatch):
-        # g is resolved at step 0.2; z e^-z needs the grid's 0.1, every node of it
+    def test_tail_cut_counts_on_dense8(self, rng, monkeypatch):
+        # of the grid's 199 nodes, the tail cut leaves z e^-z and sqrt(z) e^-z,
+        # which need the grid's step 0.1, 106 and 109; g is still resolved at
+        # step 0.2, on every second grid node inside its cut
         op = _sylvester_dense(rng, 8)
         nodes = _inverted_nodes(monkeypatch, op)
-        counts = {}
-        for fid in ("zexp", "g"):
+        inverted = {}
+        for fid in ("zexp", "sqrtzexp", "g"):
             nodes.clear()
             fc.contour_calculus(op, fc.library(fid))
-            counts[fid] = sum(part.size for part in nodes)
-        assert counts["zexp"] == fc.default_contour(op, fc.library("zexp")).rule()[0].size
-        assert 0.45 <= counts["g"] / counts["zexp"] <= 0.55
+            inverted[fid] = np.concatenate(nodes)
+        assert {fid: z.size for fid, z in inverted.items()} == {"zexp": 106, "sqrtzexp": 109, "g": 88}
+        g = fc.library("g")
+        spec = fc.default_contour(op, g)
+        assert spec.rule()[0].size == 199
+        lo, hi = _tail_cut(op, g, spec)
+        t = np.arange(0, 199, 2)
+        r = np.exp(spec.rule()[0][t[(t > lo) & (t < hi)]])
+        assert np.allclose(np.sort(np.abs(inverted["g"])), r, rtol=1e-14)
+
+    @pytest.mark.parametrize("case", ["dense8/zexp", "dense8/sqrtzexp", "dense8/g", "narrow/zexp"])
+    def test_tail_cut_moves_each_level_below_roundoff(self, rng, case):
+        """Every level's sum with and without the nodes the cut drops differ
+        by at most 2 eps mass, mass = sum_j |c_j| / |z_j| over the grid, and
+        the dropped nodes alone sum to at most eps / 2 * mass.  The
+        narrow-margin operator refines to h/16, so all eight levels count."""
+        name, fid = case.split("/")
+        op = _sylvester_dense(rng, 8) if name == "dense8" else _narrow_margin_op(1.3)
+        f = fc.library(fid)
+        spec = fc.default_contour(op, f)
+        z, c = fc._contour_coefficients(f, spec, _grid_nodes(spec))
+        eps, mass = np.finfo(float).eps, np.sum(np.abs(c) / np.abs(z))
+        lo, hi = _tail_cut(op, f, spec)
+        sums = {"full": 0.0, "cut": 0.0, "dropped": 0.0}
+        for stride, t in spec.levels():
+            keep = (t > lo) & (t < hi)
+            assert np.any(~keep)
+            for part, sel in (("full", ...), ("cut", keep), ("dropped", ~keep)):
+                z, c = fc._contour_coefficients(f, spec, spec.nodes(t[sel]))
+                sums[part] = sums[part] + fc._resolvent_sums(z, c[None], op.symbol)[0]
+            assert stride * np.max(np.abs(sums["full"] - sums["cut"])) <= 2 * eps * mass
+            assert stride * np.max(np.abs(sums["dropped"])) <= eps / 2 * mass
+
+    @pytest.mark.parametrize("kind", ["condexp4", "left-kernel"])
+    def test_kernel_keeps_the_whole_lower_tail(self, monkeypatch, kind):
+        # a zero singular value bounds no resolvent below the spectrum, so the
+        # smallest grid radius is still inverted; the upper tail is still cut
+        op = {
+            "condexp4": martingale.CondExpOp(martingale.MartingaleTower(2), 1),
+            "left-kernel": fc.LeftMult(np.diag([0.0, 1e-4, 1e4])),
+        }[kind]
+        f = fc.library("zexp")
+        spec = fc.default_contour(op, f)
+        lo, hi = _tail_cut(op, f, spec)
+        assert lo == -1 and hi < spec.rule()[0].size
+        nodes = _inverted_nodes(monkeypatch, op)
+        fc.contour_calculus(op, f)
+        assert np.isclose(np.min(np.abs(np.concatenate(nodes))), np.exp(spec.rule()[0][0]), rtol=1e-12)
+
+    @pytest.mark.parametrize("make", [fc.LeftMult, fc.SchurMult])
+    def test_underflowed_coefficients_raise_no_warning(self, make):
+        # e^-z underflows to 0 on the rays well below |z| = 1e4, where no
+        # resolvent bound holds; the cut never multiplies such a 0 by inf
+        op = make(np.array([[1e-3, 0.5], [0.0, 1e4]]))
+        f = fc.library("zexp")
+        spec = fc.default_contour(op, f)
+        r = _grid_nodes(spec)[0]
+        _, c = fc._contour_coefficients(f, spec, _grid_nodes(spec))
+        assert np.any((c[: r.size] == 0) & (r < 1e4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = fc.contour_calculus(op, f).symbol
+        oracle = fc.eigen_calculus(op, f).symbol
+        assert np.max(np.abs(out - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
     def test_levels_nest_into_the_grid(self):
         spec = fc.ContourSpec(gamma=1.0, c=0.3, half_width=1.7)
-        levels = list(spec.levels())
+        levels = [(stride, *spec.nodes(t)) for stride, t in spec.levels()]
         assert [stride for stride, _, _ in levels] == list(fc.LEVEL_STRIDES)
         # the levels down to stride 1 are the grid with its weights, each node once
         r = np.concatenate([lev[1] for lev in levels[:4]])
@@ -661,7 +731,8 @@ class TestContourSweep:
     def test_upper_ray_is_the_conjugate_lower_ray(self, rng):
         f = fc.library("zexp")
         spec = fc.default_contour(_sylvester_dense(rng, 8), f)
-        for _, r, w in spec.levels():
+        for _, t in spec.levels():
+            r, w = spec.nodes(t)
             z, _ = fc._contour_coefficients(f, spec, (r, w))
             assert np.array_equal(z[r.size:], z[: r.size].conj())
 
@@ -689,7 +760,7 @@ class TestContourSweep:
             op = _complex_dense(op)
         f = fc.library("sqrtzexp")
         spec = fc.default_contour(op, f)
-        _, r, w = next(spec.levels())
+        r, w = spec.nodes(next(spec.levels())[1])
         per_chunk = fc._BATCH_ENTRIES // 64**2
         assert r.size % per_chunk  # 25 = 16 + 9
         ref = _looped_contour(op, f, spec, (r, w))
