@@ -3,9 +3,9 @@
 A *superoperator* here is a linear map on the d x d complex matrices.
 Every operator kind exposes its spectral structure through three hooks
 on :class:`LpOperator`: a ``symbol`` (an entrywise eigenvalue array for
-Schur multipliers, unitary-sandwiched Schur forms and ``ax - xb``
-derivations, the d x d factor for left/right multiplication, the
-d^2 x d^2 matrix otherwise), ``with_symbol`` to rebuild the kind from a
+Schur and Pauli multipliers, unitary-sandwiched Schur forms and ``ax - xb``
+derivations, the d x d factor for left/right multiplication, the d^2 x d^2
+matrix otherwise), ``with_symbol`` to rebuild the kind from a
 new symbol, and ``frame()`` to act diagonally on stacks of matrices.
 Scaling, adjoints, resolvents and both calculi act on the symbol only, so
 no algorithm names a kind.  On top of the operator kinds this module
@@ -32,6 +32,7 @@ Pure functions throughout; operators are immutable after construction.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -468,6 +469,48 @@ class SchurMult(LpOperator):
         return self.m, _identity, _identity, _identity, _identity
 
 
+@functools.lru_cache(maxsize=None)
+def _pauli_transform(d: int):
+    """The indices (j ^ a, j) at (a, j), an involution, and Walsh-Hadamard / sqrt(d)."""
+    j, h = np.arange(d), [[1.0, 1.0], [1.0, -1.0]]
+    walsh = functools.reduce(np.kron, [h] * (d.bit_length() - 1), np.ones((1, 1)))
+    return j[:, None] ^ j, j, walsh / math.sqrt(d)
+
+
+class PauliMult(LpOperator):
+    """X^a Z^b -> c[a, b] X^a Z^b on 2^n x 2^n matrices, where the Pauli
+    string X^a Z^b has entry (-1)^{popcount(b & j)} at (j ^ a, j).  The
+    strings over sqrt(d) are trace-orthonormal, so the frame is unitary:
+    into(x)[a, b] = sum_j (-1)^{popcount(b & j)} x[j ^ a, j] / sqrt(d) is one
+    gather and one Walsh-Hadamard product, and out is the inverse scatter."""
+
+    entrywise = True
+
+    def __init__(self, c):
+        self.c = _square_symbol(c, "Pauli multiplier")
+        self.dim = self.c.shape[0]
+        if self.dim & (self.dim - 1):
+            raise ValueError(f"a Pauli multiplier acts on 2^n x 2^n matrices, got {self.dim}")
+        self._rows, self._cols, self._walsh = _pauli_transform(self.dim)
+
+    def _into(self, x):
+        return np.asarray(x, dtype=np.complex128)[..., self._rows, self._cols] @ self._walsh
+
+    def _out(self, y):
+        return (np.asarray(y) @ self._walsh)[..., self._rows, self._cols]
+
+    def apply(self, x):
+        return self._out(self.c * self._into(x))
+
+    symbol = property(lambda self: self.c)
+
+    def with_symbol(self, s):
+        return PauliMult(s)
+
+    def frame(self):
+        return self.c, self._into, self._out, self._out, self._into
+
+
 class SandwichSchur(LpOperator):
     """x -> u (w * (u* x v)) v* with u, v unitary.
 
@@ -585,9 +628,6 @@ class AmplifiedOp(LpOperator):
             lambda z: merge(into_adj(z)),
             lambda y: out_adj(split(y)),
         )
-
-    def spectrum(self):
-        return np.tile(self.base.spectrum(), self.m * self.m)
 
     def opnorm(self, p):
         # every value a kind knows is its cb norm (LpOperator.opnorm)

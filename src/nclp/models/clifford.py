@@ -4,15 +4,16 @@ The generators W_i = Z^{(x)(i-1)} (x) X (x) I^(x)(n-i) on C^(2^n) are
 hermitian unitaries with W_i W_j = -W_j W_i; the ordered products
 V_F = W_{i_1} ... W_{i_m} over increasing index sets F form an orthonormal
 family in the normalized trace that spans the 2^n-dimensional spin
-subalgebra.  The number semigroup scales V_F by e^{-t |F|}; a bounded
-length multiplier scales it by f(|F|).  Both are realized on the full
-matrix algebra as (diagonal action on the V_F frame) composed with the
-trace-preserving conditional expectation onto the spin subalgebra, which
-keeps them unital, trace preserving and completely positive.
+subalgebra.  Up to a phase each V_F is a Pauli string, so a map that
+scales V_F by c(F) and sends the other strings to 0 is a Pauli multiplier
+(:class:`nclp.funcalc.PauliMult`): the number semigroup e^{-t |F|}, a
+length multiplier f(|F|) and their generator |F|, each unital on the spin
+subalgebra and, for the semigroup, completely positive.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 from .. import funcalc as fc
 
 SPIN_MAX = 10  # generator matrices are 2^n x 2^n
-DIAG_OP_MAX = 6  # the V_F frame holds 4^n complex entries
+DIAG_OP_MAX = 6  # a map's dense form and Choi matrix hold 16^n complex entries
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -44,10 +45,7 @@ def spin_generators(n: int) -> SpinRep:
     gens = []
     for i in range(n):
         mats = [_Z] * i + [_X] + [np.eye(2)] * (n - i - 1)
-        acc = mats[0]
-        for m in mats[1:]:
-            acc = np.kron(acc, m)
-        gens.append(acc.astype(complex))
+        gens.append(functools.reduce(np.kron, mats).astype(complex))
     return SpinRep(n=n, w=gens)
 
 
@@ -59,10 +57,7 @@ def v_f(rep: SpinRep, subset) -> np.ndarray:
         raise ValueError(f"indices must lie in 1..{rep.n}")
     if list(subset) != sorted(set(subset)):
         raise ValueError("index set must be strictly increasing")
-    acc = np.eye(rep.dim, dtype=complex)
-    for i in subset:
-        acc = acc @ rep.w[i - 1]
-    return acc
+    return functools.reduce(np.matmul, (rep.w[i - 1] for i in subset), np.eye(rep.dim) + 0j)
 
 
 def all_subsets(n: int):
@@ -76,65 +71,38 @@ def normalized_trace(x) -> complex:
 
 
 def check_frame_n(n: int) -> int:
-    """Frame-diagonal maps exist for 1 <= n <= DIAG_OP_MAX generators."""
+    """The V_F multipliers exist for 1 <= n <= DIAG_OP_MAX generators."""
     if not 1 <= n <= DIAG_OP_MAX:
-        raise ValueError(f"frame-diagonal maps need 1 <= n <= {DIAG_OP_MAX}, got {n}")
+        raise ValueError(f"V_F multipliers need 1 <= n <= {DIAG_OP_MAX}, got {n}")
     return n
 
 
-class CliffordDiagonalOp(fc.LpOperator):
-    """A map diagonal on the V_F frame: x -> sum_F c(F) tau(V_F* x) V_F.
-
-    Since the V_F are trace-orthonormal, the sum with c = 1 is the
-    conditional expectation onto the spin subalgebra; general coefficient
-    functions compose that expectation with the frame-diagonal action.
-    """
-
-    def __init__(self, rep: SpinRep, coeff_fn):
-        check_frame_n(rep.n)
-        self.rep = rep
-        self.dim = rep.dim
-        self.subsets = list(all_subsets(rep.n))
-        self.vfs = np.stack([v_f(rep, s) for s in self.subsets])
-        self.coeffs = np.array([complex(coeff_fn(s)) for s in self.subsets])
-
-    def apply(self, x):
-        x = np.asarray(x, dtype=complex)
-        # tau(V_F* x) against the trace-orthonormal frame
-        comps = np.einsum("fab,...ab->...f", self.vfs.conj(), x) / self.dim
-        return np.einsum("...f,fab->...ab", self.coeffs * comps, self.vfs)
-
-    def spectrum(self):
-        # eigenvalues on the frame plus 0 on its orthocomplement
-        extra = self.dim * self.dim - len(self.subsets)
-        return np.concatenate([self.coeffs, np.zeros(extra, dtype=complex)])
-
-    def dagger(self):
-        out = CliffordDiagonalOp.__new__(CliffordDiagonalOp)
-        out.rep = self.rep
-        out.dim = self.dim
-        out.subsets = self.subsets
-        out.vfs = self.vfs
-        out.coeffs = np.conj(self.coeffs)
-        return out
-
-    def __repr__(self):
-        return f"CliffordDiagonalOp(n={self.rep.n})"
+def _pauli_multiplier(rep: SpinRep, coeff_fn) -> fc.PauliMult:
+    """x -> sum_F c(F) tau(V_F* x) V_F: c(F) on the string of V_F, which is X
+    on the sites in F and Z on site j when an odd number of F's indices lie
+    above j (site 1 the top bit), and 0 on every other string."""
+    n = check_frame_n(rep.n)
+    c = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for s in all_subsets(n):
+        a = sum(1 << (n - i) for i in s)
+        b = sum(1 << (n - j) for j in range(1, n + 1) if sum(i > j for i in s) % 2)
+        c[a, b] = coeff_fn(s)
+    return fc.PauliMult(c)
 
 
-def clifford_semigroup(rep: SpinRep, t: float) -> CliffordDiagonalOp:
+def clifford_semigroup(rep: SpinRep, t: float) -> fc.PauliMult:
     """The number semigroup V_F -> e^{-t |F|} V_F."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return CliffordDiagonalOp(rep, lambda s: math.exp(-t * len(s)))
+    return _pauli_multiplier(rep, lambda s: math.exp(-t * len(s)))
 
 
-def clifford_multiplier(rep: SpinRep, f):
+def clifford_multiplier(rep: SpinRep, f) -> fc.PauliMult:
     """The length multiplier V_F -> f(|F|) V_F on nonempty F; the identity
     component is kept."""
-    return CliffordDiagonalOp(rep, lambda s: f(len(s)) if s else 1.0)
+    return _pauli_multiplier(rep, lambda s: f(len(s)) if s else 1.0)
 
 
-def number_operator(rep: SpinRep) -> CliffordDiagonalOp:
+def number_operator(rep: SpinRep) -> fc.PauliMult:
     """V_F -> |F| V_F, the generator of the number semigroup."""
-    return CliffordDiagonalOp(rep, lambda s: float(len(s)))
+    return _pauli_multiplier(rep, lambda s: float(len(s)))

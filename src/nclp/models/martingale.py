@@ -68,28 +68,20 @@ def cond_exp(tower: MartingaleTower, k: int, x) -> np.ndarray:
     return np.kron(np.eye(dr), kept)
 
 
-class CondExpOp(fc.LpOperator):
-    """The k-th conditional expectation as an operator kind."""
+class CondExpOp(fc.PauliMult):
+    """The k-th conditional expectation: the Pauli multiplier with symbol 1
+    on the strings that are the identity on every discarded factor (factor
+    1 the top bit), whose ``apply`` is :func:`cond_exp`."""
 
     def __init__(self, tower: MartingaleTower, k: int):
-        self.tower = tower
-        self.k = k
-        self.dim = tower.dim
-        cond_exp(tower, k, np.zeros((self.dim, self.dim)))  # validate level
+        cond_exp(tower, k, np.zeros((tower.dim, tower.dim)))  # validate level
+        dropped = (tower.dim - 1) >> k << (k if tower.direction == "decreasing" else 0)
+        s = np.arange(tower.dim)
+        super().__init__(((s[:, None] | s) & dropped) == 0)
+        self.tower, self.k = tower, k
 
     def apply(self, x):
         return cond_exp(self.tower, self.k, x)
-
-    def dagger(self):
-        return self  # trace-orthogonal projection
-
-    def spectrum(self):
-        # projection: eigenvalues are 0 and 1 (both occur for k < N)
-        if self.k == self.tower.n_factors:
-            return np.ones(self.dim * self.dim, dtype=complex)
-        out = np.zeros(self.dim * self.dim, dtype=complex)
-        out[: 4**self.k] = 1.0
-        return out
 
     def __repr__(self):
         return f"CondExpOp(N={self.tower.n_factors}, k={self.k}, {self.tower.direction})"

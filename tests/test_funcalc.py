@@ -117,6 +117,11 @@ def _kind_cases():
         ("amplified", lambda: fc.AmplifiedOp(fc.LeftMult(herm), 2)),
         ("condexp", lambda: martingale.CondExpOp(martingale.MartingaleTower(2), 1)),
         ("clifford", lambda: clifford.clifford_semigroup(clifford.spin_generators(2), 0.3)),
+        ("number", lambda: clifford.number_operator(clifford.spin_generators(2))),
+        ("condexp-decreasing",
+         lambda: martingale.CondExpOp(martingale.MartingaleTower(2, "decreasing"), 1)),
+        ("amplified-condexp",
+         lambda: fc.AmplifiedOp(martingale.CondExpOp(martingale.MartingaleTower(2), 1), 2)),
     ]
 
 
@@ -152,6 +157,58 @@ class TestKindContract:
             (into_adj(np.conj(lam) * out_adj(x)), op.dagger().apply(x)),
         ):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_no_kind_overrides_spectrum_or_dagger(self):
+        # both follow from the symbol (LpOperator), so a kind that writes its
+        # own has left the spectral interface
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        own = [
+            f"{cls.__module__}.{cls.__qualname__}.{name}"
+            for cls in subclasses(fc.LpOperator)
+            if cls.__module__.startswith(("nclp.funcalc", "nclp.models"))
+            for name in ("spectrum", "dagger")
+            if name in vars(cls)
+        ]
+        assert own == []
+
+
+def _pauli_string(d, a, b):
+    """X^a Z^b on d x d matrices from its definition: entry (j ^ a, j) is
+    (-1)^{popcount(b & j)}."""
+    p = np.zeros((d, d))
+    for j in range(d):
+        p[j ^ a, j] = (-1) ** bin(b & j).count("1")
+    return p
+
+
+class TestPauliMult:
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+    def test_frame_is_unitary(self, rng, d):
+        _, into, out, into_adj, out_adj = fc.PauliMult(np.ones((d, d))).frame()
+        units = np.eye(d * d).reshape(d * d, d, d)
+        u = into(units).reshape(d * d, d * d).T
+        assert np.max(np.abs(u.conj().T @ u - np.eye(d * d))) <= 1e-14
+        xs = random_matrix(rng, d, 3 * d).reshape(d, 3, d).swapaxes(0, 1)
+        assert np.max(np.abs(out(into(xs)) - xs)) <= 1e-14 * np.max(np.abs(xs))
+        assert into_adj == out and out_adj == into  # the same bound methods
+
+    def test_eigenvalue_on_every_string(self, rng):
+        d = 8
+        c = random_matrix(rng, d)
+        op = fc.PauliMult(c)
+        for a in range(d):
+            for b in range(d):
+                p = _pauli_string(d, a, b)
+                assert np.max(np.abs(op.apply(p) - c[a, b] * p)) <= 1e-14 * np.max(np.abs(c))
+
+    @pytest.mark.parametrize("d", [3, 6, 12])
+    def test_non_power_of_two_is_refused(self, d):
+        with pytest.raises(ValueError, match="2\\^n x 2\\^n"):
+            fc.PauliMult(np.ones((d, d)))
 
 
 def _stack_kinds():
@@ -565,7 +622,7 @@ class TestContourSweep:
             "left": fc.LeftMult(nonnormal),
             "right": fc.RightMult(nonnormal),
             "amplified": fc.AmplifiedOp(fc.LeftMult(diag), 2),
-            "condexp": martingale.CondExpOp(martingale.MartingaleTower(2), 1),
+            "condexp": fc.DenseOp(martingale.CondExpOp(martingale.MartingaleTower(2), 1).to_dense()),
             "dense5": _sylvester_dense(rng, 5),
         }[kind]
         f = fc.library(fid)
@@ -649,7 +706,7 @@ class TestContourSweep:
         # a zero singular value bounds no resolvent below the spectrum, so the
         # smallest grid radius is still inverted; the upper tail is still cut
         op = {
-            "condexp4": martingale.CondExpOp(martingale.MartingaleTower(2), 1),
+            "condexp4": fc.DenseOp(martingale.CondExpOp(martingale.MartingaleTower(2), 1).to_dense()),
             "left-kernel": fc.LeftMult(np.diag([0.0, 1e-4, 1e4])),
         }[kind]
         f = fc.library("zexp")

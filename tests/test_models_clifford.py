@@ -130,3 +130,66 @@ class TestMultiplier:
             x = sum(c * clifford.v_f(rep3, s) for c, s in zip(coeffs, subs))
             lhs = np.linalg.norm(mult.apply(x), 2)
             assert lhs <= 1.0 * np.linalg.norm(x, 2) * math.sqrt(8) + 1e-9
+
+
+def _maps(rep):
+    """Every Clifford map with its coefficient function c(F)."""
+    zis = fc.library("zis:0.8")
+    return {
+        "semigroup": (clifford.clifford_semigroup(rep, 0.37), lambda s: math.exp(-0.37 * len(s))),
+        "multiplier": (
+            clifford.clifford_multiplier(rep, lambda m: complex(zis(np.array([float(m)]))[0])),
+            lambda s: complex(zis(np.array([float(len(s))]))[0]) if s else 1.0,
+        ),
+        "number": (clifford.number_operator(rep), len),
+    }
+
+
+class TestPauliForm:
+    """The Clifford maps are Pauli multipliers with c(F) on the string of V_F."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["semigroup", "multiplier", "number"])
+    def test_equals_the_vf_sum(self, n, name):
+        # oracle: x -> sum_F c(F) tau(V_F* x) V_F over the stacked frame
+        rep = clifford.spin_generators(n)
+        op, coeff = _maps(rep)[name]
+        subsets = list(clifford.all_subsets(n))
+        vfs = np.stack([clifford.v_f(rep, s) for s in subsets])
+        c = np.array([complex(coeff(s)) for s in subsets])
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((3, rep.dim, rep.dim)) + 1j * rng.standard_normal((3, rep.dim, rep.dim))
+        comps = np.einsum("fab,...ab->...f", vfs.conj(), x) / rep.dim
+        ref = np.einsum("...f,fab->...ab", c * comps, vfs)
+        assert isinstance(op, fc.PauliMult)
+        assert np.max(np.abs(op.apply(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "name,n",
+        [(name, n) for n in (1, 2, 3) for name in ("semigroup", "real-multiplier", "number")]
+        + [("number", 4)],
+    )
+    @pytest.mark.parametrize("calc,fid", [(fc.contour_calculus, "zexp"),
+                                          (fc.extended_calculus, "zis:0.8")])
+    def test_calculus_matches_the_dense_path(self, name, n, calc, fid):
+        rep = clifford.spin_generators(n)
+        op = {
+            "semigroup": lambda: clifford.clifford_semigroup(rep, 0.3),
+            "real-multiplier": lambda: clifford.clifford_multiplier(rep, lambda m: 1.0 / (1.0 + m)),
+            "number": lambda: clifford.number_operator(rep),
+        }[name]()
+        f = fc.library(fid)
+        got = calc(op, f)
+        want = calc(fc.DenseOp(op.to_dense()), f).to_dense()
+        assert isinstance(got, fc.PauliMult)
+        assert np.max(np.abs(got.to_dense() - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("calc,fid", [(fc.contour_calculus, "zexp"),
+                                          (fc.extended_calculus, "zis:0.8")])
+    def test_number_operator_calculus_matches_the_eigen_oracle(self, n, calc, fid):
+        op = clifford.number_operator(clifford.spin_generators(n))
+        f = fc.library(fid)
+        got = calc(op, f).symbol
+        want = fc.eigen_calculus(op, f).symbol
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

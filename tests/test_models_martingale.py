@@ -96,8 +96,9 @@ class TestCondExpOp:
         assert np.allclose(np.sort(lam), dense_lam, atol=1e-10)
 
     def test_dagger_is_self(self, tower):
+        # a trace-orthogonal projection: its adjoint is the same map
         op = martingale.CondExpOp(tower, 2)
-        assert op.dagger() is op
+        assert np.max(np.abs(op.dagger().to_dense() - op.to_dense())) <= 1e-15
 
 
 class TestSteinBound:
