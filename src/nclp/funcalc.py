@@ -510,6 +510,11 @@ class PauliMult(LpOperator):
     def frame(self):
         return self.c, self._into, self._out, self._out, self._into
 
+    def opnorm(self, p):
+        # the frame is unitary in the trace inner product of S^2, so there the
+        # map is the multiplication by c on the coefficients
+        return float(np.max(np.abs(self.c))) if p == 2.0 else None
+
 
 class SandwichSchur(LpOperator):
     """x -> u (w * (u* x v)) v* with u, v unitary.

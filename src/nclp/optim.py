@@ -6,30 +6,39 @@ always of the shape
     minimize_v  || L1(v) ||_p  +  || L2(v0 - v) ||_p
 
 with L1, L2 linear maps from an array of matrices into a single (stacked)
-matrix.  The objective is convex but nonsmooth.  The solver runs one
-deterministic smoothing continuation: singular values s become
-sqrt(s^2 + mu^2), and for mu = scale * 10^-k, k = 1, 2, ..., a
-limited-memory BFGS run (two-loop recursion, Armijo backtracking) in the
-real inner product Re tr(x* y) minimizes the smoothed objective.  The
-first stage starts at the better of the trivial splits v = v0 and v = 0,
-whose objective is the scale; each later stage starts where the last one
-ended.  Smoothed values and
-gradients come from one eigendecomposition of the small Gram matrix of
-each image (y*y or y y*), never a tall SVD.
+matrix.  The objective is convex but nonsmooth.  The solver starts at
+the better of the trivial splits v = v0 and v = 0, whose objective
+min(||L1 v0||_p, ||L2 v0||_p) is the scale, and certifies it (below).
+Unless that already closes the interval, it runs one deterministic
+smoothing continuation: singular values s become sqrt(s^2 + mu^2), and
+for mu = scale * 10^-k, k = 1, 2, ..., a limited-memory BFGS run
+(two-loop recursion, Armijo backtracking) in the real inner product
+Re tr(x* y) minimizes the smoothed objective.  The first stage starts at
+the trivial split, each later one where the last one ended.  Smoothed
+values and gradients come from one eigendecomposition of the small Gram
+matrix of each image (y*y or y y*), never a tall SVD.
 
-Every stage ends with an interval [lower, upper] for the infimum.  The
-upper end is the exact (SVD) objective of the best point seen, trivial
-splits included, so it never exceeds min(||L1 v0||_p, ||L2 v0||_p).  The
-lower end is weak duality: whenever L1* xi1 = L2* xi2 = w,
+The start and every stage end with an interval [lower, upper] for the
+infimum.  The upper end is the exact (SVD) objective of the best point
+seen, trivial splits included, so it never exceeds
+min(||L1 v0||_p, ||L2 v0||_p).  The lower end is weak duality: whenever
+L1* xi1 = L2* xi2 = w,
 
     ||L1 v||_p + ||L2 (v0 - v)||_p  >=  Re<w, v0> / max(||xi1||_p', ||xi2||_p')
 
-for every v, by Hoelder on each term.  The certificate takes xi1 = g1, the
-smoothed gradient of side 1, and xi2 = g2 + L2 z, the side-2 gradient
-corrected by conjugate gradients on L2* L2 z = w - L2* g2.  For the sum
-norm the denominator is the intersection norm in p', the dual of the sum
-norm (Lust-Piquard--Pisier).  A run is "converged" exactly when
-upper - lower <= tol * upper; otherwise it ends "budget-exhausted" after
+for every v, by Hoelder on each term.  One certificate holds xi on one
+side and corrects the other side by conjugate gradients.  A stage holds
+xi1 = g1, the smoothed gradient of side 1, and takes xi2 = g2 + L2 z, the
+side-2 gradient corrected through L2* L2 z = w - L2* g2.  The start holds
+the side the trivial split keeps, with xi its exact norming element (an
+S^p'-unit), and takes L z on the side whose image is 0, with
+L* L z = w.  For the sum norm the denominator is the intersection norm in
+p', the dual of the sum norm (Lust-Piquard--Pisier).  So the start closes
+the interval when the trivial split is optimal and its norming element,
+so corrected, attains that dual norm, as on a family u_j = c_j y.  A run is
+"converged" exactly when upper - lower <= tol * upper, checked before
+every stage; a run that converges at its start reports ``iters`` 0 and
+its trivial split.  Otherwise it ends "budget-exhausted" after
 MU_DECADES stages and still reports its interval.
 """
 
@@ -41,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import conjugate_exponent, schatten_norm
+from .core import conjugate_exponent, polar_factor, schatten_norm
 
 MU_DECADES = 8  # smoothing stages mu = scale * 10^-k, k = 1..MU_DECADES
 MEMORY = 8  # L-BFGS correction pairs
@@ -192,7 +201,10 @@ def minimize_split_schatten(
     interval for the infimum.
 
     ``fwd1``/``adj1`` and ``fwd2``/``adj2`` are the forward maps and their
-    adjoints with respect to the real trace inner product.
+    adjoints with respect to the real trace inner product.  The better
+    trivial split is certified before any smoothing stage; when its
+    interval is already within ``cfg.tol``, no stage runs and the result
+    has ``iters`` 0 (the trivial split is optimal to that tolerance).
     """
     if cfg is None:
         cfg = ConvexCfg()
@@ -213,18 +225,27 @@ def minimize_split_schatten(
         f, g1, g2 = side_grads(v, mu)
         return f, adj1(g1) - adj2(g2)
 
-    def certificate(v, mu):
-        _, g1, g2 = side_grads(v, mu)
-        w = adj1(g1)
-        z = _conjugate_gradients(lambda u: adj2(fwd2(u)), w - adj2(g2), 2 * v0.size)
-        dual = max(schatten_norm(g1, dual_p), schatten_norm(g2 + fwd2(z), dual_p))
+    def certificate(held, other, xi, held_norm, g_other):
+        """Weak duality with xi on the held side and the other side's
+        gradient g_other corrected by conjugate gradients.  The sides are
+        (fwd, adj) pairs, so one rule serves both trivial starts and,
+        holding side 1, every stage."""
+        (_, held_adj), (fwd, adj) = held, other
+        w = held_adj(xi)
+        z = _conjugate_gradients(lambda u: adj(fwd(u)), w - adj(g_other), 2 * v0.size)
+        dual = max(held_norm, schatten_norm(g_other + fwd(z), dual_p))
         return _rdot(w, v0) / dual if dual > 0.0 else 0.0
 
-    upper, best = min(
-        ((exact_objective(v), v) for v in (v0, np.zeros_like(v0))), key=lambda t: t[0]
-    )
-    scale, lower, iters = upper, 0.0, 0
-    x = best
+    # the trivial splits v = v0 and v = 0 hold all of v0 on one side; the
+    # other side's image is 0, where 0 is a subgradient, and the norming
+    # element of the held image is an S^{p'}-unit (held norm 1)
+    side1, side2 = (fwd1, adj1), (fwd2, adj2)
+    y1, y2 = fwd1(v0), fwd2(v0)
+    starts = [(schatten_norm(y1, p), v0, side1, side2, y1, y2),
+              (schatten_norm(y2, p), np.zeros_like(v0), side2, side1, y2, y1)]
+    upper, best, held, other, y, y_other = min(starts, key=lambda s: s[0])
+    lower = certificate(held, other, polar_factor(y, p), 1.0, np.zeros_like(y_other))
+    scale, iters, x = upper, 0, best
     for k in range(1, MU_DECADES + 1):
         if upper - lower <= cfg.tol * upper:
             break
@@ -237,7 +258,8 @@ def minimize_split_schatten(
         val = exact_objective(x)
         if val < upper:
             upper, best = val, x
-        lower = max(lower, certificate(x, mu))
+        _, g1, g2 = side_grads(x, mu)
+        lower = max(lower, certificate(side1, side2, g1, schatten_norm(g1, dual_p), g2))
     # a valid lower bound exceeds the upper one only by roundoff
     lower = min(lower, upper)
     gap = (upper - lower) / upper if upper > 0.0 else 0.0

@@ -150,6 +150,22 @@ class TestSubcommands:
         k1 = float(row[header.index("K1")])
         assert k1 == pytest.approx(1 / math.sqrt(2), abs=1e-4)
 
+    def test_sqfn_equiv_rad_closes_at_the_start(self, tmp_path):
+        """Every split solve of this run is trivially optimal: the start
+        certificate closes it, and the data rows keep the bits of the
+        stage-by-stage solve."""
+        code, text = run(["sqfn-equiv", "--A", "leftdiag:0.5,1,2", "--fn", "sqrtzexp",
+                          "--p", "1.5", "--seed", "3", "--variant", "rad"], tmp_path)
+        assert code == 0
+        assert data_rows(text)[1] == (
+            "sqfn-equiv:rad,1.5,sqrtzexp,512,5e-13,2000000.0,4.231709309037907,"
+            "4.285383753324461,4.231709309037907,4.231709309037907,0.7071067811860815,"
+            "0.7071067811862445,3"
+        )
+        header = dict(ln[2:].split(" = ", 1) for ln in text.splitlines() if ln.startswith("# "))
+        assert header["solver_status"] == "converged"
+        assert float(header["solver_gap_max"]) <= 1e-12
+
     @pytest.mark.parametrize("grid,truncated", [([], "False"), (["--grid", "0.5,2,64"], "True")])
     def test_sqfn_equiv_header_reports_grid_truncation(self, tmp_path, grid, truncated):
         code, text = run(["sqfn-equiv", "--p", "4", "--seed", "3", "--samples", "2"] + grid,

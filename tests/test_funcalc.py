@@ -984,6 +984,37 @@ class TestOpnorm:
         # "amplified" is an amplified Schur multiplier
         assert _every_kind(rng)[kind].opnorm(4.0) is None
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pauli_multiplier_norm_is_the_top_symbol(self, rng, n):
+        gens = clifford.spin_generators(n)
+        ops = [clifford.number_operator(gens), clifford.clifford_semigroup(gens, 0.4),
+               clifford.clifford_multiplier(gens, lambda m: m ** 0.8j),
+               martingale.CondExpOp(martingale.MartingaleTower(n), n - 1),
+               fc.PauliMult(random_matrix(rng, 2**n))]
+        for op in ops:
+            dense = float(np.linalg.norm(op.to_dense(), 2))
+            assert op.opnorm(2.0) == pytest.approx(dense, rel=1e-12)
+            assert op.opnorm(4.0) is None
+        assert ops[0].opnorm(2.0) == n  # the dense form reads 3 - 1.3e-15 at n = 3
+
+    def test_sector_type_of_a_pauli_multiplier_builds_no_dense_form(self, monkeypatch):
+        """At n = 4 the dense form is 256 x 256; every ray member's S^2 norm
+        is max |c| on its symbol instead, the sup over the spectrum."""
+        op = clifford.number_operator(clifford.spin_generators(4))
+
+        def refuse(self):
+            raise AssertionError("dense form built")
+
+        monkeypatch.setattr(fc.LpOperator, "to_dense", refuse)
+        prof = fc.sector_type(op, p=2.0)
+        assert prof.exact
+        lam = np.arange(5.0)
+        radii = np.logspace(-3, 3, fc.SECTOR_RAY_POINTS // 2) * 4.0
+        for theta, k in prof.constants:
+            zs = np.array([r * cmath.exp(1j * s * theta) for r in radii for s in (1, -1)])
+            ref = float(np.max(np.abs(zs[:, None] / (zs[:, None] - lam))))
+            assert k == pytest.approx(ref, rel=1e-14)
+
     def test_sector_constants_of_a_multiplication_are_exact(self):
         a = np.diag([1.0, 2.0])
         prof = fc.sector_type(fc.LeftMult(a), p=4.0)

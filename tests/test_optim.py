@@ -30,6 +30,10 @@ def rank_one_family(n=6, d=4):
     return np.stack([c * np.outer(a, b.conj()) for c in rng.standard_normal(n)])
 
 
+def no_stage(*args, **kw):
+    raise AssertionError("a smoothing stage ran")
+
+
 def split_objective(fam, v, p):
     """col(v) + row(fam - v), each from an SVD of the stacked matrix."""
     col, _ = hvnorms._vstack_maps(*fam.shape)
@@ -92,8 +96,10 @@ class TestSolver:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(optim, "_lbfgs", counting_lbfgs)
         res = hvnorms.sum_norm_solve(fam, 1.0, ConvexCfg(iters=400))
-        # the two trivial splits, then per stage the iterate's objective
-        # and the two dual norms of its certificate
+        # the start takes the two one-sided trivial objectives, the held
+        # side's norming element and the other side's dual norm, then each
+        # stage the iterate's objective and the two dual norms of its
+        # certificate
         assert calls["svd"] <= 4 + 4 * calls["stages"]
         assert res.iters > calls["svd"]
 
@@ -116,6 +122,58 @@ class TestSolver:
         assert res.status == "converged"
         assert 13.04275963 <= res.value <= 13.04276198
         assert res.value - res.lower <= 1e-6 * res.value
+        # its trivial splits are not optimal, so the stages still run, on
+        # the same trajectory and to the same bits as before the start
+        # certificate
+        assert res.iters > 0
+        assert res.value == 13.04276197638721
+        assert res.lower == 13.042752035516749
+
+    @pytest.mark.parametrize("kind", ["product", "one-row", "one-column"])
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.9])
+    def test_trivially_optimal_family_closes_at_the_start(self, monkeypatch, kind, p):
+        """u_j = c_j y has col = row = ||c||_2 ||y||_p, and a family with one
+        nonzero row (column) has a rank-one row (column) stack: each sum
+        norm is its better trivial split, so the start certificate closes
+        the interval and no smoothing stage runs."""
+        rng = np.random.default_rng(11)
+        c = random_matrix(rng, 5, 1)
+        e = np.eye(3)[0]
+        fam = {
+            "product": c[:, :, None] * random_matrix(rng, 3),
+            "one-row": e[None, :, None] * random_matrix(rng, 5, 3)[:, None, :],
+            "one-column": random_matrix(rng, 5, 3)[:, :, None] * e[None, None, :],
+        }[kind]
+
+        monkeypatch.setattr(optim, "_lbfgs", no_stage)
+        res = hvnorms.sum_norm_solve(fam, p)
+        assert res.status == "converged" and res.iters == 0
+        assert res.value == min(hvnorms.col_norm(fam, p), hvnorms.row_norm(fam, p))
+        assert 0.0 <= res.value - res.lower <= 1e-14 * res.value
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_bracket_of_a_positive_diagonal_closes_at_the_start(self, monkeypatch, p):
+        """For a positive normal A, F*F is a multiple of 1, so the
+        conjugate-gradient correction of the start certificate is exact and
+        the bracket closes at its better trivial split."""
+        op = fc.LeftMult(np.diag([0.5, 1.0, 2.5, 4.0]))
+        f = fc.library("sqrtzexp")
+        x = random_matrix(np.random.default_rng(6), 4)
+        solves = []
+        cg = optim._conjugate_gradients
+
+        def recording(normal, rhs, steps):
+            solves.append(rhs)
+            return cg(normal, rhs, steps)
+
+        monkeypatch.setattr(optim, "_conjugate_gradients", recording)
+        monkeypatch.setattr(optim, "_lbfgs", no_stage)
+        res = sqfn.bracket_norm(op, x, f, p=p)
+        assert len(solves) == 1
+        assert res.status == "converged" and res.iters == 0
+        cap = min(sqfn.sq_col(op, x, f, p=p), sqfn.sq_row(op, x, f, p=p))
+        assert res.value == cap
+        assert 0.0 <= res.value - res.lower <= 1e-12 * res.value
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(
