@@ -247,9 +247,11 @@ def cmd_rbound(args):
     prof = rbound.sector_rbound_profile(
         op, args.p, args.theta, budget, seed=args.seed, n_points=args.points
     )
-    rows = []
+    rows, header = [], {}
     for row in prof:
         for notion, est in (("col", row.col), ("row", row.row), ("rad", row.rad)):
+            if est.at_upper:  # the estimate is its certified upper bound
+                header[f"at_upper.{notion}.theta{row.theta:.3f}"] = repr(est.upper)
             witness_path = ""
             if args.out and args.out != "-":
                 witness_path = f"{args.out}.{notion}.theta{row.theta:.3f}.witness"
@@ -267,7 +269,7 @@ def cmd_rbound(args):
                     "witness_file": witness_path,
                 }
             )
-    return rows
+    return rows, header
 
 
 def cmd_sqfn_equiv(args):

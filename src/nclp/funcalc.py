@@ -355,9 +355,26 @@ class LpOperator:
         Contract: every value returned is also the completely bounded norm,
         the norm of each amplification I_m (x) T on S^p (at p = 2 an
         amplification acts on the m^2 blocks of a Frobenius sum apart), so
-        :class:`AmplifiedOp` returns its base's value.
+        :class:`AmplifiedOp` returns its base's value.  Every value has a
+        witness, a unit input that attains it (:meth:`opnorm_witness`), and
+        :meth:`family_bounds` names the family constants it bounds.
         """
         return float(np.linalg.norm(self.to_dense(), 2)) if p == 2.0 else None
+
+    def opnorm_witness(self, p: float):
+        """A unit x of S^p with ||T x||_p = opnorm(p), None wherever
+        ``opnorm(p)`` is None.  Here: at p = 2 the top right singular vector
+        of the dense form, as a d x d matrix."""
+        if p != 2.0:
+            return None
+        return np.linalg.svd(self.to_dense())[2][0].conj().reshape(self.dim, self.dim)
+
+    def family_bounds(self, p: float) -> frozenset:
+        """The family constants ("col", "row") on S^p that a family of maps,
+        each of whose kinds names the constant here, keeps below its largest
+        ``opnorm(p)``.  Here: both at p = 2, where the column and row norms
+        are Frobenius sums, so every image is bounded on its own."""
+        return frozenset({"col", "row"}) if p == 2.0 else frozenset()
 
     def spectral_scale(self) -> float:
         """The top of the spectral window (1 for kernel-only)."""
@@ -401,6 +418,17 @@ class LeftMult(LpOperator):
         # rank-one x = v w*, v a top right singular vector of a, attains it
         return float(np.linalg.norm(self.a, 2))
 
+    def opnorm_witness(self, p):
+        # x = v e_1*: every Schatten norm of x is |v| = 1, and of a x is |a v|
+        x = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        x[:, 0] = np.linalg.svd(self.a)[2][0].conj()
+        return x
+
+    def family_bounds(self, p):
+        # sum_k x_k* a_k* a_k x_k <= max_k ||a_k||^2 sum_k x_k* x_k, and the
+        # S^p norm of the root is monotone on PSD matrices
+        return super().family_bounds(p) | {"col"}
+
     def frame(self):
         lam, v, vinv = _mat_eig(self.a)
         vh, vinvh = adjoint(v), adjoint(vinv)
@@ -431,6 +459,16 @@ class RightMult(LpOperator):
     def opnorm(self, p):
         # the mirror of LeftMult.opnorm: x = w u*, u a top left singular vector of b
         return float(np.linalg.norm(self.b, 2))
+
+    def opnorm_witness(self, p):
+        # x = e_1 u*, the mirror of LeftMult.opnorm_witness: x b = e_1 (b* u)*
+        x = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        x[0] = np.linalg.svd(self.b)[0][:, 0].conj()
+        return x
+
+    def family_bounds(self, p):
+        # the mirror of LeftMult.family_bounds on the row square sums
+        return super().family_bounds(p) | {"row"}
 
     def frame(self):
         lam, v, vinv = _mat_eig(self.b)
@@ -514,6 +552,14 @@ class PauliMult(LpOperator):
         # the frame is unitary in the trace inner product of S^2, so there the
         # map is the multiplication by c on the coefficients
         return float(np.max(np.abs(self.c))) if p == 2.0 else None
+
+    def opnorm_witness(self, p):
+        # the normalized Pauli string at argmax |c|, a unit vector of the frame
+        if p != 2.0:
+            return None
+        unit = np.zeros(self.c.shape, dtype=np.complex128)
+        unit[np.unravel_index(np.argmax(np.abs(self.c)), unit.shape)] = 1.0
+        return self._out(unit)
 
 
 class SandwichSchur(LpOperator):
@@ -637,6 +683,19 @@ class AmplifiedOp(LpOperator):
     def opnorm(self, p):
         # every value a kind knows is its cb norm (LpOperator.opnorm)
         return self.base.opnorm(p)
+
+    def opnorm_witness(self, p):
+        # the base's witness in the first diagonal block, zeros elsewhere
+        w = self.base.opnorm_witness(p)
+        if w is None:
+            return None
+        x = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        x[: self.base.dim, : self.base.dim] = w
+        return x
+
+    def family_bounds(self, p):
+        # I_m (x) L_a = L_{I_m (x) a}, and so for right multiplications
+        return self.base.family_bounds(p)
 
     def __repr__(self):
         return f"Amplified({self.base!r}, m={self.m})"
@@ -853,12 +912,26 @@ def _cauchy_sums(z, c, lam) -> np.ndarray:
 
 
 def _inverse_shifts(z, s) -> np.ndarray:
-    """The stack of (z_j - s)^{-1}: z_j added to the diagonal of a copy of -s."""
+    """The stack of (z_j - s)^{-1}: z_j added to the diagonal of a copy of -s.
+    A node that is an eigenvalue of s to working precision (a kernel
+    eigenvalue at roundoff level against the smallest nodes of a dense
+    symbol) is a :class:`SpectralCollisionError` naming its radius."""
     n = s.shape[0]
     a = np.empty((z.size, n, n), dtype=np.complex128)
     a[:] = -s
     a.reshape(z.size, n * n)[:, :: n + 1] += z[:, None]
-    return np.linalg.inv(a)
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        for zj, aj in zip(z, a):  # the batch's LU runs per matrix: find the node
+            try:
+                np.linalg.inv(aj)
+            except np.linalg.LinAlgError:
+                break
+        raise SpectralCollisionError(
+            f"contour node of radius {abs(zj):.3e} is an eigenvalue of the symbol "
+            f"to working precision"
+        ) from exc
 
 
 def _resolvent_sums(z, c, s) -> np.ndarray:

@@ -8,17 +8,30 @@ matrix families (x_1, ..., x_L) of
     row:  row_norm(T_k x_k) / row_norm(x_k)
     rad:  rad_average(T_k x_k) / rad_average(x_k)
 
-Those suprema run over unboundedly many selections and families, so only
-*lower bounds* are computable; every estimate returned here is certified
-by a stored witness whose objective value reproduces it.  Every norm of
-a family comes from one batched kernel, :func:`hvnorms.family_norms`,
-which :func:`objective`, the reselection and the Rademacher trials share.
-The search is seeded random restarts followed by alternating local
-ascent (nonlinear power iteration in x for the column/row objectives,
-which is :func:`funcalc.family_ascent` on the stacked families;
-accept-if-improve subgradient steps for the Rademacher one) and greedy
-reselection of the operators.  The starts of one selection length run
-in lock-step: each round's power iteration is one
+Those suprema run over unboundedly many selections and families, so in
+general only *lower bounds* are computable; every estimate returned here
+is certified by a stored witness whose objective value reproduces it.
+
+Where every member knows its exact S^p norm (:meth:`LpOperator.opnorm`:
+left and right multiplications at every p, every kind at p = 2), the
+selection length 1 runs no search: its ratio is ||T x||_p / ||x||_p, so
+its constant is the largest member norm, and the estimate starts from
+that member's :meth:`LpOperator.opnorm_witness`.  That maximum is also a
+certified *upper* bound where every member's kind names the notion in
+:meth:`LpOperator.family_bounds` (col for left multiplications, row for
+right ones, both at p = 2): then the search stops before its first start
+once the length-1 value is within UPPER_RTOL of it, and the estimate is
+the constant itself.  Rad has no such bound and always searches the
+longer lengths.
+
+Every norm of a family comes from one batched kernel,
+:func:`hvnorms.family_norms`, which :func:`objective`, the reselection
+and the Rademacher trials share.  The search is seeded random restarts
+followed by alternating local ascent (nonlinear power iteration in x for
+the column/row objectives, which is :func:`funcalc.family_ascent` on the
+stacked families; accept-if-improve subgradient steps for the Rademacher
+one) and greedy reselection of the operators.  The starts of one
+selection length run in lock-step: each round's power iteration is one
 :func:`funcalc.family_ascent` call that carries every start under its
 own selection, and the Rademacher ascent runs the 2S rows of a round
 (each start from its witness and from its column pre-ascent witness)
@@ -48,10 +61,17 @@ from .funcalc import LpOperator, apply_each, family_ascent, ray_resolvent_family
 from .hvnorms import _sign_block, _signed_sums, as_family, family_norms
 
 RAD_SELECTION_MAX = 12  # longest rad selection searched (2^11 signs per family)
+UPPER_RTOL = 1e-14  # a value this close below the certified upper bound stops the search
 
 
 @dataclass
 class SearchCfg:
+    """The search budget: ``restarts`` starts spread evenly over the
+    selection ``lengths`` (at least one each; a length-1 phase that is
+    exact runs none of its share), ``iters`` power-iteration steps and
+    ``rad_steps`` subgradient steps per round, ``reselect_rounds`` rounds
+    of ascent then greedy reselection."""
+
     restarts: int = 64
     iters: int = 40
     lengths: tuple = (1, 2, 4, 8)
@@ -61,6 +81,12 @@ class SearchCfg:
 
 @dataclass
 class BoundEstimate:
+    """A certified lower bound ``value`` on a family constant, attained by
+    ``witness`` under ``selection``.  ``upper`` is the certified upper
+    bound max_k opnorm_k(p) where the members' kinds give one for the
+    notion (:meth:`LpOperator.family_bounds`), else None; ``restarts`` is 0
+    for a search that stopped there before its first start."""
+
     notion: str
     p: float
     value: float
@@ -69,6 +95,12 @@ class BoundEstimate:
     restarts: int  # starts actually run
     seed: int
     theta: float | None = None
+    upper: float | None = None  # certified upper bound on the constant, where known
+
+    @property
+    def at_upper(self) -> bool:
+        """The value is within roundoff of ``upper``: it is the constant."""
+        return self.upper is not None and self.value >= self.upper * (1 - UPPER_RTOL)
 
 
 def check_test_angle(theta: float) -> float:
@@ -216,18 +248,61 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
     p = check_exponent(p)
     if budget is None:
         budget = SearchCfg()
-    rng = np.random.default_rng(seed)
-    d = ops[0].dim
-    n_ops = len(ops)
     lengths = [
         L
         for L in budget.lengths
         if notion != "rad" or L <= RAD_SELECTION_MAX
     ]
+    norms = [op.opnorm(p) for op in ops]
+    exact = None not in norms
+    upper = None
+    if exact and all(notion in op.family_bounds(p) for op in ops):
+        upper = max(norms)
+
+    best = (-math.inf, (0,), None)
+    if exact and 1 in lengths:
+        # at length 1 every ratio is ||T x||_p / ||x||_p: the constant is
+        # the largest member norm, attained by that member's witness
+        k = int(np.argmax(norms))
+        x = ops[k].opnorm_witness(p)[None]
+        best = (objective(notion, ops, (k,), x, p), (k,), x)
+    runs = 0
+    if upper is None or best[0] < upper * (1 - UPPER_RTOL):  # else certified: stop
+        best, runs = _search(notion, ops, p, budget, seed, extra_starts, lengths, best,
+                             skip_singletons=exact)
+    best_val, best_sel, best_x = best
+    if best_x is not None:
+        # the value certified is the stored witness's objective, exactly
+        # what re_evaluate recomputes (the search's batched values can
+        # differ from it in the last bit)
+        best_val = objective(notion, ops, best_sel, best_x, p)
+
+    return BoundEstimate(
+        notion=notion,
+        p=p,
+        value=float(best_val),
+        selection=best_sel,
+        witness=best_x,
+        restarts=runs,
+        seed=seed,
+        theta=theta,
+        upper=upper,
+    )
+
+
+def _search(notion, ops, p, budget, seed, extra_starts, lengths, best, skip_singletons):
+    """The seeded search over the selection lengths, from the best
+    (value, selection, witness) known; returns the best found and the
+    number of starts run.  With ``skip_singletons`` the length-1 starts and
+    selections are drawn but not run, so every longer length sees the
+    random stream it would see if they had run."""
+    rng = np.random.default_rng(seed)
+    d = ops[0].dim
+    n_ops = len(ops)
     extra = [np.asarray(s, dtype=np.complex128) for s in (extra_starts or [])]
     daggers = [op.dagger() for op in ops]
 
-    best_val, best_sel, best_x = -math.inf, (0,), None
+    best_val, best_sel, best_x = best
     per_length = max(budget.restarts // max(len(lengths), 1), 1)
     runs = 0
     for L in lengths:
@@ -236,10 +311,12 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
             starts.append(
                 rng.standard_normal((L, d, d)) + 1j * rng.standard_normal((L, d, d))
             )
-        runs += len(starts)
         # the starts of one length run in lock-step, each under its own
         # selection, drawn after the starts in start order
         sels = np.array([rng.integers(0, n_ops, size=L) for _ in starts])
+        if L == 1 and skip_singletons:
+            continue
+        runs += len(starts)
         x = np.stack(starts)
         vals = None
         for _round in range(budget.reselect_rounds):
@@ -269,22 +346,7 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
         for sel, val, xi in zip(sels, vals, x):
             if val > best_val:
                 best_val, best_sel, best_x = val, tuple(sel.tolist()), xi.copy()
-    if best_x is not None:
-        # the value certified is the stored witness's objective, exactly
-        # what re_evaluate recomputes (the search's batched values can
-        # differ from it in the last bit)
-        best_val = objective(notion, ops, best_sel, best_x, p)
-
-    return BoundEstimate(
-        notion=notion,
-        p=p,
-        value=float(best_val),
-        selection=best_sel,
-        witness=best_x,
-        restarts=runs,
-        seed=seed,
-        theta=theta,
-    )
+    return (best_val, best_sel, best_x), runs
 
 
 def col_bound_estimate(ops, p, budget: SearchCfg | None = None, seed: int = 0,

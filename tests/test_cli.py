@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from nclp import cli
+from nclp import funcalc as fc
 from nclp.hvnorms import KhintchineReport, TensorExtendReport
 from nclp.models import freegroup
 
@@ -214,16 +215,37 @@ class TestSubcommands:
         ]
         assert all(wf and (tmp_path / wf.split("/")[-1]).exists() for wf in witness_files)
 
-    @pytest.mark.parametrize("budget,started", [(1, 4), (4, 4), (9, 8)])
+    @pytest.mark.parametrize("budget,started", [(1, 3), (4, 3), (9, 6)])
     def test_rbound_reports_starts_run(self, tmp_path, budget, started):
         # each of the four selection lengths 1, 2, 4, 8 gets
-        # max(budget // 4, 1) starts
+        # max(budget // 4, 1) starts.  At p = 2 col and row stop at their
+        # certified upper bound and run none; rad runs all but length 1's,
+        # whose constant is exact
         code, text = run(["rbound", "--seed", "1", "--restarts", str(budget),
                           "--iters", "2", "--points", "4"], tmp_path)
         assert code == 0
         rows = data_rows(text)
         col = rows[0].split(",").index("restarts")
-        assert {int(r.split(",")[col]) for r in rows[1:]} == {started}
+        runs = {r.split(",")[0]: int(r.split(",")[col]) for r in rows[1:]}
+        assert runs == {"col": 0, "row": 0, "rad": started}
+
+    def test_rbound_header_names_the_estimates_at_their_upper_bound(self, tmp_path):
+        argv = ["rbound", "--A", "leftdiag:0.5,1,2", "--theta", "0.9", "--seed", "1",
+                "--restarts", "4", "--iters", "4", "--points", "8"]
+        fam = fc.ray_resolvent_family(fc.LeftMult(np.diag([0.5, 1.0, 2.0])), 0.9, 8)
+        header = {}
+        for p, stopped in (("2", {"col", "row"}), ("4", {"col"}), ("1.5", {"col"})):
+            code, text = run(argv + ["--p", p], tmp_path)
+            assert code == 0
+            header = dict(ln[2:].split(" = ", 1) for ln in text.splitlines()
+                          if ln.startswith("# at_upper."))
+            top = max(m.opnorm(float(p)) for m in fam)
+            assert header == {f"at_upper.{n}.theta0.900": repr(top) for n in stopped}
+            rows = data_rows(text)
+            assert rows[0] == "notion,p,theta,estimate,restarts,seed,witness_file"
+            for r in rows[1:]:
+                notion, *_, estimate, restarts, _, _ = r.split(",")
+                assert (int(restarts) == 0) == (notion in stopped)
 
 
 class TestErrorPaths:

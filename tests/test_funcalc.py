@@ -469,6 +469,25 @@ class TestContourCalculus:
         with pytest.raises(SpectralCollisionError, match="spectrum touches the contour"):
             calculus(op, fc.library("zexp"))
 
+    @staticmethod
+    def _kernel_multiplier(n):
+        # the kernel eigenvalues of the dense form come out at roundoff
+        # level, where the contour's smallest nodes (down to e^-60) find them
+        return clifford.clifford_multiplier(clifford.spin_generators(n), lambda m: m ** 0.8j)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dense_node_on_a_roundoff_eigenvalue_is_a_collision(self, n):
+        op = fc.DenseOp(self._kernel_multiplier(n).to_dense())
+        with pytest.raises(SpectralCollisionError, match="contour node of radius"):
+            fc.contour_calculus(op, fc.library("zexp"))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_pauli_multiplier_keeps_its_exact_kernel(self, n):
+        op = self._kernel_multiplier(n)
+        out = fc.contour_calculus(op, fc.library("zexp"))
+        ref = fc.eigen_calculus(op, fc.library("zexp"))
+        assert np.max(np.abs(out.c - ref.c)) <= 1e-6 * np.max(np.abs(ref.c))
+
 
 class TestEigenCalculus:
     def test_schur_entrywise_with_zero_convention(self):
@@ -983,6 +1002,43 @@ class TestOpnorm:
     def test_no_value_off_p2(self, rng, kind):
         # "amplified" is an amplified Schur multiplier
         assert _every_kind(rng)[kind].opnorm(4.0) is None
+
+    @staticmethod
+    def _witness_cases(rng):
+        """(op, p) for every exact kind: multiplications at p != 2, the
+        Pauli multiplier and base-class kinds at p = 2, and amplifications."""
+        every = _every_kind(rng)
+        cases = [(every[side], p) for side in ("left", "right")
+                 for p in (1.0, 1.5, 4.0, math.inf)]
+        cases += [(fc.PauliMult(random_matrix(rng, 4)), 2.0), (every["condexp"], 2.0),
+                  (every["clifford"], 2.0)]
+        cases += [(every[k], 2.0) for k in ("schur", "sandwich", "adpair", "dense")]
+        return cases + [(fc.AmplifiedOp(op, 2), p) for op, p in cases]
+
+    def test_witness_attains_the_norm(self, rng):
+        for op, p in self._witness_cases(rng):
+            w = op.opnorm_witness(p)
+            assert w.shape == (op.dim, op.dim)
+            assert schatten_norm(w, p) == pytest.approx(1.0, rel=1e-14), (op, p)
+            assert schatten_norm(op.apply(w), p) == pytest.approx(op.opnorm(p), rel=1e-14), (op, p)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, math.inf])
+    def test_no_witness_without_a_norm(self, rng, p):
+        every = _every_kind(rng)
+        ops = [every[k] for k in ("schur", "sandwich", "adpair", "dense", "amplified")]
+        ops += [fc.PauliMult(random_matrix(rng, 4)), fc.AmplifiedOp(fc.PauliMult(np.eye(2)), 2)]
+        for op in ops:
+            assert op.opnorm(p) is None and op.opnorm_witness(p) is None, op
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_family_bounds_of_each_kind(self, rng, p):
+        every = _every_kind(rng)
+        both = {"col", "row"} if p == 2.0 else set()
+        assert every["left"].family_bounds(p) == both | {"col"}
+        assert every["right"].family_bounds(p) == both | {"row"}
+        assert fc.AmplifiedOp(every["right"], 2).family_bounds(p) == both | {"row"}
+        for kind in ("schur", "dense", "amplified"):
+            assert every[kind].family_bounds(p) == both
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pauli_multiplier_norm_is_the_top_symbol(self, rng, n):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,12 @@ CFG = rbound.SearchCfg(restarts=8, iters=25, lengths=(1, 2, 4), rad_steps=8)
 
 def left_diag(*vals):
     return fc.LeftMult(np.diag(np.asarray(vals, dtype=complex)))
+
+
+def schur_pair():
+    """Two Schur multipliers: no exact norm off p = 2, so the search runs."""
+    return [fc.SchurMult(np.array([[1.0, 2.0], [0.5, 1.5]])),
+            fc.SchurMult(np.array([[0.3, 1.0], [1.2, 0.2]]))]
 
 
 class TestObjectiveAndCertification:
@@ -182,13 +189,13 @@ class TestStartCount:
     def test_restarts_counts_starts_run(self, restarts, started):
         cfg = rbound.SearchCfg(restarts=restarts, iters=3, lengths=(1, 2, 4),
                                reselect_rounds=1)
-        est = rbound.col_bound_estimate([left_diag(1.0, 2.0)], 2.0, cfg, seed=0)
+        est = rbound.col_bound_estimate(schur_pair(), 4.0, cfg, seed=0)
         assert est.restarts == started
 
     def test_extra_starts_count(self):
         cfg = rbound.SearchCfg(restarts=2, iters=3, lengths=(1, 2), reselect_rounds=1)
         extra = [np.eye(2)[None], np.ones((1, 2, 2)), 2 * np.eye(2)[None]]
-        est = rbound.col_bound_estimate([left_diag(1.0, 2.0)], 2.0, cfg, seed=0,
+        est = rbound.col_bound_estimate(schur_pair(), 4.0, cfg, seed=0,
                                         extra_starts=extra)
         assert est.restarts == 3 + 1  # three given at length 1, one drawn at 2
 
@@ -403,7 +410,7 @@ class TestBatchedReselection:
     @pytest.mark.parametrize("notion", ["col", "row", "rad"])
     def test_one_denominator_per_witness_one_numerator_per_slot(self, rng, monkeypatch,
                                                                  notion):
-        ops = [fc.LeftMult(random_matrix(rng, 3)) for _ in range(3)]
+        ops = [fc.SchurMult(random_matrix(rng, 3)) for _ in range(3)]
         shapes, ascents, inside = [], [], []
         real_norms, real_ascent = rbound.family_norms, fc.power_ascent
         real_reselect = rbound._reselect
@@ -441,7 +448,7 @@ class TestBatchedReselection:
         assert [s[0] for s in ascents] == [starts] * len(ascents)
 
     def test_rad_second_round_reuses_the_reselection_value(self, rng, monkeypatch):
-        ops = [fc.LeftMult(random_matrix(rng, 3)) for _ in range(3)]
+        ops = [fc.SchurMult(random_matrix(rng, 3)) for _ in range(3)]
         rows, calls = [], []
         real_trial, real_objective = rbound._rad_trial, rbound.objective
         monkeypatch.setattr(rbound, "_rad_trial",
@@ -512,13 +519,137 @@ class TestBenchmarkSelections:
     """The selections and values of the benchmark's rbound cases."""
 
     @pytest.mark.parametrize("notion,selection,value", [
-        ("col", (6, 6, 6, 0, 6, 0, 6, 0), 1.1540751790762611),
+        ("col", (6,), None),
         ("row", (7, 0, 7, 7, 6, 0, 0, 7), 1.1594193918868116),
-        ("rad", (7, 7, 6, 0), 1.1540751948538621),
+        ("rad", (6,), None),
     ])
     def test_golden(self, notion, selection, value):
+        # None: the exact length-1 constant, the norm 1.154075194853844 of
+        # member 6, the largest; col stops there, rad finds nothing above it
         fam = fc.ray_resolvent_family(left_diag(0.5, 1.0, 2.0), 0.9, 12)
         cfg = rbound.SearchCfg(restarts=8, iters=25)
         est = getattr(rbound, f"{notion}_bound_estimate")(fam, 4.0, cfg, seed=0)
         assert est.selection == selection
-        assert est.value == pytest.approx(value, rel=1e-12)
+        if value is None:
+            assert est.value == pytest.approx(max(m.opnorm(4.0) for m in fam), rel=1e-14)
+        else:
+            assert est.value == pytest.approx(value, rel=1e-12)
+
+
+def _exact_families():
+    """Families of every kind with an exact norm at p = 2, as (name, ops)."""
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(random_matrix(rng, 4))
+    h = random_matrix(rng, 4)
+    h = h + h.conj().T
+    kinds = {
+        "left": lambda: fc.LeftMult(random_matrix(rng, 4)),
+        "right": lambda: fc.RightMult(random_matrix(rng, 4)),
+        "schur": lambda: fc.SchurMult(random_matrix(rng, 4)),
+        "pauli": lambda: fc.PauliMult(random_matrix(rng, 4)),
+        "sandwich": lambda: fc.SandwichSchur(u, u.conj().T, random_matrix(rng, 4)),
+        "adpair": lambda: fc.AdPair(h, h.T + np.eye(4)),
+        "dense": lambda: fc.DenseOp(random_matrix(rng, 16)),
+        "amplified": lambda: fc.AmplifiedOp(fc.SchurMult(random_matrix(rng, 2)), 2),
+    }
+    return [(name, [make() for _ in range(3)]) for name, make in kinds.items()]
+
+
+class TestCertifiedStop:
+    """A search whose exact length-1 value meets the certified upper bound
+    runs no start; its value is the largest member norm."""
+
+    @staticmethod
+    def _assert_stopped(est, ops, p):
+        top = max(op.opnorm(p) for op in ops)
+        assert est.restarts == 0
+        assert est.upper == top
+        assert est.at_upper
+        assert est.value == pytest.approx(top, rel=1e-14)
+        assert len(est.selection) == 1
+        assert rbound.re_evaluate(est, ops) == est.value
+
+    @pytest.mark.parametrize("amplified", [False, True])
+    @pytest.mark.parametrize("notion,kind", [("col", fc.LeftMult), ("row", fc.RightMult)])
+    def test_multiplications_stop_at_p4(self, rng, notion, kind, amplified):
+        ops = [kind(random_matrix(rng, 3)) for _ in range(4)]
+        if amplified:
+            ops = [fc.AmplifiedOp(op, 2) for op in ops]
+        est = getattr(rbound, f"{notion}_bound_estimate")(ops, 4.0, CFG, seed=0)
+        self._assert_stopped(est, ops, 4.0)
+
+    @pytest.mark.parametrize("notion,kind", [("row", fc.LeftMult), ("col", fc.RightMult)])
+    def test_the_other_side_searches_at_p4(self, rng, notion, kind):
+        ops = [kind(random_matrix(rng, 3)) for _ in range(4)]
+        est = getattr(rbound, f"{notion}_bound_estimate")(ops, 4.0, CFG, seed=0)
+        assert est.upper is None and est.restarts > 0
+        # the search starts from the exact length-1 value
+        assert est.value >= max(op.opnorm(4.0) for op in ops) * (1 - 1e-14)
+
+    @pytest.mark.parametrize("notion", ["col", "row"])
+    @pytest.mark.parametrize("name,ops", _exact_families())
+    def test_every_kind_stops_at_p2(self, name, ops, notion):
+        est = getattr(rbound, f"{notion}_bound_estimate")(ops, 2.0, CFG, seed=0)
+        self._assert_stopped(est, ops, 2.0)
+
+    @pytest.mark.parametrize("name,ops", _exact_families())
+    def test_rad_never_stops_early(self, name, ops):
+        est = rbound.rad_bound_estimate(ops, 2.0, CFG, seed=0)
+        assert est.upper is None and not est.at_upper
+        # length 1 is exact and runs no start; the longer lengths run theirs
+        assert est.restarts == 2 * (CFG.restarts // 3)
+        assert est.value >= max(op.opnorm(2.0) for op in ops) * (1 - 1e-14)
+
+    def test_a_member_without_a_norm_searches_length_one(self, rng):
+        ops = [fc.LeftMult(random_matrix(rng, 3)), fc.SchurMult(random_matrix(rng, 3))]
+        est = rbound.col_bound_estimate(ops, 4.0, CFG, seed=0)
+        assert est.upper is None
+        assert est.restarts == 3 * (CFG.restarts // 3)
+
+    @pytest.mark.parametrize("notion", ["col", "row", "rad"])
+    def test_longer_lengths_see_the_same_random_stream(self, monkeypatch, notion):
+        # the length-1 starts are drawn but not run: the longer lengths run
+        # from the starts they would get if length 1 had been searched
+        ops = [fc.LeftMult(np.diag([1.0, 2.0])), fc.LeftMult(np.diag([0.5, 1.5j]))]
+        seen, real = [], fc.family_ascent
+        monkeypatch.setattr(rbound, "family_ascent",
+                            lambda o, dg, sels, xs, *a: seen.append((sels.copy(), xs.copy()))
+                            or real(o, dg, sels, xs, *a))
+        cfg = rbound.SearchCfg(restarts=6, iters=3, lengths=(1, 2, 4), reselect_rounds=1,
+                               rad_steps=1)
+        getattr(rbound, f"{notion}_bound_estimate")(ops, 4.0, cfg, seed=5)
+        rng = np.random.default_rng(5)
+        for length in (1, 2, 4):
+            starts = [rng.standard_normal((length, 2, 2)) + 1j * rng.standard_normal((length, 2, 2))
+                      for _ in range(2)]
+            sels = np.array([rng.integers(0, 2, size=length) for _ in starts])
+            if length == 1:
+                continue
+            ran = [xs for s, xs in seen if xs.shape[1] == length]
+            if notion == "col":  # stopped at its upper bound before any length ran
+                assert not ran
+                continue
+            assert np.array_equal(ran[0], np.stack(starts))
+            assert np.array_equal([s for s, xs in seen if xs.shape[1] == length][0], sels)
+        assert all(xs.shape[1] != 1 for _, xs in seen)
+
+
+class TestSearchWithoutExactNorms:
+    @pytest.mark.parametrize("notion,value_hex,selection,digest", [
+        ("col", "0x1.52526d8783a4fp+1", (0, 1), "0ba62dbda96014e9"),
+        ("row", "0x1.52526d8783a4fp+1", (0, 1), "db7a356fc41589ae"),
+        ("rad", "0x1.52526d8783a4fp+1", (1, 1, 0, 1), "131678a0ceb37b95"),
+    ])
+    def test_schur_family_at_p4_is_unchanged(self, notion, value_hex, selection, digest):
+        # values, selections and witness bits of the search before the
+        # exact length-1 phase existed: Schur multipliers have no exact
+        # norm at p = 4, so the search runs as it did
+        rng = np.random.default_rng(7)
+        fam = [fc.SchurMult(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+               for _ in range(3)]
+        cfg = rbound.SearchCfg(restarts=8, iters=25, lengths=(1, 2, 4), rad_steps=8)
+        est = getattr(rbound, f"{notion}_bound_estimate")(fam, 4.0, cfg, seed=3)
+        assert est.value.hex() == value_hex
+        assert est.selection == selection
+        assert hashlib.sha256(est.witness.tobytes()).hexdigest()[:16] == digest
+        assert est.restarts == 6 and est.upper is None
