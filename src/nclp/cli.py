@@ -12,10 +12,10 @@ A subcommand only builds its rows; the columns are the keys of the first
 row, and the exit code follows from the artifact alone: 2 for a usage
 error, 3 for a numeric failure or for a row with a false ``ok`` or
 ``*_ok`` cell, else 4 (a solver warning) when a row's ``solver_status``
-or the header's (``sqfn-equiv`` writes the worst status over its solves
-as ``# solver_status``) is ``budget-exhausted``: a split-norm solve
-ended with its relative duality gap above tolerance.  ``--strict``
-hardens that 4 to 3.  Otherwise 0.
+or the header's (``sqfn-equiv`` and ``martingale cesaro`` write the worst
+status over their solves as ``# solver_status``) is ``budget-exhausted``:
+a split-norm solve ended with its relative duality gap above tolerance.
+``--strict``, where a subcommand has it, hardens that 4 to 3.  Otherwise 0.
 """
 
 from __future__ import annotations
@@ -299,10 +299,14 @@ def cmd_sqfn_equiv(args):
         "K2": rep.k2_hat,
         "seed": args.seed,
     }
-    solves = rep.solves + sr.solves
+    return [row], {"grid_truncated": sr.truncated, **_solver_header(rep.solves + sr.solves)}
+
+
+def _solver_header(solves) -> dict:
+    """The header fields of a run's split-norm solves: the largest relative
+    gap and the worst status, both None when the run solved nothing."""
     exhausted = any(res.status == "budget-exhausted" for res in solves)
-    return [row], {
-        "grid_truncated": sr.truncated,
+    return {
         "solver_gap_max": max((res.gap for res in solves), default=None),
         "solver_status": "budget-exhausted" if exhausted else "converged" if solves else None,
     }
@@ -493,8 +497,9 @@ def cmd_martingale(args):
     rep = martingale.cesaro_square_function(op, x, args.m_count, args.p)
     coeff = math.sqrt(sum(1.0 / (m * (m + 1) ** 2) for m in range(1, args.m_count + 1)))
     target = coeff * schatten_norm(op.apply(x) - x, args.p)
-    ok = abs(rep.value - target) <= 1e-8 * max(target, 1.0)
-    return [{"check": "cesaro_single_expectation", "value": rep.value, "ok": ok}]
+    row = {"check": "cesaro_single_expectation", "value": rep.value,
+           "ok": abs(rep.value - target) <= 1e-8 * max(target, 1.0)}
+    return [row], _solver_header(rep.solves)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +535,12 @@ def _finite_floats(text: str) -> list:
     if not all(map(math.isfinite, vals)):
         raise ValueError(f"needs finite values, got {text!r}")
     return vals
+
+
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x}")
+    return x
 
 
 def _nonnegative(x: float) -> float:
@@ -647,7 +658,7 @@ SUBCOMMANDS = {
     }, ("--n", "--p", "--grid")),
     "schur": Subcommand("distance-symbol semigroup checks", cmd_schur, {
         "--points": dict(type=_COUNT, default=8),
-        "--spacing": dict(type=float, default=1.0),
+        "--spacing": dict(type=_checked(float, _finite), default=1.0),
         "--t": dict(type=_checked(float, _nonnegative), default=0.7),
         "--amplification": dict(type=_COUNT, default=4),
     }, ("--points", "--spacing", "--t", "--amplification")),

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    HERM_RTOL,
     NumericsError,
     SpectralCollisionError,
     _check_hermitian,
@@ -274,7 +275,11 @@ class LpOperator:
       A x = out(lam * into(x)), vectorized over leading stack axes.
 
     Scaling, adjoints, resolvents and the spectral calculus follow
-    from these by acting on the symbol, entrywise or as a matrix.
+    from these by acting on the symbol, entrywise or as a matrix.  An
+    ``entrywise`` kind's frame is orthonormal for the trace inner product:
+    ``into_adj`` is ``out`` and ``out_adj`` is ``into``, so on S^2 the kind
+    is multiplication by its symbol on the coefficients, and its S^2 norm
+    and witness are read off the symbol (:meth:`opnorm`).
     """
 
     dim: int
@@ -349,8 +354,9 @@ class LpOperator:
 
     def opnorm(self, p: float):
         """The exact S^p -> S^p operator norm where the kind knows it, else
-        None.  Here: at p = 2 the Hilbert-Schmidt norm, the largest singular
-        value of the dense form; no value at any other p.
+        None.  Here: at p = 2 max |symbol| for an ``entrywise`` kind, whose
+        frame is orthonormal, and the largest singular value of the dense
+        form for any other; no value at any other p.
 
         Contract: every value returned is also the completely bounded norm,
         the norm of each amplification I_m (x) T on S^p (at p = 2 an
@@ -359,15 +365,26 @@ class LpOperator:
         witness, a unit input that attains it (:meth:`opnorm_witness`), and
         :meth:`family_bounds` names the family constants it bounds.
         """
-        return float(np.linalg.norm(self.to_dense(), 2)) if p == 2.0 else None
+        if p != 2.0:
+            return None
+        if self.entrywise:
+            return float(np.max(np.abs(self.symbol)))
+        return float(np.linalg.norm(self.to_dense(), 2))
 
     def opnorm_witness(self, p: float):
         """A unit x of S^p with ||T x||_p = opnorm(p), None wherever
-        ``opnorm(p)`` is None.  Here: at p = 2 the top right singular vector
-        of the dense form, as a d x d matrix."""
+        ``opnorm(p)`` is None.  Here: at p = 2 the frame vector ``out(e)``
+        of an ``entrywise`` kind, e the unit array at the first argmax of
+        |symbol|, and the top right singular vector of the dense form, as a
+        d x d matrix, for any other kind."""
         if p != 2.0:
             return None
-        return np.linalg.svd(self.to_dense())[2][0].conj().reshape(self.dim, self.dim)
+        if not self.entrywise:
+            return np.linalg.svd(self.to_dense())[2][0].conj().reshape(self.dim, self.dim)
+        s = self.symbol
+        unit = np.zeros(s.shape, dtype=np.complex128)
+        unit[np.unravel_index(np.argmax(np.abs(s)), s.shape)] = 1.0
+        return self.frame()[2](unit)
 
     def family_bounds(self, p: float) -> frozenset:
         """The family constants ("col", "row") on S^p that a family of maps,
@@ -548,25 +565,14 @@ class PauliMult(LpOperator):
     def frame(self):
         return self.c, self._into, self._out, self._out, self._into
 
-    def opnorm(self, p):
-        # the frame is unitary in the trace inner product of S^2, so there the
-        # map is the multiplication by c on the coefficients
-        return float(np.max(np.abs(self.c))) if p == 2.0 else None
-
-    def opnorm_witness(self, p):
-        # the normalized Pauli string at argmax |c|, a unit vector of the frame
-        if p != 2.0:
-            return None
-        unit = np.zeros(self.c.shape, dtype=np.complex128)
-        unit[np.unravel_index(np.argmax(np.abs(self.c)), unit.shape)] = 1.0
-        return self._out(unit)
-
 
 class SandwichSchur(LpOperator):
     """x -> u (w * (u* x v)) v* with u, v unitary.
 
     The rank-one frame u_i v_j* diagonalizes the map with eigenvalues
-    w_ij, so resolvents and functional calculus act entrywise on w.
+    w_ij, so resolvents and functional calculus act entrywise on w.  The
+    frame is orthonormal only for unitary u and v, so factors with an entry
+    of u* u - I or v* v - I above ``HERM_RTOL`` in modulus are refused.
     """
 
     entrywise = True
@@ -576,8 +582,11 @@ class SandwichSchur(LpOperator):
         self.v = as_matrix(v)
         self.w = as_matrix(w)
         self.dim = self.u.shape[0]
-        if self.v.shape != self.u.shape or self.w.shape != self.u.shape:
+        if not self.u.shape == self.v.shape == self.w.shape == (self.dim, self.dim):
             raise ValueError("u, v, w must share one square shape")
+        dev = max(float(np.max(np.abs(adjoint(f) @ f - np.eye(self.dim)))) for f in (self.u, self.v))
+        if dev > HERM_RTOL:
+            raise ValueError(f"SandwichSchur needs unitary u, v: |f* f - I| reaches {dev:.3e}")
 
     def apply(self, x):
         return self.u @ (self.w * (adjoint(self.u) @ x @ self.v)) @ adjoint(self.v)

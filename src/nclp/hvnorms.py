@@ -251,13 +251,15 @@ def sum_norm_solve(xs, p: float, cfg: ConvexCfg | None = None) -> SolveResult:
     return minimize_split_schatten(f1, a1, f2, a2, fam, p, cfg)
 
 
-def rad_norm(xs, p: float, cfg: ConvexCfg | None = None) -> float:
-    """Rademacher-space norm: sum norm for p <= 2, intersection for p >= 2
-    (the two branches agree at p = 2)."""
+def rad_norm(xs, p: float, cfg: ConvexCfg | None = None) -> tuple[float, tuple[SolveResult, ...]]:
+    """Rademacher-space norm and its split-norm solves: the intersection
+    norm for p >= 2 (no solve), the sum norm's solve below (the two
+    branches agree at p = 2)."""
     p = check_exponent(p)
     if p >= 2.0:
-        return intersection_norm(xs, p)
-    return sum_norm(xs, p, cfg)
+        return intersection_norm(xs, p), ()
+    res = sum_norm_solve(xs, p, cfg)
+    return res.value, (res,)
 
 
 @dataclass

@@ -24,11 +24,11 @@ from ..hvnorms import _sign_block
 Word = tuple  # of nonzero ints, reduced
 
 EVEN_PS = (2, 4, 6, 8)
-DEFAULT_SUPPORT_CAP = 200_000
+SUPPORT_CAP = 200_000  # words a product may reach before SupportOverflowError
 
 
 class SupportOverflowError(NumericsError):
-    """A product's support grew beyond the configured cap."""
+    """A product's support grew beyond ``SUPPORT_CAP``."""
 
 
 def reduce_word(letters) -> Word:
@@ -80,11 +80,10 @@ def word_to_string(w: Word) -> str:
 class GroupPoly:
     """Finitely supported element of the free-group algebra."""
 
-    __slots__ = ("coeffs", "cap")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None, cap: int = DEFAULT_SUPPORT_CAP):
+    def __init__(self, coeffs=None):
         self.coeffs = {}
-        self.cap = cap
         if coeffs:
             for w, c in coeffs.items():
                 w = reduce_word(w)
@@ -97,15 +96,15 @@ class GroupPoly:
         self.coeffs = {w: c for w, c in self.coeffs.items() if c != 0}
 
     @classmethod
-    def lam(cls, word, coeff=1.0, cap: int = DEFAULT_SUPPORT_CAP) -> "GroupPoly":
+    def lam(cls, word, coeff=1.0) -> "GroupPoly":
         """The scaled group element coeff * lambda(word)."""
         if isinstance(word, str):
             word = word_from_string(word)
-        return cls({reduce_word(word): coeff}, cap=cap)
+        return cls({reduce_word(word): coeff})
 
     @classmethod
-    def zero(cls, cap: int = DEFAULT_SUPPORT_CAP) -> "GroupPoly":
-        return cls({}, cap=cap)
+    def zero(cls) -> "GroupPoly":
+        return cls({})
 
     def support(self):
         return set(self.coeffs)
@@ -117,20 +116,18 @@ class GroupPoly:
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
             out[w] = out.get(w, 0.0) + c
-        return GroupPoly(out, cap=min(self.cap, other.cap))
+        return GroupPoly(out)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __rmul__(self, scalar):
-        return GroupPoly({w: scalar * c for w, c in self.coeffs.items()}, cap=self.cap)
+        return GroupPoly({w: scalar * c for w, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, GroupPoly):
-            return GroupPoly(
-                {w: c * other for w, c in self.coeffs.items()}, cap=self.cap
-            )
-        cap = min(self.cap, other.cap)
+            return GroupPoly({w: c * other for w, c in self.coeffs.items()})
+        cap = SUPPORT_CAP
         out = {}
         for w1, c1 in self.coeffs.items():
             for w2, c2 in other.coeffs.items():
@@ -140,12 +137,10 @@ class GroupPoly:
                     raise SupportOverflowError(
                         f"product support exceeded the cap of {cap} words"
                     )
-        return GroupPoly(out, cap=cap)
+        return GroupPoly(out)
 
     def star(self) -> "GroupPoly":
-        return GroupPoly(
-            {word_inverse(w): np.conj(c) for w, c in self.coeffs.items()}, cap=self.cap
-        )
+        return GroupPoly({word_inverse(w): np.conj(c) for w, c in self.coeffs.items()})
 
     def trace(self) -> complex:
         """Normalized trace: the coefficient at the empty word."""
@@ -170,17 +165,14 @@ class GroupPoly:
         """Length-decay semigroup: the coefficient at g picks up e^{-t |g|}."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        return GroupPoly(
-            {w: c * math.exp(-t * len(w)) for w, c in self.coeffs.items()},
-            cap=self.cap,
-        )
+        return GroupPoly({w: c * math.exp(-t * len(w)) for w, c in self.coeffs.items()})
 
     def length_multiplier(self, f) -> "GroupPoly":
         """Multiply the coefficient at g by f(|g|) for g != e; the identity
         coefficient is kept (the multiplier theorems quantify over the
         non-unit words only)."""
         out = {w: c * f(len(w)) if w else c for w, c in self.coeffs.items()}
-        return GroupPoly(out, cap=self.cap)
+        return GroupPoly(out)
 
     def __repr__(self):
         terms = ", ".join(
@@ -199,7 +191,7 @@ class GroupPoly:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def loads(cls, text: str, cap: int = DEFAULT_SUPPORT_CAP) -> "GroupPoly":
+    def loads(cls, text: str) -> "GroupPoly":
         coeffs = {}
         for line in text.strip().splitlines():
             tok = line.split()
@@ -207,7 +199,7 @@ class GroupPoly:
                 raise ValueError(f"bad polynomial line {line!r}")
             w = word_from_string(" ".join(tok[:-2]))
             coeffs[w] = complex(float(tok[-2]), float(tok[-1]))
-        return cls(coeffs, cap=cap)
+        return cls(coeffs)
 
 
 def dyadic_unconditionality(xs, p: int = 4) -> float:

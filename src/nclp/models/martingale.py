@@ -21,7 +21,7 @@ from .. import funcalc as fc
 from .. import rbound
 from ..core import check_exponent, schatten_norm
 from ..hvnorms import rad_norm
-from ..optim import ConvexCfg
+from ..optim import ConvexCfg, SolveResult
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,7 @@ class CesaroReport:
     ratio: float
     m_count: int
     p: float
+    solves: tuple[SolveResult, ...]  # the split-norm solve below p = 2, none above
 
 
 def cesaro_square_function(
@@ -135,7 +136,7 @@ def cesaro_square_function(
         s_m = total / (m + 1)
         fam.append(math.sqrt(m) * (s_m - s_prev))
         s_prev = s_m
-    value = rad_norm(fam, p, cfg)
+    value, solves = rad_norm(fam, p, cfg)
     nx = schatten_norm(x, p)
     return CesaroReport(value=value, ratio=value / nx if nx > 0 else 0.0,
-                        m_count=m_count, p=p)
+                        m_count=m_count, p=p, solves=solves)

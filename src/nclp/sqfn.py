@@ -33,8 +33,7 @@ import numpy as np
 
 from . import funcalc as fc
 from .core import NumericsError, as_matrix, check_exponent, schatten_norm
-from .hvnorms import (_hstack_maps, _vstack_maps, col_norm, intersection_norm, row_norm,
-                      sum_norm_solve)
+from .hvnorms import _hstack_maps, _vstack_maps, col_norm, rad_norm, row_norm
 from .optim import ConvexCfg, SolveResult, minimize_split_schatten
 
 # Radial coverage of the default grid relative to the extreme spectral
@@ -133,17 +132,6 @@ class _NodeFamily:
         return self.fwd(as_matrix(x))
 
 
-def _rad(
-    u: np.ndarray, p: float, cfg: ConvexCfg | None
-) -> tuple[float, tuple[SolveResult, ...]]:
-    """The symmetric square function of a node stack and its split-norm
-    solves (none for p >= 2)."""
-    if p >= 2.0:
-        return intersection_norm(u, p), ()
-    res = sum_norm_solve(u, p, cfg)
-    return res.value, (res,)
-
-
 def node_apply(op, x, f: fc.HolFn, grid: LogGrid) -> np.ndarray:
     """Stacked evaluations F(t_j A) x on the grid, shape (n, d, d)."""
     return _NodeFamily(op, f, grid).nodes(as_matrix(x))
@@ -172,7 +160,7 @@ def sq_rad(
     """Symmetric square function: max(col, row) for p >= 2; for p < 2 the
     infimum of col(u1) + row(u - u1) over splittings of the node family."""
     p = check_exponent(p)
-    return _rad(_NodeFamily(op, f, grid).weighted(x), p, cfg)[0]
+    return rad_norm(_NodeFamily(op, f, grid).weighted(x), p, cfg)[0]
 
 
 def _bracket(fam: _NodeFamily, x, p: float, cfg: ConvexCfg | None) -> SolveResult:
@@ -240,7 +228,7 @@ def square_report(
     truncated = bool(peak > 0 and max(mags[0], mags[-1]) ** 2 > 1e-9 * peak**2)
     if with_bracket is None:
         with_bracket = p < 2.0
-    rad, solves = _rad(u, p, cfg)
+    rad, solves = rad_norm(u, p, cfg)
     bracket = None
     if with_bracket:
         res = _bracket(fam, x, p, cfg)
@@ -294,7 +282,7 @@ def equivalence_experiment(
     square = {
         "col": lambda u: (col_norm(u, p), ()),
         "row": lambda u: (row_norm(u, p), ()),
-        "rad": lambda u: _rad(u, p, cfg),
+        "rad": lambda u: rad_norm(u, p, cfg),
     }[variant]
     proj = op.kernel_projection()
     rng = np.random.default_rng(seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import runpy
@@ -333,6 +334,8 @@ class TestErrorPaths:
             ["qfock", "ou", "--t", "nan"],
             ["qfock", "ou", "--t", "inf"],
             ["qfock", "gram", "--t", "nan"],
+            ["schur", "--spacing", "nan"],
+            ["schur", "--spacing", "inf"],
         ],
         ids=["sector-p-below-1", "khintchine-p-below-1", "tensor-p-nan",
              "rbound-odd-points", "rbound-one-point", "rbound-theta-above-pi",
@@ -350,7 +353,8 @@ class TestErrorPaths:
              "identities-diag-not-a-number", "identities-diag-infinite", "identities-t-nan",
              "identities-t-negative", "calculus-tol-nan", "calculus-tol-negative",
              "calculus-tol-zero", "schur-t-negative", "clifford-t-negative", "qfock-t-nan",
-             "qfock-t-infinite", "qfock-gram-t-nan"],
+             "qfock-t-infinite", "qfock-gram-t-nan", "schur-spacing-nan",
+             "schur-spacing-infinite"],
     )
     def test_out_of_domain_flag_is_usage_error(self, tmp_path, capsys, argv):
         code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
@@ -531,6 +535,26 @@ class TestSolverExitCodes:
         header = (tmp_path / "sq.csv").read_text().splitlines()
         assert f"# solver_gap_max = {gap!r}" in header
         assert f"# solver_status = {status}" in header
+
+    @pytest.mark.parametrize("exhausted", [False, True])
+    def test_martingale_cesaro_reports_solver_status(self, tmp_path, monkeypatch, exhausted):
+        # the Cesaro increments' Rademacher norm below p = 2 is a split-norm
+        # solve: its status reaches the header and the exit code (no --strict)
+        solve = cli.hvnorms.minimize_split_schatten
+
+        def marked(*args):
+            res = solve(*args)
+            return dataclasses.replace(res, status="budget-exhausted", gap=0.5) if exhausted else res
+
+        monkeypatch.setattr(cli.hvnorms, "minimize_split_schatten", marked)
+        code, text = run(["martingale", "cesaro", "--p", "1.5", "--seed", "1"], tmp_path)
+        assert code == (cli.EXIT_SOLVER if exhausted else cli.EXIT_OK)
+        header = text.splitlines()
+        status = "budget-exhausted" if exhausted else "converged"
+        assert f"# solver_status = {status}" in header
+        gap = next(ln for ln in header if ln.startswith("# solver_gap_max = "))
+        assert float(gap.split("= ")[1]) == (0.5 if exhausted else pytest.approx(0.0, abs=1e-6))
+        assert data_rows(text)[1].endswith(",True")
 
 
 class TestFailingChecks:

@@ -9,7 +9,7 @@ import scipy.linalg
 
 from nclp import funcalc as fc
 from nclp.core import SpectralCollisionError, power_ascent, schatten_norm
-from nclp.models import clifford, martingale
+from nclp.models import clifford, martingale, schur
 
 from conftest import random_matrix, unit
 
@@ -72,6 +72,16 @@ class TestOperatorKinds:
     def test_adpair_rejects_non_hermitian(self, rng):
         with pytest.raises(ValueError):
             fc.AdPair(random_matrix(rng, 2), np.eye(2))
+
+    def test_sandwich_refuses_non_unitary_factors(self, rng):
+        # its frame u_i v_j* is orthonormal only for unitary u and v; for
+        # others w is not the spectrum, nor max |w| the S^2 norm
+        u, _ = np.linalg.qr(random_matrix(rng, 3))
+        w, bad = random_matrix(rng, 3), rng.standard_normal((3, 3))
+        for pair in ((bad, u), (u, bad), (1.001 * u, u)):
+            with pytest.raises(ValueError, match="needs unitary"):
+                fc.SandwichSchur(*pair, w)
+        assert fc.SandwichSchur(u, u.conj().T, w).dim == 3
 
     def test_dense_round_trip(self, rng):
         a = random_matrix(rng, 2)
@@ -159,8 +169,9 @@ class TestKindContract:
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_no_kind_overrides_spectrum_or_dagger(self):
-        # both follow from the symbol (LpOperator), so a kind that writes its
-        # own has left the spectral interface
+        # both follow from the symbol (LpOperator), and so do the S^2 norm and
+        # witness of an entrywise kind, so a kind that writes its own has left
+        # the spectral interface
         def subclasses(cls):
             for sub in cls.__subclasses__():
                 yield sub
@@ -171,9 +182,14 @@ class TestKindContract:
             for cls in subclasses(fc.LpOperator)
             if cls.__module__.startswith(("nclp.funcalc", "nclp.models"))
             for name in ("spectrum", "dagger")
+            + (("opnorm", "opnorm_witness") if cls.entrywise else ())
             if name in vars(cls)
         ]
         assert own == []
+
+
+def _refuse_dense(self):
+    raise AssertionError("dense form built")
 
 
 def _pauli_string(d, a, b):
@@ -1041,35 +1057,46 @@ class TestOpnorm:
             assert every[kind].family_bounds(p) == both
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_pauli_multiplier_norm_is_the_top_symbol(self, rng, n):
-        gens = clifford.spin_generators(n)
+    def test_pauli_multiplier_norm_is_the_top_symbol(self, rng, monkeypatch, n):
+        """Every entrywise kind: the S^2 norm is max |symbol| and the witness
+        a frame vector, both with no dense form built."""
+        gens, d = clifford.spin_generators(n), 2**n
+        (u, _), (v, _) = np.linalg.qr(random_matrix(rng, d)), np.linalg.qr(random_matrix(rng, d))
+        h = random_matrix(rng, d)
+        h = h + h.conj().T
         ops = [clifford.number_operator(gens), clifford.clifford_semigroup(gens, 0.4),
                clifford.clifford_multiplier(gens, lambda m: m ** 0.8j),
                martingale.CondExpOp(martingale.MartingaleTower(n), n - 1),
-               fc.PauliMult(random_matrix(rng, 2**n))]
-        for op in ops:
-            dense = float(np.linalg.norm(op.to_dense(), 2))
-            assert op.opnorm(2.0) == pytest.approx(dense, rel=1e-12)
+               fc.PauliMult(random_matrix(rng, d)), fc.SchurMult(random_matrix(rng, d)),
+               fc.SandwichSchur(u, v, random_matrix(rng, d)), fc.AdPair(h, h.T),
+               fc.AmplifiedOp(fc.SchurMult(random_matrix(rng, d)), 3)]
+        dense = [float(np.linalg.norm(op.to_dense(), 2)) for op in ops]
+        monkeypatch.setattr(fc.LpOperator, "to_dense", _refuse_dense)
+        for op, ref in zip(ops, dense):
+            assert op.opnorm(2.0) == pytest.approx(ref, rel=1e-12), op
+            w = op.opnorm_witness(2.0)
+            assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-14), op
+            assert np.linalg.norm(op.apply(w)) == pytest.approx(op.opnorm(2.0), rel=1e-12), op
             assert op.opnorm(4.0) is None
         assert ops[0].opnorm(2.0) == n  # the dense form reads 3 - 1.3e-15 at n = 3
 
     def test_sector_type_of_a_pauli_multiplier_builds_no_dense_form(self, monkeypatch):
-        """At n = 4 the dense form is 256 x 256; every ray member's S^2 norm
-        is max |c| on its symbol instead, the sup over the spectrum."""
-        op = clifford.number_operator(clifford.spin_generators(4))
-
-        def refuse(self):
-            raise AssertionError("dense form built")
-
-        monkeypatch.setattr(fc.LpOperator, "to_dense", refuse)
-        prof = fc.sector_type(op, p=2.0)
-        assert prof.exact
-        lam = np.arange(5.0)
-        radii = np.logspace(-3, 3, fc.SECTOR_RAY_POINTS // 2) * 4.0
-        for theta, k in prof.constants:
-            zs = np.array([r * cmath.exp(1j * s * theta) for r in radii for s in (1, -1)])
-            ref = float(np.max(np.abs(zs[:, None] / (zs[:, None] - lam))))
-            assert k == pytest.approx(ref, rel=1e-14)
+        """The dense forms are 256 x 256 (n = 4 Pauli multiplier), 144 x 144
+        (``schurlin:12``) and 64 x 64 (a positive AdPair); every ray member's
+        S^2 norm is max |symbol| instead, the sup over the spectrum."""
+        ops = [clifford.number_operator(clifford.spin_generators(4)),
+               schur.schur_generator(schur.collinear_symbol(12)),
+               fc.AdPair(np.diag(np.arange(5.0, 13.0)), np.diag(np.arange(0.0, 4.0, 0.5)))]
+        monkeypatch.setattr(fc.LpOperator, "to_dense", _refuse_dense)
+        for op in ops:
+            prof = fc.sector_type(op, p=2.0)
+            assert prof.exact
+            lam = op.spectrum()
+            radii = np.logspace(-3, 3, fc.SECTOR_RAY_POINTS // 2) * np.max(np.abs(lam))
+            for theta, k in prof.constants:
+                zs = np.array([r * cmath.exp(1j * s * theta) for r in radii for s in (1, -1)])
+                ref = float(np.max(np.abs(zs[:, None] / (zs[:, None] - lam))))
+                assert k == pytest.approx(ref, rel=1e-14), op
 
     def test_sector_constants_of_a_multiplication_are_exact(self):
         a = np.diag([1.0, 2.0])

@@ -264,13 +264,13 @@ class TestSumAndRadNorm:
 
     def test_rad_norm_dispatch(self, rng):
         xs = random_family(rng, 3, 2)
-        assert hvnorms.rad_norm(xs, 4) == pytest.approx(
-            hvnorms.intersection_norm(xs, 4), rel=1e-12
-        )
+        value, solves = hvnorms.rad_norm(xs, 4)
+        assert value == pytest.approx(hvnorms.intersection_norm(xs, 4), rel=1e-12)
+        assert solves == ()
         cfg = ConvexCfg(iters=120)
-        assert hvnorms.rad_norm(xs, 1.5, cfg) == pytest.approx(
-            hvnorms.sum_norm(xs, 1.5, cfg), rel=1e-9
-        )
+        value, (res,) = hvnorms.rad_norm(xs, 1.5, cfg)  # the solve is kept
+        assert value == res.value
+        assert value == pytest.approx(hvnorms.sum_norm(xs, 1.5, cfg), rel=1e-9)
 
 
 class TestKhintchine:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nclp.models import freegroup
 from nclp.models.freegroup import (
     EVEN_PS,
     GroupPoly,
@@ -66,8 +67,9 @@ class TestAlgebra:
         rhs = a * (b * c)
         assert lhs.coeffs == rhs.coeffs
 
-    def test_support_cap(self):
-        x = GroupPoly({(1,): 1.0, (2,): 1.0, (3,): 1.0}, cap=5)
+    def test_support_cap(self, monkeypatch):
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 5)
+        x = GroupPoly({(1,): 1.0, (2,): 1.0, (3,): 1.0})
         with pytest.raises(SupportOverflowError):
             _ = x * x * x * x
 
@@ -163,10 +165,11 @@ class TestHalfDepthNorm:
             val = dyadic_unconditionality(shells, 6)
             assert math.isfinite(val) and val >= 1.0 - 1e-12
 
-    def test_half_depth_product_honours_cap(self):
-        x = GroupPoly({(1,): 1.0, (2,): 1.0, (3,): 1.0}, cap=10)
-        assert len(x.star() * x) <= x.cap  # y = x* x fits, so p = 4 runs
-        ref = _full_depth_norm(GroupPoly(x.coeffs), 4)  # y y needs the default cap
+    def test_half_depth_product_honours_cap(self, monkeypatch):
+        x = GroupPoly({(1,): 1.0, (2,): 1.0, (3,): 1.0})
+        ref = _full_depth_norm(x, 4)  # y y needs more than the cap below
+        monkeypatch.setattr(freegroup, "SUPPORT_CAP", 10)
+        assert len(x.star() * x) <= freegroup.SUPPORT_CAP  # y = x* x fits, so p = 4 runs
         assert x.norm_even(4) == pytest.approx(ref, rel=1e-12)
         for p in (6, 8):  # x y and y y do not
             with pytest.raises(SupportOverflowError):
