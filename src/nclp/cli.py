@@ -150,16 +150,17 @@ def cmd_khintchine(args):
             for k in range(args.family)
         ]
         rep = hvnorms.khintchine_report(fam, args.p, cfg)
+        solve = rep.solve
         return {
             "trial": trial,
             "p": args.p,
             "radavg": rep.radavg,
             "radnorm": rep.radnorm,
-            "radnorm_lower": "" if rep.radnorm_lower is None else rep.radnorm_lower,
+            "radnorm_lower": "" if solve is None else solve.lower,
             "side": rep.side,
             "lower_ok": rep.lower_ok,
             "upper_ratio": rep.upper_ratio,
-            "solver_status": rep.solver_status or "",
+            "solver_status": "" if solve is None else solve.status,
         }
 
     return [one(trial) for trial in range(args.samples)]
@@ -250,7 +251,7 @@ def cmd_rbound(args):
     rows, header = [], {}
     for row in prof:
         for notion, est in (("col", row.col), ("row", row.row), ("rad", row.rad)):
-            if est.at_upper:  # the estimate is its certified upper bound
+            if est.within(rbound.UPPER_RTOL):  # the estimate is its certified upper bound
                 header[f"at_upper.{notion}.theta{row.theta:.3f}"] = repr(est.upper)
             witness_path = ""
             if args.out and args.out != "-":

@@ -5,7 +5,8 @@ elements of a finite noncommutative L^p space over the full matrix
 algebra with its *unnormalized* trace.  The functions here provide the
 Schatten norms and their norming elements, the modulus ``|x| = (x*x)^{1/2}``, the trace duality
 pairing ``<x, y> = tr(xy)``, and the shared PSD square-root kernel, plus
-an exact-round-trip text format for matrices and matrix families.
+an exact-round-trip text format for matrices and matrix families, and
+:class:`Bound`, the certified interval every estimator returns.
 
 One batched kernel, :func:`schatten_norms`, computes every Schatten norm.
 At the even exponents p = 2k in MOMENT_EXPONENTS it uses the trace
@@ -21,6 +22,7 @@ arguments and there is no global state.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +48,30 @@ class NumericsError(RuntimeError):
 
 class SpectralCollisionError(NumericsError):
     """A requested point is too close to the spectrum of an operator."""
+
+
+@dataclass(frozen=True)
+class Bound:
+    """A certified interval [lower, upper] for a constant: ``lower`` is
+    attained by a concrete witness or dual point, ``upper`` is proved
+    (``inf`` where no upper end is known).  :meth:`within` is the one rule
+    for a closed interval: a solve is converged, a search stops at its
+    certified upper bound, and a value is exact (``within(0)``)."""
+
+    lower: float
+    upper: float = math.inf
+
+    @property
+    def gap(self) -> float:
+        """The relative width (upper - lower) / upper: 0 at upper 0, inf
+        with an open upper end."""
+        if self.upper == math.inf:
+            return math.inf
+        return (self.upper - self.lower) / self.upper if self.upper > 0.0 else 0.0
+
+    def within(self, tol: float) -> bool:
+        """upper - lower <= tol * upper; never with an open upper end."""
+        return self.upper < math.inf and self.upper - self.lower <= tol * self.upper
 
 
 def as_matrix(x) -> np.ndarray:

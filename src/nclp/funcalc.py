@@ -41,6 +41,7 @@ import numpy as np
 
 from .core import (
     HERM_RTOL,
+    Bound,
     NumericsError,
     SpectralCollisionError,
     _check_hermitian,
@@ -594,7 +595,10 @@ class SandwichSchur(LpOperator):
     symbol = property(lambda self: self.w)
 
     def with_symbol(self, s):
-        return SandwichSchur(self.u, self.v, s)
+        # u and v were checked when self was built; only the symbol is new
+        new = object.__new__(SandwichSchur)
+        new.__dict__.update(u=self.u, v=self.v, dim=self.dim, w=_square_symbol(s, "SandwichSchur"))
+        return new
 
     def frame(self):
         u, v = self.u, self.v
@@ -1151,12 +1155,18 @@ def imaginary_power(op: LpOperator, s: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SectorProfile:
+    """One :class:`core.Bound` on K_theta per test angle theta; the
+    ``constants`` are their lower ends, and ``exact`` holds when every
+    bound is closed (``within(0)``: an exact norm, LpOperator.opnorm)."""
+
     omega_hat: float
-    constants: list  # [(theta, K_theta)]
+    bounds: dict  # {theta: Bound on K_theta}
     p: float
-    exact: bool  # True when every K_theta is an exact norm (LpOperator.opnorm)
+
+    constants = property(lambda self: [(theta, b.lower) for theta, b in self.bounds.items()])
+    exact = property(lambda self: all(b.within(0.0) for b in self.bounds.values()))
 
 
 def schatten_opnorm_lower(
@@ -1168,12 +1178,13 @@ def schatten_opnorm_lower(
     (:func:`core.power_ascent` over the seeded random starts), whose every
     value is a ratio attained by a concrete x, hence a certified lower bound.
     """
-    return _family_opnorm_lower([op], p, starts, iters, seed)[0]
+    return _family_opnorm_lower([op], p, starts, iters, seed).lower
 
 
-def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int):
-    """(max over the family of the :func:`schatten_opnorm_lower` values,
-    True when every one is an exact ``opnorm``).  The members without one
+def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int) -> Bound:
+    """The :class:`core.Bound` on the largest norm of the family: lower end
+    the max of the :func:`schatten_opnorm_lower` values, closed at it when
+    every one is an exact ``opnorm``, else open.  The members without one
     run one :func:`family_ascent` over their seeded starts, each a family
     of length 1 (start i belongs to the (i // starts)-th of them; each gets
     the same ones)."""
@@ -1181,7 +1192,7 @@ def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int):
     best = max((k for k in known if k is not None), default=0.0)
     rest = [op for op, k in zip(ops, known) if k is None]
     if not rest:
-        return best, True
+        return Bound(float(best), float(best))
     d = rest[0].dim
     rng = np.random.default_rng(seed)
     x0 = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(starts)]
@@ -1190,7 +1201,7 @@ def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int):
         rest, [op.dagger() for op in rest], sels, np.tile(x0, (len(rest), 1, 1))[:, None], p,
         "col", iters + 1,  # iters steps visit iters + 1 iterates
     )
-    return max(best, float(np.max(ratios, initial=0.0))), False
+    return Bound(max(float(best), float(np.max(ratios, initial=0.0))))
 
 
 def sector_type(op: LpOperator, p: float = 2.0, seed: int = 0) -> SectorProfile:
@@ -1200,22 +1211,21 @@ def sector_type(op: LpOperator, p: float = 2.0, seed: int = 0) -> SectorProfile:
     that leaves none is a ValueError.  Each member's norm is its exact
     ``opnorm`` where the kind has one (every kind at p = 2; left and right
     multiplication, whose ray members are again multiplications, at every
-    p), and ``exact`` is True when all of them are.  Otherwise it is a
-    power-iteration lower bound: one ascent per test angle runs the 8
-    seeded starts of every ray member together, a member's starts and
-    iterates those of its own :func:`schatten_opnorm_lower` call."""
+    p), and the angle's bound is closed when all of them are.  Otherwise
+    it is a power-iteration lower bound with an open upper end: one ascent
+    per test angle runs the 8 seeded starts of every ray member together,
+    a member's starts and iterates those of its own
+    :func:`schatten_opnorm_lower` call."""
     omega = op.sector_angle()
     gaps = (0.05, 0.15, 0.4, 0.8, 1.4)
     thetas = [omega + g for g in gaps if omega + g < math.pi - 1e-6]
     if not thetas:
         raise ValueError(f"operator type angle {omega:.3f} leaves no test angle below pi")
-    constants, exact = [], True
+    bounds = {}
     for theta in thetas:
         fam = ray_resolvent_family(op, theta, SECTOR_RAY_POINTS)
-        k, known = _family_opnorm_lower(fam, p, starts=8, iters=25, seed=seed)
-        constants.append((float(theta), float(k)))
-        exact = exact and known
-    return SectorProfile(omega_hat=omega, constants=constants, p=p, exact=exact)
+        bounds[float(theta)] = _family_opnorm_lower(fam, p, starts=8, iters=25, seed=seed)
+    return SectorProfile(omega_hat=omega, bounds=bounds, p=p)
 
 
 # ---------------------------------------------------------------------------

@@ -232,18 +232,11 @@ def _hstack_maps(n, d1, d2, lead=()):
     return fwd, adj
 
 
-def sum_norm(xs, p: float, cfg: ConvexCfg | None = None) -> float:
-    """inf { col(u, p) + row(x - u, p) } over family decompositions.
-
-    Solved by the shared split-norm solver; the returned value is the best
-    feasible objective, hence always an upper bound on the infimum and
-    never above min(col_norm, row_norm).  :func:`sum_norm_solve` also
-    returns the certified lower end of the interval.
-    """
-    return sum_norm_solve(xs, p, cfg).value
-
-
 def sum_norm_solve(xs, p: float, cfg: ConvexCfg | None = None) -> SolveResult:
+    """inf { col(u, p) + row(x - u, p) } over family decompositions, as the
+    shared split-norm solver's certified interval: its ``value`` (upper
+    end) is the best feasible objective, never above
+    min(col_norm, row_norm)."""
     fam = as_family(xs)
     n, d1, d2 = fam.shape
     f1, a1 = _vstack_maps(n, d1, d2)
@@ -270,8 +263,8 @@ class KhintchineReport:
     ``lower_ok`` asserts (1/sqrt 2) * intersection <= rad_average (slack
     1e-9).  For p < 2 the side is the sum norm, ``lower_ok`` asserts
     rad_average <= sum (the unit-constant inequality, slack 1e-6), and
-    ``radnorm`` is the upper end of the solver's interval
-    [``radnorm_lower``, ``radnorm``], with ``solver_status`` its verdict.
+    ``radnorm`` is the upper end of ``solve``, the sum norm's certified
+    interval (None for p >= 2).
     """
 
     p: float
@@ -280,8 +273,7 @@ class KhintchineReport:
     lower_ok: bool
     upper_ratio: float
     side: str
-    solver_status: str | None = None
-    radnorm_lower: float | None = None
+    solve: SolveResult | None = None
 
 
 def khintchine_report(xs, p: float, cfg: ConvexCfg | None = None) -> KhintchineReport:
@@ -298,8 +290,7 @@ def khintchine_report(xs, p: float, cfg: ConvexCfg | None = None) -> KhintchineR
     sm = res.value
     ok = ra <= sm + 1e-6 * max(sm, 1.0)
     ratio = ra / sm if sm > 0 else 1.0
-    return KhintchineReport(p, ra, sm, ok, ratio, "sum", solver_status=res.status,
-                            radnorm_lower=res.lower)
+    return KhintchineReport(p, ra, sm, ok, ratio, "sum", solve=res)
 
 
 def col_dual_witness(xs, p: float):

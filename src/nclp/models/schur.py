@@ -60,12 +60,6 @@ def schur_semigroup(sym: SchurSymbol, t: float) -> fc.SchurMult:
     return fc.SchurMult(np.exp(-t * sym.distances()))
 
 
-def schur_hinf_apply(sym: SchurSymbol, f: fc.HolFn, x) -> np.ndarray:
-    """Entrywise application of a bounded sector function to the symbol:
-    x_ij -> f(a_ij) x_ij with f(0) = 0 where points coincide."""
-    return fc.eigen_calculus(fc.SchurMult(sym.distances()), f).apply(x)
-
-
 def amplified_s2_norm(op: fc.LpOperator, level: int) -> float:
     """Operator norm of I_m (x) T on the Hilbert-Schmidt space."""
     return fc.AmplifiedOp(op, level).opnorm(2.0)

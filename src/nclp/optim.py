@@ -35,11 +35,13 @@ S^p'-unit), and takes L z on the side whose image is 0, with
 L* L z = w.  For the sum norm the denominator is the intersection norm in
 p', the dual of the sum norm (Lust-Piquard--Pisier).  So the start closes
 the interval when the trivial split is optimal and its norming element,
-so corrected, attains that dual norm, as on a family u_j = c_j y.  A run is
-"converged" exactly when upper - lower <= tol * upper, checked before
-every stage; a run that converges at its start reports ``iters`` 0 and
-its trivial split.  Otherwise it ends "budget-exhausted" after
-MU_DECADES stages and still reports its interval.
+so corrected, attains that dual norm, as on a family u_j = c_j y.  The
+result is a :class:`core.Bound` on the infimum: a run is "converged"
+exactly when that interval is :meth:`core.Bound.within` ``tol``
+(upper - lower <= tol * upper), checked before every stage; a run that
+converges at its start reports ``iters`` 0 and its trivial split.
+Otherwise it ends "budget-exhausted" after MU_DECADES stages and still
+reports its interval.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import conjugate_exponent, polar_factor, schatten_norm
+from .core import Bound, conjugate_exponent, polar_factor, schatten_norm
 
 MU_DECADES = 8  # smoothing stages mu = scale * 10^-k, k = 1..MU_DECADES
 MEMORY = 8  # L-BFGS correction pairs
@@ -76,14 +78,19 @@ class ConvexCfg:
     seed: int = 0
 
 
-@dataclass
-class SolveResult:
-    value: float  # upper bound: the exact objective of ``minimizer``
+@dataclass(frozen=True, kw_only=True)
+class SolveResult(Bound):
+    """The certified interval of one solve: ``upper`` (also ``value``) is
+    the exact objective of ``minimizer``, ``lower`` the weak-duality bound,
+    and ``status`` is "converged" exactly when the interval is within
+    ``tol``, else "budget-exhausted"."""
+
     minimizer: np.ndarray
-    status: str  # "converged" exactly when gap <= tol, else "budget-exhausted"
-    lower: float  # certified lower bound on the infimum
-    gap: float  # relative duality gap (value - lower) / value
     iters: int  # L-BFGS iterations over all stages
+    tol: float
+
+    value = property(lambda self: self.upper)
+    status = property(lambda self: "converged" if self.within(self.tol) else "budget-exhausted")
 
 
 def _smooth_value_grad(y: np.ndarray, p: float, mu: float):
@@ -244,10 +251,11 @@ def minimize_split_schatten(
     starts = [(schatten_norm(y1, p), v0, side1, side2, y1, y2),
               (schatten_norm(y2, p), np.zeros_like(v0), side2, side1, y2, y1)]
     upper, best, held, other, y, y_other = min(starts, key=lambda s: s[0])
-    lower = certificate(held, other, polar_factor(y, p), 1.0, np.zeros_like(y_other))
+    # a valid lower bound exceeds the upper one only by roundoff
+    lower = min(certificate(held, other, polar_factor(y, p), 1.0, np.zeros_like(y_other)), upper)
     scale, iters, x = upper, 0, best
     for k in range(1, MU_DECADES + 1):
-        if upper - lower <= cfg.tol * upper:
+        if Bound(lower, upper).within(cfg.tol):
             break
         mu = scale * 10.0**-k
         # the gradient w - L2* g2 is the residual the certificate corrects;
@@ -259,10 +267,5 @@ def minimize_split_schatten(
         if val < upper:
             upper, best = val, x
         _, g1, g2 = side_grads(x, mu)
-        lower = max(lower, certificate(side1, side2, g1, schatten_norm(g1, dual_p), g2))
-    # a valid lower bound exceeds the upper one only by roundoff
-    lower = min(lower, upper)
-    gap = (upper - lower) / upper if upper > 0.0 else 0.0
-    status = "converged" if upper - lower <= cfg.tol * upper else "budget-exhausted"
-    return SolveResult(value=upper, minimizer=best.copy(), status=status, lower=lower,
-                       gap=gap, iters=iters)
+        lower = min(max(lower, certificate(side1, side2, g1, schatten_norm(g1, dual_p), g2)), upper)
+    return SolveResult(lower, upper, minimizer=best.copy(), iters=iters, tol=cfg.tol)

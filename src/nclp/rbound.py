@@ -19,9 +19,11 @@ its constant is the largest member norm, and the estimate starts from
 that member's :meth:`LpOperator.opnorm_witness`.  That maximum is also a
 certified *upper* bound where every member's kind names the notion in
 :meth:`LpOperator.family_bounds` (col for left multiplications, row for
-right ones, both at p = 2): then the search stops before its first start
-once the length-1 value is within UPPER_RTOL of it, and the estimate is
-the constant itself.  Rad has no such bound and always searches the
+right ones, both at p = 2).  An estimate is a :class:`core.Bound`: its
+``lower`` end is the witness's value, its ``upper`` end that maximum or
+``inf``.  The search stops before its first start once the length-1
+interval is :meth:`core.Bound.within` UPPER_RTOL, and the estimate is
+then the constant itself.  Rad has no such bound and always searches the
 longer lengths.
 
 Every norm of a family comes from one batched kernel,
@@ -56,12 +58,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_exponent, norm_and_polar
+from .core import Bound, check_exponent, norm_and_polar
 from .funcalc import LpOperator, apply_each, family_ascent, ray_resolvent_family
 from .hvnorms import _sign_block, _signed_sums, as_family, family_norms
 
 RAD_SELECTION_MAX = 12  # longest rad selection searched (2^11 signs per family)
-UPPER_RTOL = 1e-14  # a value this close below the certified upper bound stops the search
+UPPER_RTOL = 1e-14  # a length-1 interval within this stops the search
 
 
 @dataclass
@@ -79,28 +81,24 @@ class SearchCfg:
     rad_steps: int = 25
 
 
-@dataclass
-class BoundEstimate:
-    """A certified lower bound ``value`` on a family constant, attained by
-    ``witness`` under ``selection``.  ``upper`` is the certified upper
-    bound max_k opnorm_k(p) where the members' kinds give one for the
-    notion (:meth:`LpOperator.family_bounds`), else None; ``restarts`` is 0
-    for a search that stopped there before its first start."""
+@dataclass(frozen=True, kw_only=True)
+class BoundEstimate(Bound):
+    """A certified interval on a family constant: ``lower`` (also
+    ``value``) is attained by ``witness`` under ``selection``, and
+    ``upper`` is the certified upper bound max_k opnorm_k(p) where the
+    members' kinds give one for the notion
+    (:meth:`LpOperator.family_bounds`), else inf; ``restarts`` is 0 for a
+    search that stopped there before its first start."""
 
     notion: str
     p: float
-    value: float
     selection: tuple
     witness: np.ndarray
     restarts: int  # starts actually run
     seed: int
     theta: float | None = None
-    upper: float | None = None  # certified upper bound on the constant, where known
 
-    @property
-    def at_upper(self) -> bool:
-        """The value is within roundoff of ``upper``: it is the constant."""
-        return self.upper is not None and self.value >= self.upper * (1 - UPPER_RTOL)
+    value = property(lambda self: self.lower)
 
 
 def check_test_angle(theta: float) -> float:
@@ -255,7 +253,7 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
     ]
     norms = [op.opnorm(p) for op in ops]
     exact = None not in norms
-    upper = None
+    upper = math.inf
     if exact and all(notion in op.family_bounds(p) for op in ops):
         upper = max(norms)
 
@@ -267,7 +265,7 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
         x = ops[k].opnorm_witness(p)[None]
         best = (objective(notion, ops, (k,), x, p), (k,), x)
     runs = 0
-    if upper is None or best[0] < upper * (1 - UPPER_RTOL):  # else certified: stop
+    if not Bound(best[0], upper).within(UPPER_RTOL):  # else certified: stop
         best, runs = _search(notion, ops, p, budget, seed, extra_starts, lengths, best,
                              skip_singletons=exact)
     best_val, best_sel, best_x = best
@@ -277,17 +275,8 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
         # differ from it in the last bit)
         best_val = objective(notion, ops, best_sel, best_x, p)
 
-    return BoundEstimate(
-        notion=notion,
-        p=p,
-        value=float(best_val),
-        selection=best_sel,
-        witness=best_x,
-        restarts=runs,
-        seed=seed,
-        theta=theta,
-        upper=upper,
-    )
+    return BoundEstimate(float(best_val), upper, notion=notion, p=p, selection=best_sel,
+                         witness=best_x, restarts=runs, seed=seed, theta=theta)
 
 
 def _search(notion, ops, p, budget, seed, extra_starts, lengths, best, skip_singletons):

@@ -214,7 +214,7 @@ def test_acceptance_5_khintchine_sandwich():
         c_measured = max(c_measured, ra / inter)
         # p = 1: the sign average sits below the sum norm
         ra1 = hvnorms.rad_average(fam, 1.0)
-        sm = hvnorms.sum_norm(fam, 1.0, cfg)
+        sm = hvnorms.sum_norm_solve(fam, 1.0, cfg).value
         sum_defect = max(sum_defect, ra1 - sm)
     ok = violations == 0 and sum_defect <= 1e-6
     _report(

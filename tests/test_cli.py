@@ -16,6 +16,7 @@ from nclp import cli
 from nclp import funcalc as fc
 from nclp.hvnorms import KhintchineReport, TensorExtendReport
 from nclp.models import freegroup
+from nclp.optim import SolveResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -479,9 +480,8 @@ class TestErrorPaths:
 class TestSolverExitCodes:
     def _patch_budget_exhausted(self, monkeypatch, lower_ok=True):
         def fake_report(fam, p, cfg=None, **kw):
-            return KhintchineReport(
-                p, 1.0, 2.0, lower_ok, 0.5, "sum", solver_status="budget-exhausted"
-            )
+            solve = SolveResult(1.0, 2.0, minimizer=np.zeros((2, 2, 2)), iters=1, tol=1e-6)
+            return KhintchineReport(p, 1.0, 2.0, lower_ok, 0.5, "sum", solve=solve)
 
         monkeypatch.setattr(cli.hvnorms, "khintchine_report", fake_report)
 
@@ -517,13 +517,10 @@ class TestSolverExitCodes:
     )
     def test_sqfn_equiv_reports_solver_status(self, tmp_path, monkeypatch, status,
                                               strict, expected):
-        from nclp.optim import SolveResult
-
         gap = 0.0 if status == "converged" else 0.5
 
         def fake_solve(fwd1, adj1, fwd2, adj2, v0, p, cfg=None):
-            return SolveResult(value=1.0, minimizer=np.zeros_like(v0), status=status,
-                               lower=1.0 - gap, gap=gap, iters=1)
+            return SolveResult(1.0 - gap, 1.0, minimizer=np.zeros_like(v0), iters=1, tol=1e-6)
 
         # the symmetric square function solves through hvnorms, the bracket in sqfn
         monkeypatch.setattr(cli.hvnorms, "minimize_split_schatten", fake_solve)
@@ -544,7 +541,7 @@ class TestSolverExitCodes:
 
         def marked(*args):
             res = solve(*args)
-            return dataclasses.replace(res, status="budget-exhausted", gap=0.5) if exhausted else res
+            return dataclasses.replace(res, lower=0.5 * res.upper) if exhausted else res
 
         monkeypatch.setattr(cli.hvnorms, "minimize_split_schatten", marked)
         code, text = run(["martingale", "cesaro", "--p", "1.5", "--seed", "1"], tmp_path)

@@ -1,10 +1,14 @@
+import dataclasses
+import importlib
 import math
+import pkgutil
 import warnings
 
 import numpy as np
 import pytest
 
-from nclp import core, funcalc as fc
+import nclp
+from nclp import core, funcalc as fc, optim, rbound
 
 from conftest import random_matrix, random_psd, unit
 
@@ -227,6 +231,55 @@ class TestExponent:
         for p in (1.2, 1.5, 3, 7):
             pp = core.conjugate_exponent(p)
             assert 1.0 / p + 1.0 / pp == pytest.approx(1.0, abs=1e-14)
+
+
+class TestBound:
+    def test_within_at_its_edges(self):
+        # the solver's rule upper - lower <= tol * upper, so upper 0 is closed
+        assert core.Bound(0.0, 0.0).within(1e-6) and core.Bound(0.0, 0.0).gap == 0.0
+        assert core.Bound(1.0 - 1e-7, 1.0).within(1e-6)
+        assert not core.Bound(1.0 - 1e-5, 1.0).within(1e-6)
+        assert core.Bound(2.0, 2.0).within(0.0)
+        assert not core.Bound(np.nextafter(2.0, 0.0), 2.0).within(0.0)
+        # an open upper end is never within, whatever the tolerance
+        for lower in (-math.inf, 0.0, 1.0, math.inf):
+            assert not core.Bound(lower).within(1e6)
+        assert core.Bound(1.0).gap == math.inf
+        # nor is a lower end of -inf below a finite upper one
+        assert not core.Bound(-math.inf, 0.0).within(1e-6)
+        assert not core.Bound(-math.inf, 1.0).within(1e6)
+
+    def test_results_derive_their_verdicts(self):
+        x = np.zeros((1, 2, 2))
+        zero = optim.SolveResult(0.0, 0.0, minimizer=x, iters=0, tol=1e-6)
+        assert zero.status == "converged" and zero.value == 0.0
+        wide = optim.SolveResult(0.5, 1.0, minimizer=x, iters=3, tol=1e-6)
+        assert wide.status == "budget-exhausted" and wide.gap == 0.5
+        est = rbound.BoundEstimate(1.5, notion="col", p=4.0, selection=(0,), witness=x,
+                                   restarts=2, seed=0)
+        assert est.value == 1.5 and est.upper == math.inf and not est.within(1.0)
+
+    def test_results_keep_one_interval(self):
+        # the certified ends and every verdict on them live in core.Bound: a
+        # result type that stores its own copy can disagree with it
+        assert issubclass(optim.SolveResult, core.Bound)
+        assert issubclass(rbound.BoundEstimate, core.Bound)
+        results = [cls for info in pkgutil.walk_packages(nclp.__path__, "nclp.")
+                   for cls in vars(importlib.import_module(info.name)).values()
+                   if dataclasses.is_dataclass(cls) and cls.__module__ == info.name]
+        assert {optim.SolveResult, rbound.BoundEstimate, fc.SectorProfile} <= set(results)
+
+        def names(cls):
+            return set(dir(cls)) | {f.name for f in dataclasses.fields(cls)}
+
+        redeclared = [f"{cls.__qualname__}.{name}" for cls in results if cls is not core.Bound
+                      for name in ("lower", "upper", "gap")
+                      if name in vars(cls) or name in vars(cls).get("__annotations__", {})]
+        stored = [f"{cls.__qualname__}.{f.name}" for cls in results
+                  for f in dataclasses.fields(cls) if f.name in ("status", "exact")]
+        gone = [f"{cls.__qualname__}.{name}" for cls in results
+                for name in ("at_upper", "radnorm_lower", "solver_status") if name in names(cls)]
+        assert redeclared == stored == gone == []
 
 
 class TestTextFormat:

@@ -83,6 +83,23 @@ class TestOperatorKinds:
                 fc.SandwichSchur(*pair, w)
         assert fc.SandwichSchur(u, u.conj().T, w).dim == 3
 
+    def test_rebuilt_sandwich_keeps_its_checked_factors(self, rng, monkeypatch):
+        # every resolvent, scaled ray member and calculus result is a rebuild:
+        # it shares the factors checked once and checks only its own symbol
+        op = fc.AdPair(np.diag([1.0, 2.0, 3.0]), np.diag([0.0, 0.5, 0.25]))
+        w = random_matrix(rng, 3)
+        seen = []
+        with monkeypatch.context() as mp:
+            mp.setattr(fc, "as_matrix", lambda x: seen.append(x) or np.asarray(x, complex))
+            mp.setattr(fc, "adjoint", lambda x: pytest.fail("factors checked again"))
+            new = op.with_symbol(w)
+        assert len(seen) == 1 and new.u is op.u and new.v is op.v
+        assert type(new) is fc.SandwichSchur
+        x = random_matrix(rng, 3)
+        assert np.array_equal(new.apply(x), fc.SandwichSchur(op.u, op.v, w).apply(x))
+        with pytest.raises(ValueError, match="non-finite"):
+            op.with_symbol(np.full((3, 3), np.nan))
+
     def test_dense_round_trip(self, rng):
         a = random_matrix(rng, 2)
         op = fc.LeftMult(a)

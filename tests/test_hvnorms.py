@@ -222,18 +222,18 @@ class TestRadAverage:
 class TestSumAndRadNorm:
     def test_singleton(self, rng):
         x = random_matrix(rng, 2)
-        val = hvnorms.sum_norm([x], 1, ConvexCfg(iters=200))
+        val = hvnorms.sum_norm_solve([x], 1, ConvexCfg(iters=200)).value
         assert val == pytest.approx(core.schatten_norm(x, 1), rel=1e-6)
 
     def test_zero_family(self):
         xs = [np.zeros((2, 2)), np.zeros((2, 2))]
-        assert hvnorms.sum_norm(xs, 1.5) == pytest.approx(0.0, abs=1e-12)
+        assert hvnorms.sum_norm_solve(xs, 1.5).value == pytest.approx(0.0, abs=1e-12)
 
     def test_never_above_endpoints(self, rng):
         for _ in range(5):
             xs = random_family(rng, 3, 2)
             for p in (1, 1.5):
-                val = hvnorms.sum_norm(xs, p, ConvexCfg(iters=120))
+                val = hvnorms.sum_norm_solve(xs, p, ConvexCfg(iters=120)).value
                 cap = min(hvnorms.col_norm(xs, p), hvnorms.row_norm(xs, p))
                 assert val <= cap + 1e-9
 
@@ -249,7 +249,7 @@ class TestSumAndRadNorm:
         hu = cp.hstack([u[k * d1 : (k + 1) * d1, :] for k in range(n)])
         prob = cp.Problem(cp.Minimize(cp.normNuc(u) + cp.normNuc(h - hu)))
         prob.solve(solver=cp.SCS, eps=1e-9, max_iters=200_000)
-        val = hvnorms.sum_norm(xs, 1, ConvexCfg(iters=400))
+        val = hvnorms.sum_norm_solve(xs, 1, ConvexCfg(iters=400)).value
         assert val == pytest.approx(prob.value, abs=1e-3 * max(prob.value, 1.0))
 
     def test_p_just_above_one_certifies(self):
@@ -270,7 +270,7 @@ class TestSumAndRadNorm:
         cfg = ConvexCfg(iters=120)
         value, (res,) = hvnorms.rad_norm(xs, 1.5, cfg)  # the solve is kept
         assert value == res.value
-        assert value == pytest.approx(hvnorms.sum_norm(xs, 1.5, cfg), rel=1e-9)
+        assert value == pytest.approx(hvnorms.sum_norm_solve(xs, 1.5, cfg).value, rel=1e-9)
 
 
 class TestKhintchine:
@@ -317,5 +317,5 @@ class TestSolverSanityAtP2:
         # closed-form convergence check for the solver
         xs = random_family(rng, 3, 3)
         target = hvnorms.intersection_norm(xs, 2)
-        val = hvnorms.sum_norm(xs, 2, ConvexCfg(iters=200))
+        val = hvnorms.sum_norm_solve(xs, 2, ConvexCfg(iters=200)).value
         assert val == pytest.approx(target, rel=1e-6)

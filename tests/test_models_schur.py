@@ -74,14 +74,14 @@ class TestHinfApply:
         # collinear points 0, 3 vs 1, 2 give the distance symbol [[1,2],[2,1]]
         sym = schur.SchurSymbol(np.array([[0.0], [3.0]]), np.array([[1.0], [2.0]]))
         x = np.ones((2, 2))
-        out = schur.schur_hinf_apply(sym, fc.library("g"), x)
+        out = fc.eigen_calculus(fc.SchurMult(sym.distances()), fc.library("g")).apply(x)
         assert np.allclose(out, [[0.25, 2.0 / 9.0], [2.0 / 9.0, 0.25]])
 
     def test_constant_function_keeps_support(self, rng):
         sym = schur.collinear_symbol(3)
         f = fc.make_hinf(3.0, lambda z: np.ones_like(z), name="one")
         x = random_matrix(rng, 3)
-        out = schur.schur_hinf_apply(sym, f, x)
+        out = fc.eigen_calculus(fc.SchurMult(sym.distances()), f).apply(x)
         off = ~np.eye(3, dtype=bool)
         assert np.allclose(out[off], x[off])
         assert np.allclose(out[~off], 0.0)  # zero distances killed
@@ -92,7 +92,7 @@ class TestHinfApply:
         sym = schur.SchurSymbol(pts_a, pts_b)
         f = fc.library("zis:0.7")
         x = random_matrix(rng, 3)
-        direct = schur.schur_hinf_apply(sym, f, x)
+        direct = fc.eigen_calculus(fc.SchurMult(sym.distances()), f).apply(x)
         gen = schur.schur_generator(sym)
         via_calc = fc.extended_calculus(gen, f).apply(x)
         assert np.max(np.abs(direct - via_calc)) <= 1e-8 * max(1.0, np.max(np.abs(direct)))

@@ -564,7 +564,7 @@ class TestCertifiedStop:
         top = max(op.opnorm(p) for op in ops)
         assert est.restarts == 0
         assert est.upper == top
-        assert est.at_upper
+        assert est.within(rbound.UPPER_RTOL)
         assert est.value == pytest.approx(top, rel=1e-14)
         assert len(est.selection) == 1
         assert rbound.re_evaluate(est, ops) == est.value
@@ -582,7 +582,7 @@ class TestCertifiedStop:
     def test_the_other_side_searches_at_p4(self, rng, notion, kind):
         ops = [kind(random_matrix(rng, 3)) for _ in range(4)]
         est = getattr(rbound, f"{notion}_bound_estimate")(ops, 4.0, CFG, seed=0)
-        assert est.upper is None and est.restarts > 0
+        assert est.upper == math.inf and est.restarts > 0
         # the search starts from the exact length-1 value
         assert est.value >= max(op.opnorm(4.0) for op in ops) * (1 - 1e-14)
 
@@ -595,7 +595,7 @@ class TestCertifiedStop:
     @pytest.mark.parametrize("name,ops", _exact_families())
     def test_rad_never_stops_early(self, name, ops):
         est = rbound.rad_bound_estimate(ops, 2.0, CFG, seed=0)
-        assert est.upper is None and not est.at_upper
+        assert est.upper == math.inf and not est.within(rbound.UPPER_RTOL)
         # length 1 is exact and runs no start; the longer lengths run theirs
         assert est.restarts == 2 * (CFG.restarts // 3)
         assert est.value >= max(op.opnorm(2.0) for op in ops) * (1 - 1e-14)
@@ -603,7 +603,7 @@ class TestCertifiedStop:
     def test_a_member_without_a_norm_searches_length_one(self, rng):
         ops = [fc.LeftMult(random_matrix(rng, 3)), fc.SchurMult(random_matrix(rng, 3))]
         est = rbound.col_bound_estimate(ops, 4.0, CFG, seed=0)
-        assert est.upper is None
+        assert est.upper == math.inf
         assert est.restarts == 3 * (CFG.restarts // 3)
 
     @pytest.mark.parametrize("notion", ["col", "row", "rad"])
@@ -652,4 +652,4 @@ class TestSearchWithoutExactNorms:
         assert est.value.hex() == value_hex
         assert est.selection == selection
         assert hashlib.sha256(est.witness.tobytes()).hexdigest()[:16] == digest
-        assert est.restarts == 6 and est.upper is None
+        assert est.restarts == 6 and est.upper == math.inf
