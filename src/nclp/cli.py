@@ -284,7 +284,7 @@ def cmd_sqfn_equiv(args):
     )
     rng = np.random.default_rng(args.seed)
     x = _rng_matrix(rng, op.dim)
-    sr = sqfn.square_report(op, x, f, grid, args.p, with_bracket=args.p < 2)
+    sr = sqfn.square_report(op, x, f, grid, args.p)
     row = {
         "experiment": f"sqfn-equiv:{args.variant}",
         "p": args.p,
@@ -444,7 +444,7 @@ def cmd_qfock(args):
         ou = fock.ou_semigroup(basis, args.t)
         for level in range(args.levels + 1):
             s, e = basis.level_start[level], basis.level_start[level + 1]
-            blk = ou.mat[s:e, s:e]
+            blk = ou[s:e, s:e]
             err = float(np.max(np.abs(blk - math.exp(-args.t * level) * np.eye(e - s))))
             rows.append({"level": level, "eigen_error": err, "ok": err <= 1e-12})
     return rows

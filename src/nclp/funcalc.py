@@ -1169,25 +1169,16 @@ class SectorProfile:
     exact = property(lambda self: all(b.within(0.0) for b in self.bounds.values()))
 
 
-def schatten_opnorm_lower(
-    op: LpOperator, p: float, starts: int = 50, iters: int = 40, seed: int = 0
-) -> float:
-    """Lower bound on ||T||_{S^p -> S^p}: the exact norm where the kind
-    knows it (:meth:`LpOperator.opnorm`: every kind at p = 2, left and
-    right multiplication at every p), otherwise nonlinear power iteration
-    (:func:`core.power_ascent` over the seeded random starts), whose every
-    value is a ratio attained by a concrete x, hence a certified lower bound.
-    """
-    return _family_opnorm_lower([op], p, starts, iters, seed).lower
-
-
 def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int) -> Bound:
-    """The :class:`core.Bound` on the largest norm of the family: lower end
-    the max of the :func:`schatten_opnorm_lower` values, closed at it when
-    every one is an exact ``opnorm``, else open.  The members without one
-    run one :func:`family_ascent` over their seeded starts, each a family
-    of length 1 (start i belongs to the (i // starts)-th of them; each gets
-    the same ones)."""
+    """The :class:`core.Bound` on the largest ||T||_{S^p -> S^p} of the
+    family.  A member's norm is exact where its kind knows it
+    (:meth:`LpOperator.opnorm`: every kind at p = 2, left and right
+    multiplication at every p); the bound is closed at the largest when
+    every one is, else open.  The members without one run one
+    :func:`family_ascent` (nonlinear power iteration) over their seeded
+    starts, each a family of length 1 (start i belongs to the
+    (i // starts)-th of them; each gets the same ones), whose every value
+    is a ratio attained by a concrete x, hence a certified lower end."""
     known = [op.opnorm(p) for op in ops]
     best = max((k for k in known if k is not None), default=0.0)
     rest = [op for op, k in zip(ops, known) if k is None]
@@ -1213,9 +1204,8 @@ def sector_type(op: LpOperator, p: float = 2.0, seed: int = 0) -> SectorProfile:
     multiplication, whose ray members are again multiplications, at every
     p), and the angle's bound is closed when all of them are.  Otherwise
     it is a power-iteration lower bound with an open upper end: one ascent
-    per test angle runs the 8 seeded starts of every ray member together,
-    a member's starts and iterates those of its own
-    :func:`schatten_opnorm_lower` call."""
+    per test angle runs the same 8 seeded starts for every ray member
+    together (:func:`_family_opnorm_lower`)."""
     omega = op.sector_angle()
     gaps = (0.05, 0.15, 0.4, 0.8, 1.4)
     thetas = [omega + g for g in gaps if omega + g < math.pi - 1e-6]
@@ -1304,8 +1294,7 @@ def subordination_identity(c, t: float):
         lhs = np.exp(-t * np.sqrt(lam))
         rhs = coeff @ np.exp(-np.outer(s_nodes * t * t, lam))
         return float(np.max(np.abs(lhs - rhs))), mass
-    cm = as_matrix(c)
-    lam, u = np.linalg.eigh(0.5 * (cm + adjoint(cm)))
+    lam, u = np.linalg.eigh(_check_hermitian(as_matrix(c), "generator"))
     lam = _psd_spectrum(lam)
     diag = np.exp(-t * np.sqrt(lam)) - coeff @ np.exp(-np.outer(s_nodes * t * t, lam))
     return float(np.linalg.norm((u * diag) @ adjoint(u), 2)), mass

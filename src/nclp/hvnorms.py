@@ -33,6 +33,7 @@ from .optim import ConvexCfg, SolveResult, minimize_split_schatten
 
 RAD_EXACT_MAX = 20  # 2^20 ~ 1e6 sign patterns; exact enumeration refuses more
 _SIGN_CHUNK = 1 << 13  # sign patterns per batched SVD
+EXTEND_TOL = 1e-9  # slack of tensor_extend's contraction and bound checks
 
 
 def as_family(xs) -> np.ndarray:
@@ -124,18 +125,19 @@ class TensorExtendReport:
     row_contractive: bool
 
 
-def tensor_extend(t, xs, p: float, tol: float = 1e-9) -> TensorExtendReport:
+def tensor_extend(t, xs, p: float) -> TensorExtendReport:
     """Apply a contraction T on the index space: y_j = sum_k T_{jk} x_k.
 
     Returns the column/row norms before and after, checking the tensor
-    extension bound col(y) <= ||T|| col(x) + tol (likewise for rows).
+    extension bound col(y) <= ||T|| col(x) + EXTEND_TOL (likewise for
+    rows).
     """
     fam = as_family(xs)
     tm = as_matrix(t)
     if tm.shape[1] != fam.shape[0]:
         raise ValueError(f"T has {tm.shape[1]} columns for a family of {fam.shape[0]}")
     t_norm = float(np.linalg.norm(tm, 2))
-    if t_norm > 1.0 + tol:
+    if t_norm > 1.0 + EXTEND_TOL:
         raise ValueError(f"T must be a contraction on the index space (||T|| = {t_norm:.6g})")
     ys = np.einsum("jk,kab->jab", tm, fam)
     ci, co = col_norm(fam, p), col_norm(ys, p)
@@ -146,8 +148,8 @@ def tensor_extend(t, xs, p: float, tol: float = 1e-9) -> TensorExtendReport:
         col_out=co,
         row_in=ri,
         row_out=ro,
-        col_contractive=co <= t_norm * ci + tol,
-        row_contractive=ro <= t_norm * ri + tol,
+        col_contractive=co <= t_norm * ci + EXTEND_TOL,
+        row_contractive=ro <= t_norm * ri + EXTEND_TOL,
     )
 
 
@@ -281,16 +283,13 @@ def khintchine_report(xs, p: float, cfg: ConvexCfg | None = None) -> KhintchineR
     fam = as_family(xs)
     p = check_exponent(p)
     ra = rad_average(fam, p)
+    norm, solves = rad_norm(fam, p, cfg)
     if p >= 2.0:
-        inter = intersection_norm(fam, p)
-        ok = ra >= inter / math.sqrt(2.0) - 1e-9 * max(inter, 1.0)
-        ratio = ra / inter if inter > 0 else 1.0
-        return KhintchineReport(p, ra, inter, ok, ratio, "intersection")
-    res = sum_norm_solve(fam, p, cfg)
-    sm = res.value
-    ok = ra <= sm + 1e-6 * max(sm, 1.0)
-    ratio = ra / sm if sm > 0 else 1.0
-    return KhintchineReport(p, ra, sm, ok, ratio, "sum", solve=res)
+        side, ok = "intersection", ra >= norm / math.sqrt(2.0) - 1e-9 * max(norm, 1.0)
+    else:
+        side, ok = "sum", ra <= norm + 1e-6 * max(norm, 1.0)
+    ratio = ra / norm if norm > 0 else 1.0
+    return KhintchineReport(p, ra, norm, ok, ratio, side, solve=solves[0] if solves else None)
 
 
 def col_dual_witness(xs, p: float):

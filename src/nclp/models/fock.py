@@ -12,17 +12,15 @@ fermionic statistics.  Second quantization acts level-wise by tensor
 powers of a contraction; a = e^{-t} I gives the Ornstein-Uhlenbeck
 semigroup with eigenvalue e^{-tn} on level n.
 
-Everything is truncated at a top level N; operators that push mass out of
-the truncation window carry a ``touches_top`` flag and moment routines
-demand N at least the number of factors, which makes them exact.
+Everything is truncated at a top level N, and every operator is a plain
+matrix on the truncated basis.  Moment routines demand N at least the
+number of factors, which makes them exact.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 GRAM_LEVEL_MAX = 6  # n! permutation sum
@@ -118,29 +116,7 @@ class FockBasis:
         return complex(np.conj(v) @ (self.gram @ u))
 
 
-@dataclass
-class FockOp:
-    """A matrix on the truncated basis, flagged when it moves mass through
-    the top level (such results are excluded from exactness claims)."""
-
-    mat: np.ndarray
-    touches_top: bool = False
-
-    def __add__(self, other):
-        return FockOp(self.mat + other.mat, self.touches_top or other.touches_top)
-
-    def __sub__(self, other):
-        return FockOp(self.mat - other.mat, self.touches_top or other.touches_top)
-
-    def __mul__(self, other):
-        if isinstance(other, FockOp):
-            return FockOp(self.mat @ other.mat, self.touches_top or other.touches_top)
-        return FockOp(other * self.mat, self.touches_top)
-
-    __rmul__ = __mul__
-
-
-def fock_creation(basis: FockBasis, h) -> FockOp:
+def fock_creation(basis: FockBasis, h) -> np.ndarray:
     """c(h): prepend h; words at the top level are annihilated (truncation)."""
     h = np.asarray(h, dtype=complex).reshape(-1)
     if h.shape[0] != basis.d:
@@ -153,7 +129,7 @@ def fock_creation(basis: FockBasis, h) -> FockOp:
             continue
         for i in range(basis.d):
             mat[basis.index[(i,) + w], j] += h[i]
-    return FockOp(mat, touches_top=True)
+    return mat
 
 
 def q_adjoint(basis: FockBasis, x: np.ndarray) -> np.ndarray:
@@ -161,13 +137,12 @@ def q_adjoint(basis: FockBasis, x: np.ndarray) -> np.ndarray:
     return basis.gram_inv @ x.conj().T @ basis.gram
 
 
-def fock_annihilation(basis: FockBasis, h) -> FockOp:
+def fock_annihilation(basis: FockBasis, h) -> np.ndarray:
     """a(h) = c(h)*, taken in the twisted inner product."""
-    c = fock_creation(basis, h)
-    return FockOp(q_adjoint(basis, c.mat), touches_top=True)
+    return q_adjoint(basis, fock_creation(basis, h))
 
 
-def annihilation_formula(basis: FockBasis, h) -> FockOp:
+def annihilation_formula(basis: FockBasis, h) -> np.ndarray:
     """The explicit deletion sum
 
         a(h)(h_1 (x) ... (x) h_n) = sum_k q^{k-1} <h_k, h> h_1 (x) ... k^ ... (x) h_n,
@@ -181,15 +156,15 @@ def annihilation_formula(basis: FockBasis, h) -> FockOp:
             target = w[:k] + w[k + 1 :]
             coeff = basis.q**k * np.conj(h[w[k]])
             mat[basis.index[target], j] += coeff
-    return FockOp(mat, touches_top=True)
+    return mat
 
 
-def fock_trace(op: FockOp) -> complex:
+def fock_trace(x: np.ndarray) -> complex:
     """Vacuum expectation <x Omega, Omega>_q (the level-0 Gram block is 1)."""
-    return complex(op.mat[0, 0])
+    return complex(x[0, 0])
 
 
-def gaussian_op(basis: FockBasis, h) -> FockOp:
+def gaussian_op(basis: FockBasis, h) -> np.ndarray:
     """The q-Gaussian w(h) = a(h) + c(h)."""
     return fock_creation(basis, h) + fock_annihilation(basis, h)
 
@@ -209,11 +184,11 @@ def gaussian_moment(hs, q: float, n_max: int | None = None) -> complex:
     basis = FockBasis(d, n, q)
     v = basis.vacuum()
     for h in reversed(hs):
-        v = gaussian_op(basis, h).mat @ v
+        v = gaussian_op(basis, h) @ v
     return complex(v[0])
 
 
-def second_quantization(basis: FockBasis, a) -> FockOp:
+def second_quantization(basis: FockBasis, a) -> np.ndarray:
     """Level-wise tensor powers of a contraction a on C^d (vacuum fixed)."""
     a = np.asarray(a, dtype=complex)
     if a.shape != (basis.d, basis.d):
@@ -226,10 +201,10 @@ def second_quantization(basis: FockBasis, a) -> FockOp:
         s, e = basis.level_start[level], basis.level_start[level + 1]
         mat[s:e, s:e] = blk
         blk = np.kron(a, blk)
-    return FockOp(mat, touches_top=False)
+    return mat
 
 
-def ou_semigroup(basis: FockBasis, t: float) -> FockOp:
+def ou_semigroup(basis: FockBasis, t: float) -> np.ndarray:
     """Second quantization of e^{-t} I: eigenvalue e^{-t n} on level n."""
     if t < 0:
         raise ValueError("t must be nonnegative")

@@ -106,9 +106,6 @@ class GroupPoly:
     def zero(cls) -> "GroupPoly":
         return cls({})
 
-    def support(self):
-        return set(self.coeffs)
-
     def __len__(self):
         return len(self.coeffs)
 

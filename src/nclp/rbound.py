@@ -20,10 +20,11 @@ that member's :meth:`LpOperator.opnorm_witness`.  That maximum is also a
 certified *upper* bound where every member's kind names the notion in
 :meth:`LpOperator.family_bounds` (col for left multiplications, row for
 right ones, both at p = 2).  An estimate is a :class:`core.Bound`: its
-``lower`` end is the witness's value, its ``upper`` end that maximum or
-``inf``.  The search stops before its first start once the length-1
-interval is :meth:`core.Bound.within` UPPER_RTOL, and the estimate is
-then the constant itself.  Rad has no such bound and always searches the
+``lower`` end is the witness's value, its ``upper`` end that maximum
+(raised to the lower end where roundoff puts the witness a few ulps
+above it) or ``inf``.  The search stops before its first start once the
+length-1 interval is :meth:`core.Bound.within` UPPER_RTOL, and the
+estimate is then the constant itself.  Rad has no such bound and always searches the
 longer lengths.
 
 Every norm of a family comes from one batched kernel,
@@ -85,10 +86,11 @@ class SearchCfg:
 class BoundEstimate(Bound):
     """A certified interval on a family constant: ``lower`` (also
     ``value``) is attained by ``witness`` under ``selection``, and
-    ``upper`` is the certified upper bound max_k opnorm_k(p) where the
-    members' kinds give one for the notion
-    (:meth:`LpOperator.family_bounds`), else inf; ``restarts`` is 0 for a
-    search that stopped there before its first start."""
+    ``upper`` is the certified upper bound max_k opnorm_k(p), or the
+    witness's value where roundoff puts it above that, where the members'
+    kinds give one for the notion (:meth:`LpOperator.family_bounds`), else
+    inf; ``restarts`` is 0 for a search that stopped there before its
+    first start."""
 
     notion: str
     p: float
@@ -241,7 +243,7 @@ def _ascend_rad(ops, daggers, sels, xs, p, steps, known):
 # -- the public estimators ---------------------------------------------------
 
 
-def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
+def _estimate(notion, ops, p, budget, seed, theta=None):
     ops = _check_family(ops)
     p = check_exponent(p)
     if budget is None:
@@ -266,20 +268,22 @@ def _estimate(notion, ops, p, budget, seed, extra_starts, theta=None):
         best = (objective(notion, ops, (k,), x, p), (k,), x)
     runs = 0
     if not Bound(best[0], upper).within(UPPER_RTOL):  # else certified: stop
-        best, runs = _search(notion, ops, p, budget, seed, extra_starts, lengths, best,
-                             skip_singletons=exact)
+        best, runs = _search(notion, ops, p, budget, seed, lengths, best, skip_singletons=exact)
     best_val, best_sel, best_x = best
     if best_x is not None:
         # the value certified is the stored witness's objective, exactly
         # what re_evaluate recomputes (the search's batched values can
         # differ from it in the last bit)
         best_val = objective(notion, ops, best_sel, best_x, p)
+    # the witness's objective can exceed the closed-form norm by roundoff;
+    # the upper end is raised to it so the interval stays ordered
+    upper = max(upper, best_val)
 
     return BoundEstimate(float(best_val), upper, notion=notion, p=p, selection=best_sel,
                          witness=best_x, restarts=runs, seed=seed, theta=theta)
 
 
-def _search(notion, ops, p, budget, seed, extra_starts, lengths, best, skip_singletons):
+def _search(notion, ops, p, budget, seed, lengths, best, skip_singletons):
     """The seeded search over the selection lengths, from the best
     (value, selection, witness) known; returns the best found and the
     number of starts run.  With ``skip_singletons`` the length-1 starts and
@@ -288,18 +292,16 @@ def _search(notion, ops, p, budget, seed, extra_starts, lengths, best, skip_sing
     rng = np.random.default_rng(seed)
     d = ops[0].dim
     n_ops = len(ops)
-    extra = [np.asarray(s, dtype=np.complex128) for s in (extra_starts or [])]
     daggers = [op.dagger() for op in ops]
 
     best_val, best_sel, best_x = best
     per_length = max(budget.restarts // max(len(lengths), 1), 1)
     runs = 0
     for L in lengths:
-        starts = [s for s in extra if s.shape == (L, d, d)]
-        while len(starts) < per_length:
-            starts.append(
-                rng.standard_normal((L, d, d)) + 1j * rng.standard_normal((L, d, d))
-            )
+        starts = [
+            rng.standard_normal((L, d, d)) + 1j * rng.standard_normal((L, d, d))
+            for _ in range(per_length)
+        ]
         # the starts of one length run in lock-step, each under its own
         # selection, drawn after the starts in start order
         sels = np.array([rng.integers(0, n_ops, size=L) for _ in starts])
@@ -338,26 +340,23 @@ def _search(notion, ops, p, budget, seed, extra_starts, lengths, best, skip_sing
     return (best_val, best_sel, best_x), runs
 
 
-def col_bound_estimate(ops, p, budget: SearchCfg | None = None, seed: int = 0,
-                       extra_starts=None) -> BoundEstimate:
+def col_bound_estimate(ops, p, budget: SearchCfg | None = None, seed: int = 0) -> BoundEstimate:
     """Certified lower bound on the column-boundedness constant of a family."""
-    return _estimate("col", ops, p, budget, seed, extra_starts)
+    return _estimate("col", ops, p, budget, seed)
 
 
-def row_bound_estimate(ops, p, budget: SearchCfg | None = None, seed: int = 0,
-                       extra_starts=None) -> BoundEstimate:
+def row_bound_estimate(ops, p, budget: SearchCfg | None = None, seed: int = 0) -> BoundEstimate:
     """Certified lower bound on the row-boundedness constant of a family."""
-    return _estimate("row", ops, p, budget, seed, extra_starts)
+    return _estimate("row", ops, p, budget, seed)
 
 
-def rad_bound_estimate(ops, p, budget: SearchCfg | None = None, seed: int = 0,
-                       extra_starts=None) -> BoundEstimate:
+def rad_bound_estimate(ops, p, budget: SearchCfg | None = None, seed: int = 0) -> BoundEstimate:
     """Certified lower bound on the Rademacher-boundedness constant.
 
     The objective enumerates signs exactly, so selection lengths are
     capped at RAD_SELECTION_MAX.
     """
-    return _estimate("rad", ops, p, budget, seed, extra_starts)
+    return _estimate("rad", ops, p, budget, seed)
 
 
 # -- sectoriality profiling ---------------------------------------------------
@@ -391,9 +390,9 @@ def sector_rbound_profile(
         rows.append(
             ProfileRow(
                 theta=theta,
-                col=_estimate("col", fam, p, budget, seed, None, theta=theta),
-                row=_estimate("row", fam, p, budget, seed, None, theta=theta),
-                rad=_estimate("rad", fam, p, budget, seed, None, theta=theta),
+                col=_estimate("col", fam, p, budget, seed, theta=theta),
+                row=_estimate("row", fam, p, budget, seed, theta=theta),
+                rad=_estimate("rad", fam, p, budget, seed, theta=theta),
             )
         )
     return rows

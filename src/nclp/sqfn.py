@@ -214,10 +214,10 @@ def square_report(
     grid: LogGrid | None = None,
     p: float = 2.0,
     cfg: ConvexCfg | None = None,
-    with_bracket: bool | None = None,
 ) -> SquareReport:
-    """All square functions of one matrix from one node family, plus a
-    truncation diagnostic (endpoint node mass relative to the peak)."""
+    """All square functions of one matrix from one node family (the bracket
+    norm exactly when p < 2), plus a truncation diagnostic (endpoint node
+    mass relative to the peak)."""
     p = check_exponent(p)
     fam = _NodeFamily(op, f, grid)
     u = fam.weighted(x)
@@ -226,11 +226,9 @@ def square_report(
     peak = float(np.max(mags)) if mags.size else 0.0
     # endpoint mass enters the accumulated square S quadratically
     truncated = bool(peak > 0 and max(mags[0], mags[-1]) ** 2 > 1e-9 * peak**2)
-    if with_bracket is None:
-        with_bracket = p < 2.0
     rad, solves = rad_norm(u, p, cfg)
     bracket = None
-    if with_bracket:
+    if p < 2.0:
         res = _bracket(fam, x, p, cfg)
         bracket, solves = res.value, solves + (res,)
     return SquareReport(

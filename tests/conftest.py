@@ -9,9 +9,7 @@ from nclp import optim, rbound
 def ordered_bounds(monkeypatch):
     """Every certified interval a test produces has lower <= upper: each
     SolveResult, BoundEstimate and SectorProfile bound built during the
-    test is checked after it.  A search's lower end is the objective of its
-    witness and its upper end a closed-form norm, so they may cross by
-    roundoff, bounded by UPPER_RTOL."""
+    test is checked after it."""
     made = []
     for cls in (optim.SolveResult, rbound.BoundEstimate, fc.SectorProfile):
         def recording(self, *args, _init=cls.__init__, **kwargs):
@@ -20,8 +18,7 @@ def ordered_bounds(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", recording)
     yield
-    slack = {rbound.BoundEstimate: rbound.UPPER_RTOL}
-    crossed = [b for b in made if not b.lower <= b.upper * (1 + slack.get(type(b), 0.0))]
+    crossed = [b for b in made if not b.lower <= b.upper]
     assert crossed == []
 
 

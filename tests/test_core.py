@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import math
 import pkgutil
 import warnings
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import nclp
-from nclp import core, funcalc as fc, optim, rbound
+from nclp import core, funcalc as fc, hvnorms, optim, rbound, sqfn
+from nclp.models import fock, freegroup
 
 from conftest import random_matrix, random_psd, unit
 
@@ -282,6 +284,19 @@ class TestBound:
         assert redeclared == stored == gone == []
 
 
+class TestNoUnreadOptions:
+    def test_removed_parameters_and_names_stay_absent(self):
+        # no caller in nclp set these: each doubled the configurations to test
+        removed = [(sqfn.square_report, "with_bracket"), (hvnorms.tensor_extend, "tol")]
+        removed += [(fn, "extra_starts") for fn in (
+            rbound.col_bound_estimate, rbound.row_bound_estimate, rbound.rad_bound_estimate,
+            rbound._estimate, rbound._search)]
+        assert [(fn.__name__, name) for fn, name in removed
+                if name in inspect.signature(fn).parameters] == []
+        gone = [(fc, "schatten_opnorm_lower"), (fock, "FockOp"), (freegroup.GroupPoly, "support")]
+        assert [name for owner, name in gone if hasattr(owner, name)] == []
+
+
 class TestTextFormat:
     def test_round_trip_exact(self, rng, tmp_path):
         x = random_matrix(rng, 3, 5)
@@ -431,7 +446,7 @@ class TestPowerAscent:
         x0s = np.stack([random_matrix(rng, 2) for _ in range(3)])
         best, _ = core.power_ascent(_stacked(zero), _stacked(zero), x0s, 4.0, 10)
         assert not np.any(best)
-        assert fc.schatten_opnorm_lower(zero, 4.0, starts=3) == 0.0
+        assert fc._family_opnorm_lower([zero], 4.0, starts=3, iters=40, seed=0).lower == 0.0
         op = fc.LeftMult(np.diag([1.0, 2.0]))
         x0s[1] = 0.0
         best, _ = core.power_ascent(_stacked(op), _stacked(op), x0s, 4.0, 10)

@@ -998,7 +998,7 @@ class TestSectorType:
 
     def test_pnorm_lower_bound_diag(self):
         op = fc.LeftMult(np.diag([0.5, 2.0, 1.0]))
-        est = fc.schatten_opnorm_lower(op, 4.0, starts=10, iters=30, seed=1)
+        est = fc._family_opnorm_lower([op], 4.0, starts=10, iters=30, seed=1).lower
         assert est == pytest.approx(2.0, rel=1e-6)
         assert est <= 2.0 + 1e-9
 
@@ -1172,6 +1172,10 @@ class TestIntegralIdentities:
         c = fc.SandwichSchur(ad.u, ad.v, ad.w**2)
         resid, _ = fc.subordination_identity(c, 0.7)
         assert resid <= 1e-5
+
+    def test_subordination_rejects_non_hermitian_matrix(self):
+        with pytest.raises(ValueError, match="generator is not hermitian"):
+            fc.subordination_identity(np.array([[2.0, 0.5], [0.0, 2.0]]), 1.0)
 
     def test_subordination_rejects_negative(self):
         with pytest.raises(ValueError):

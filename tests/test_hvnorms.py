@@ -286,6 +286,7 @@ class TestKhintchine:
         for _ in range(10):
             xs = random_family(rng, 4, 3)
             rep = hvnorms.khintchine_report(xs, 4)
+            assert (rep.radnorm, rep.solve) == (hvnorms.rad_norm(xs, 4)[0], None)
             assert rep.lower_ok
             assert rep.radavg >= rep.radnorm / math.sqrt(2) - 1e-9
 
@@ -293,6 +294,9 @@ class TestKhintchine:
         for _ in range(5):
             xs = random_family(rng, 3, 2)
             rep = hvnorms.khintchine_report(xs, 1, ConvexCfg(iters=200))
+            value, (res,) = hvnorms.rad_norm(xs, 1, ConvexCfg(iters=200))
+            assert rep.radnorm == value
+            assert (rep.solve.lower, rep.solve.upper) == (res.lower, res.upper)
             assert rep.side == "sum"
             assert rep.lower_ok  # rad average below the sum norm
             assert rep.radavg <= rep.radnorm + 1e-6

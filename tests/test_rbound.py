@@ -91,19 +91,9 @@ class TestTranspositionExample:
         d = 8
         t = self.transposition_op(d)
         cfg = rbound.SearchCfg(restarts=4, iters=20, lengths=(2,), reselect_rounds=1)
-        starts2 = [
-            np.stack(
-                [np.outer(np.eye(d)[0], np.eye(d)[k]).astype(complex) for k in range(2)]
-            )
-        ]
-        est2 = rbound.row_bound_estimate([t], 1.0, cfg, seed=0, extra_starts=starts2)
+        est2 = rbound.row_bound_estimate([t], 1.0, cfg, seed=0)
         cfg8 = rbound.SearchCfg(restarts=4, iters=20, lengths=(8,), reselect_rounds=1)
-        starts8 = [
-            np.stack(
-                [np.outer(np.eye(d)[0], np.eye(d)[k]).astype(complex) for k in range(8)]
-            )
-        ]
-        est8 = rbound.row_bound_estimate([t], 1.0, cfg8, seed=0, extra_starts=starts8)
+        est8 = rbound.row_bound_estimate([t], 1.0, cfg8, seed=0)
         assert est2.value >= math.sqrt(2) - 1e-9
         assert est8.value >= math.sqrt(8) - 1e-9
         assert est8.value > est2.value + 0.5
@@ -191,13 +181,6 @@ class TestStartCount:
                                reselect_rounds=1)
         est = rbound.col_bound_estimate(schur_pair(), 4.0, cfg, seed=0)
         assert est.restarts == started
-
-    def test_extra_starts_count(self):
-        cfg = rbound.SearchCfg(restarts=2, iters=3, lengths=(1, 2), reselect_rounds=1)
-        extra = [np.eye(2)[None], np.ones((1, 2, 2)), 2 * np.eye(2)[None]]
-        est = rbound.col_bound_estimate(schur_pair(), 4.0, cfg, seed=0,
-                                        extra_starts=extra)
-        assert est.restarts == 3 + 1  # three given at length 1, one drawn at 2
 
 
 class TestDeterminism:
@@ -563,7 +546,9 @@ class TestCertifiedStop:
     def _assert_stopped(est, ops, p):
         top = max(op.opnorm(p) for op in ops)
         assert est.restarts == 0
-        assert est.upper == top
+        # the upper end is the largest norm, raised to the witness's value
+        # where roundoff puts that a few ulps above it
+        assert est.upper == max(top, est.value)
         assert est.within(rbound.UPPER_RTOL)
         assert est.value == pytest.approx(top, rel=1e-14)
         assert len(est.selection) == 1
