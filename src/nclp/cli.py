@@ -570,7 +570,8 @@ def _spec(parse):
 # flags shared by several subcommands; each subcommand names the ones it reads
 SHARED_FLAGS = {
     "--p": dict(type=_checked(float, check_exponent), default=2.0, help="Schatten exponent"),
-    "--seed": dict(type=int, default=None, help="RNG seed (mandatory for stochastic runs)"),
+    "--seed": dict(type=_checked(int, _nonnegative), default=None,
+                   help="RNG seed (mandatory for stochastic runs)"),
     "--samples": dict(type=_COUNT, default=10, help="number of trials/rows"),
     "--strict": dict(action="store_true", help="treat solver warnings (gap above tolerance) as failures"),
     "--grid": dict(type=_checked(str, parse_grid), default=None, help="tmin,tmax,n quadrature window"),

@@ -16,7 +16,8 @@ provides
   double-exponential rule per ray of a sector boundary, for decaying f,
   swept in nested levels of halving step until two levels agree, on the
   radii left after the outer tails whose terms a certified resolvent bound
-  puts below roundoff are cut off,
+  puts below roundoff are cut off; a large matrix symbol sums the nodes far
+  from its spectrum by a truncated resolvent series and inverts the rest,
 * the extended calculus f(A) = g(A)^{-1} (fg)(A) with g(z) = z/(1+z)^2
   for merely bounded analytic f (kernel components are sent to 0),
 * the one family power ascent, :func:`family_ascent`, on column or row
@@ -71,6 +72,19 @@ CONTOUR_MARGIN = 4.0
 CONTOUR_STEP = 0.1
 LEVEL_STRIDES = (8, 4, 2, 1, 1 / 2, 1 / 4, 1 / 8, 1 / 16)
 LEVEL_TOL = 1e-7
+# A matrix symbol's sweep sums the nodes within SERIES_Q of the spectrum's radius below it
+# (or beyond it by 1 / SERIES_Q above) by a truncated resolvent series of SERIES_TERMS
+# powers, the fewest with SERIES_Q^m / (1 - SERIES_Q) <= u / (2 * LEVEL_STRIDES[0]), u the
+# unit roundoff (see _ResolventSeries), on symbols of order SERIES_MIN_ORDER and up.  That
+# order is the measured crossover: with the series, the six benchmark functions on a
+# diagonal LeftMult of order 12, 13, 14 and 16 take 1.06, 0.97, 0.92 and 0.88 times as
+# long as inverting every node (one OpenBLAS thread, Xeon x86-64).  SERIES_Q = 1/4 was
+# the fastest of 1/8, 1/6, 1/4, 1/3 and 1/2 on the benchmark's dense operators.
+SERIES_Q = 0.25
+SERIES_TERMS = math.ceil(
+    math.log(np.finfo(float).eps / 2 / (2 * LEVEL_STRIDES[0]) * (1 - SERIES_Q)) / math.log(SERIES_Q)
+)
+SERIES_MIN_ORDER = 14
 
 
 # ---------------------------------------------------------------------------
@@ -749,12 +763,13 @@ def ray_resolvent_family(op: LpOperator, theta: float, n_points: int = 24):
 
 def apply_each(ops, which, xs) -> np.ndarray:
     """The stack of ops[which[i]] applied to xs[i]: one stacked ``apply``
-    per run of equal consecutive entries of ``which``."""
+    per distinct member, on all of its rows (a kind's ``apply`` gives each
+    matrix of a stack the bits it gets alone)."""
     which = np.asarray(which)
     out = np.empty(np.shape(xs), dtype=np.complex128)
-    cuts = [0, *(np.flatnonzero(which[1:] != which[:-1]) + 1), len(which)]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        out[lo:hi] = ops[which[lo]].apply(xs[lo:hi])
+    for k in dict.fromkeys(which.tolist()):  # np.unique's first call costs 1.6 MB of RSS
+        rows = which == k
+        out[rows] = ops[k].apply(xs[rows])
     return out
 
 
@@ -970,6 +985,80 @@ def _resolvent_sums(z, c, s) -> np.ndarray:
     return out[:k] + out[k:].conj() if real else out
 
 
+def _far_radii(r, rho: float, below: bool) -> np.ndarray:
+    """True at the radii r far below (|z| <= SERIES_Q rho) or far above
+    (|z| >= rho / SERIES_Q) the spectral radius rho of one side."""
+    return r <= SERIES_Q * rho if below else r >= rho / SERIES_Q
+
+
+class _ResolventSeries:
+    """The resolvent sums of a matrix symbol S over the nodes on one side of
+    its spectrum far from it, as a truncated power series.  With rho the
+    radius of :func:`_resolvent_radii` on that side, a node is far when
+
+        below (rho = sigma_min - slack > 0):  |z| <= SERIES_Q rho,
+            (z - S)^{-1} = -rho^{-1} sum_{k<m} (z / rho)^k W^{k+1},  W = rho S^{-1},
+        above (rho = sigma_max + slack > 0):  |z| >= rho / SERIES_Q,
+            (z - S)^{-1} = z^{-1} sum_{k<m} (rho / z)^k V^k,  V = S / rho,
+
+    with m = SERIES_TERMS.  ||W||, ||V|| <= 1 and the ratio is at most
+    SERIES_Q, so each dropped tail is at most SERIES_Q^m / (1 - SERIES_Q)
+    <= u / (2 * LEVEL_STRIDES[0]) times 1 / |z|: the series moves a level's
+    result by at most u / (2 * LEVEL_STRIDES[0]) times its mass, less than
+    the tails :func:`_tail_cut` drops.  The powers of W or V are built once,
+    by doubling (one inverse below, about log2(m) batched products), in a
+    real dtype for a real symbol; a set of far nodes then costs its moment
+    vector sum_j c_j (ratio_j)^k times the stack, for both rays at once."""
+
+    def __init__(self, s, rho: float, below: bool):
+        n = s.shape[0]
+        self.rho, self.below = rho, below
+        self.powers = np.empty((SERIES_TERMS, n, n), dtype=np.result_type(s, float))
+        p = self.powers  # p[k] = B^{k+1}, B = W below; behind the identity above
+        if below:
+            p[0] = rho * np.linalg.inv(s)
+        else:
+            p[0] = np.eye(n)
+            p = p[1:]
+            p[0] = s / rho
+        k = 1
+        while k < len(p):  # p[k : k + j] = p[:j] B^k
+            j = min(k, len(p) - k)
+            np.matmul(p[:j], p[k - 1], out=p[k : k + j])
+            k += j
+
+    def far(self, r) -> np.ndarray:
+        """True at the radii r whose nodes the series sums."""
+        return _far_radii(r, self.rho, self.below)
+
+    def sums(self, z, c) -> np.ndarray:
+        """sum_j c[k, j] (z_j - S)^{-1} for every row k of c, on far nodes z."""
+        x, a = (z / self.rho, -c / self.rho) if self.below else (self.rho / z, c / z)
+        moments = a @ np.vander(x, SERIES_TERMS, increasing=True)
+        p = self.powers.reshape(SERIES_TERMS, -1)
+        if np.isrealobj(p):  # a real stack is not copied into a complex one
+            out = moments.real @ p + 1j * (moments.imag @ p)
+        else:
+            out = moments @ p
+        return out.reshape((len(c),) + self.powers.shape[1:])
+
+
+def _series_sides(s, lo: float, hi: float, r) -> list:
+    """The :class:`_ResolventSeries` a sweep over the grid radii r (inside
+    the tail cut) takes on the matrix symbol s: each side of the spectrum
+    with more far radii than SERIES_TERMS, on a symbol of order at least
+    SERIES_MIN_ORDER, where the series costs less than inverting them.  A
+    kernel (lo <= 0) takes no lower series and the zero symbol (hi = 0) no
+    upper one."""
+    if s.shape[0] < SERIES_MIN_ORDER:
+        return []
+    return [
+        _ResolventSeries(s, rho, below)
+        for rho, below in ((lo, True), (hi, False))
+        if rho > 0 and np.count_nonzero(_far_radii(r, rho, below)) > SERIES_TERMS
+    ]
+
+
 def _truncation_estimate(f: HolFn, spec: ContourSpec) -> float:
     """The integrand |f(z)| du/dv at the two end nodes of each ray."""
     u, dudv, _ = spec.rule()
@@ -977,23 +1066,33 @@ def _truncation_estimate(f: HolFn, spec: ContourSpec) -> float:
     return float(np.sum((np.abs(f(z)) + np.abs(f(z.conj()))) * dudv[[0, -1]]))
 
 
-def _tail_cut(op: LpOperator, r, c) -> tuple:
+def _resolvent_radii(op: LpOperator) -> tuple:
+    """(lo, hi) = (sigma_min - slack, sigma_max + slack): the extreme
+    singular values of the symbol S (max and min |lambda| for an entrywise
+    kind), widened by the roundoff margin slack = 4 n eps sigma_max, so that
+
+        ||(z - S)^{-1}|| <= 1 / (|z| - hi)   for |z| > hi,
+        ||(z - S)^{-1}|| <= 1 / (lo - |z|)   for |z| < lo,
+
+    and a kernel (lo <= 0) bounds nothing below.  One SVD of a matrix
+    symbol serves the tail cut and the resolvent series of a sweep."""
+    s = op.symbol
+    sv = np.abs(s) if op.entrywise else np.linalg.svd(s, compute_uv=False)
+    smax = sv.max()
+    slack = 4 * s.shape[0] * np.finfo(float).eps * smax
+    return sv.min() - slack, smax + slack
+
+
+def _tail_cut(lo: float, hi: float, r, c) -> tuple:
     """(t_lo, t_hi): the sweep keeps the grid positions strictly between
     them and drops the outer tails of each ray, where a certified resolvent
     bound puts every term below roundoff.  r holds the grid's radii and
     c[k, j] the coefficients of the k-th function at its nodes (the lower
-    ray, then the upper).
-
-    Let sigma_max >= sigma_min be the extreme singular values of the symbol
-    S (max and min |lambda| for an entrywise kind), widened by the roundoff
-    margin 4 n eps sigma_max.  Then
-
-        ||(z - S)^{-1}|| <= 1 / (|z| - sigma_max)   for |z| > sigma_max,
-        ||(z - S)^{-1}|| <= 1 / (sigma_min - |z|)   for |z| < sigma_min,
-
-    and a kernel (sigma_min <= 0) bounds nothing below.  On each side the
-    outermost grid nodes are dropped while, for every function, the sum of
-    |c_j| times that bound over them stays within
+    ray, then the upper); (lo, hi) are the symbol's :func:`_resolvent_radii`,
+    whose bounds 1 / (|z| - hi) above and 1 / (lo - |z|) below the spectrum
+    hold on the tails.  On each side the outermost grid nodes are dropped
+    while, for every function, the sum of |c_j| times that bound over them
+    stays within
     u * mass / (2 * LEVEL_STRIDES[0]), u = eps / 2 the unit roundoff and
     mass = sum_j |c_j| / |z_j| over the grid.  A level of stride up to
     LEVEL_STRIDES[0] is a subset of the grid, so the two tails cut it by
@@ -1001,19 +1100,19 @@ def _tail_cut(op: LpOperator, r, c) -> tuple:
     :func:`_level_gap` takes as roundoff.  The cut falls on the innermost
     dropped grid nodes: a finer level keeps the midpoints inside them, and
     drops only midpoints between dropped nodes, whose terms a decaying tail
-    keeps below those of the grid."""
-    s = op.symbol
-    sv = np.abs(s) if op.entrywise else np.linalg.svd(s, compute_uv=False)
-    eps, smax, smin = np.finfo(float).eps, sv.max(), sv.min()
-    slack = 4 * s.shape[0] * eps * smax
+    keeps below those of the grid.  The far nodes a matrix symbol sums by
+    :class:`_ResolventSeries` move a level by at most u / (2 *
+    LEVEL_STRIDES[0]) times its own mass (stride * sum_j |c_j| / |z_j| over
+    its nodes), at most u / 2 * mass more for these levels, so the cut
+    level stays within 3/2 u * mass of the exact sum over the whole grid."""
     n = r.size
     c = np.abs(c[:, :n]) + np.abs(c[:, n:])  # both rays share a radius
-    budget = eps / 2 * (c @ (1.0 / r)) / (2 * LEVEL_STRIDES[0])
+    budget = np.finfo(float).eps / 2 * (c @ (1.0 / r)) / (2 * LEVEL_STRIDES[0])
     # the bounds are finite on the tails only: no 0 * inf where c underflows
-    below = np.searchsorted(r, smin - slack)
-    above = n - np.searchsorted(r, smax + slack, side="right")
-    cut_lo = np.cumsum(c[:, :below] / (smin - slack - r[:below]), axis=1)
-    cut_hi = np.cumsum(c[:, ::-1][:, :above] / (r[::-1][:above] - smax - slack), axis=1)
+    below = np.searchsorted(r, lo)
+    above = n - np.searchsorted(r, hi, side="right")
+    cut_lo = np.cumsum(c[:, :below] / (lo - r[:below]), axis=1)
+    cut_hi = np.cumsum(c[:, ::-1][:, :above] / (r[::-1][:above] - hi), axis=1)
     n_lo = (cut_lo <= budget[:, None]).sum(axis=1).min()
     n_hi = (cut_hi <= budget[:, None]).sum(axis=1).min()
     return int(n_lo) - 1, n - int(n_hi)
@@ -1038,8 +1137,12 @@ def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
     the tail cut (:func:`_tail_cut`), one interval of grid positions shared
     by every level and every f, and they are the coefficients of the levels
     down to stride 1; the finer levels evaluate their midpoints.
-    A level inverts only the nodes it adds inside the cut and adds their
-    resolvent sums to a running total; its result is stride * total.  The
+    A level takes only the nodes it adds inside the cut and adds their
+    resolvent sums to a running total; its result is stride * total.  A
+    matrix symbol's sweep builds the :class:`_ResolventSeries` of
+    :func:`_series_sides` once, from the same singular values as the cut
+    (:func:`_resolvent_radii`): each level sums its nodes far below or far
+    above the spectrum by those series and inverts the others.  The
     sweep returns the first level within LEVEL_TOL of the level before, for
     every f at once.  A rule that truncates some f stops at the grid (finer
     steps cannot mend a cut-off integrand), and one still apart at the last
@@ -1051,10 +1154,13 @@ def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
             truncated = True
             msg = f"contour rule may truncate {f.name} (endpoint estimate {est:.2e})"
             warnings.warn(msg, ContourTruncationWarning, stacklevel=3)
+    s = op.symbol
     sums = _cauchy_sums if op.entrywise else _resolvent_sums
     r, w = spec.grid()
     z_grid, c_grid = _stacked_coefficients(fs, spec, (r, w))
-    t_lo, t_hi = _tail_cut(op, r, c_grid)
+    lo, hi = _resolvent_radii(op)
+    t_lo, t_hi = _tail_cut(lo, hi, r, c_grid)
+    sides = [] if op.entrywise else _series_sides(s, lo, hi, r[t_lo + 1 : t_hi])
     total, mass, out, gap = 0.0, 0.0, None, None
     for stride, t in spec.levels():
         t = t[(t > t_lo) & (t < t_hi)]
@@ -1063,8 +1169,12 @@ def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
             z, c = z_grid[j], c_grid[:, j]
         else:
             z, c = _stacked_coefficients(fs, spec, spec.nodes(t))
-        total = total + sums(z, c, op.symbol)
         mass = mass + np.abs(c) @ (1.0 / np.abs(z))
+        for side in sides:  # the far nodes of both rays, then the rest
+            far = np.tile(side.far(np.abs(z[: z.size // 2])), 2)
+            total = total + side.sums(z[far], c[:, far])
+            z, c = z[~far], c[:, ~far]
+        total = total + sums(z, c, s)
         prev, out = out, stride * total
         if prev is not None:
             gap = _level_gap(out, prev, stride * mass)
@@ -1084,7 +1194,7 @@ def contour_calculus(op: LpOperator, f: HolFn) -> LpOperator:
 
     The rule is swept in the nested levels of :meth:`ContourSpec.levels`,
     steps 8h, 4h, 2h and h of the grid, then h/2 down to h/16; each level
-    inverts only its new nodes, and the sweep returns the first level whose
+    sums only its new nodes, and the sweep returns the first level whose
     result differs from the level before by at most LEVEL_TOL relative to
     its largest entry (its error is then about the square of that
     difference).  Every level skips the outer tails of the rays where the
@@ -1096,17 +1206,28 @@ def contour_calculus(op: LpOperator, f: HolFn) -> LpOperator:
     tail.  For z e^-z on the benchmark's ``dense8`` that leaves 106 of the
     grid's 199 nodes.
 
+    Of the nodes left, a matrix symbol of order SERIES_MIN_ORDER or more
+    sums those far from its spectrum, |z| <= SERIES_Q (sigma_min - slack)
+    below it or |z| >= (sigma_max + slack) / SERIES_Q above it, by the
+    truncated Neumann and Laurent series of the resolvent
+    (:class:`_ResolventSeries`), whose SERIES_TERMS powers truncate below
+    u / (2 LEVEL_STRIDES[0]) times the level's mass; a side is taken only
+    when it has more far grid radii than series terms.  So ``dense8``
+    inverts 54 of its 106 nodes for z e^-z, 32 of 88 for g and 63 of 176
+    for ``heat:0.7``.
+
     The quadrature acts on the symbol and the kind is kept: entrywise
     symbols go through the scalar Cauchy sums, matrix symbols sum their
     own resolvents (d x d for multiplications, d^2 x d^2 otherwise),
     inverted in batches of nodes, so the result never passes through an
-    eigendecomposition.  The upper-ray nodes are the conjugates of the
-    lower-ray ones, and for a real symbol S
+    eigendecomposition (the spectrum is read for the rule only).  The
+    upper-ray nodes are the conjugates of the lower-ray ones, and for a
+    real symbol S
 
         (conj(z) - S)^{-1} = conj((z - S)^{-1}),
 
-    so only the lower ray is inverted.  The weights c_j still carry f at
-    every node: f need not be conjugate-symmetric.  Emits
+    so only the lower ray's near nodes are inverted.  The weights c_j still
+    carry f at every node: f need not be conjugate-symmetric.  Emits
     :class:`ContourTruncationWarning` when the endpoint integrand suggests
     the rule truncates f, or when the last level has not converged.
     """

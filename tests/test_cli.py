@@ -337,6 +337,12 @@ class TestErrorPaths:
             ["qfock", "gram", "--t", "nan"],
             ["schur", "--spacing", "nan"],
             ["schur", "--spacing", "inf"],
+            ["freegroup", "dyadic", "--seed", "-1"],
+            ["khintchine", "--seed", "-1"],
+            ["rbound", "--seed", "-1"],
+            ["sqfn-equiv", "--seed", "-1"],
+            ["martingale", "cesaro", "--seed", "-1"],
+            ["schatten-selftest", "--seed", "-1"],
         ],
         ids=["sector-p-below-1", "khintchine-p-below-1", "tensor-p-nan",
              "rbound-odd-points", "rbound-one-point", "rbound-theta-above-pi",
@@ -355,7 +361,9 @@ class TestErrorPaths:
              "identities-t-negative", "calculus-tol-nan", "calculus-tol-negative",
              "calculus-tol-zero", "schur-t-negative", "clifford-t-negative", "qfock-t-nan",
              "qfock-t-infinite", "qfock-gram-t-nan", "schur-spacing-nan",
-             "schur-spacing-infinite"],
+             "schur-spacing-infinite", "dyadic-negative-seed", "khintchine-negative-seed",
+             "rbound-negative-seed", "sqfn-negative-seed", "cesaro-negative-seed",
+             "selftest-negative-seed"],
     )
     def test_out_of_domain_flag_is_usage_error(self, tmp_path, capsys, argv):
         code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])

@@ -344,9 +344,10 @@ class TestStackedApply:
         got = fc.apply_each(ops, which, xs)
         for k, x, y in zip(which, xs, got):
             assert _rel_err(y, ops[k].apply(x)) <= 1e-14
-        # one stacked call per run: [2], [0, 0], [1], [2, 2], [0], then the checks above
-        runs = [shape for log in logs for shape in log if shape != (3, 3)]
-        assert sorted(runs) == [(1, 3, 3), (1, 3, 3), (1, 3, 3), (2, 3, 3), (2, 3, 3)]
+        # one stacked call per member: 2 on rows 0, 4, 5, 0 on rows 1, 2, 6,
+        # 1 on row 3, then the checks above
+        stacked = [shape for log in logs for shape in log if shape != (3, 3)]
+        assert stacked == [(3, 3, 3), (1, 3, 3), (3, 3, 3)]
 
 
 class TestQuadratureLayer:
@@ -620,7 +621,7 @@ def _tail_cut(op, f, spec):
     """The grid positions (t_lo, t_hi) that the sweep of f on op keeps
     strictly between."""
     r, w = _grid_nodes(spec)
-    return fc._tail_cut(op, r, fc._contour_coefficients(f, spec, (r, w))[1][None])
+    return fc._tail_cut(*fc._resolvent_radii(op), r, fc._contour_coefficients(f, spec, (r, w))[1][None])
 
 
 def _complex_dense(op):
@@ -650,6 +651,33 @@ def _inverted_nodes(monkeypatch, op):
 
     monkeypatch.setattr(np.linalg, "inv", recording)
     return nodes
+
+
+def _series_nodes(monkeypatch):
+    """Patch the resolvent series to record, for each set of far nodes it
+    sums, the array of its nodes z_j (both rays)."""
+    real, nodes = fc._ResolventSeries.sums, []
+
+    def recording(self, z, c):
+        nodes.append(np.asarray(z))
+        return real(self, z, c)
+
+    monkeypatch.setattr(fc._ResolventSeries, "sums", recording)
+    return nodes
+
+
+def _series_case_op(rng, name):
+    """The symbols the resolvent series is checked on, all of order at
+    least SERIES_MIN_ORDER."""
+    if name == "illcond":  # spectrum 0.01..100 and superdiagonal: condition 1.5e4
+        lam = np.logspace(-2, 2, 16)
+        return fc.LeftMult(np.diag(lam) + np.diag(lam[:-1], 1))
+    if name == "kernel":
+        return fc.DenseOp(martingale.CondExpOp(martingale.MartingaleTower(2), 1).to_dense())
+    if name == "zero":
+        return fc.DenseOp(np.zeros((16, 16)))
+    op = _sylvester_dense(rng, 8)
+    return _complex_dense(op) if name == "complex8" else op
 
 
 def _count_calls(monkeypatch, name):
@@ -713,22 +741,34 @@ class TestContourSweep:
     def test_tail_cut_counts_on_dense8(self, rng, monkeypatch):
         # of the grid's 199 nodes, the tail cut leaves z e^-z and sqrt(z) e^-z,
         # which need the grid's step 0.1, 106 and 109; g is still resolved at
-        # step 0.2, on every second grid node inside its cut
+        # step 0.2, on every second grid node inside its cut.  Of the kept
+        # nodes, the resolvent series sums the ones far from the spectrum and
+        # the rest are inverted (lower ray only, the symbol is real); the
+        # benchmark's dense8 keeps the same counts and inverts one node more
+        # for each function
         op = _sylvester_dense(rng, 8)
         nodes = _inverted_nodes(monkeypatch, op)
-        inverted = {}
-        for fid in ("zexp", "sqrtzexp", "g"):
+        far = _series_nodes(monkeypatch)
+        inverted, summed = {}, {}
+        for fid in ("zexp", "sqrtzexp", "g", "heat:0.7"):
             nodes.clear()
+            far.clear()
             fc.contour_calculus(op, fc.library(fid))
             inverted[fid] = np.concatenate(nodes)
-        assert {fid: z.size for fid, z in inverted.items()} == {"zexp": 106, "sqrtzexp": 109, "g": 88}
+            summed[fid] = np.concatenate(far)
+            summed[fid] = summed[fid][summed[fid].imag < 0]  # one ray, as inverted
+        kept = {fid: inverted[fid].size + summed[fid].size for fid in inverted}
+        assert kept == {"zexp": 106, "sqrtzexp": 109, "g": 88, "heat:0.7": 176}
+        assert {fid: z.size for fid, z in inverted.items()} == {
+            "zexp": 53, "sqrtzexp": 52, "g": 31, "heat:0.7": 62}
         g = fc.library("g")
         spec = fc.default_contour(op, g)
         assert spec.rule()[0].size == 199
         lo, hi = _tail_cut(op, g, spec)
         t = np.arange(0, 199, 2)
         r = np.exp(spec.rule()[0][t[(t > lo) & (t < hi)]])
-        assert np.allclose(np.sort(np.abs(inverted["g"])), r, rtol=1e-14)
+        got = np.sort(np.abs(np.concatenate([inverted["g"], summed["g"]])))
+        assert np.allclose(got, r, rtol=1e-14)
 
     @pytest.mark.parametrize("case", ["dense8/zexp", "dense8/sqrtzexp", "dense8/g", "narrow/zexp"])
     def test_tail_cut_moves_each_level_below_roundoff(self, rng, case):
@@ -752,6 +792,98 @@ class TestContourSweep:
                 sums[part] = sums[part] + fc._resolvent_sums(z, c[None], op.symbol)[0]
             assert stride * np.max(np.abs(sums["full"] - sums["cut"])) <= 2 * eps * mass
             assert stride * np.max(np.abs(sums["dropped"])) <= eps / 2 * mass
+
+    @pytest.mark.parametrize(
+        "case, sides",
+        [("dense8/zexp", [True]), ("dense8/g", [True, False]), ("dense8/heat:0.7", [True, False]),
+         ("complex8/zexp", [True]), ("illcond/g", [True, False]), ("kernel/g", [False]),
+         ("zero/g", [])],
+    )
+    def test_series_matches_inverted_far_sums(self, rng, case, sides):
+        """On every level, each side's series over its far nodes inside the
+        cut agrees with their inverted resolvent sums within 2 eps mass,
+        mass = sum_j |c_j| / |z_j| over the grid.  ``sides`` lists the sides
+        the sweep takes (True below the spectrum): a kernel takes no lower
+        series, the zero symbol none."""
+        name, fid = case.split("/")
+        op = _series_case_op(rng, name)
+        f = fc.library(fid)
+        spec = fc.default_contour(op, f)
+        r, w = _grid_nodes(spec)
+        z, c = fc._contour_coefficients(f, spec, (r, w))
+        eps, mass = np.finfo(float).eps, np.sum(np.abs(c) / np.abs(z))
+        lo, hi = fc._resolvent_radii(op)
+        t_lo, t_hi = fc._tail_cut(lo, hi, r, c[None])
+        taken = fc._series_sides(op.symbol, lo, hi, r[t_lo + 1 : t_hi])
+        assert [side.below for side in taken] == sides
+        for side in taken:
+            series = inverted = 0.0
+            for stride, t in spec.levels():
+                r_t, w_t = spec.nodes(t[(t > t_lo) & (t < t_hi)])
+                far = side.far(r_t)
+                z, c = fc._contour_coefficients(f, spec, (r_t[far], w_t[far]))
+                series = series + side.sums(z, c[None])[0]
+                inverted = inverted + fc._resolvent_sums(z, c[None], op.symbol)[0]
+                assert stride * np.max(np.abs(series - inverted)) <= 2 * eps * mass
+
+    @pytest.mark.parametrize("name", ["kernel", "zero"])
+    def test_series_guards_kernel_and_zero_symbols(self, rng, name):
+        # no side divides by a zero radius: the sweep raises no warning
+        op = _series_case_op(rng, name)
+        f = fc.library("g")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fc.contour_calculus(op, f).symbol
+        oracle = fc.eigen_calculus(op, f).symbol
+        assert np.max(np.abs(out - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_series_powers(self, rng, complex_entries):
+        # W^{k+1} below, V^k above, in a real array for a real symbol
+        s = np.diag(np.linspace(1.0, 4.0, 16)) + 0.3 * rng.standard_normal((16, 16))
+        if complex_entries:
+            s = s + 0.1j * rng.standard_normal((16, 16))
+        lo, hi = fc._resolvent_radii(fc.DenseOp(s))
+        below, above = fc._ResolventSeries(s, lo, True), fc._ResolventSeries(s, hi, False)
+        w, v = lo * np.linalg.inv(s), s / hi
+        assert below.powers.shape == (fc.SERIES_TERMS, 16, 16)
+        assert np.isrealobj(below.powers) == np.isrealobj(above.powers) == (not complex_entries)
+        for k in range(fc.SERIES_TERMS):
+            assert np.allclose(below.powers[k], np.linalg.matrix_power(w, k + 1), rtol=0, atol=1e-13)
+            assert np.allclose(above.powers[k], np.linalg.matrix_power(v, k), rtol=0, atol=1e-13)
+
+    def test_series_sides_need_more_far_radii_than_terms(self):
+        s = np.diag(np.linspace(1.0, 4.0, fc.SERIES_MIN_ORDER))
+        lo, hi, m = 1.0, 4.0, fc.SERIES_TERMS
+        # as many far radii below the spectrum as series terms, one more above
+        r = np.concatenate([fc.SERIES_Q * lo * np.logspace(-3, 0, m), np.linspace(lo, hi, 50),
+                            hi / fc.SERIES_Q * np.logspace(0, 3, m + 1)])
+        assert [side.below for side in fc._series_sides(s, lo, hi, r)] == [False]
+        assert fc._series_sides(s, lo, hi, r[1:-1]) == []
+        # a symbol below the order crossover inverts every node
+        assert fc._series_sides(s[1:, 1:], lo, hi, r) == []
+
+    def test_dense_sweep_runs_no_eigendecomposition(self, rng, monkeypatch):
+        """contour_calculus reads a matrix symbol's spectrum (np.linalg.eigvals,
+        for the rule's angle and window) and decomposes nothing: with every
+        other np.linalg.eig* routine and scipy's eig and schur refusing to
+        run, dense8 still matches its eigen oracle, computed beforehand."""
+        op = _sylvester_dense(rng, 8)
+        fns = [fc.library(fid) for fid in ("zexp", "g", "heat:0.7")]
+        oracles = [fc.eigen_calculus(op, f).symbol for f in fns]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the contour calculus ran an eigendecomposition")
+
+        names = [name for name in dir(np.linalg) if name.startswith("eig") and name != "eigvals"]
+        assert {"eig", "eigh", "eigvalsh"} <= set(names)
+        for name in names:
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(scipy.linalg, "eig", refuse)
+        monkeypatch.setattr(scipy.linalg, "schur", refuse)
+        for f, oracle in zip(fns, oracles):
+            out = fc.contour_calculus(op, f).symbol
+            assert np.max(np.abs(out - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("kind", ["condexp4", "left-kernel"])
     def test_kernel_keeps_the_whole_lower_tail(self, monkeypatch, kind):
