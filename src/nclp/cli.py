@@ -328,10 +328,8 @@ def cmd_rowcol_gap(args):
                 "value_col": rep.fc_val,
                 "value_row": rep.fr_val,
                 "value_rad": max(rep.fc_val, rep.fr_val),
-                "value_bracket": "",
-                "K1": rep.fr_closed_form,
-                "K2": rep.ratio,
-                "seed": "",
+                "row_closed_form": rep.fr_closed_form,
+                "ratio": rep.ratio,
             }
         )
     return rows

@@ -22,7 +22,7 @@ arguments and there is no global state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,10 +56,12 @@ class Bound:
     attained by a concrete witness or dual point, ``upper`` is proved
     (``inf`` where no upper end is known).  :meth:`within` is the one rule
     for a closed interval: a solve is converged, a search stops at its
-    certified upper bound, and a value is exact (``within(0)``)."""
+    certified upper bound, and a value is exact (``within(0)``).
+    ``witness``, where one is stored, is the input that attains ``lower``."""
 
     lower: float
     upper: float = math.inf
+    witness: np.ndarray | None = field(default=None, kw_only=True, compare=False)
 
     @property
     def gap(self) -> float:
@@ -363,7 +365,9 @@ def dumps_matrix(x) -> str:
 
 
 def loads_matrix(text: str) -> np.ndarray:
-    lines = [ln for ln in text.strip().splitlines()]
+    """The inverse of :func:`dumps_matrix`; lines that start with ``#`` are
+    comments (the ``# selection`` header of an rbound witness file)."""
+    lines = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
     if not lines:
         raise ValueError("empty matrix text")
     try:
@@ -399,6 +403,8 @@ def dumps_family(xs) -> str:
 
 
 def loads_family(text: str) -> list[np.ndarray]:
+    """The inverse of :func:`dumps_family`, skipping ``#`` comment lines."""
+    text = "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
     blocks = [b for b in text.split("\n\n") if b.strip()]
     return [loads_matrix(b) for b in blocks]
 

@@ -230,9 +230,9 @@ def library(spec: str) -> HolFn:
     raise ValueError(f"unknown function id {spec!r}")
 
 
-def product_fn(f: HolFn, g: HolFn, name=None) -> HolFn:
+def product_fn(f: HolFn, g: HolFn) -> HolFn:
     fn = lambda z: f.fn(z) * g.fn(z)  # noqa: E731
-    theta, name, scales = min(f.theta, g.theta), name or f"{f.name}*{g.name}", f.scales + g.scales
+    theta, name, scales = min(f.theta, g.theta), f"{f.name}*{g.name}", f.scales + g.scales
     if f.klass == "hinf" and g.klass == "hinf":
         return make_hinf(theta, fn, name, scales)
     s = sum(h.decay[0] for h in (f, g) if h.klass == "hinf0")
@@ -294,7 +294,7 @@ class LpOperator:
     ``entrywise`` kind's frame is orthonormal for the trace inner product:
     ``into_adj`` is ``out`` and ``out_adj`` is ``into``, so on S^2 the kind
     is multiplication by its symbol on the coefficients, and its S^2 norm
-    and witness are read off the symbol (:meth:`opnorm`).
+    and witness are read off the symbol (:meth:`norm_bounds`).
     """
 
     dim: int
@@ -350,9 +350,6 @@ class LpOperator:
         lam, v, vinv = _mat_eig(s)
         return self.with_symbol((v * _apply_scalar(fn, lam, zero_value)) @ vinv)
 
-    def __call__(self, x):
-        return self.apply(x)
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 
@@ -367,45 +364,41 @@ class LpOperator:
         self._dense = self.apply(units).reshape(n, n).T
         return self._dense
 
-    def opnorm(self, p: float):
-        """The exact S^p -> S^p operator norm where the kind knows it, else
-        None.  Here: at p = 2 max |symbol| for an ``entrywise`` kind, whose
-        frame is orthonormal, and the largest singular value of the dense
-        form for any other; no value at any other p.
+    def norm_bounds(self, p: float) -> Bound:
+        """The :class:`core.Bound` on the S^p -> S^p operator norm: closed
+        at the exact value where the kind knows it, its ``witness`` a unit
+        input that attains it, else the open ``Bound(0.0)``.  Here: at p = 2
+        max |symbol| for an ``entrywise`` kind, whose frame is orthonormal,
+        attained by the frame vector ``out(e)``, e the unit array at the
+        first argmax of |symbol|, and for any other kind the largest
+        singular value of the dense form, attained by its top right singular
+        vector as a d x d matrix (one SVD); no value at any other p.
 
         Contract: every value returned is also the completely bounded norm,
         the norm of each amplification I_m (x) T on S^p (at p = 2 an
         amplification acts on the m^2 blocks of a Frobenius sum apart), so
-        :class:`AmplifiedOp` returns its base's value.  Every value has a
-        witness, a unit input that attains it (:meth:`opnorm_witness`), and
+        :class:`AmplifiedOp` returns its base's value, and
         :meth:`family_bounds` names the family constants it bounds.
         """
         if p != 2.0:
-            return None
-        if self.entrywise:
-            return float(np.max(np.abs(self.symbol)))
-        return float(np.linalg.norm(self.to_dense(), 2))
-
-    def opnorm_witness(self, p: float):
-        """A unit x of S^p with ||T x||_p = opnorm(p), None wherever
-        ``opnorm(p)`` is None.  Here: at p = 2 the frame vector ``out(e)``
-        of an ``entrywise`` kind, e the unit array at the first argmax of
-        |symbol|, and the top right singular vector of the dense form, as a
-        d x d matrix, for any other kind."""
-        if p != 2.0:
-            return None
+            return Bound(0.0)
         if not self.entrywise:
-            return np.linalg.svd(self.to_dense())[2][0].conj().reshape(self.dim, self.dim)
-        s = self.symbol
-        unit = np.zeros(s.shape, dtype=np.complex128)
-        unit[np.unravel_index(np.argmax(np.abs(s)), s.shape)] = 1.0
-        return self.frame()[2](unit)
+            _, sv, vh = np.linalg.svd(self.to_dense())
+            top = float(sv[0])
+            return Bound(top, top, witness=vh[0].conj().reshape(self.dim, self.dim))
+        mod = np.abs(self.symbol)
+        k = np.argmax(mod)
+        unit = np.zeros(mod.size, dtype=np.complex128)
+        unit[k] = 1.0
+        top = float(mod.flat[k])
+        return Bound(top, top, witness=self.frame()[2](unit.reshape(mod.shape)))
 
     def family_bounds(self, p: float) -> frozenset:
         """The family constants ("col", "row") on S^p that a family of maps,
         each of whose kinds names the constant here, keeps below its largest
-        ``opnorm(p)``.  Here: both at p = 2, where the column and row norms
-        are Frobenius sums, so every image is bounded on its own."""
+        exact norm (:meth:`norm_bounds`).  Here: both at p = 2, where the
+        column and row norms are Frobenius sums, so every image is bounded
+        on its own."""
         return frozenset({"col", "row"}) if p == 2.0 else frozenset()
 
     def spectral_scale(self) -> float:
@@ -445,16 +438,14 @@ class LeftMult(LpOperator):
     def with_symbol(self, s):
         return LeftMult(s)
 
-    def opnorm(self, p):
-        # Hoelder gives ||a x||_p <= ||a||_inf ||x||_p at every p, and the
-        # rank-one x = v w*, v a top right singular vector of a, attains it
-        return float(np.linalg.norm(self.a, 2))
-
-    def opnorm_witness(self, p):
-        # x = v e_1*: every Schatten norm of x is |v| = 1, and of a x is |a v|
+    def norm_bounds(self, p):
+        # Hoelder gives ||a x||_p <= ||a||_inf ||x||_p at every p, and x = v e_1*,
+        # v a top right singular vector of a, attains it: every Schatten norm
+        # of x is |v| = 1, and of a x is |a v|
+        _, sv, vh = np.linalg.svd(self.a)
         x = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        x[:, 0] = np.linalg.svd(self.a)[2][0].conj()
-        return x
+        x[:, 0] = vh[0].conj()
+        return Bound(float(sv[0]), float(sv[0]), witness=x)
 
     def family_bounds(self, p):
         # sum_k x_k* a_k* a_k x_k <= max_k ||a_k||^2 sum_k x_k* x_k, and the
@@ -488,15 +479,13 @@ class RightMult(LpOperator):
     def with_symbol(self, s):
         return RightMult(s)
 
-    def opnorm(self, p):
-        # the mirror of LeftMult.opnorm: x = w u*, u a top left singular vector of b
-        return float(np.linalg.norm(self.b, 2))
-
-    def opnorm_witness(self, p):
-        # x = e_1 u*, the mirror of LeftMult.opnorm_witness: x b = e_1 (b* u)*
+    def norm_bounds(self, p):
+        # the mirror of LeftMult.norm_bounds: x = e_1 u*, u a top left singular
+        # vector of b, and x b = e_1 (b* u)*
+        u, sv, _ = np.linalg.svd(self.b)
         x = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        x[0] = np.linalg.svd(self.b)[0][:, 0].conj()
-        return x
+        x[0] = u[:, 0].conj()
+        return Bound(float(sv[0]), float(sv[0]), witness=x)
 
     def family_bounds(self, p):
         # the mirror of LeftMult.family_bounds on the row square sums
@@ -707,18 +696,15 @@ class AmplifiedOp(LpOperator):
             lambda y: out_adj(split(y)),
         )
 
-    def opnorm(self, p):
-        # every value a kind knows is its cb norm (LpOperator.opnorm)
-        return self.base.opnorm(p)
-
-    def opnorm_witness(self, p):
-        # the base's witness in the first diagonal block, zeros elsewhere
-        w = self.base.opnorm_witness(p)
-        if w is None:
-            return None
+    def norm_bounds(self, p):
+        # every value a kind knows is its cb norm (LpOperator.norm_bounds),
+        # attained by the base's witness in the first diagonal block
+        b = self.base.norm_bounds(p)
+        if b.witness is None:
+            return b
         x = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        x[: self.base.dim, : self.base.dim] = w
-        return x
+        x[: self.base.dim, : self.base.dim] = b.witness
+        return Bound(b.lower, b.upper, witness=x)
 
     def family_bounds(self, p):
         # I_m (x) L_a = L_{I_m (x) a}, and so for right multiplications
@@ -1006,9 +992,10 @@ class _ResolventSeries:
     <= u / (2 * LEVEL_STRIDES[0]) times 1 / |z|: the series moves a level's
     result by at most u / (2 * LEVEL_STRIDES[0]) times its mass, less than
     the tails :func:`_tail_cut` drops.  The powers of W or V are built once,
-    by doubling (one inverse below, about log2(m) batched products), in a
-    real dtype for a real symbol; a set of far nodes then costs its moment
-    vector sum_j c_j (ratio_j)^k times the stack, for both rays at once."""
+    by doubling (one inverse below, about log2(m) batched products), in the
+    symbol's complex128 (``as_matrix`` stores every symbol complex, a real
+    one too); a set of far nodes then costs its moment vector
+    sum_j c_j (ratio_j)^k times the stack, for both rays at once."""
 
     def __init__(self, s, rho: float, below: bool):
         n = s.shape[0]
@@ -1035,11 +1022,7 @@ class _ResolventSeries:
         """sum_j c[k, j] (z_j - S)^{-1} for every row k of c, on far nodes z."""
         x, a = (z / self.rho, -c / self.rho) if self.below else (self.rho / z, c / z)
         moments = a @ np.vander(x, SERIES_TERMS, increasing=True)
-        p = self.powers.reshape(SERIES_TERMS, -1)
-        if np.isrealobj(p):  # a real stack is not copied into a complex one
-            out = moments.real @ p + 1j * (moments.imag @ p)
-        else:
-            out = moments @ p
+        out = moments @ self.powers.reshape(SERIES_TERMS, -1)
         return out.reshape((len(c),) + self.powers.shape[1:])
 
 
@@ -1280,7 +1263,7 @@ def imaginary_power(op: LpOperator, s: float):
 class SectorProfile:
     """One :class:`core.Bound` on K_theta per test angle theta; the
     ``constants`` are their lower ends, and ``exact`` holds when every
-    bound is closed (``within(0)``: an exact norm, LpOperator.opnorm)."""
+    bound is closed (``within(0)``: an exact norm, LpOperator.norm_bounds)."""
 
     omega_hat: float
     bounds: dict  # {theta: Bound on K_theta}
@@ -1292,19 +1275,19 @@ class SectorProfile:
 
 def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int) -> Bound:
     """The :class:`core.Bound` on the largest ||T||_{S^p -> S^p} of the
-    family.  A member's norm is exact where its kind knows it
-    (:meth:`LpOperator.opnorm`: every kind at p = 2, left and right
+    family.  A member's norm is exact where its kind knows it (a closed
+    :meth:`LpOperator.norm_bounds`: every kind at p = 2, left and right
     multiplication at every p); the bound is closed at the largest when
-    every one is, else open.  The members without one run one
+    every one is, else open.  The members whose bound is open run one
     :func:`family_ascent` (nonlinear power iteration) over their seeded
     starts, each a family of length 1 (start i belongs to the
     (i // starts)-th of them; each gets the same ones), whose every value
     is a ratio attained by a concrete x, hence a certified lower end."""
-    known = [op.opnorm(p) for op in ops]
-    best = max((k for k in known if k is not None), default=0.0)
-    rest = [op for op, k in zip(ops, known) if k is None]
+    bounds = [op.norm_bounds(p) for op in ops]
+    best = max(b.lower for b in bounds)
+    rest = [op for op, b in zip(ops, bounds) if not b.within(0.0)]
     if not rest:
-        return Bound(float(best), float(best))
+        return Bound(best, best)
     d = rest[0].dim
     rng = np.random.default_rng(seed)
     x0 = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(starts)]
@@ -1313,17 +1296,17 @@ def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int) -> B
         rest, [op.dagger() for op in rest], sels, np.tile(x0, (len(rest), 1, 1))[:, None], p,
         "col", iters + 1,  # iters steps visit iters + 1 iterates
     )
-    return Bound(max(float(best), float(np.max(ratios, initial=0.0))))
+    return Bound(max(best, float(np.max(ratios, initial=0.0))))
 
 
 def sector_type(op: LpOperator, p: float = 2.0, seed: int = 0) -> SectorProfile:
     """Sector type: omega_hat from the spectrum and resolvent constants
     K_theta = sup ||z R(z, A)|| over the ray family of each test angle
     theta = omega_hat + (0.05, 0.15, 0.4, 0.8, 1.4) below pi; a type angle
-    that leaves none is a ValueError.  Each member's norm is its exact
-    ``opnorm`` where the kind has one (every kind at p = 2; left and right
-    multiplication, whose ray members are again multiplications, at every
-    p), and the angle's bound is closed when all of them are.  Otherwise
+    that leaves none is a ValueError.  Each member's norm is its closed
+    ``norm_bounds`` where the kind has one (every kind at p = 2; left and
+    right multiplication, whose ray members are again multiplications, at
+    every p), and the angle's bound is closed when all of them are.  Otherwise
     it is a power-iteration lower bound with an open upper end: one ascent
     per test angle runs the same 8 seeded starts for every ray member
     together (:func:`_family_opnorm_lower`)."""

@@ -21,7 +21,7 @@ from .. import funcalc as fc
 from .. import rbound
 from ..core import check_exponent, schatten_norm
 from ..hvnorms import rad_norm
-from ..optim import ConvexCfg, SolveResult
+from ..optim import SolveResult
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,6 @@ def cesaro_square_function(
     x,
     m_count: int,
     p: float,
-    cfg: ConvexCfg | None = None,
 ) -> CesaroReport:
     """Rademacher norm of the Cesaro increments (sqrt(m) (S_m - S_{m-1}))
     for S_m = (1/(m+1)) sum_{k<=m} T^k x, reported with its ratio to
@@ -136,7 +135,7 @@ def cesaro_square_function(
         s_m = total / (m + 1)
         fam.append(math.sqrt(m) * (s_m - s_prev))
         s_prev = s_m
-    value, solves = rad_norm(fam, p, cfg)
+    value, solves = rad_norm(fam, p)
     nx = schatten_norm(x, p)
     return CesaroReport(value=value, ratio=value / nx if nx > 0 else 0.0,
                         m_count=m_count, p=p, solves=solves)

@@ -62,7 +62,7 @@ def schur_semigroup(sym: SchurSymbol, t: float) -> fc.SchurMult:
 
 def amplified_s2_norm(op: fc.LpOperator, level: int) -> float:
     """Operator norm of I_m (x) T on the Hilbert-Schmidt space."""
-    return fc.AmplifiedOp(op, level).opnorm(2.0)
+    return fc.AmplifiedOp(op, level).norm_bounds(2.0).lower
 
 
 def choi_min_eigenvalue(op: fc.LpOperator, level: int = 1) -> float:

@@ -12,20 +12,21 @@ Those suprema run over unboundedly many selections and families, so in
 general only *lower bounds* are computable; every estimate returned here
 is certified by a stored witness whose objective value reproduces it.
 
-Where every member knows its exact S^p norm (:meth:`LpOperator.opnorm`:
-left and right multiplications at every p, every kind at p = 2), the
-selection length 1 runs no search: its ratio is ||T x||_p / ||x||_p, so
-its constant is the largest member norm, and the estimate starts from
-that member's :meth:`LpOperator.opnorm_witness`.  That maximum is also a
-certified *upper* bound where every member's kind names the notion in
+Where every member knows its exact S^p norm (a closed
+:meth:`LpOperator.norm_bounds`: left and right multiplications at every
+p, every kind at p = 2), the selection length 1 runs no search: its
+ratio is ||T x||_p / ||x||_p, so its constant is the largest member
+norm, and the estimate starts from the ``witness`` of that member's
+bound, read off the same call.  That maximum is also a certified *upper*
+bound where every member's kind names the notion in
 :meth:`LpOperator.family_bounds` (col for left multiplications, row for
 right ones, both at p = 2).  An estimate is a :class:`core.Bound`: its
 ``lower`` end is the witness's value, its ``upper`` end that maximum
 (raised to the lower end where roundoff puts the witness a few ulps
 above it) or ``inf``.  The search stops before its first start once the
 length-1 interval is :meth:`core.Bound.within` UPPER_RTOL, and the
-estimate is then the constant itself.  Rad has no such bound and always searches the
-longer lengths.
+estimate is then the constant itself.  Rad has no such bound and always
+searches the longer lengths.
 
 Every norm of a family comes from one batched kernel,
 :func:`hvnorms.family_norms`, which :func:`objective`, the reselection
@@ -86,7 +87,7 @@ class SearchCfg:
 class BoundEstimate(Bound):
     """A certified interval on a family constant: ``lower`` (also
     ``value``) is attained by ``witness`` under ``selection``, and
-    ``upper`` is the certified upper bound max_k opnorm_k(p), or the
+    ``upper`` is the certified upper bound max_k ||T_k||_{S^p}, or the
     witness's value where roundoff puts it above that, where the members'
     kinds give one for the notion (:meth:`LpOperator.family_bounds`), else
     inf; ``restarts`` is 0 for a search that stopped there before its
@@ -95,7 +96,6 @@ class BoundEstimate(Bound):
     notion: str
     p: float
     selection: tuple
-    witness: np.ndarray
     restarts: int  # starts actually run
     seed: int
     theta: float | None = None
@@ -253,21 +253,22 @@ def _estimate(notion, ops, p, budget, seed, theta=None):
         for L in budget.lengths
         if notion != "rad" or L <= RAD_SELECTION_MAX
     ]
-    norms = [op.opnorm(p) for op in ops]
-    exact = None not in norms
+    bounds = [op.norm_bounds(p) for op in ops]
+    exact = all(b.within(0.0) for b in bounds)
+    k = int(np.argmax([b.lower for b in bounds]))
     upper = math.inf
     if exact and all(notion in op.family_bounds(p) for op in ops):
-        upper = max(norms)
+        upper = bounds[k].upper
 
     best = (-math.inf, (0,), None)
     if exact and 1 in lengths:
         # at length 1 every ratio is ||T x||_p / ||x||_p: the constant is
         # the largest member norm, attained by that member's witness
-        k = int(np.argmax(norms))
-        x = ops[k].opnorm_witness(p)[None]
+        x = bounds[k].witness[None]
         best = (objective(notion, ops, (k,), x, p), (k,), x)
     runs = 0
-    if not Bound(best[0], upper).within(UPPER_RTOL):  # else certified: stop
+    # the stop test raises the upper end as below, so the interval is ordered
+    if not Bound(best[0], max(upper, best[0])).within(UPPER_RTOL):  # else certified: stop
         best, runs = _search(notion, ops, p, budget, seed, lengths, best, skip_singletons=exact)
     best_val, best_sel, best_x = best
     if best_x is not None:

@@ -271,7 +271,6 @@ def equivalence_experiment(
     seed: int,
     grid: LogGrid | None = None,
     variant: str = "rad",
-    cfg: ConvexCfg | None = None,
 ) -> EquivReport:
     if variant not in ("col", "row", "rad"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -280,7 +279,7 @@ def equivalence_experiment(
     square = {
         "col": lambda u: (col_norm(u, p), ()),
         "row": lambda u: (row_norm(u, p), ()),
-        "rad": lambda u: rad_norm(u, p, cfg),
+        "rad": lambda u: rad_norm(u, p),
     }[variant]
     proj = op.kernel_projection()
     rng = np.random.default_rng(seed)

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from nclp import funcalc as fc
-from nclp import optim, rbound
+from nclp import core, optim, rbound
 
 
 @pytest.fixture(autouse=True)
 def ordered_bounds(monkeypatch):
     """Every certified interval a test produces has lower <= upper: each
-    SolveResult, BoundEstimate and SectorProfile bound built during the
-    test is checked after it."""
+    Bound (a norm bound, a SectorProfile's), SolveResult and BoundEstimate
+    built during the test is checked after it."""
     made = []
-    for cls in (optim.SolveResult, rbound.BoundEstimate, fc.SectorProfile):
+    for cls in (core.Bound, optim.SolveResult, rbound.BoundEstimate):
         def recording(self, *args, _init=cls.__init__, **kwargs):
             _init(self, *args, **kwargs)
-            made.extend(self.bounds.values() if isinstance(self, fc.SectorProfile) else [self])
+            made.append(self)
 
         monkeypatch.setattr(cls, "__init__", recording)
     yield

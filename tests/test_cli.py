@@ -1,3 +1,5 @@
+import ast
+import csv
 import dataclasses
 import json
 import math
@@ -12,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nclp import cli
+from nclp import cli, core, rbound
 from nclp import funcalc as fc
 from nclp.hvnorms import KhintchineReport, TensorExtendReport
-from nclp.models import freegroup
+from nclp.models import freegroup, schur
 from nclp.optim import SolveResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,10 +41,12 @@ class TestArtifacts:
         rows = data_rows(text)
         assert rows[0].startswith("experiment,")
         assert len(rows) == 4
-        for line, n in zip(rows[1:], (4, 8, 16)):
-            parts = line.split(",")
-            fc_val = float(parts[6])
-            assert fc_val == pytest.approx(math.sqrt(n / 2.0), abs=1e-9)
+        assert rows[0].split(",")[-5:] == ["value_col", "value_row", "value_rad",
+                                           "row_closed_form", "ratio"]
+        for r, n in zip(csv.DictReader(rows), (4, 8, 16)):
+            assert float(r["value_col"]) == pytest.approx(math.sqrt(n / 2.0), abs=1e-9)
+            assert float(r["row_closed_form"]) == pytest.approx(float(r["value_row"]), rel=1e-6)
+            assert float(r["ratio"]) == float(r["value_col"]) / float(r["value_row"])
 
     def test_khintchine_lower_ok(self, tmp_path):
         code, text = run(
@@ -217,6 +221,33 @@ class TestSubcommands:
         ]
         assert all(wf and (tmp_path / wf.split("/")[-1]).exists() for wf in witness_files)
 
+    def test_rbound_witness_files_reproduce_their_estimates(self, tmp_path):
+        # every witness file loads back, and its objective under the selection
+        # of its "#" line is its row's estimate, bit for bit; the family is
+        # the one the defaults (--A leftdiag:0.5,1,2 --theta 0.8 --points 12) name
+        path = tmp_path / "rb.csv"
+        assert cli.main(["rbound", "--p", "4", "--seed", "1", "--out", str(path)]) == 0
+        fam = fc.ray_resolvent_family(cli.parse_operator("leftdiag:0.5,1,2"), 0.8, 12)
+        rows = list(csv.DictReader(data_rows(path.read_text())))
+        assert [r["notion"] for r in rows] == ["col", "row", "rad"]
+        for r in rows:
+            head = Path(r["witness_file"]).read_text().splitlines()[0]
+            assert head.startswith("# selection = ")
+            sel = ast.literal_eval(head.split(" = ", 1)[1])
+            xs = core.load_family(r["witness_file"])
+            assert len(xs) == len(sel)
+            assert rbound.objective(r["notion"], fam, sel, xs, 4.0) == float(r["estimate"])
+
+    def test_sector_profile_of_a_spaced_schur_generator(self, tmp_path):
+        code, text = run(["sector-profile", "--A", "schurlin:4:0.5", "--p", "2"], tmp_path)
+        assert code == 0
+        sym = schur.collinear_symbol(4, 0.5)
+        assert np.array_equal(cli.parse_operator("schurlin:4:0.5").m, sym.distances())
+        prof = fc.sector_type(schur.schur_generator(sym), p=2)
+        rows = list(csv.DictReader(data_rows(text)))
+        assert [(float(r["theta"]), float(r["k_theta"])) for r in rows] == prof.constants
+        assert all(float(r["omega_hat"]) == prof.omega_hat and r["exact"] == "True" for r in rows)
+
     @pytest.mark.parametrize("budget,started", [(1, 3), (4, 3), (9, 6)])
     def test_rbound_reports_starts_run(self, tmp_path, budget, started):
         # each of the four selection lengths 1, 2, 4, 8 gets
@@ -241,7 +272,7 @@ class TestSubcommands:
             assert code == 0
             header = dict(ln[2:].split(" = ", 1) for ln in text.splitlines()
                           if ln.startswith("# at_upper."))
-            top = max(m.opnorm(float(p)) for m in fam)
+            top = max(m.norm_bounds(float(p)).lower for m in fam)
             assert header == {f"at_upper.{n}.theta0.900": repr(top) for n in stopped}
             rows = data_rows(text)
             assert rows[0] == "notion,p,theta,estimate,restarts,seed,witness_file"

@@ -10,7 +10,7 @@ import pytest
 
 import nclp
 from nclp import core, funcalc as fc, hvnorms, optim, rbound, sqfn
-from nclp.models import fock, freegroup
+from nclp.models import clifford, fock, freegroup, martingale, schur  # noqa: F401 (their kinds)
 
 from conftest import random_matrix, random_psd, unit
 
@@ -291,10 +291,30 @@ class TestNoUnreadOptions:
         removed += [(fn, "extra_starts") for fn in (
             rbound.col_bound_estimate, rbound.row_bound_estimate, rbound.rad_bound_estimate,
             rbound._estimate, rbound._search)]
+        removed += [(sqfn.equivalence_experiment, "cfg"),
+                    (martingale.cesaro_square_function, "cfg"), (fc.product_fn, "name")]
         assert [(fn.__name__, name) for fn, name in removed
                 if name in inspect.signature(fn).parameters] == []
-        gone = [(fc, "schatten_opnorm_lower"), (fock, "FockOp"), (freegroup.GroupPoly, "support")]
+        gone = [(fc, "schatten_opnorm_lower"), (fock, "FockOp"), (freegroup.GroupPoly, "support"),
+                (fc.LeftMult(np.eye(2)), "__call__")]
+        gone += [(kind, name) for kind in _kind_classes() for name in ("opnorm", "opnorm_witness")]
         assert [name for owner, name in gone if hasattr(owner, name)] == []
+
+    def test_one_norm_hook(self):
+        # norm_bounds is written once per kind that knows its norm another
+        # way than the base class, and a BoundEstimate's witness is its Bound's
+        own = {kind.__name__ for kind in _kind_classes() if "norm_bounds" in vars(kind)}
+        assert own == {"LpOperator", "LeftMult", "RightMult", "AmplifiedOp"}
+        assert "witness" not in vars(rbound.BoundEstimate)["__annotations__"]
+
+
+def _kind_classes():
+    """LpOperator and every kind derived from it in nclp."""
+    kinds, todo = [], [fc.LpOperator]
+    while todo:
+        kinds.append(todo.pop())
+        todo += kinds[-1].__subclasses__()
+    return kinds
 
 
 class TestTextFormat:

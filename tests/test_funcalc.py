@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from nclp import funcalc as fc
-from nclp.core import SpectralCollisionError, power_ascent, schatten_norm
+from nclp.core import Bound, SpectralCollisionError, power_ascent, schatten_norm
 from nclp.models import clifford, martingale, schur
 
 from conftest import random_matrix, unit
@@ -50,7 +50,7 @@ class TestOperatorKinds:
     def test_amplified_s2_norm_is_the_base_norm(self, rng, kind, m):
         amp = fc.AmplifiedOp(_every_kind(rng)[kind], m)
         dense = float(np.linalg.norm(amp.to_dense(), 2))
-        assert amp.opnorm(2.0) == pytest.approx(dense, rel=1e-12)
+        assert amp.norm_bounds(2.0).lower == pytest.approx(dense, rel=1e-12)
 
     def test_schur_apply(self, rng):
         m = random_matrix(rng, 2)
@@ -199,7 +199,7 @@ class TestKindContract:
             for cls in subclasses(fc.LpOperator)
             if cls.__module__.startswith(("nclp.funcalc", "nclp.models"))
             for name in ("spectrum", "dagger")
-            + (("opnorm", "opnorm_witness") if cls.entrywise else ())
+            + (("norm_bounds",) if cls.entrywise else ())
             if name in vars(cls)
         ]
         assert own == []
@@ -1136,16 +1136,17 @@ class TestSectorType:
 
 
 class TestOpnorm:
-    """``opnorm(p)``: the exact S^p -> S^p norm where the kind knows it."""
+    """``norm_bounds(p)``: closed at the exact S^p -> S^p norm, with a
+    witness, where the kind knows it; the open ``Bound(0.0)`` elsewhere."""
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0, math.inf])
     def test_multiplication_norm_is_the_top_singular_value(self, rng, side, p):
         a = random_matrix(rng, 3)
         assert not np.allclose(a @ a.conj().T, a.conj().T @ a)  # non-normal
-        top = float(np.linalg.norm(a, 2))
+        top = float(np.linalg.svd(a)[1][0])
         op = fc.LeftMult(a) if side == "left" else fc.RightMult(a)
-        assert op.opnorm(p) == top
+        assert op.norm_bounds(p) == Bound(top, top)
         # a rank-one x along a top singular vector attains it
         u, _, vh = np.linalg.svd(a)
         w = random_matrix(rng, 3)[:, :1]
@@ -1161,12 +1162,13 @@ class TestOpnorm:
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_amplification_returns_the_base_value(self, rng, p):
         base = fc.LeftMult(random_matrix(rng, 2))
-        assert fc.AmplifiedOp(base, 3).opnorm(p) == base.opnorm(p)
+        assert fc.AmplifiedOp(base, 3).norm_bounds(p) == base.norm_bounds(p)
 
     @pytest.mark.parametrize("kind", ["schur", "dense", "amplified"])
     def test_no_value_off_p2(self, rng, kind):
         # "amplified" is an amplified Schur multiplier
-        assert _every_kind(rng)[kind].opnorm(4.0) is None
+        b = _every_kind(rng)[kind].norm_bounds(4.0)
+        assert b == Bound(0.0) and b.witness is None
 
     @staticmethod
     def _witness_cases(rng):
@@ -1182,10 +1184,12 @@ class TestOpnorm:
 
     def test_witness_attains_the_norm(self, rng):
         for op, p in self._witness_cases(rng):
-            w = op.opnorm_witness(p)
-            assert w.shape == (op.dim, op.dim)
-            assert schatten_norm(w, p) == pytest.approx(1.0, rel=1e-14), (op, p)
-            assert schatten_norm(op.apply(w), p) == pytest.approx(op.opnorm(p), rel=1e-14), (op, p)
+            b = op.norm_bounds(p)
+            assert b.within(0.0), (op, p)
+            assert b.witness.shape == (op.dim, op.dim)
+            assert schatten_norm(b.witness, p) == pytest.approx(1.0, rel=1e-14), (op, p)
+            attained = schatten_norm(op.apply(b.witness), p)
+            assert attained == pytest.approx(b.lower, rel=1e-14), (op, p)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, math.inf])
     def test_no_witness_without_a_norm(self, rng, p):
@@ -1193,7 +1197,8 @@ class TestOpnorm:
         ops = [every[k] for k in ("schur", "sandwich", "adpair", "dense", "amplified")]
         ops += [fc.PauliMult(random_matrix(rng, 4)), fc.AmplifiedOp(fc.PauliMult(np.eye(2)), 2)]
         for op in ops:
-            assert op.opnorm(p) is None and op.opnorm_witness(p) is None, op
+            b = op.norm_bounds(p)
+            assert b == Bound(0.0) and b.witness is None, op
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_family_bounds_of_each_kind(self, rng, p):
@@ -1222,12 +1227,12 @@ class TestOpnorm:
         dense = [float(np.linalg.norm(op.to_dense(), 2)) for op in ops]
         monkeypatch.setattr(fc.LpOperator, "to_dense", _refuse_dense)
         for op, ref in zip(ops, dense):
-            assert op.opnorm(2.0) == pytest.approx(ref, rel=1e-12), op
-            w = op.opnorm_witness(2.0)
-            assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-14), op
-            assert np.linalg.norm(op.apply(w)) == pytest.approx(op.opnorm(2.0), rel=1e-12), op
-            assert op.opnorm(4.0) is None
-        assert ops[0].opnorm(2.0) == n  # the dense form reads 3 - 1.3e-15 at n = 3
+            b = op.norm_bounds(2.0)
+            assert b.within(0.0) and b.lower == pytest.approx(ref, rel=1e-12), op
+            assert np.linalg.norm(b.witness) == pytest.approx(1.0, rel=1e-14), op
+            assert np.linalg.norm(op.apply(b.witness)) == pytest.approx(b.lower, rel=1e-12), op
+            assert op.norm_bounds(4.0) == Bound(0.0)
+        assert ops[0].norm_bounds(2.0).lower == n  # the dense form reads 3 - 1.3e-15 at n = 3
 
     def test_sector_type_of_a_pauli_multiplier_builds_no_dense_form(self, monkeypatch):
         """The dense forms are 256 x 256 (n = 4 Pauli multiplier), 144 x 144

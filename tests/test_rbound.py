@@ -514,7 +514,8 @@ class TestBenchmarkSelections:
         est = getattr(rbound, f"{notion}_bound_estimate")(fam, 4.0, cfg, seed=0)
         assert est.selection == selection
         if value is None:
-            assert est.value == pytest.approx(max(m.opnorm(4.0) for m in fam), rel=1e-14)
+            top = max(m.norm_bounds(4.0).lower for m in fam)
+            assert est.value == pytest.approx(top, rel=1e-14)
         else:
             assert est.value == pytest.approx(value, rel=1e-12)
 
@@ -544,7 +545,7 @@ class TestCertifiedStop:
 
     @staticmethod
     def _assert_stopped(est, ops, p):
-        top = max(op.opnorm(p) for op in ops)
+        top = max(op.norm_bounds(p).lower for op in ops)
         assert est.restarts == 0
         # the upper end is the largest norm, raised to the witness's value
         # where roundoff puts that a few ulps above it
@@ -569,7 +570,7 @@ class TestCertifiedStop:
         est = getattr(rbound, f"{notion}_bound_estimate")(ops, 4.0, CFG, seed=0)
         assert est.upper == math.inf and est.restarts > 0
         # the search starts from the exact length-1 value
-        assert est.value >= max(op.opnorm(4.0) for op in ops) * (1 - 1e-14)
+        assert est.value >= max(op.norm_bounds(4.0).lower for op in ops) * (1 - 1e-14)
 
     @pytest.mark.parametrize("notion", ["col", "row"])
     @pytest.mark.parametrize("name,ops", _exact_families())
@@ -583,7 +584,7 @@ class TestCertifiedStop:
         assert est.upper == math.inf and not est.within(rbound.UPPER_RTOL)
         # length 1 is exact and runs no start; the longer lengths run theirs
         assert est.restarts == 2 * (CFG.restarts // 3)
-        assert est.value >= max(op.opnorm(2.0) for op in ops) * (1 - 1e-14)
+        assert est.value >= max(op.norm_bounds(2.0).lower for op in ops) * (1 - 1e-14)
 
     def test_a_member_without_a_norm_searches_length_one(self, rng):
         ops = [fc.LeftMult(random_matrix(rng, 3)), fc.SchurMult(random_matrix(rng, 3))]
