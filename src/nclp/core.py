@@ -57,11 +57,17 @@ class Bound:
     (``inf`` where no upper end is known).  :meth:`within` is the one rule
     for a closed interval: a solve is converged, a search stops at its
     certified upper bound, and a value is exact (``within(0)``).
-    ``witness``, where one is stored, is the input that attains ``lower``."""
+    ``witness``, where one is stored, is the input that attains ``lower``.
+    Every bound, a subclass's too, is ordered: ``lower <= upper``, so a
+    NaN end is refused with the crossed ones."""
 
     lower: float
     upper: float = math.inf
     witness: np.ndarray | None = field(default=None, kw_only=True, compare=False)
+
+    def __post_init__(self):
+        if not self.lower <= self.upper:
+            raise ValueError(f"a bound needs lower <= upper, got [{self.lower!r}, {self.upper!r}]")
 
     @property
     def gap(self) -> float:
@@ -81,7 +87,7 @@ def as_matrix(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():  # a complex entry is finite when both parts are
         raise ValueError("matrix has non-finite entries")
     return a
 

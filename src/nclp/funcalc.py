@@ -135,20 +135,22 @@ class ContourTruncationWarning(UserWarning):
 class HolFn:
     """An analytic function on the open sector of half-angle ``theta``.
 
-    ``klass`` is ``"hinf0"`` when the function obeys the two-sided decay
+    ``s`` is the decay exponent where the function obeys the two-sided
     bound |f(z)| <= c |z|^s / (1+|z|)^(2s) on the sector (making the
-    boundary integral absolutely convergent) and ``"hinf"`` when it is
-    merely bounded.  For ``hinf0`` the bound is spot-checked on a probe
-    grid at construction time via :func:`make_hinf0`.  The default contour
-    covers ``scales``, the magnitudes |z| where f turns (poles, exponentials).
+    boundary integral absolutely convergent; ``klass`` "hinf0"), and None
+    where it is merely bounded (``klass`` "hinf").  :func:`make_hinf0`
+    measures or spot-checks c on a probe grid at construction time.  The
+    default contour covers ``scales``, the magnitudes |z| where f turns
+    (poles, exponentials).
     """
 
     theta: float
     fn: object
-    klass: str
     name: str = "f"
-    decay: tuple | None = None
+    s: float | None = None
     scales: tuple = (1.0,)
+
+    klass = property(lambda self: "hinf" if self.s is None else "hinf0")
 
     def __call__(self, z):
         return self.fn(np.asarray(z, dtype=np.complex128))
@@ -161,24 +163,24 @@ def _probe_points(theta: float) -> np.ndarray:
 
 
 def make_hinf0(theta, fn, s, c=None, name="f", scales=(1.0,)) -> HolFn:
-    """Build a decaying sector function, measuring or verifying its bound."""
+    """Build a decaying sector function.  The ratio of |f| to the envelope
+    |z|^s / (1+|z|)^(2s) is measured on a probe grid: it must be finite, and
+    at most c where c is given; c is not stored."""
     z = _probe_points(theta)
     vals = np.abs(np.asarray(fn(z)))
     envelope = np.abs(z) ** s / (1.0 + np.abs(z)) ** (2 * s)
     ratio = float(np.max(vals / envelope))
     if not np.isfinite(ratio):
         raise ValueError(f"{name}: decay probe produced non-finite values")
-    if c is None:
-        c = 1.05 * ratio
-    elif ratio > c * (1 + 1e-9):
+    if c is not None and ratio > c * (1 + 1e-9):
         raise ValueError(
             f"{name}: decay bound c={c} violated on probe grid (needs {ratio:.4g})"
         )
-    return HolFn(float(theta), fn, "hinf0", name, (float(s), float(c)), tuple(scales))
+    return HolFn(float(theta), fn, name, float(s), tuple(scales))
 
 
 def make_hinf(theta, fn, name="f", scales=(1.0,)) -> HolFn:
-    return HolFn(float(theta), fn, "hinf", name, None, tuple(scales))
+    return HolFn(float(theta), fn, name, None, tuple(scales))
 
 
 def _fn_g(z):
@@ -233,9 +235,9 @@ def library(spec: str) -> HolFn:
 def product_fn(f: HolFn, g: HolFn) -> HolFn:
     fn = lambda z: f.fn(z) * g.fn(z)  # noqa: E731
     theta, name, scales = min(f.theta, g.theta), f"{f.name}*{g.name}", f.scales + g.scales
-    if f.klass == "hinf" and g.klass == "hinf":
+    if f.s is None and g.s is None:
         return make_hinf(theta, fn, name, scales)
-    s = sum(h.decay[0] for h in (f, g) if h.klass == "hinf0")
+    s = sum(h.s for h in (f, g) if h.s is not None)
     return make_hinf0(theta, fn, s, name=name, scales=scales)
 
 
@@ -311,16 +313,15 @@ class LpOperator:
         return DenseOp(s)
 
     def frame(self):
-        """Eigenframe of the d^2 x d^2 symbol: its eigenvectors and their
-        dual basis act as dense superoperators, lam as a d x d array."""
+        """Eigenframe of a matrix symbol: its eigenvectors and their dual
+        basis act as maps of the same kind (``with_symbol``), and lam is
+        reshaped to (d, -1): d x d for a d^2 x d^2 symbol, d x 1 for a left
+        multiplication, whose i-th eigenvalue scales row i of the frame
+        coefficients."""
         lam, v, vinv = _mat_eig(self.symbol)
-        return (
-            lam.reshape(self.dim, self.dim),
-            DenseOp(vinv).apply,
-            DenseOp(v).apply,
-            DenseOp(adjoint(vinv)).apply,
-            DenseOp(adjoint(v)).apply,
-        )
+        into, out = self.with_symbol(vinv), self.with_symbol(v)
+        return (lam.reshape(self.dim, -1), into.apply, out.apply,
+                into.dagger().apply, out.dagger().apply)
 
     def spectrum(self) -> np.ndarray:
         s = self.symbol
@@ -452,17 +453,6 @@ class LeftMult(LpOperator):
         # S^p norm of the root is monotone on PSD matrices
         return super().family_bounds(p) | {"col"}
 
-    def frame(self):
-        lam, v, vinv = _mat_eig(self.a)
-        vh, vinvh = adjoint(v), adjoint(vinv)
-        return (
-            lam[:, None],
-            lambda x: vinv @ x,
-            lambda y: v @ y,
-            lambda z: vinvh @ z,
-            lambda y: vh @ y,
-        )
-
 
 class RightMult(LpOperator):
     """x -> x b.  Functions act through the symbol: f(R_b) = R_{f(b)}."""
@@ -492,6 +482,8 @@ class RightMult(LpOperator):
         return super().family_bounds(p) | {"row"}
 
     def frame(self):
+        # not the base rule: x -> x b composes in reverse order, and the
+        # eigenvalues of b index the columns of the frame coefficients
         lam, v, vinv = _mat_eig(self.b)
         vh, vinvh = adjoint(v), adjoint(vinv)
         return (
@@ -887,9 +879,10 @@ def default_contour(op: LpOperator, f: HolFn) -> ContourSpec:
     return ContourSpec(gamma, 0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
-def _contour_coefficients(f: HolFn, spec: ContourSpec, nodes):
-    """Nodes z_j and weights c_j with f(A) ~= sum_j c_j R(z_j, A), on the
-    radii and weights ``nodes`` (one level of ``spec``).
+def _contour_coefficients(fs, spec: ContourSpec, nodes):
+    """Nodes z_j and weights c[k, j] with f_k(A) ~= sum_j c[k, j] R(z_j, A)
+    for the k-th function of fs, on the radii and weights ``nodes`` (one
+    level of ``spec``).
 
     The boundary of the sector is traversed counterclockwise around the
     spectrum: down the upper ray, out the lower ray.  The nodes are the
@@ -899,16 +892,9 @@ def _contour_coefficients(f: HolFn, spec: ContourSpec, nodes):
     g = spec.gamma
     z_lo = r * cmath.exp(-1j * g)
     z_hi = z_lo.conj()
-    c_lo = w * r * cmath.exp(-1j * g) * f(z_lo) / (2j * math.pi)
-    c_hi = -w * r * cmath.exp(1j * g) * f(z_hi) / (2j * math.pi)
-    return np.concatenate([z_lo, z_hi]), np.concatenate([c_lo, c_hi])
-
-
-def _stacked_coefficients(fs, spec: ContourSpec, nodes):
-    """The nodes z_j of :func:`_contour_coefficients` and the weights
-    c[k, j] of the k-th function of fs."""
-    zc = [_contour_coefficients(f, spec, nodes) for f in fs]
-    return zc[0][0], np.stack([c for _, c in zc])
+    c_lo = [w * r * cmath.exp(-1j * g) * f(z_lo) / (2j * math.pi) for f in fs]
+    c_hi = [-w * r * cmath.exp(1j * g) * f(z_hi) / (2j * math.pi) for f in fs]
+    return np.concatenate([z_lo, z_hi]), np.concatenate([c_lo, c_hi], axis=1)
 
 
 def _cauchy_sums(z, c, lam) -> np.ndarray:
@@ -1140,7 +1126,7 @@ def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
     s = op.symbol
     sums = _cauchy_sums if op.entrywise else _resolvent_sums
     r, w = spec.grid()
-    z_grid, c_grid = _stacked_coefficients(fs, spec, (r, w))
+    z_grid, c_grid = _contour_coefficients(fs, spec, (r, w))
     lo, hi = _resolvent_radii(op)
     t_lo, t_hi = _tail_cut(lo, hi, r, c_grid)
     sides = [] if op.entrywise else _series_sides(s, lo, hi, r[t_lo + 1 : t_hi])
@@ -1151,7 +1137,7 @@ def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
             j = np.concatenate([t, t + r.size])
             z, c = z_grid[j], c_grid[:, j]
         else:
-            z, c = _stacked_coefficients(fs, spec, spec.nodes(t))
+            z, c = _contour_coefficients(fs, spec, spec.nodes(t))
         mass = mass + np.abs(c) @ (1.0 / np.abs(z))
         for side in sides:  # the far nodes of both rays, then the rest
             far = np.tile(side.far(np.abs(z[: z.size // 2])), 2)
@@ -1267,7 +1253,6 @@ class SectorProfile:
 
     omega_hat: float
     bounds: dict  # {theta: Bound on K_theta}
-    p: float
 
     constants = property(lambda self: [(theta, b.lower) for theta, b in self.bounds.items()])
     exact = property(lambda self: all(b.within(0.0) for b in self.bounds.values()))
@@ -1319,7 +1304,7 @@ def sector_type(op: LpOperator, p: float = 2.0, seed: int = 0) -> SectorProfile:
     for theta in thetas:
         fam = ray_resolvent_family(op, theta, SECTOR_RAY_POINTS)
         bounds[float(theta)] = _family_opnorm_lower(fam, p, starts=8, iters=25, seed=seed)
-    return SectorProfile(omega_hat=omega, bounds=bounds, p=p)
+    return SectorProfile(omega_hat=omega, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------

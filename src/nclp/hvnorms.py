@@ -269,7 +269,6 @@ class KhintchineReport:
     interval (None for p >= 2).
     """
 
-    p: float
     radavg: float
     radnorm: float
     lower_ok: bool
@@ -289,7 +288,7 @@ def khintchine_report(xs, p: float, cfg: ConvexCfg | None = None) -> KhintchineR
     else:
         side, ok = "sum", ra <= norm + 1e-6 * max(norm, 1.0)
     ratio = ra / norm if norm > 0 else 1.0
-    return KhintchineReport(p, ra, norm, ok, ratio, side, solve=solves[0] if solves else None)
+    return KhintchineReport(ra, norm, ok, ratio, side, solve=solves[0] if solves else None)
 
 
 def col_dual_witness(xs, p: float):

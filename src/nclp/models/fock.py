@@ -97,7 +97,6 @@ class FockBasis:
                 raise ValueError(
                     f"level-{level} Gram fails positivity (min eigenvalue {lam[0]:.3e})"
                 )
-        self.gram_blocks = blocks
         g = np.zeros((self.dim, self.dim))
         for level, blk in enumerate(blocks):
             s = self.level_start[level]

@@ -107,8 +107,6 @@ def stein_colbound(
 class CesaroReport:
     value: float
     ratio: float
-    m_count: int
-    p: float
     solves: tuple[SolveResult, ...]  # the split-norm solve below p = 2, none above
 
 
@@ -137,5 +135,4 @@ def cesaro_square_function(
         s_prev = s_m
     value, solves = rad_norm(fam, p)
     nx = schatten_norm(x, p)
-    return CesaroReport(value=value, ratio=value / nx if nx > 0 else 0.0,
-                        m_count=m_count, p=p, solves=solves)
+    return CesaroReport(value=value, ratio=value / nx if nx > 0 else 0.0, solves=solves)

@@ -98,7 +98,6 @@ class BoundEstimate(Bound):
     selection: tuple
     restarts: int  # starts actually run
     seed: int
-    theta: float | None = None
 
     value = property(lambda self: self.lower)
 
@@ -243,7 +242,7 @@ def _ascend_rad(ops, daggers, sels, xs, p, steps, known):
 # -- the public estimators ---------------------------------------------------
 
 
-def _estimate(notion, ops, p, budget, seed, theta=None):
+def _estimate(notion, ops, p, budget, seed):
     ops = _check_family(ops)
     p = check_exponent(p)
     if budget is None:
@@ -281,7 +280,7 @@ def _estimate(notion, ops, p, budget, seed, theta=None):
     upper = max(upper, best_val)
 
     return BoundEstimate(float(best_val), upper, notion=notion, p=p, selection=best_sel,
-                         witness=best_x, restarts=runs, seed=seed, theta=theta)
+                         witness=best_x, restarts=runs, seed=seed)
 
 
 def _search(notion, ops, p, budget, seed, lengths, best, skip_singletons):
@@ -391,9 +390,9 @@ def sector_rbound_profile(
         rows.append(
             ProfileRow(
                 theta=theta,
-                col=_estimate("col", fam, p, budget, seed, theta=theta),
-                row=_estimate("row", fam, p, budget, seed, theta=theta),
-                rad=_estimate("rad", fam, p, budget, seed, theta=theta),
+                col=_estimate("col", fam, p, budget, seed),
+                row=_estimate("row", fam, p, budget, seed),
+                rad=_estimate("rad", fam, p, budget, seed),
             )
         )
     return rows

@@ -46,20 +46,23 @@ T_HI_REL = 1e6
 
 @dataclass(frozen=True)
 class LogGrid:
-    """Log-uniform quadrature nodes for integrals against dt/t."""
+    """Log-uniform quadrature nodes for integrals against dt/t: the n = t.size
+    nodes of :func:`funcalc.log_trapezoid` on [t_min, t_max].  The ends are
+    stored as given, since exp(log(t_min)) need not round back to t_min."""
 
     t: np.ndarray
     w: np.ndarray
     t_min: float
     t_max: float
-    n: int
+
+    n = property(lambda self: self.t.size)
 
     @classmethod
     def make(cls, t_min: float, t_max: float, n: int = 512) -> "LogGrid":
         if not (0 < t_min < t_max) or n < 2:
             raise ValueError("need 0 < t_min < t_max and n >= 2")
         t, w = fc.log_trapezoid(t_min, t_max, n)
-        return cls(t=t, w=w, t_min=float(t_min), t_max=float(t_max), n=n)
+        return cls(t=t, w=w, t_min=float(t_min), t_max=float(t_max))
 
     @classmethod
     def for_operator(cls, op: fc.LpOperator, n: int = 512) -> "LogGrid":
@@ -68,9 +71,6 @@ class LogGrid:
 
     def refine(self, n_factor: int = 2, widen: float = 1.0) -> "LogGrid":
         return LogGrid.make(self.t_min / widen, self.t_max * widen, self.n * n_factor)
-
-    def mass(self) -> float:
-        return float(np.sum(self.w))
 
 
 def grid_cf(f: fc.HolFn, grid: LogGrid, scale: float = 1.0) -> float:
@@ -202,7 +202,6 @@ class SquareReport:
     row: float
     rad: float
     bracket: float | None
-    grid: LogGrid
     truncated: bool
     solves: tuple[SolveResult, ...]  # one per split-norm solve (rad, bracket)
 
@@ -236,7 +235,6 @@ def square_report(
         row=row_norm(u, p),
         rad=rad,
         bracket=bracket,
-        grid=fam.grid,
         truncated=truncated,
         solves=solves,
     )
@@ -257,9 +255,6 @@ class EquivReport:
 
     k1_hat: float
     k2_hat: float
-    p: float
-    variant: str
-    samples: int
     solves: tuple[SolveResult, ...]  # one per split-norm solve
 
 
@@ -294,8 +289,7 @@ def equivalence_experiment(
         pnorm = schatten_norm(proj.apply(x), p)
         k1 = min(k1, (sq + pnorm) / nx)
         k2 = max(k2, sq / nx)
-    return EquivReport(k1_hat=k1, k2_hat=k2, p=p, variant=variant, samples=sample_count,
-                       solves=solves)
+    return EquivReport(k1_hat=k1, k2_hat=k2, solves=solves)
 
 
 def dyadic_gap_coefficients(n: int) -> np.ndarray:
@@ -306,8 +300,6 @@ def dyadic_gap_coefficients(n: int) -> np.ndarray:
 
 @dataclass
 class GapReport:
-    n: int
-    p: float
     fc_val: float
     fr_val: float
     fr_closed_form: float
@@ -349,8 +341,6 @@ def row_col_gap(n: int, p: float, grid: LogGrid | None = None) -> GapReport:
             f"{fr_closed!r} beyond 1e-6 relative"
         )
     return GapReport(
-        n=n,
-        p=p,
         fc_val=fc_val,
         fr_val=fr_val,
         fr_closed_form=fr_closed,

@@ -1,25 +1,6 @@
 import numpy as np
 import pytest
 
-from nclp import core, optim, rbound
-
-
-@pytest.fixture(autouse=True)
-def ordered_bounds(monkeypatch):
-    """Every certified interval a test produces has lower <= upper: each
-    Bound (a norm bound, a SectorProfile's), SolveResult and BoundEstimate
-    built during the test is checked after it."""
-    made = []
-    for cls in (core.Bound, optim.SolveResult, rbound.BoundEstimate):
-        def recording(self, *args, _init=cls.__init__, **kwargs):
-            _init(self, *args, **kwargs)
-            made.append(self)
-
-        monkeypatch.setattr(cls, "__init__", recording)
-    yield
-    crossed = [b for b in made if not b.lower <= b.upper]
-    assert crossed == []
-
 
 @pytest.fixture
 def rng():

@@ -92,6 +92,29 @@ class TestArtifacts:
             assert float(line.rsplit(",", 2)[1]) <= 1e-6
             assert ',"leftdiag:1,4",' in line  # the op column echoes the spec
 
+    def test_calculus_check_of_a_zero_result(self, tmp_path):
+        # f(A) = 0 on the zero operator (f(0) = 0): the error is absolute where
+        # the oracle is identically 0, not divided by a floor of 1e-300
+        code, text = run(["calculus-check", "--fn", "g,zexp,zis:0.5", "--A", "leftdiag:0,0"],
+                         tmp_path)
+        assert code == 0
+        rows = list(csv.DictReader(data_rows(text)))
+        assert [r["fn"] for r in rows] == ["g", "zexp", "zis:0.5"]
+        assert all(float(r["max_rel_err"]) <= 1e-15 and r["ok"] == "True" for r in rows)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-10])
+    def test_selftest_target_is_the_tolerance_applied(self, tmp_path, monkeypatch, shift):
+        # the psd_sqrt row's tolerance scales with ||s||, and its target says so:
+        # a root off by 2 shift ||root|| passes exactly when it is below target
+        root = cli.psd_sqrt
+        monkeypatch.setattr(cli, "psd_sqrt", lambda s: root(s) + shift * np.eye(len(s)))
+        code, text = run(["schatten-selftest", "--dim", "3"], tmp_path)
+        assert code == 0
+        row = next(r for r in csv.DictReader(data_rows(text))
+                   if r["check"] == "psd_sqrt_reconstruct")
+        assert float(row["target"]) > 1e-10
+        assert row["ok"] == str(float(row["value"]) <= float(row["target"]))
+
     def test_byte_identical_data_rows(self, tmp_path):
         argv = ["khintchine", "--p", "1", "--dim", "2", "--family", "3", "--seed", "11",
                 "--samples", "3"]
@@ -520,7 +543,7 @@ class TestSolverExitCodes:
     def _patch_budget_exhausted(self, monkeypatch, lower_ok=True):
         def fake_report(fam, p, cfg=None, **kw):
             solve = SolveResult(1.0, 2.0, minimizer=np.zeros((2, 2, 2)), iters=1, tol=1e-6)
-            return KhintchineReport(p, 1.0, 2.0, lower_ok, 0.5, "sum", solve=solve)
+            return KhintchineReport(1.0, 2.0, lower_ok, 0.5, "sum", solve=solve)
 
         monkeypatch.setattr(cli.hvnorms, "khintchine_report", fake_report)
 

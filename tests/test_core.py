@@ -1,9 +1,11 @@
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import math
 import pkgutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +263,21 @@ class TestBound:
                                    restarts=2, seed=0)
         assert est.value == 1.5 and est.upper == math.inf and not est.within(1.0)
 
+    def test_ends_are_ordered_by_construction(self):
+        # every Bound and every subclass refuses crossed ends, and a NaN end
+        x = np.zeros((1, 2, 2))
+        crossed = [
+            lambda: core.Bound(2.0, 1.0),
+            lambda: core.Bound(math.nan),
+            lambda: core.Bound(0.0, math.nan),
+            lambda: optim.SolveResult(2.0, 1.0, minimizer=x, iters=0, tol=1e-6),
+            lambda: rbound.BoundEstimate(2.0, 1.0, notion="col", p=4.0, selection=(0,),
+                                         witness=x, restarts=0, seed=0),
+        ]
+        for make in crossed:
+            with pytest.raises(ValueError, match="lower <= upper"):
+                make()
+
     def test_results_keep_one_interval(self):
         # the certified ends and every verdict on them live in core.Bound: a
         # result type that stores its own copy can disagree with it
@@ -292,13 +309,26 @@ class TestNoUnreadOptions:
             rbound.col_bound_estimate, rbound.row_bound_estimate, rbound.rad_bound_estimate,
             rbound._estimate, rbound._search)]
         removed += [(sqfn.equivalence_experiment, "cfg"),
-                    (martingale.cesaro_square_function, "cfg"), (fc.product_fn, "name")]
+                    (martingale.cesaro_square_function, "cfg"), (fc.product_fn, "name"),
+                    (rbound._estimate, "theta")]
         assert [(fn.__name__, name) for fn, name in removed
                 if name in inspect.signature(fn).parameters] == []
         gone = [(fc, "schatten_opnorm_lower"), (fock, "FockOp"), (freegroup.GroupPoly, "support"),
-                (fc.LeftMult(np.eye(2)), "__call__")]
+                (fc.LeftMult(np.eye(2)), "__call__"), (fc, "_stacked_coefficients"),
+                (sqfn.LogGrid, "mass"), (fock.FockBasis(2, 1, 0.0), "gram_blocks")]
         gone += [(kind, name) for kind in _kind_classes() for name in ("opnorm", "opnorm_witness")]
         assert [name for owner, name in gone if hasattr(owner, name)] == []
+        # result fields that copied an argument back, and fields another one restates
+        stored = [(rbound.BoundEstimate, "theta"), (fc.SectorProfile, "p"),
+                  (sqfn.EquivReport, "p"), (sqfn.EquivReport, "variant"),
+                  (sqfn.EquivReport, "samples"), (sqfn.GapReport, "n"), (sqfn.GapReport, "p"),
+                  (sqfn.SquareReport, "grid"), (martingale.CesaroReport, "m_count"),
+                  (martingale.CesaroReport, "p"), (hvnorms.KhintchineReport, "p"),
+                  (fc.HolFn, "klass"), (fc.HolFn, "decay"), (sqfn.LogGrid, "n")]
+        assert [f"{cls.__name__}.{name}" for cls, name in stored
+                if name in {f.name for f in dataclasses.fields(cls)}] == []
+        # left multiplication takes the base class's eigenframe
+        assert "frame" not in vars(fc.LeftMult)
 
     def test_one_norm_hook(self):
         # norm_bounds is written once per kind that knows its norm another
@@ -315,6 +345,22 @@ def _kind_classes():
         kinds.append(todo.pop())
         todo += kinds[-1].__subclasses__()
     return kinds
+
+
+class TestCodeLines:
+    def test_counts_lines_that_hold_code(self):
+        # tools/code_lines.py: docstrings, comments and blank lines do not count;
+        # a string that is not a docstring, and code with a trailing comment, do
+        path = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+        spec = importlib.util.spec_from_file_location("code_lines", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        source = (
+            '"""Module\ndocstring."""\n\n# a comment\n'
+            'def f(x):  # trailing\n    """Function docstring."""\n'
+            '    s = """two\n    lines"""\n\n    return (x,\n            s)\n'
+        )
+        assert tool.code_lines(source) == 5
 
 
 class TestTextFormat:

@@ -597,7 +597,7 @@ def _looped_contour(op, f, spec=None, nodes=None):
     ``spec`` (f's default rule if unset) or on the radii and weights
     ``nodes``."""
     spec = spec or fc.default_contour(op, f)
-    z, c = fc._contour_coefficients(f, spec, _grid_nodes(spec) if nodes is None else nodes)
+    z, (c,) = fc._contour_coefficients((f,), spec, _grid_nodes(spec) if nodes is None else nodes)
     s = op.symbol
     eye = np.eye(s.shape[0])
     acc = np.zeros(s.shape, dtype=complex)
@@ -621,7 +621,7 @@ def _tail_cut(op, f, spec):
     """The grid positions (t_lo, t_hi) that the sweep of f on op keeps
     strictly between."""
     r, w = _grid_nodes(spec)
-    return fc._tail_cut(*fc._resolvent_radii(op), r, fc._contour_coefficients(f, spec, (r, w))[1][None])
+    return fc._tail_cut(*fc._resolvent_radii(op), r, fc._contour_coefficients((f,), spec, (r, w))[1])
 
 
 def _complex_dense(op):
@@ -780,7 +780,7 @@ class TestContourSweep:
         op = _sylvester_dense(rng, 8) if name == "dense8" else _narrow_margin_op(1.3)
         f = fc.library(fid)
         spec = fc.default_contour(op, f)
-        z, c = fc._contour_coefficients(f, spec, _grid_nodes(spec))
+        z, c = fc._contour_coefficients((f,), spec, _grid_nodes(spec))
         eps, mass = np.finfo(float).eps, np.sum(np.abs(c) / np.abs(z))
         lo, hi = _tail_cut(op, f, spec)
         sums = {"full": 0.0, "cut": 0.0, "dropped": 0.0}
@@ -788,8 +788,8 @@ class TestContourSweep:
             keep = (t > lo) & (t < hi)
             assert np.any(~keep)
             for part, sel in (("full", ...), ("cut", keep), ("dropped", ~keep)):
-                z, c = fc._contour_coefficients(f, spec, spec.nodes(t[sel]))
-                sums[part] = sums[part] + fc._resolvent_sums(z, c[None], op.symbol)[0]
+                z, c = fc._contour_coefficients((f,), spec, spec.nodes(t[sel]))
+                sums[part] = sums[part] + fc._resolvent_sums(z, c, op.symbol)[0]
             assert stride * np.max(np.abs(sums["full"] - sums["cut"])) <= 2 * eps * mass
             assert stride * np.max(np.abs(sums["dropped"])) <= eps / 2 * mass
 
@@ -810,10 +810,10 @@ class TestContourSweep:
         f = fc.library(fid)
         spec = fc.default_contour(op, f)
         r, w = _grid_nodes(spec)
-        z, c = fc._contour_coefficients(f, spec, (r, w))
+        z, c = fc._contour_coefficients((f,), spec, (r, w))
         eps, mass = np.finfo(float).eps, np.sum(np.abs(c) / np.abs(z))
         lo, hi = fc._resolvent_radii(op)
-        t_lo, t_hi = fc._tail_cut(lo, hi, r, c[None])
+        t_lo, t_hi = fc._tail_cut(lo, hi, r, c)
         taken = fc._series_sides(op.symbol, lo, hi, r[t_lo + 1 : t_hi])
         assert [side.below for side in taken] == sides
         for side in taken:
@@ -821,9 +821,9 @@ class TestContourSweep:
             for stride, t in spec.levels():
                 r_t, w_t = spec.nodes(t[(t > t_lo) & (t < t_hi)])
                 far = side.far(r_t)
-                z, c = fc._contour_coefficients(f, spec, (r_t[far], w_t[far]))
-                series = series + side.sums(z, c[None])[0]
-                inverted = inverted + fc._resolvent_sums(z, c[None], op.symbol)[0]
+                z, c = fc._contour_coefficients((f,), spec, (r_t[far], w_t[far]))
+                series = series + side.sums(z, c)[0]
+                inverted = inverted + fc._resolvent_sums(z, c, op.symbol)[0]
                 assert stride * np.max(np.abs(series - inverted)) <= 2 * eps * mass
 
     @pytest.mark.parametrize("name", ["kernel", "zero"])
@@ -909,7 +909,7 @@ class TestContourSweep:
         f = fc.library("zexp")
         spec = fc.default_contour(op, f)
         r = _grid_nodes(spec)[0]
-        _, c = fc._contour_coefficients(f, spec, _grid_nodes(spec))
+        _, (c,) = fc._contour_coefficients((f,), spec, _grid_nodes(spec))
         assert np.any((c[: r.size] == 0) & (r < 1e4))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -974,7 +974,7 @@ class TestContourSweep:
         spec = fc.default_contour(_sylvester_dense(rng, 8), f)
         for _, t in spec.levels():
             r, w = spec.nodes(t)
-            z, _ = fc._contour_coefficients(f, spec, (r, w))
+            z, _ = fc._contour_coefficients((f,), spec, (r, w))
             assert np.array_equal(z[r.size:], z[: r.size].conj())
 
     @pytest.mark.parametrize("complex_entries", [False, True])
@@ -1005,9 +1005,9 @@ class TestContourSweep:
         per_chunk = fc._BATCH_ENTRIES // 64**2
         assert r.size % per_chunk  # 25 = 16 + 9
         ref = _looped_contour(op, f, spec, (r, w))
-        z, c = fc._contour_coefficients(f, spec, (r, w))
+        z, c = fc._contour_coefficients((f,), spec, (r, w))
         invs = _count_calls(monkeypatch, "inv")
-        out = fc._resolvent_sums(z, c[None], op.symbol)[0]
+        out = fc._resolvent_sums(z, c, op.symbol)[0]
         chunks = [16, 16, 9, 9] if complex_entries else [16, 9]
         assert [sh[0] for sh in invs] == chunks
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -20,7 +20,7 @@ def posdiag_op():
 class TestLogGrid:
     def test_weights_sum_to_log_ratio(self):
         g = sqfn.LogGrid.make(1e-3, 1e3, 128)
-        assert g.mass() == pytest.approx(math.log(1e6), rel=1e-12)
+        assert g.w.sum() == pytest.approx(math.log(1e6), rel=1e-12)
 
     def test_for_operator_covers_spectrum(self, posdiag_op):
         g = sqfn.LogGrid.for_operator(posdiag_op)
