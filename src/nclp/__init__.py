@@ -4,8 +4,9 @@ The package works on dense complex matrices (the finite noncommutative
 L^p elements), superoperators acting on them, and a small zoo of concrete
 semigroup models:
 
-* :mod:`nclp.core` -- Schatten norms, moduli, traces, PSD square roots,
-  and :class:`core.Bound`, the certified interval every estimator returns.
+* :mod:`nclp.core` -- Schatten norms, PSD square roots, the matrix text
+  format, and :class:`core.Bound`, the certified interval every estimator
+  returns.
 * :mod:`nclp.hvnorms` -- Hilbert-space-valued norms of matrix families
   (column / row / intersection / sum / Rademacher) and Khintchine ratios.
 * :mod:`nclp.funcalc` -- structured superoperators, resolvents, contour

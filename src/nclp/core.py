@@ -3,10 +3,10 @@
 Matrices are plain ``numpy`` arrays of ``complex128``, interpreted as
 elements of a finite noncommutative L^p space over the full matrix
 algebra with its *unnormalized* trace.  The functions here provide the
-Schatten norms and their norming elements, the modulus ``|x| = (x*x)^{1/2}``, the trace duality
-pairing ``<x, y> = tr(xy)``, and the shared PSD square-root kernel, plus
-an exact-round-trip text format for matrices and matrix families, and
-:class:`Bound`, the certified interval every estimator returns.
+Schatten norms and their norming elements and the shared PSD square-root
+kernel, plus an exact-round-trip text format for matrices and matrix
+families, and :class:`Bound`, the certified interval every estimator
+returns.
 
 One batched kernel, :func:`schatten_norms`, computes every Schatten norm.
 At the even exponents p = 2k in MOMENT_EXPONENTS it uses the trace
@@ -303,15 +303,6 @@ def power_ascent(fwd, adj, x, p: float, iters: int):
     return best, best_x
 
 
-def trace_pair(x, y) -> complex:
-    """Trace duality pairing tr(xy); symmetric in its arguments."""
-    a, b = as_matrix(x), as_matrix(y)
-    if a.shape[1] != b.shape[0] or b.shape[1] != a.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape} for tr(xy)")
-    # tr(ab) as a double sum, avoiding the full product
-    return complex(np.sum(a * b.T))
-
-
 def _check_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     dev = float(np.max(np.abs(a - adjoint(a))))
@@ -345,12 +336,6 @@ def psd_sqrt(x) -> np.ndarray:
         )
     root = np.sqrt(np.clip(lam, 0.0, None))
     return (u * root) @ adjoint(u)
-
-
-def modulus(x) -> np.ndarray:
-    """The modulus |x| = (x*x)^{1/2}, a PSD matrix of shape (cols, cols)."""
-    a = as_matrix(x)
-    return psd_sqrt(adjoint(a) @ a)
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +378,6 @@ def loads_matrix(text: str) -> np.ndarray:
     return out
 
 
-def save_matrix(path, x) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_matrix(x))
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_matrix(fh.read())
-
-
 def dumps_family(xs) -> str:
     """Concatenated matrix blocks separated by blank lines."""
     return "\n".join(dumps_matrix(x) for x in xs)
@@ -413,11 +388,6 @@ def loads_family(text: str) -> list[np.ndarray]:
     text = "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
     blocks = [b for b in text.split("\n\n") if b.strip()]
     return [loads_matrix(b) for b in blocks]
-
-
-def save_family(path, xs) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_family(xs))
 
 
 def load_family(path) -> list[np.ndarray]:

@@ -11,8 +11,8 @@ of the index Hilbert space.  The five norms implemented here are
 * Rademacher:    sum norm if p <= 2, intersection norm if p >= 2
 
 together with the first-moment Rademacher average E || sum_k eps_k x_k ||_p
-over independent uniform signs, a Gram-weighted column norm, contractive
-tensor extension along the index space, and a Khintchine-ratio report.
+over independent uniform signs, contractive tensor extension along the
+index space, and a Khintchine-ratio report.
 The column, row and exact Rademacher norms come from one batched kernel,
 :func:`family_norms`, which takes every family on the leading axes of a
 stack at once and gives a family alone the same bits as in a batch;
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import adjoint, as_matrix, check_exponent, psd_sqrt, schatten_norms
+from .core import adjoint, as_matrix, check_exponent, schatten_norms
 from .optim import ConvexCfg, SolveResult, minimize_split_schatten
 
 RAD_EXACT_MAX = 20  # 2^20 ~ 1e6 sign patterns; exact enumeration refuses more
@@ -75,7 +75,7 @@ def family_norms(kind: str, fams, p: float):
         if n > RAD_EXACT_MAX:
             raise ValueError(
                 f"exact enumeration refuses n = {n} > {RAD_EXACT_MAX} "
-                f"(2^{n} norm evaluations); use rad_average_mc with a seed"
+                f"(2^{n} norm evaluations)"
             )
         half, total = 1 << (n - 1), 0.0
         for off in range(0, half, _SIGN_CHUNK):
@@ -96,22 +96,6 @@ def col_norm(xs, p: float) -> float:
 def row_norm(xs, p: float) -> float:
     """|| (sum_k x_k x_k*)^{1/2} ||_p, the Schatten norm of the row stack."""
     return float(family_norms("row", as_family(xs), check_exponent(p)))
-
-
-def gram_col_norm(xs, gram, p: float) -> float:
-    """Column norm twisted by a Gram matrix G_{ij} = <a_j, a_i>:
-
-        || (sum_{ij} G_{ij} x_i* x_j)^{1/2} ||_p.
-
-    It is :func:`col_norm` of y_k = sum_j (G^{1/2})_{kj} x_j, since
-    sum_k y_k* y_k is the twisted square; with G the identity y = x.
-    """
-    fam = as_family(xs)
-    g = as_matrix(gram)
-    n = fam.shape[0]
-    if g.shape != (n, n):
-        raise ValueError(f"Gram matrix must be {n}x{n}, got {g.shape}")
-    return col_norm(np.einsum("kj,jab->kab", psd_sqrt(g), fam), p)
 
 
 @dataclass
@@ -173,29 +157,9 @@ def _signed_sums(signs, fam) -> np.ndarray:
 def rad_average(xs, p: float) -> float:
     """First-moment Rademacher average E || sum_k eps_k x_k ||_p, exactly:
     :func:`family_norms` (using the eps -> -eps symmetry to halve the
-    work); it refuses families longer than ``RAD_EXACT_MAX``, for which
-    :func:`rad_average_mc` draws seeded signs.
+    work); it refuses families longer than ``RAD_EXACT_MAX``.
     """
     return float(family_norms("rad", as_family(xs), check_exponent(p)))
-
-
-def rad_average_mc(xs, p: float, samples: int, seed: int | None):
-    """Monte Carlo Rademacher average; returns (mean, standard error)."""
-    if seed is None:
-        raise ValueError("rad_average_mc requires an explicit seed")
-    fam, p = as_family(xs), check_exponent(p)
-    if not np.isfinite(fam).all():
-        raise ValueError("matrix has non-finite entries")
-    n = fam.shape[0]
-    rng = np.random.default_rng(seed)
-    blocks = (
-        rng.integers(0, 2, size=(min(_SIGN_CHUNK, samples - pos), n)) * 2.0 - 1.0
-        for pos in range(0, samples, _SIGN_CHUNK)
-    )
-    vals = np.concatenate([schatten_norms(_signed_sums(signs, fam), p) for signs in blocks])
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return mean, stderr
 
 
 def intersection_norm(xs, p: float) -> float:

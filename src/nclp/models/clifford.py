@@ -65,11 +65,6 @@ def all_subsets(n: int):
         yield from itertools.combinations(range(1, n + 1), m)
 
 
-def normalized_trace(x) -> complex:
-    x = np.asarray(x)
-    return complex(np.trace(x) / x.shape[0])
-
-
 def check_frame_n(n: int) -> int:
     """The V_F multipliers exist for 1 <= n <= DIAG_OP_MAX generators."""
     if not 1 <= n <= DIAG_OP_MAX:

@@ -110,10 +110,6 @@ class FockBasis:
         v[0] = 1.0
         return v
 
-    def q_inner(self, u, v) -> complex:
-        """<u, v>_q = <G u, v>_0 (conjugate-linear in the second slot)."""
-        return complex(np.conj(v) @ (self.gram @ u))
-
 
 def fock_creation(basis: FockBasis, h) -> np.ndarray:
     """c(h): prepend h; words at the top level are annihilated (truncation)."""
@@ -156,11 +152,6 @@ def annihilation_formula(basis: FockBasis, h) -> np.ndarray:
             coeff = basis.q**k * np.conj(h[w[k]])
             mat[basis.index[target], j] += coeff
     return mat
-
-
-def fock_trace(x: np.ndarray) -> complex:
-    """Vacuum expectation <x Omega, Omega>_q (the level-0 Gram block is 1)."""
-    return complex(x[0, 0])
 
 
 def gaussian_op(basis: FockBasis, h) -> np.ndarray:

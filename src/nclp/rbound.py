@@ -97,7 +97,6 @@ class BoundEstimate(Bound):
     p: float
     selection: tuple
     restarts: int  # starts actually run
-    seed: int
 
     value = property(lambda self: self.lower)
 
@@ -280,7 +279,7 @@ def _estimate(notion, ops, p, budget, seed):
     upper = max(upper, best_val)
 
     return BoundEstimate(float(best_val), upper, notion=notion, p=p, selection=best_sel,
-                         witness=best_x, restarts=runs, seed=seed)
+                         witness=best_x, restarts=runs)
 
 
 def _search(notion, ops, p, budget, seed, lengths, best, skip_singletons):

@@ -73,12 +73,6 @@ class LogGrid:
         return LogGrid.make(self.t_min / widen, self.t_max * widen, self.n * n_factor)
 
 
-def grid_cf(f: fc.HolFn, grid: LogGrid, scale: float = 1.0) -> float:
-    """c_F on the grid: (sum_j w_j |F(scale * t_j)|^2)^{1/2}."""
-    vals = np.abs(f(scale * grid.t)) ** 2
-    return float(math.sqrt(np.sum(grid.w * vals)))
-
-
 # ---------------------------------------------------------------------------
 # The node family t |-> F(tA) on the grid, and the square functions of a
 # weighted node stack u_j = sqrt(w_j) F(t_j A) x

@@ -30,3 +30,8 @@ def unit(d, i, j):
     e = np.zeros((d, d), dtype=complex)
     e[i, j] = 1.0
     return e
+
+
+def grid_cf(f, grid, scale=1.0):
+    """c_F on a square-function grid: (sum_j w_j |F(scale * t_j)|^2)^{1/2}."""
+    return float(np.sqrt(np.sum(grid.w * np.abs(f(scale * grid.t)) ** 2)))

@@ -147,7 +147,7 @@ class TestSubcommands:
             ["schatten-selftest", "--dim", "3"],
             ["tensor-extend", "--dim", "2", "--family", "3", "--seed", "4", "--samples", "3"],
             ["sector-profile", "--A", "leftdiag:1,2"],
-            ["schur", "--points", "4", "--t", "0.5", "--amplification", "2"],
+            ["schur", "--points", "4", "--t", "0.5"],
             ["freegroup", "norms"],
             ["freegroup", "poisson", "--seed", "5", "--samples", "5"],
             ["freegroup", "dyadic", "--seed", "3", "--samples", "2", "--shells", "2"],
@@ -354,7 +354,6 @@ class TestErrorPaths:
             ["khintchine", "--iters", "0", "--seed", "1"],
             ["rbound", "--iters", "0", "--seed", "1"],
             ["martingale", "stein", "--iters", "0", "--seed", "1"],
-            ["schur", "--amplification", "0"],
             ["schur", "--points", "0"],
             ["calculus-check", "--A", "foo:1"],
             ["calculus-check", "--A", "schurgen:4"],
@@ -403,7 +402,7 @@ class TestErrorPaths:
              "rbound-theta-zero", "rbound-no-restarts", "stein-no-restarts",
              "qfock-q-one", "clifford-n-above-frame-cap", "dyadic-shells-above-pools",
              "khintchine-no-iters", "rbound-no-iters",
-             "stein-no-iters", "schur-no-amplification", "schur-no-points",
+             "stein-no-iters", "schur-no-points",
              "calculus-bad-operator", "calculus-removed-alias", "calculus-bad-fn", "calculus-bad-fn-parameter",
              "sector-bad-operator", "sqfn-grid-two-fields", "clifford-bad-fn",
              "selftest-no-dim", "khintchine-no-dim", "tensor-no-dim", "khintchine-no-family",
@@ -440,6 +439,7 @@ class TestErrorPaths:
             ["rbound", "--seed", "1", "--samples", "2"],
             ["rowcol-gap", "--seed", "1"],
             ["schur", "--samples", "2"],
+            ["schur", "--amplification", "2"],  # deleted: it checked the base norm again
             ["freegroup", "norms", "--p", "4"],
             ["qfock", "gram", "--seed", "1"],
             ["clifford", "semigroup", "--samples", "2"],

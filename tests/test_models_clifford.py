@@ -25,10 +25,10 @@ class TestSpinSystem:
             assert np.array_equal(wi @ wj, -(wj @ wi))
 
     def test_vf_traces(self, rep3):
-        assert clifford.normalized_trace(clifford.v_f(rep3, ())) == pytest.approx(1.0)
+        assert np.trace(clifford.v_f(rep3, ())) / rep3.dim == pytest.approx(1.0)
         for subset in clifford.all_subsets(3):
             if subset:
-                tau = clifford.normalized_trace(clifford.v_f(rep3, subset))
+                tau = np.trace(clifford.v_f(rep3, subset)) / rep3.dim
                 assert tau == 0.0
 
     def test_vf_orthonormal(self, rep3):
@@ -36,7 +36,7 @@ class TestSpinSystem:
         for s1 in subsets:
             for s2 in subsets:
                 v1, v2 = clifford.v_f(rep3, s1), clifford.v_f(rep3, s2)
-                inner = clifford.normalized_trace(v1.conj().T @ v2)
+                inner = np.trace(v1.conj().T @ v2) / rep3.dim
                 assert inner == pytest.approx(1.0 if s1 == s2 else 0.0, abs=1e-14)
 
     def test_bad_subset(self, rep3):
@@ -94,7 +94,7 @@ class TestNumberSemigroup:
         top = clifford.clifford_semigroup(rep3, t)
         for subset in clifford.all_subsets(3):
             v = clifford.v_f(rep3, subset)
-            val = clifford.normalized_trace(top.apply(v) @ v.conj().T)
+            val = np.trace(top.apply(v) @ v.conj().T) / rep3.dim
             assert val == pytest.approx(math.exp(-t * len(subset)), abs=1e-12)
 
 

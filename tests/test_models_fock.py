@@ -85,17 +85,20 @@ class TestBasisAndOperators:
         # only test below the top level, where truncation cannot interfere
         top = b.level_start[b.n_max]
         u[top:] = 0.0
-        lhs = b.q_inner(c @ u, v)
-        rhs = b.q_inner(u, a @ v)
+        # <u, v>_q = <G u, v>_0, conjugate-linear in the second slot
+        lhs = np.conj(v) @ (b.gram @ (c @ u))
+        rhs = np.conj(a @ v) @ (b.gram @ u)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 class TestTraceAndMoments:
     def test_identity_and_creation_traces(self):
+        # the vacuum expectation <x Omega, Omega>_q
         b = fock.FockBasis(2, 2, 0.4)
-        assert fock.fock_trace(np.eye(b.dim, dtype=complex)) == 1.0
+        vac = b.vacuum()
+        assert vac.conj() @ b.gram @ vac == 1.0
         h = np.array([1.0, 0.5])
-        assert fock.fock_trace(fock.fock_creation(b, h)) == 0.0
+        assert vac.conj() @ b.gram @ (fock.fock_creation(b, h) @ vac) == 0.0
 
     def test_second_moment_is_norm_squared(self):
         h = np.array([1.0, 2.0, 0.5])

@@ -9,7 +9,7 @@ from nclp.core import schatten_norm
 from nclp.models import martingale
 from nclp.optim import ConvexCfg
 
-from conftest import random_matrix
+from conftest import grid_cf, random_matrix
 
 
 @pytest.fixture
@@ -30,16 +30,16 @@ class TestLogGrid:
     def test_cf_golden_value(self, posdiag_op):
         # int_0^inf |sqrt(t) e^-t|^2 dt/t = 1/2
         g = sqfn.LogGrid.for_operator(posdiag_op)
-        assert sqfn.grid_cf(fc.library("sqrtzexp"), g) ** 2 == pytest.approx(
+        assert grid_cf(fc.library("sqrtzexp"), g) ** 2 == pytest.approx(
             0.5, abs=1e-8
         )
 
     def test_cf_scale_invariance(self, posdiag_op):
         g = sqfn.LogGrid.for_operator(posdiag_op)
         f = fc.library("sqrtzexp")
-        base = sqfn.grid_cf(f, g)
+        base = grid_cf(f, g)
         for lam in (0.5, 1.0, 4.0):
-            assert sqfn.grid_cf(f, g, scale=lam) == pytest.approx(base, abs=1e-11)
+            assert grid_cf(f, g, scale=lam) == pytest.approx(base, abs=1e-11)
 
 
 class TestSqColRow:
@@ -52,7 +52,7 @@ class TestSqColRow:
         grid = sqfn.LogGrid.for_operator(posdiag_op)
         x = random_matrix(rng, 4)
         val = sqfn.sq_col(posdiag_op, x, f, grid, p)
-        ref = sqfn.grid_cf(f, grid) * schatten_norm(x, p)
+        ref = grid_cf(f, grid) * schatten_norm(x, p)
         assert val == pytest.approx(ref, abs=1e-10 * max(1.0, ref))
 
     def test_zero_matrix(self, posdiag_op):
@@ -100,7 +100,7 @@ class TestSqColRow:
         grid = sqfn.LogGrid.for_operator(posdiag_op)
         f, g = fc.library("zexp"), fc.library("sqrtzexp")
         lam = np.diag(posdiag_op.a).real
-        scal = [sqfn.grid_cf(f, grid, l) / sqfn.grid_cf(g, grid, l) for l in lam]
+        scal = [grid_cf(f, grid, l) / grid_cf(g, grid, l) for l in lam]
         lo, hi = min(scal), max(scal)
         for _ in range(10):
             x = random_matrix(rng, 4)
@@ -259,7 +259,7 @@ class TestEquivalence:
         rep = sqfn.equivalence_experiment(
             op, f, 2.0, sample_count=20, seed=9, grid=grid, variant="rad"
         )
-        scal = [sqfn.grid_cf(f, grid, l) for l in lam]
+        scal = [grid_cf(f, grid, l) for l in lam]
         assert min(scal) - 1e-9 <= rep.k1_hat <= max(scal) + 1e-9
         assert min(scal) - 1e-9 <= rep.k2_hat <= max(scal) + 1e-9
 
