@@ -680,6 +680,17 @@ SUBCOMMANDS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """The parser of a subcommand or mode: an argument it leaves over is its
+    own usage error, so the message shows its usage, not the top one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser(argv) -> argparse.ArgumentParser:
     """The nclp parser for ``argv``.  Every subcommand is on it with its
     help, so that ``nclp --help`` lists them all and a wrong name is an
@@ -687,7 +698,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
     not a flag) gets its arguments."""
     ap = argparse.ArgumentParser(prog="nclp", description=__doc__)
     ap.add_argument("--version", action="version", version=f"nclp {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     named = next((t for t in argv if not t.startswith("-")), None)
     for name, cmd in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=cmd.help)

@@ -280,8 +280,11 @@ class LpOperator:
     Subclasses provide ``apply`` and ``dim``.  ``apply`` takes any stack
     of shape (..., d, d) and maps every matrix of it, so a batch passes
     through one call; :func:`apply_each` runs a stack through a family,
-    one map per matrix.  The spectral structure is one small interface
-    that every algorithm goes through:
+    one map per matrix.  A kind whose members all act by one product with
+    their symbols names it ``apply_symbols(s, x)``: the stack of s[i]'s map
+    on x[i], so a :class:`Family` of that kind maps a stack in one call.
+    The spectral structure is one small interface that every algorithm
+    goes through:
 
     * ``symbol``: the array the kind is a function of.  For ``entrywise``
       kinds it holds the eigenvalues themselves, one per frame vector;
@@ -301,6 +304,7 @@ class LpOperator:
 
     dim: int
     entrywise = False
+    apply_symbols = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -402,10 +406,6 @@ class LpOperator:
         on its own."""
         return frozenset({"col", "row"}) if p == 2.0 else frozenset()
 
-    def spectral_scale(self) -> float:
-        """The top of the spectral window (1 for kernel-only)."""
-        return spectral_window(self.spectrum())[1]
-
     def sector_angle(self) -> float:
         """max |Arg(lambda)| over the nonzero spectrum (0 for kernel-only)."""
         lam = self.spectrum()
@@ -434,6 +434,7 @@ class LeftMult(LpOperator):
     def apply(self, x):
         return self.a @ x
 
+    apply_symbols = staticmethod(np.matmul)
     symbol = property(lambda self: self.a)
 
     def with_symbol(self, s):
@@ -463,6 +464,10 @@ class RightMult(LpOperator):
 
     def apply(self, x):
         return x @ self.b
+
+    @staticmethod
+    def apply_symbols(s, x):
+        return x @ s
 
     symbol = property(lambda self: self.b)
 
@@ -511,6 +516,7 @@ class SchurMult(LpOperator):
     def apply(self, x):
         return self.m * x
 
+    apply_symbols = staticmethod(np.multiply)
     symbol = property(lambda self: self.m)
 
     def with_symbol(self, s):
@@ -706,9 +712,11 @@ class AmplifiedOp(LpOperator):
         return f"Amplified({self.base!r}, m={self.m})"
 
 
-def resolvent(op: LpOperator, z: complex) -> LpOperator:
-    """R(z, A) = (z - A)^{-1}, refusing z within COLLISION_RTOL of the spectrum."""
-    lam = op.spectrum()
+def resolvent(op: LpOperator, z: complex, lam=None) -> LpOperator:
+    """R(z, A) = (z - A)^{-1}, refusing z within COLLISION_RTOL of the
+    spectrum lam of A (taken here unless the caller has it)."""
+    if lam is None:
+        lam = op.spectrum()
     scale = max(spectral_window(lam)[1], abs(z), 1.0)
     dist = float(np.min(np.abs(lam - z))) if lam.size else math.inf
     if dist <= COLLISION_RTOL * scale:
@@ -727,23 +735,40 @@ def check_ray_points(n_points: int) -> int:
 
 def ray_resolvent_family(op: LpOperator, theta: float, n_points: int = 24):
     """The family { z R(z, A) } for z log-spaced on both rays of angle theta:
-    n_points / 2 radii, each on both rays (n_points even, >= 2)."""
-    scale = op.spectral_scale()
+    n_points / 2 radii, each on both rays (n_points even, >= 2).  The
+    spectrum is taken once, for the scale and every collision check."""
+    lam = op.spectrum()
     per_ray = check_ray_points(n_points) // 2
-    radii = np.logspace(-3, 3, per_ray) * scale
+    radii = np.logspace(-3, 3, per_ray) * spectral_window(lam)[1]
     fam = []
     for r in radii:
         for sgn in (1.0, -1.0):
             z = r * cmath.exp(1j * sgn * theta)
-            fam.append(resolvent(op, z).scaled(z))
+            fam.append(resolvent(op, z, lam).scaled(z))
     return fam
 
 
+class Family(tuple):
+    """A family of maps for :func:`apply_each`.  Where every member is one
+    kind with an ``apply_symbols`` product, ``symbols`` stacks their
+    symbols, built once here; else it is None."""
+
+    def __new__(cls, ops):
+        fam = super().__new__(cls, ops)
+        kind = type(fam[0])
+        stacked = kind.apply_symbols is not None and all(type(op) is kind for op in fam)
+        fam.symbols = np.stack([op.symbol for op in fam]) if stacked else None
+        return fam
+
+
 def apply_each(ops, which, xs) -> np.ndarray:
-    """The stack of ops[which[i]] applied to xs[i]: one stacked ``apply``
-    per distinct member, on all of its rows (a kind's ``apply`` gives each
-    matrix of a stack the bits it gets alone)."""
+    """The stack of ops[which[i]] applied to xs[i]: one product of its
+    kind's ``apply_symbols`` for a :class:`Family` with ``symbols``, else
+    one stacked ``apply`` per distinct member, on all of its rows.  Either
+    way each matrix gets the bits it gets alone."""
     which = np.asarray(which)
+    if getattr(ops, "symbols", None) is not None:
+        return type(ops[0]).apply_symbols(ops.symbols[which], xs)
     out = np.empty(np.shape(xs), dtype=np.complex128)
     for k in dict.fromkeys(which.tolist()):  # np.unique's first call costs 1.6 MB of RSS
         rows = which == k
@@ -1273,12 +1298,13 @@ def _family_opnorm_lower(ops, p: float, starts: int, iters: int, seed: int) -> B
     rest = [op for op, b in zip(ops, bounds) if not b.within(0.0)]
     if not rest:
         return Bound(best, best)
+    rest = Family(rest)
     d = rest[0].dim
     rng = np.random.default_rng(seed)
     x0 = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(starts)]
     sels = (np.arange(len(rest) * starts) // starts)[:, None]
     ratios, _ = family_ascent(
-        rest, [op.dagger() for op in rest], sels, np.tile(x0, (len(rest), 1, 1))[:, None], p,
+        rest, Family(op.dagger() for op in rest), sels, np.tile(x0, (len(rest), 1, 1))[:, None], p,
         "col", iters + 1,  # iters steps visit iters + 1 iterates
     )
     return Bound(max(best, float(np.max(ratios, initial=0.0))))

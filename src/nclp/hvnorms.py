@@ -18,11 +18,14 @@ The column, row and exact Rademacher norms come from one batched kernel,
 stack at once and gives a family alone the same bits as in a batch;
 ``rbound`` evaluates its objectives with it.  The sign layer,
 ``_sign_block`` (the patterns) and ``_signed_sums`` (all signed sums as
-one matmul), also serves ``rbound`` and the free group.
+one matmul), also serves ``rbound`` and the free group; the full blocks
+of the lengths up to ``_SIGN_CACHE_MAX`` are built once per process (a
+longer block takes under a tenth of the time of the norm batch it serves).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +35,7 @@ from .core import adjoint, as_matrix, check_exponent, schatten_norms
 from .optim import ConvexCfg, SolveResult, minimize_split_schatten
 
 RAD_EXACT_MAX = 20  # 2^20 ~ 1e6 sign patterns; exact enumeration refuses more
+_SIGN_CACHE_MAX = 8  # full sign blocks kept per length up to this (2^7 patterns, 8 KB)
 _SIGN_CHUNK = 1 << 13  # sign patterns per batched SVD
 EXTEND_TOL = 1e-9  # slack of tensor_extend's contraction and bound checks
 
@@ -138,7 +142,22 @@ def tensor_extend(t, xs, p: float) -> TensorExtendReport:
 
 
 def _sign_block(offset: int, count: int, n: int) -> np.ndarray:
-    """Sign patterns (+-1) for indices offset..offset+count with eps_1 = +1."""
+    """Sign patterns (+-1) for indices offset..offset+count with eps_1 = +1;
+    the full block of a length n <= _SIGN_CACHE_MAX is built once and shared,
+    read-only."""
+    if offset == 0 and count == 1 << (n - 1) and n <= _SIGN_CACHE_MAX:
+        return _full_sign_block(n)
+    return _build_sign_block(offset, count, n)
+
+
+@functools.lru_cache(maxsize=_SIGN_CACHE_MAX)
+def _full_sign_block(n: int) -> np.ndarray:
+    signs = _build_sign_block(0, 1 << (n - 1), n)
+    signs.flags.writeable = False
+    return signs
+
+
+def _build_sign_block(offset: int, count: int, n: int) -> np.ndarray:
     idx = np.arange(offset, offset + count, dtype=np.uint64)[:, None]
     bits = (idx >> np.arange(n - 1, dtype=np.uint64)[None, :]) & 1
     signs = np.empty((count, n), dtype=np.float64)

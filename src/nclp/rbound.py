@@ -42,10 +42,14 @@ own selection, and the Rademacher ascent runs the 2S rows of a round
 together, each row freezing on its own.  One trial of that ascent is one
 :func:`_rad_trial` call: the objective of every row still trying, with
 the norming elements of its numerator's signed sums, whose pull-back is
-the next subgradient once the trial is accepted.  Reselection puts the
-candidates of a slot on a leading axis: at a fixed witness the
-denominator is computed once, and the n_ops families that differ only
-in that slot's member go through one batched numerator.  At p = 2, 4,
+the next subgradient once the trial is accepted.  Reselection runs the
+S starts of a (length, round) together at their fixed witnesses: one
+denominator batch, one ``apply`` per member over all starts, and per slot
+one batched numerator over the (S, n_ops) candidate families that differ
+only in that slot's member.  Each family is a :class:`funcalc.Family`,
+and so are its adjoints, built once per estimate: on a family of left,
+right or Schur multiplications every ``apply_each`` is one product with
+the stack of the members' symbols.  At p = 2, 4,
 6, 8 every norm is a trace moment and every norming element at p a
 product of matmuls; only the power iteration's step to an S^{p'} polar
 (p' = 4/3 at p = 4) still takes an SVD.  Profiling a sectorial operator
@@ -61,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Bound, check_exponent, norm_and_polar
-from .funcalc import LpOperator, apply_each, family_ascent, ray_resolvent_family
+from .funcalc import Family, LpOperator, apply_each, family_ascent, ray_resolvent_family
 from .hvnorms import _sign_block, _signed_sums, as_family, family_norms
 
 RAD_SELECTION_MAX = 12  # longest rad selection searched (2^11 signs per family)
@@ -109,14 +113,14 @@ def check_test_angle(theta: float) -> float:
     return theta
 
 
-def _check_family(ops) -> list:
+def _check_family(ops) -> Family:
     ops = list(ops)
     if not ops:
         raise ValueError("operator family must be nonempty")
     d = ops[0].dim
     if any(op.dim != d for op in ops):
         raise ValueError("operator family must share one dimension")
-    return ops
+    return Family(ops)
 
 
 def objective(notion: str, ops, sel, xs, p: float) -> float:
@@ -139,25 +143,28 @@ def re_evaluate(est: BoundEstimate, ops) -> float:
 # -- greedy operator reselection at a fixed witness -------------------------
 
 
-def _reselect(notion, ops, sel, x, p):
-    """Greedy operator reselection at the fixed witness x: slot by slot,
-    the member (first maximum) of largest objective with the other slots
-    held.  The denominator is one norm of x; ``images[j, k] = ops[j](x_k)``
-    takes one ``apply`` per member, and the n_ops candidate families of a
-    slot, which differ only in that slot's image, sit on a leading axis of
-    one batched numerator.  Returns the selection and its value."""
-    n_ops, length = len(ops), len(sel)
-    den = family_norms(notion, x, p)
-    images = np.stack([op.apply(x) for op in ops])
-    sel = np.array(sel)
-    ys = images[sel, np.arange(length)]
+def _reselect(notion, ops, sels, xs, p):
+    """Greedy operator reselection of every start at once: start i keeps
+    its witness xs[i] (S, L, d, d) and, slot by slot, takes the member
+    (first maximum) of largest objective with its other slots held.  The
+    denominators are one norm batch of xs; ``images[i, j, k] =
+    ops[j](xs[i, k])`` takes one ``apply`` per member over all starts, and
+    the (S, n_ops) candidate families of a slot, which differ only in that
+    slot's image, go through one batched numerator.  Returns the
+    selections (S, L) and their values (S,)."""
+    n_ops, (starts, length) = len(ops), sels.shape
+    den = family_norms(notion, xs, p)[:, None]
+    images = np.stack([op.apply(xs) for op in ops], axis=1)
+    sels, rows = sels.copy(), np.arange(starts)
+    ys = images[rows[:, None], sels, np.arange(length)]
     for slot in range(length):
-        fams = np.repeat(ys[None], n_ops, axis=0)
-        fams[:, slot] = images[:, slot]
-        vals = family_norms(notion, fams, p) / den if den > 0 else np.zeros(n_ops)
-        sel[slot] = best = int(np.argmax(vals))
-        ys[slot] = images[best, slot]
-    return sel, float(vals[best])
+        fams = np.repeat(ys[:, None], n_ops, axis=1)
+        fams[:, :, slot] = images[:, :, slot]
+        num = family_norms(notion, fams, p)
+        vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        sels[:, slot] = best = np.argmax(vals, axis=1)
+        ys[:, slot] = images[rows, best, slot]
+    return sels, vals[rows, best]
 
 
 # -- rademacher inner ascent: accept-if-improve subgradient steps -----------
@@ -291,7 +298,7 @@ def _search(notion, ops, p, budget, seed, lengths, best, skip_singletons):
     rng = np.random.default_rng(seed)
     d = ops[0].dim
     n_ops = len(ops)
-    daggers = [op.dagger() for op in ops]
+    daggers = Family(op.dagger() for op in ops)
 
     best_val, best_sel, best_x = best
     per_length = max(budget.restarts // max(len(lengths), 1), 1)
@@ -328,9 +335,7 @@ def _search(notion, ops, p, budget, seed, lengths, best, skip_singletons):
             else:
                 _, x = family_ascent(ops, daggers, sels, x, p, notion, budget.iters)
             # greedy operator reselection at the current witnesses
-            vals = np.zeros(len(starts))
-            for i in range(len(starts)):
-                sels[i], vals[i] = _reselect(notion, ops, sels[i], x[i], p)
+            sels, vals = _reselect(notion, ops, sels, x, p)
         if vals is None:
             vals = [objective(notion, ops, sel, xi, p) for sel, xi in zip(sels, x)]
         for sel, val, xi in zip(sels, vals, x):

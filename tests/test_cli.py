@@ -473,6 +473,18 @@ class TestErrorPaths:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("argv,prog,extra", [
+        (["schur", "--amplification", "2"], "nclp schur", "--amplification 2"),
+        (["freegroup", "dyadic", "--bogus", "1"], "nclp freegroup dyadic", "--bogus 1"),
+        (["rbound", "--p", "4", "stray"], "nclp rbound", "stray"),
+    ], ids=["schur", "mode", "positional"])
+    def test_unrecognized_argument_shows_the_subcommand_usage(self, capsys, argv, prog, extra):
+        # the top parser's usage lists only the subcommand names
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert f"{prog}: error: unrecognized arguments: {extra}\n" in err
+
     def test_sector_profile_without_test_angle_is_numeric_failure(self, tmp_path, capsys):
         # the type angle of leftdiag:-1,1 is pi, so no test angle lies below pi
         code, _ = run(["sector-profile", "--A", "leftdiag:-1,1"], tmp_path)

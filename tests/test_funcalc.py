@@ -336,18 +336,69 @@ class TestStackedApply:
         assert calls == [(4, 3, 3, 2, 2)]
 
     def test_apply_each_unsorted_with_repeats(self, rng, monkeypatch):
-        ops = [fc.LeftMult(random_matrix(rng, 3)), fc.SchurMult(random_matrix(rng, 3)),
-               fc.DenseOp(random_matrix(rng, 9))]
+        # a mixed-kind family stacks no symbols and groups rows per member
+        ops = fc.Family([fc.LeftMult(random_matrix(rng, 3)), fc.SchurMult(random_matrix(rng, 3)),
+                         fc.DenseOp(random_matrix(rng, 9))])
+        assert ops.symbols is None
         logs = [_count_applies(monkeypatch, op) for op in ops]
         which = [2, 0, 0, 1, 2, 2, 0]
         xs = np.stack([random_matrix(rng, 3) for _ in which])
         got = fc.apply_each(ops, which, xs)
         for k, x, y in zip(which, xs, got):
-            assert _rel_err(y, ops[k].apply(x)) <= 1e-14
+            assert np.array_equal(y, ops[k].apply(x))
         # one stacked call per member: 2 on rows 0, 4, 5, 0 on rows 1, 2, 6,
         # 1 on row 3, then the checks above
         stacked = [shape for log in logs for shape in log if shape != (3, 3)]
         assert stacked == [(3, 3, 3), (1, 3, 3), (3, 3, 3)]
+
+
+_HOOK_KINDS = [fc.LeftMult, fc.RightMult, fc.SchurMult]
+
+
+class TestFamilyApply:
+    """A :class:`Family` of one kind with ``apply_symbols`` maps a stack in
+    one product of its symbols, with the bits of the per-member loop."""
+
+    def test_the_hook_kinds(self):
+        # no other kind names the hook, so apply_each never asks which kind
+        kinds, todo = [], [fc.LpOperator]
+        while todo:
+            kinds.append(todo.pop())
+            todo += kinds[-1].__subclasses__()
+        hooked = {k for k in kinds if k.__module__ == fc.__name__ and k.apply_symbols is not None}
+        assert hooked == set(_HOOK_KINDS)
+
+    @pytest.mark.parametrize("kind", _HOOK_KINDS)
+    def test_stacked_equals_per_member_loop(self, rng, kind):
+        ops = fc.Family(kind(random_matrix(rng, 3)) for _ in range(5))
+        assert ops.symbols.shape == (5, 3, 3)
+        which = rng.integers(0, 5, size=40)
+        xs = rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3))
+        got = fc.apply_each(ops, which, xs)
+        assert np.array_equal(got, fc.apply_each(list(ops), which, xs))
+        assert np.array_equal(got, np.stack([ops[k].apply(x) for k, x in zip(which, xs)]))
+
+    @pytest.mark.parametrize("kind", _HOOK_KINDS)
+    def test_one_product_per_call(self, rng, monkeypatch, kind):
+        ops = fc.Family(kind(random_matrix(rng, 3)) for _ in range(4))
+        logs = [_count_applies(monkeypatch, op) for op in ops]
+        products, real = [], kind.apply_symbols
+        monkeypatch.setattr(kind, "apply_symbols",
+                            staticmethod(lambda s, x: products.append(s.shape) or real(s, x)))
+        xs = np.stack([random_matrix(rng, 3) for _ in range(7)])
+        fc.apply_each(ops, [1, 0, 3, 3, 2, 0, 1], xs)
+        assert products == [(7, 3, 3)]
+        assert logs == [[], [], [], []]
+
+    def test_search_families_are_stacked(self, monkeypatch):
+        # rbound's families and their adjoints, and sector_type's ray members
+        # with open bounds, each build their symbol stack once
+        built, real = [], fc.Family.__new__
+        monkeypatch.setattr(fc.Family, "__new__",
+                            lambda cls, ops: built.append(real(cls, ops)) or built[-1])
+        op = fc.SchurMult(np.array([[1.0, 2.0], [0.5, 3.0]]))
+        fc.sector_type(op, 4.0)
+        assert built and all(fam.symbols is not None for fam in built)
 
 
 class TestQuadratureLayer:
@@ -360,7 +411,7 @@ class TestQuadratureLayer:
         assert fc.spectral_window(np.array([0.0, 1e-12, 0.5, -4.0])) == (0.5, 4.0)
         assert fc.spectral_window(np.zeros(3)) == (1.0, 1.0)
         op = fc.SchurMult(np.array([[0.0, 2.0], [3.0, 0.5]]))
-        assert op.spectral_scale() == fc.spectral_window(op.spectrum())[1] == 3.0
+        assert fc.spectral_window(op.spectrum())[1] == 3.0
 
     def test_log_trapezoid(self):
         r, w = fc.log_trapezoid(1e-3, 1e5, 65)
@@ -402,6 +453,24 @@ class TestResolvent:
         lhs = r1.a - r2.a
         rhs = (z2 - z1) * (r1.a @ r2.a)
         assert np.allclose(lhs, rhs, atol=1e-10)
+
+    @pytest.mark.parametrize("op", [
+        fc.LeftMult(np.diag([0.5, 1.0, 2.0])),
+        fc.SchurMult(np.array([[1.0, 2.0], [0.5, 3.0]])),
+        fc.DenseOp(np.kron(np.diag([1.0, 2.0]), np.array([[1.0, 0.3], [0.0, 2.0]]))),
+    ], ids=["left", "schur", "dense"])
+    def test_ray_family_takes_the_spectrum_once(self, monkeypatch, op):
+        # the members are resolvent's, bit for bit, from one spectrum
+        lam = op.spectrum()
+        radii = np.logspace(-3, 3, 6) * fc.spectral_window(lam)[1]
+        want = [fc.resolvent(op, z).scaled(z) for r in radii
+                for z in (r * cmath.exp(0.8j), r * cmath.exp(-0.8j))]
+        calls, real = [], op.spectrum
+        monkeypatch.setattr(op, "spectrum", lambda: calls.append(1) or real())
+        got = fc.ray_resolvent_family(op, 0.8, 12)
+        assert len(calls) == 1
+        assert [type(m) for m in got] == [type(m) for m in want]
+        assert all(np.array_equal(g.symbol, w.symbol) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("n", [0, 1, 11])
     def test_ray_family_size_must_be_even(self, n):

@@ -137,6 +137,23 @@ class TestRadAverage:
         ]
         assert hvnorms.rad_average(xs, p) == pytest.approx(np.mean(vals), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 4, hvnorms._SIGN_CACHE_MAX])
+    def test_sign_block_of_a_selection_length_is_built_once(self, n):
+        block = hvnorms._sign_block(0, 1 << (n - 1), n)
+        assert block is hvnorms._sign_block(0, 1 << (n - 1), n)
+        assert not block.flags.writeable
+        assert np.array_equal(block, hvnorms._build_sign_block(0, 1 << (n - 1), n))
+
+    def test_sign_cache_holds_no_longer_block(self, rng):
+        # the cache is bounded: longer lengths, and the chunks of the exact
+        # averages of n = 14 and 16, are built per call and not kept
+        n = hvnorms._SIGN_CACHE_MAX + 1
+        assert hvnorms._sign_block(0, 1 << (n - 1), n) is not hvnorms._sign_block(
+            0, 1 << (n - 1), n)
+        hvnorms.rad_average(random_family(rng, 14, 1), 2.0)
+        assert hvnorms._full_sign_block.cache_info().currsize <= hvnorms._SIGN_CACHE_MAX
+        assert hvnorms._full_sign_block.cache_info().maxsize == hvnorms._SIGN_CACHE_MAX
+
     def test_exact_refuses_large_family(self, rng):
         xs = random_family(rng, 21, 1)
         with pytest.raises(ValueError, match="exact enumeration refuses n = 21 > 20"):

@@ -357,21 +357,40 @@ class TestBatchedReselection:
         real, norms = rbound.family_norms, []
         monkeypatch.setattr(rbound, "family_norms",
                             lambda *args: norms.append(real(*args)) or norms[-1])
+        starts = 3
         for length in (1, 3, 5):
-            sel = rng.integers(0, len(ops), size=length)
-            x = np.stack([random_matrix(rng, 3) for _ in range(length)])
+            sels = rng.integers(0, len(ops), size=(starts, length))
+            xs = np.stack([np.stack([random_matrix(rng, 3) for _ in range(length)])
+                           for _ in range(starts)])
             norms.clear()
-            got_sel, got_val = rbound._reselect(notion, ops, sel, x, p)
+            got_sels, got_vals = rbound._reselect(notion, ops, sels, xs, p)
             den, *nums = norms
+            assert den.shape == (starts,)
             assert len(nums) == length
-            held = list(sel)
-            for slot, num in enumerate(nums):
-                ref = _reference_candidates(notion, ops, held, slot, x, p)
-                np.testing.assert_allclose(num / den, ref, rtol=1e-13, atol=0)
-                held[slot] = got_sel[slot]
-                assert ref[got_sel[slot]] >= ref.max() * (1 - 1e-13)
-            ref_val = rbound.objective(notion, ops, tuple(got_sel.tolist()), x, p)
-            assert got_val == pytest.approx(ref_val, rel=1e-13)
+            assert all(num.shape == (starts, len(ops)) for num in nums)
+            for i in range(starts):
+                held = list(sels[i])
+                for slot, num in enumerate(nums):
+                    ref = _reference_candidates(notion, ops, held, slot, xs[i], p)
+                    np.testing.assert_allclose(num[i] / den[i], ref, rtol=1e-13, atol=0)
+                    held[slot] = got_sels[i, slot]
+                    assert ref[got_sels[i, slot]] >= ref.max() * (1 - 1e-13)
+                ref_val = rbound.objective(notion, ops, tuple(got_sels[i].tolist()), xs[i], p)
+                assert got_vals[i] == pytest.approx(ref_val, rel=1e-13)
+
+    @pytest.mark.parametrize("family", [_random_ops, _ray_ops])
+    @pytest.mark.parametrize("notion", ["col", "row", "rad"])
+    def test_all_starts_at_once_are_each_start_alone(self, rng, family, notion):
+        # the batch changes no bit: the selections and values of every start
+        # are those of its own reselection
+        ops = family(rng)
+        sels = rng.integers(0, len(ops), size=(4, 3))
+        xs = rng.standard_normal((4, 3, 3, 3)) + 1j * rng.standard_normal((4, 3, 3, 3))
+        got_sels, got_vals = rbound._reselect(notion, ops, sels, xs, 4.0)
+        for i in range(4):
+            sel, val = rbound._reselect(notion, ops, sels[i:i + 1], xs[i:i + 1], 4.0)
+            assert np.array_equal(sel[0], got_sels[i])
+            assert val[0] == got_vals[i]
 
     @pytest.mark.parametrize("lead", [(1,), (5,), (2, 3)])
     def test_signed_sums_leading_axes_are_per_family_calls(self, rng, lead):
@@ -384,10 +403,11 @@ class TestBatchedReselection:
         assert np.array_equal(got.reshape(ref.shape), ref)
 
     def test_applies_each_member_once(self, rng):
+        # one apply per member over the witnesses of every start
         n, log = 5, []
         ops = [_Counted(fc.LeftMult(random_matrix(rng, 3)), f"T{k}", log) for k in range(n)]
-        xs = np.stack([random_matrix(rng, 3) for _ in range(4)])
-        rbound._reselect("col", ops, np.zeros(4, dtype=int), xs, 4.0)
+        xs = np.stack([random_matrix(rng, 3) for _ in range(8)]).reshape(2, 4, 3, 3)
+        rbound._reselect("col", ops, np.zeros((2, 4), dtype=int), xs, 4.0)
         assert sorted(log) == [f"T{k}" for k in range(n)]
 
     @pytest.mark.parametrize("notion", ["col", "row", "rad"])
@@ -421,11 +441,15 @@ class TestBatchedReselection:
         cfg = rbound.SearchCfg(restarts=starts * len(lengths), iters=4, lengths=lengths,
                                reselect_rounds=rounds, rad_steps=2)
         getattr(rbound, f"{notion}_bound_estimate")(ops, 4.0, cfg, seed=0)
-        dens = [s for s in shapes if len(s) == 3]
-        nums = [s for s in shapes if len(s) == 4]
-        assert len(dens) == len(lengths) * starts * rounds
-        assert len(nums) == sum(lengths) * starts * rounds
-        assert all(s[0] == len(ops) for s in nums)
+        # one denominator per (length, round) and one numerator per slot,
+        # each carrying every start
+        dens = [s for s in shapes if len(s) == 4]
+        nums = [s for s in shapes if len(s) == 5]
+        assert len(dens) + len(nums) == len(shapes)
+        assert len(dens) == len(lengths) * rounds
+        assert len(nums) == sum(lengths) * rounds
+        assert all(s[0] == starts for s in dens)
+        assert all(s[:2] == (starts, len(ops)) for s in nums)
         # one power ascent per (length, round), carrying every start
         assert len(ascents) == len(lengths) * rounds
         assert [s[0] for s in ascents] == [starts] * len(ascents)
@@ -448,6 +472,18 @@ class TestBatchedReselection:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("notion", ["col", "row", "rad"])
+    def test_family_and_adjoints_are_stacked_once(self, monkeypatch, notion):
+        built, real = [], fc.Family.__new__
+        monkeypatch.setattr(fc.Family, "__new__",
+                            lambda cls, ops: built.append(real(cls, ops)) or built[-1])
+        fam = fc.ray_resolvent_family(left_diag(0.5, 1.0, 2.0), 0.9, 8)
+        cfg = rbound.SearchCfg(restarts=4, iters=4, lengths=(1, 2), rad_steps=2)
+        est = getattr(rbound, f"{notion}_bound_estimate")(fam, 4.0, cfg, seed=0)
+        # the members and their adjoints, once each, when the search runs
+        assert len(built) == (2 if est.restarts else 1)
+        assert all(f.symbols.shape == (8, 3, 3) for f in built)
+
+    @pytest.mark.parametrize("notion", ["col", "row", "rad"])
     @pytest.mark.parametrize("family_seed", [1, 5, 18])
     def test_value_is_the_witness_objective_exactly(self, notion, family_seed):
         # the search's batched values could differ from objective in the
@@ -465,10 +501,11 @@ class TestBatchedReselection:
         ops = _random_ops(np.random.default_rng(18))
         real, seen = rbound._reselect, []
 
-        def reselect(notion_, ops_, sel, x, p):
-            sel_out, val = real(notion_, ops_, sel, x, p)
-            seen.append((tuple(sel_out.tolist()), x.copy(), p, val))
-            return sel_out, val
+        def reselect(notion_, ops_, sels, xs, p):
+            sels_out, vals = real(notion_, ops_, sels, xs, p)
+            seen.extend((tuple(sel.tolist()), x.copy(), p, val)
+                        for sel, x, val in zip(sels_out, xs, vals))
+            return sels_out, vals
 
         monkeypatch.setattr(rbound, "_reselect", reselect)
         cfg = rbound.SearchCfg(restarts=6, iters=8, lengths=(1, 2, 4), rad_steps=4)
