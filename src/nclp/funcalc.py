@@ -300,11 +300,39 @@ class LpOperator:
     ``into_adj`` is ``out`` and ``out_adj`` is ``into``, so on S^2 the kind
     is multiplication by its symbol on the coefficients, and its S^2 norm
     and witness are read off the symbol (:meth:`norm_bounds`).
+
+    Operators are immutable: each kind stores a read-only copy of the
+    arrays it is built from, so nothing the caller later writes reaches it.
+    What depends on the symbol alone is computed on first use and kept on
+    the instance (:meth:`_memo`), read-only: the dense form, the spectrum,
+    the oracle's eigendecomposition, the resolvent radii of the contour
+    sweep's tail cut (:func:`_resolvent_radii`) and each side's resolvent
+    series (:func:`_series_sides`).  So every function of one operator
+    after the first reuses them.  The contour calculus never reads the
+    eigendecomposition, so it stays independent of the eigen oracle.
     """
 
     dim: int
     entrywise = False
     apply_symbols = None
+
+    def _memo(self, key, build):
+        """build(), computed on the first call with this key and kept on the
+        instance; arrays in it, alone or in a tuple, are made read-only.  A
+        build that raises keeps nothing."""
+        memo = self.__dict__.setdefault("_memo_entries", {})
+        if key not in memo:
+            value = build()
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            memo[key] = value
+        return memo[key]
+
+    def _eig(self):
+        """(lam, v, v^-1): the :func:`_mat_eig` of the symbol, for the eigen
+        oracle and the eigenframe only."""
+        return self._memo("eig", lambda: _mat_eig(self.symbol))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -322,14 +350,14 @@ class LpOperator:
         reshaped to (d, -1): d x d for a d^2 x d^2 symbol, d x 1 for a left
         multiplication, whose i-th eigenvalue scales row i of the frame
         coefficients."""
-        lam, v, vinv = _mat_eig(self.symbol)
+        lam, v, vinv = self._eig()
         into, out = self.with_symbol(vinv), self.with_symbol(v)
         return (lam.reshape(self.dim, -1), into.apply, out.apply,
                 into.dagger().apply, out.dagger().apply)
 
     def spectrum(self) -> np.ndarray:
         s = self.symbol
-        return s.ravel() if self.entrywise else np.linalg.eigvals(s)
+        return self._memo("spectrum", lambda: s.ravel() if self.entrywise else np.linalg.eigvals(s))
 
     def scaled(self, z: complex) -> "LpOperator":
         """The operator z A."""
@@ -352,7 +380,7 @@ class LpOperator:
         s = self.symbol
         if self.entrywise:
             return self.with_symbol(_apply_scalar(fn, s, zero_value))
-        lam, v, vinv = _mat_eig(s)
+        lam, v, vinv = self._eig()
         return self.with_symbol((v * _apply_scalar(fn, lam, zero_value)) @ vinv)
 
     def __repr__(self):
@@ -361,13 +389,12 @@ class LpOperator:
     def to_dense(self) -> np.ndarray:
         """Materialize the d^2 x d^2 superoperator (row-major vec): column
         i d + j is the image of the matrix unit E_ij, from one ``apply``."""
-        cached = getattr(self, "_dense", None)
-        if cached is not None:
-            return cached
-        n = self.dim * self.dim
-        units = np.eye(n, dtype=np.complex128).reshape(n, self.dim, self.dim)
-        self._dense = self.apply(units).reshape(n, n).T
-        return self._dense
+        def build():
+            n = self.dim * self.dim
+            units = np.eye(n, dtype=np.complex128).reshape(n, self.dim, self.dim)
+            return self.apply(units).reshape(n, n).T
+
+        return self._memo("dense", build)
 
     def norm_bounds(self, p: float) -> Bound:
         """The :class:`core.Bound` on the S^p -> S^p operator norm: closed
@@ -417,8 +444,16 @@ class LpOperator:
         return self.eigen_fn(np.zeros_like, zero_value=1.0)
 
 
+def _owned(a) -> np.ndarray:
+    """A read-only complex128 copy of the matrix a: an operator never
+    aliases its caller's array."""
+    a = as_matrix(np.array(a, dtype=np.complex128))
+    a.flags.writeable = False
+    return a
+
+
 def _square_symbol(s, what: str) -> np.ndarray:
-    s = as_matrix(s)
+    s = _owned(s)
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"{what} needs a square symbol")
     return s
@@ -489,7 +524,7 @@ class RightMult(LpOperator):
     def frame(self):
         # not the base rule: x -> x b composes in reverse order, and the
         # eigenvalues of b index the columns of the frame coefficients
-        lam, v, vinv = _mat_eig(self.b)
+        lam, v, vinv = self._eig()
         vh, vinvh = adjoint(v), adjoint(vinv)
         return (
             lam[None, :],
@@ -528,10 +563,14 @@ class SchurMult(LpOperator):
 
 @functools.lru_cache(maxsize=None)
 def _pauli_transform(d: int):
-    """The indices (j ^ a, j) at (a, j), an involution, and Walsh-Hadamard / sqrt(d)."""
+    """The indices (j ^ a, j) at (a, j), an involution, and Walsh-Hadamard / sqrt(d),
+    read-only: every Pauli multiplier of order d shares them."""
     j, h = np.arange(d), [[1.0, 1.0], [1.0, -1.0]]
     walsh = functools.reduce(np.kron, [h] * (d.bit_length() - 1), np.ones((1, 1)))
-    return j[:, None] ^ j, j, walsh / math.sqrt(d)
+    out = (j[:, None] ^ j, j, walsh / math.sqrt(d))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 class PauliMult(LpOperator):
@@ -580,9 +619,9 @@ class SandwichSchur(LpOperator):
     entrywise = True
 
     def __init__(self, u, v, w):
-        self.u = as_matrix(u)
-        self.v = as_matrix(v)
-        self.w = as_matrix(w)
+        self.u = _owned(u)
+        self.v = _owned(v)
+        self.w = _owned(w)
         self.dim = self.u.shape[0]
         if not self.u.shape == self.v.shape == self.w.shape == (self.dim, self.dim):
             raise ValueError("u, v, w must share one square shape")
@@ -626,8 +665,8 @@ class AdPair(SandwichSchur):
         alpha, u = np.linalg.eigh(_check_hermitian(a, "AdPair a"))
         beta, v = np.linalg.eigh(_check_hermitian(b, "AdPair b"))
         super().__init__(u, v, (alpha[:, None] - beta[None, :]).astype(complex))
-        self.a = a
-        self.b = b
+        self.a = _owned(a)
+        self.b = _owned(b)
 
     def apply(self, x):
         return self.a @ x - x @ self.b
@@ -643,7 +682,9 @@ class DenseOp(LpOperator):
         if d * d != n:
             raise ValueError(f"superoperator size {n} is not a perfect square")
         self.dim = d
-        self._dense = self.s
+
+    def to_dense(self):
+        return self.s
 
     def apply(self, x):
         # one row vector per matrix: a stacked row rounds as it does alone
@@ -712,11 +753,10 @@ class AmplifiedOp(LpOperator):
         return f"Amplified({self.base!r}, m={self.m})"
 
 
-def resolvent(op: LpOperator, z: complex, lam=None) -> LpOperator:
+def resolvent(op: LpOperator, z: complex) -> LpOperator:
     """R(z, A) = (z - A)^{-1}, refusing z within COLLISION_RTOL of the
-    spectrum lam of A (taken here unless the caller has it)."""
-    if lam is None:
-        lam = op.spectrum()
+    spectrum of A."""
+    lam = op.spectrum()
     scale = max(spectral_window(lam)[1], abs(z), 1.0)
     dist = float(np.min(np.abs(lam - z))) if lam.size else math.inf
     if dist <= COLLISION_RTOL * scale:
@@ -736,15 +776,15 @@ def check_ray_points(n_points: int) -> int:
 def ray_resolvent_family(op: LpOperator, theta: float, n_points: int = 24):
     """The family { z R(z, A) } for z log-spaced on both rays of angle theta:
     n_points / 2 radii, each on both rays (n_points even, >= 2).  The
-    spectrum is taken once, for the scale and every collision check."""
-    lam = op.spectrum()
+    spectrum, memoised on op, is computed once, for the scale and every
+    collision check."""
     per_ray = check_ray_points(n_points) // 2
-    radii = np.logspace(-3, 3, per_ray) * spectral_window(lam)[1]
+    radii = np.logspace(-3, 3, per_ray) * spectral_window(op.spectrum())[1]
     fam = []
     for r in radii:
         for sgn in (1.0, -1.0):
             z = r * cmath.exp(1j * sgn * theta)
-            fam.append(resolvent(op, z, lam).scaled(z))
+            fam.append(resolvent(op, z).scaled(z))
     return fam
 
 
@@ -1003,13 +1043,18 @@ class _ResolventSeries:
     <= u / (2 * LEVEL_STRIDES[0]) times 1 / |z|: the series moves a level's
     result by at most u / (2 * LEVEL_STRIDES[0]) times its mass, less than
     the tails :func:`_tail_cut` drops.  The powers of W or V are built once,
-    by doubling (one inverse below, about log2(m) batched products), in the
-    symbol's complex128 (``as_matrix`` stores every symbol complex, a real
-    one too); a set of far nodes then costs its moment vector
-    sum_j c_j (ratio_j)^k times the stack, for both rays at once."""
+    by doubling (one inverse below, about log2(m) batched products), and
+    kept read-only.  A symbol with no nonzero imaginary part (stored
+    complex128 like every symbol) builds them in float64 from its real
+    part, at half the memory, and a set of far nodes then costs one real
+    product of its stacked real and imaginary moment vectors,
+    sum_j c_j (ratio_j)^k, with the stack, for both rays at once; any other
+    symbol keeps complex powers and one complex product."""
 
     def __init__(self, s, rho: float, below: bool):
         n = s.shape[0]
+        if not np.any(np.imag(s)):
+            s = np.real(s)
         self.rho, self.below = rho, below
         self.powers = np.empty((SERIES_TERMS, n, n), dtype=np.result_type(s, float))
         p = self.powers  # p[k] = B^{k+1}, B = W below; behind the identity above
@@ -1024,6 +1069,7 @@ class _ResolventSeries:
             j = min(k, len(p) - k)
             np.matmul(p[:j], p[k - 1], out=p[k : k + j])
             k += j
+        self.powers.flags.writeable = False
 
     def far(self, r) -> np.ndarray:
         """True at the radii r whose nodes the series sums."""
@@ -1033,21 +1079,30 @@ class _ResolventSeries:
         """sum_j c[k, j] (z_j - S)^{-1} for every row k of c, on far nodes z."""
         x, a = (z / self.rho, -c / self.rho) if self.below else (self.rho / z, c / z)
         moments = a @ np.vander(x, SERIES_TERMS, increasing=True)
-        out = moments @ self.powers.reshape(SERIES_TERMS, -1)
+        powers = self.powers.reshape(SERIES_TERMS, -1)
+        if np.iscomplexobj(powers):
+            out = moments @ powers
+        else:
+            out = np.empty((len(c), powers.shape[1]), dtype=np.complex128)
+            out.real, out.imag = np.split(np.concatenate([moments.real, moments.imag]) @ powers, 2)
         return out.reshape((len(c),) + self.powers.shape[1:])
 
 
-def _series_sides(s, lo: float, hi: float, r) -> list:
+def _series_sides(op: LpOperator, r) -> list:
     """The :class:`_ResolventSeries` a sweep over the grid radii r (inside
-    the tail cut) takes on the matrix symbol s: each side of the spectrum
-    with more far radii than SERIES_TERMS, on a symbol of order at least
+    the tail cut) takes on the matrix symbol of op, at its
+    :func:`_resolvent_radii` (lo, hi): each side of the spectrum with more
+    far radii than SERIES_TERMS, on a symbol of order at least
     SERIES_MIN_ORDER, where the series costs less than inverting them.  A
     kernel (lo <= 0) takes no lower series and the zero symbol (hi = 0) no
-    upper one."""
+    upper one.  A side's series is built the first time a sweep takes it
+    and memoised on op."""
+    s = op.symbol
     if s.shape[0] < SERIES_MIN_ORDER:
         return []
+    lo, hi = _resolvent_radii(op)
     return [
-        _ResolventSeries(s, rho, below)
+        op._memo(("series", below), lambda: _ResolventSeries(s, rho, below))
         for rho, below in ((lo, True), (hi, False))
         if rho > 0 and np.count_nonzero(_far_radii(r, rho, below)) > SERIES_TERMS
     ]
@@ -1069,12 +1124,17 @@ def _resolvent_radii(op: LpOperator) -> tuple:
         ||(z - S)^{-1}|| <= 1 / (lo - |z|)   for |z| < lo,
 
     and a kernel (lo <= 0) bounds nothing below.  One SVD of a matrix
-    symbol serves the tail cut and the resolvent series of a sweep."""
-    s = op.symbol
-    sv = np.abs(s) if op.entrywise else np.linalg.svd(s, compute_uv=False)
-    smax = sv.max()
-    slack = 4 * s.shape[0] * np.finfo(float).eps * smax
-    return sv.min() - slack, smax + slack
+    symbol, memoised on op, serves the tail cut and the resolvent series
+    of every sweep."""
+
+    def build():
+        s = op.symbol
+        sv = np.abs(s) if op.entrywise else np.linalg.svd(s, compute_uv=False)
+        smax = sv.max()
+        slack = 4 * s.shape[0] * np.finfo(float).eps * smax
+        return sv.min() - slack, smax + slack
+
+    return op._memo("radii", build)
 
 
 def _tail_cut(lo: float, hi: float, r, c) -> tuple:
@@ -1133,14 +1193,15 @@ def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
     down to stride 1; the finer levels evaluate their midpoints.
     A level takes only the nodes it adds inside the cut and adds their
     resolvent sums to a running total; its result is stride * total.  A
-    matrix symbol's sweep builds the :class:`_ResolventSeries` of
-    :func:`_series_sides` once, from the same singular values as the cut
-    (:func:`_resolvent_radii`): each level sums its nodes far below or far
-    above the spectrum by those series and inverts the others.  The
-    sweep returns the first level within LEVEL_TOL of the level before, for
-    every f at once.  A rule that truncates some f stops at the grid (finer
-    steps cannot mend a cut-off integrand), and one still apart at the last
-    level warns."""
+    matrix symbol's sweep takes the :class:`_ResolventSeries` of
+    :func:`_series_sides`, at the same singular values as the cut
+    (:func:`_resolvent_radii`), both memoised on op, so a later sweep of
+    the same operator builds neither again: each level sums its nodes far
+    below or far above the spectrum by those series and inverts the
+    others.  The sweep returns the first level within LEVEL_TOL of the
+    level before, for every f at once.  A rule that truncates some f stops
+    at the grid (finer steps cannot mend a cut-off integrand), and one
+    still apart at the last level warns."""
     truncated = False
     for f in fs:
         est = _truncation_estimate(f, spec)
@@ -1154,7 +1215,7 @@ def _contour_symbols(op: LpOperator, fs, spec: ContourSpec) -> np.ndarray:
     z_grid, c_grid = _contour_coefficients(fs, spec, (r, w))
     lo, hi = _resolvent_radii(op)
     t_lo, t_hi = _tail_cut(lo, hi, r, c_grid)
-    sides = [] if op.entrywise else _series_sides(s, lo, hi, r[t_lo + 1 : t_hi])
+    sides = [] if op.entrywise else _series_sides(op, r[t_lo + 1 : t_hi])
     total, mass, out, gap = 0.0, 0.0, None, None
     for stride, t in spec.levels():
         t = t[(t > t_lo) & (t < t_hi)]
@@ -1208,15 +1269,17 @@ def contour_calculus(op: LpOperator, f: HolFn) -> LpOperator:
     u / (2 LEVEL_STRIDES[0]) times the level's mass; a side is taken only
     when it has more far grid radii than series terms.  So ``dense8``
     inverts 54 of its 106 nodes for z e^-z, 32 of 88 for g and 63 of 176
-    for ``heat:0.7``.
+    for ``heat:0.7``.  The singular values and each side's powers (real
+    for a real symbol) are built on the operator's first sweep and
+    memoised on it, so its other functions reuse them.
 
     The quadrature acts on the symbol and the kind is kept: entrywise
     symbols go through the scalar Cauchy sums, matrix symbols sum their
     own resolvents (d x d for multiplications, d^2 x d^2 otherwise),
     inverted in batches of nodes, so the result never passes through an
-    eigendecomposition (the spectrum is read for the rule only).  The
-    upper-ray nodes are the conjugates of the lower-ray ones, and for a
-    real symbol S
+    eigendecomposition (the spectrum is read for the rule only, and the
+    eigen oracle's memoised decomposition never).  The upper-ray nodes
+    are the conjugates of the lower-ray ones, and for a real symbol S
 
         (conj(z) - S)^{-1} = conj((z - S)^{-1}),
 

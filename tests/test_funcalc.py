@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from nclp import funcalc as fc
-from nclp.core import Bound, SpectralCollisionError, power_ascent, schatten_norm
+from nclp.core import Bound, NumericsError, SpectralCollisionError, power_ascent, schatten_norm
 from nclp.models import clifford, martingale, schur
 
 from conftest import random_matrix, unit
@@ -454,21 +455,22 @@ class TestResolvent:
         rhs = (z2 - z1) * (r1.a @ r2.a)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
-    @pytest.mark.parametrize("op", [
-        fc.LeftMult(np.diag([0.5, 1.0, 2.0])),
-        fc.SchurMult(np.array([[1.0, 2.0], [0.5, 3.0]])),
-        fc.DenseOp(np.kron(np.diag([1.0, 2.0]), np.array([[1.0, 0.3], [0.0, 2.0]]))),
+    @pytest.mark.parametrize("make", [
+        lambda: fc.LeftMult(np.diag([0.5, 1.0, 2.0])),
+        lambda: fc.SchurMult(np.array([[1.0, 2.0], [0.5, 3.0]])),
+        lambda: fc.DenseOp(np.kron(np.diag([1.0, 2.0]), np.array([[1.0, 0.3], [0.0, 2.0]]))),
     ], ids=["left", "schur", "dense"])
-    def test_ray_family_takes_the_spectrum_once(self, monkeypatch, op):
-        # the members are resolvent's, bit for bit, from one spectrum
-        lam = op.spectrum()
-        radii = np.logspace(-3, 3, 6) * fc.spectral_window(lam)[1]
+    def test_ray_family_takes_the_spectrum_once(self, monkeypatch, make):
+        # the members are resolvent's, bit for bit, and a fresh operator's
+        # family computes its spectrum once (none for an entrywise symbol)
+        op = make()
+        radii = np.logspace(-3, 3, 6) * fc.spectral_window(op.spectrum())[1]
         want = [fc.resolvent(op, z).scaled(z) for r in radii
                 for z in (r * cmath.exp(0.8j), r * cmath.exp(-0.8j))]
-        calls, real = [], op.spectrum
-        monkeypatch.setattr(op, "spectrum", lambda: calls.append(1) or real())
+        op = make()
+        eigvals = _count_calls(monkeypatch, "eigvals")
         got = fc.ray_resolvent_family(op, 0.8, 12)
-        assert len(calls) == 1
+        assert len(eigvals) == (0 if op.entrywise else 1)
         assert [type(m) for m in got] == [type(m) for m in want]
         assert all(np.array_equal(g.symbol, w.symbol) for g, w in zip(got, want))
 
@@ -883,7 +885,7 @@ class TestContourSweep:
         eps, mass = np.finfo(float).eps, np.sum(np.abs(c) / np.abs(z))
         lo, hi = fc._resolvent_radii(op)
         t_lo, t_hi = fc._tail_cut(lo, hi, r, c)
-        taken = fc._series_sides(op.symbol, lo, hi, r[t_lo + 1 : t_hi])
+        taken = fc._series_sides(op, r[t_lo + 1 : t_hi])
         assert [side.below for side in taken] == sides
         for side in taken:
             series = inverted = 0.0
@@ -923,14 +925,15 @@ class TestContourSweep:
 
     def test_series_sides_need_more_far_radii_than_terms(self):
         s = np.diag(np.linspace(1.0, 4.0, fc.SERIES_MIN_ORDER))
-        lo, hi, m = 1.0, 4.0, fc.SERIES_TERMS
+        op, m = fc.LeftMult(s), fc.SERIES_TERMS
+        lo, hi = fc._resolvent_radii(op)
         # as many far radii below the spectrum as series terms, one more above
         r = np.concatenate([fc.SERIES_Q * lo * np.logspace(-3, 0, m), np.linspace(lo, hi, 50),
                             hi / fc.SERIES_Q * np.logspace(0, 3, m + 1)])
-        assert [side.below for side in fc._series_sides(s, lo, hi, r)] == [False]
-        assert fc._series_sides(s, lo, hi, r[1:-1]) == []
+        assert [side.below for side in fc._series_sides(op, r)] == [False]
+        assert fc._series_sides(op, r[1:-1]) == []
         # a symbol below the order crossover inverts every node
-        assert fc._series_sides(s[1:, 1:], lo, hi, r) == []
+        assert fc._series_sides(fc.LeftMult(s[1:, 1:]), r) == []
 
     def test_dense_sweep_runs_no_eigendecomposition(self, rng, monkeypatch):
         """contour_calculus reads a matrix symbol's spectrum (np.linalg.eigvals,
@@ -1137,6 +1140,129 @@ class TestContourSweep:
         assert wide.half_width == pytest.approx(10.0)
         assert all(0.98 * fc.CONTOUR_STEP < s.rule()[2] <= fc.CONTOUR_STEP for s in (spec, wide))
         assert wide.rule()[0].size > spec.rule()[0].size + 150
+
+
+# the six functions of the calculus benchmark, five decaying and one bounded
+_BENCH_FNS = ("g", "gn:5", "zexp", "sqrtzexp", "heat:0.7", "zis:0.8")
+
+
+def _calculus(op, fid):
+    f = fc.library(fid)
+    return (fc.contour_calculus if f.klass == "hinf0" else fc.extended_calculus)(op, f)
+
+
+def _memo(op):
+    return op.__dict__.get("_memo_entries", {})
+
+
+class TestOperatorMemo:
+    """What depends on the symbol alone is computed once per operator and
+    kept read-only on it, and an operator never aliases its caller's array."""
+
+    def test_one_build_per_operator(self, rng, monkeypatch):
+        # the benchmark's functions and their oracles on dense8 (order 64)
+        # take one SVD, one spectrum, one eigendecomposition and at most one
+        # series per side
+        op = _sylvester_dense(rng, 8)
+        svd, eigvals = _count_calls(monkeypatch, "svd"), _count_calls(monkeypatch, "eigvals")
+        eigs, series = [], []
+        real_eig, real_series = fc._mat_eig, fc._ResolventSeries.__init__
+        monkeypatch.setattr(fc, "_mat_eig", lambda s: eigs.append(1) or real_eig(s))
+
+        def recording(self, s, rho, below):
+            series.append(below)
+            real_series(self, s, rho, below)
+
+        monkeypatch.setattr(fc._ResolventSeries, "__init__", recording)
+        for fid in _BENCH_FNS:
+            _calculus(op, fid)
+            fc.eigen_calculus(op, fc.library(fid))
+        assert svd == [(64, 64)] and eigvals == [(64, 64)] and len(eigs) == 1
+        assert sorted(series) == [False, True]
+
+    @pytest.mark.parametrize("name", ["dense8", "complex8", "illcond"])
+    def test_memoised_results_match_a_fresh_operator(self, rng, name):
+        op = _series_case_op(rng, name)
+        for fid in _BENCH_FNS:
+            _calculus(op, fid)
+        for fid in _BENCH_FNS:
+            fresh = op.with_symbol(op.symbol)
+            assert not _memo(fresh)
+            assert np.array_equal(_calculus(op, fid).symbol, _calculus(fresh, fid).symbol)
+            want = fc.eigen_calculus(fresh, fc.library(fid)).symbol
+            assert np.array_equal(fc.eigen_calculus(op, fc.library(fid)).symbol, want)
+
+    def test_defective_symbol_keeps_no_eigendecomposition(self):
+        # the superoperator J (x) I_8 on 4 x 4 matrices, J = [[2, 1], [0, 2]] a
+        # Jordan block: the oracle refuses it, the contour calculus gives g(J) (x) I_8
+        j = np.array([[2.0, 1.0], [0.0, 2.0]])
+        op = fc.DenseOp(np.kron(j, np.eye(8)))
+        with pytest.raises(NumericsError):
+            fc.eigen_calculus(op, fc.library("g"))
+        out = fc.contour_calculus(op, fc.library("g")).symbol
+        # g(2) = 2/9 and g'(2) = (1 - 2) / (1 + 2)^3
+        want = np.kron(np.array([[2 / 9, -1 / 27], [0.0, 2 / 9]]), np.eye(8))
+        assert np.max(np.abs(out - want)) <= 1e-12
+        assert "eig" not in _memo(op) and ("series", False) in _memo(op)
+
+    def test_series_powers_are_real_for_a_real_symbol(self, rng):
+        for name in ("dense8", "complex8"):
+            op = _series_case_op(rng, name)
+            for fid in _BENCH_FNS:
+                _calculus(op, fid)
+            dtypes = {_memo(op)[("series", below)].powers.dtype for below in (True, False)}
+            assert dtypes == {np.dtype(np.float64 if name == "dense8" else np.complex128)}
+
+    def test_complex_symbols_keep_their_bits(self, rng):
+        # complex8 sums its far nodes with complex powers, as before the series
+        # was memoised: sha256 of each output symbol, pinned then
+        op = _series_case_op(rng, "complex8")
+        digests = {fid: hashlib.sha256(_calculus(op, fid).symbol.tobytes()).hexdigest()[:16]
+                   for fid in _BENCH_FNS}
+        assert digests == {
+            "g": "2a4713936dd4f643", "gn:5": "a853cdbfc70e71ef", "zexp": "0033ef707703a63e",
+            "sqrtzexp": "c7bd8809f1868c3e", "heat:0.7": "e52a0efcff20bb8b",
+            "zis:0.8": "5b63ac00f7928870"}
+
+    def test_memo_size_and_read_only_entries(self, rng):
+        # dense8 (n = 64) keeps at most two real series stacks of SERIES_TERMS
+        # powers, and O(n^2) entries else; every memoised array is read-only
+        op = _sylvester_dense(rng, 8)
+        n = op.symbol.shape[0]
+        for fid in _BENCH_FNS:
+            _calculus(op, fid)
+            fc.eigen_calculus(op, fc.library(fid))
+        powers, others = [], []
+        for value in _memo(op).values():
+            if isinstance(value, fc._ResolventSeries):
+                powers.append(value.powers)
+            else:
+                parts = value if isinstance(value, tuple) else (value,)
+                others.extend(a for a in parts if isinstance(a, np.ndarray))
+        assert all(a.dtype == np.float64 for a in powers)
+        assert sum(a.size for a in powers) <= 2 * fc.SERIES_TERMS * n * n
+        assert sum(a.size for a in others) <= 3 * n * n
+        assert not any(a.flags.writeable for a in powers + others)
+
+    @pytest.mark.parametrize("kind", list(_every_kind(np.random.default_rng(0))))
+    def test_symbol_and_spectrum_are_read_only(self, rng, kind):
+        op = _every_kind(rng)[kind]
+        for arr in (op.symbol, op.spectrum(), op.to_dense()):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    def test_operators_copy_their_inputs(self, rng):
+        a, w = random_matrix(rng, 3), random_matrix(rng, 3)
+        u, _ = np.linalg.qr(random_matrix(rng, 3))
+        ops = [fc.LeftMult(a), fc.SchurMult(a), fc.DenseOp(np.kron(a, a)),
+               fc.SandwichSchur(u, u, w)]
+        before = [(op.to_dense().copy(), op.spectrum().copy()) for op in ops]
+        for arr in (a, u, w):
+            arr[0, 0] += 1.0
+        for op, (dense, lam) in zip(ops, before):
+            assert np.array_equal(op.to_dense(), dense)
+            assert np.array_equal(op.spectrum(), lam)
+            assert np.array_equal(fc.DenseOp(op.to_dense()).to_dense(), dense)
 
 
 class TestApproximationAndLaplace:
